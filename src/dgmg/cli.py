@@ -80,6 +80,14 @@ class RunConfig:
             raise ConfigError("implicit runs need an explicit dt value")
         if not 0 < self.newton_tol < 1:
             raise ConfigError(f"newton_tol must be in (0, 1), got {self.newton_tol}")
+        # `not x > 0` also rejects NaN; a step or interval that is not
+        # positive would never advance the time loop
+        if self.output_interval is not None and not self.output_interval > 0:
+            raise ConfigError(f"output_interval must be positive, got {self.output_interval}")
+        if not self.explicit_cfl > 0:
+            raise ConfigError(f"explicit_cfl must be positive, got {self.explicit_cfl}")
+        if not 0 < self.pseudo_cfl < 2:
+            raise ConfigError(f"pseudo_cfl must be in the stable range (0, 2), got {self.pseudo_cfl}")
 
     def mg_config(self) -> MGConfig | None:
         if self.mg == "none":

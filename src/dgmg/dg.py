@@ -10,6 +10,11 @@ perturbation equations: volume fluxes and sources are differences against
 the background, face fluxes are HLLC differences against the background
 numerical flux evaluated through the identical code path, which makes
 f(0) = 0 bit-exact.
+
+The total trace states of all faces go into one buffer, padded per axis
+with ghost states (wrapped for periodic sides, mirrored for slip walls;
+see physics.FaceAxis). One admissibility check covers the whole buffer, and
+one HLLC call per axis covers interior and boundary faces alike.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import physics
 from .mesh import BoundaryKind, GridHierarchy, SubgridMap
-from .physics import InadmissibleStateError, PhysConstants
+from .physics import FaceAxis, PhysConstants, check_admissible
 from .quadrature import gauss_legendre
 
 
@@ -122,48 +127,19 @@ class DGOperator:
         self.bg_zface = atm.state(Xg, Zg)
 
         west, east, south, north = case.bc
-        self.periodic_x = west is BoundaryKind.PERIODIC
-        self.periodic_z = south is BoundaryKind.PERIODIC
         if (west is BoundaryKind.PERIODIC) != (east is BoundaryKind.PERIODIC):
             raise ValueError("periodic boundaries must be paired in x")
         if (south is BoundaryKind.PERIODIC) != (north is BoundaryKind.PERIODIC):
             raise ValueError("periodic boundaries must be paired in z")
+        self.xfaces = FaceAxis(0, west is BoundaryKind.PERIODIC)
+        self.zfaces = FaceAxis(1, south is BoundaryKind.PERIODIC)
 
         c = self.constants
-        # background numerical fluxes, evaluated through the same HLLC/wall
-        # code path as the runtime fluxes so the U'=0 difference is bit-exact
-        self.bg_hflux_x = np.zeros_like(self.bg_xface)
-        self.bg_hflux_x[:, 1:-1] = physics.hllc_flux_axis(
-            self.bg_xface[:, 1:-1], self.bg_xface[:, 1:-1], 0, c
-        )
-        if self.periodic_x:
-            self.bg_hflux_x[:, 0] = physics.hllc_flux_axis(
-                self.bg_xface[:, 0], self.bg_xface[:, 0], 0, c
-            )
-            self.bg_hflux_x[:, -1] = self.bg_hflux_x[:, 0]
-        else:
-            self.bg_hflux_x[:, 0] = physics.wall_flux_axis(
-                self.bg_xface[:, 0], 0, c, ghost_on_left=True
-            )
-            self.bg_hflux_x[:, -1] = physics.wall_flux_axis(
-                self.bg_xface[:, -1], 0, c, ghost_on_left=False
-            )
-        self.bg_hflux_z = np.zeros_like(self.bg_zface)
-        self.bg_hflux_z[1:-1] = physics.hllc_flux_axis(
-            self.bg_zface[1:-1], self.bg_zface[1:-1], 1, c
-        )
-        if self.periodic_z:
-            self.bg_hflux_z[0] = physics.hllc_flux_axis(
-                self.bg_zface[0], self.bg_zface[0], 1, c
-            )
-            self.bg_hflux_z[-1] = self.bg_hflux_z[0]
-        else:
-            self.bg_hflux_z[0] = physics.wall_flux_axis(
-                self.bg_zface[0], 1, c, ghost_on_left=True
-            )
-            self.bg_hflux_z[-1] = physics.wall_flux_axis(
-                self.bg_zface[-1], 1, c, ghost_on_left=False
-            )
+        # background numerical fluxes, evaluated through the same face path
+        # as the runtime fluxes so the U'=0 difference is bit-exact
+        _, Bx, Bz = self._face_states(self.zero_field())
+        self.bg_hflux_x = self.xfaces.flux(*Bx, c)
+        self.bg_hflux_z = self.zfaces.flux(*Bz, c)
 
         # interior-penalty coefficient eta/h with eta = (k+1)^2
         self.pen_x = p * p / self.dx
@@ -178,11 +154,7 @@ class DGOperator:
             rb = self.bg_vol[..., physics.RHO, None]
             self.bg_visc_vol_x = c.mu * rb * Gxb
             self.bg_visc_vol_z = c.mu * rb * Gzb
-            self.bg_hvx, self.bg_hvz = self._viscous_face_fluxes(
-                Vb, Gxb, Gzb,
-                self.bg_xface[:, :-1], self.bg_xface[:, 1:],
-                self.bg_zface[:-1], self.bg_zface[1:],
-            )
+            self.bg_hvx, self.bg_hvz = self._viscous_face_fluxes(Vb, Gxb, Gzb, Bx, Bz)
 
         w2d = basis.weights[:, None] * basis.weights[None, :]
         w = np.broadcast_to(
@@ -212,16 +184,13 @@ class DGOperator:
         m = np.einsum("ab,zxabc->c", self._mass_scale, field)
         return m if component is None else float(m[component])
 
-    def _admissible(self, full: np.ndarray, where: str):
-        bad = np.minimum(full[..., physics.RHO], full[..., physics.RHO_THETA])
-        if np.all(bad > 0.0):
+    def _admissible_faces(self, buf, Bx, Bz):
+        """One check over the face buffer; the ghosts repeat traces, so
+        only a failure needs the per-cell views to find the cell."""
+        if np.all(np.minimum(buf[physics.RHO::4], buf[physics.RHO_THETA::4]) > 0.0):
             return
-        idx = np.unravel_index(np.argmin(bad), bad.shape)
-        loc = (self.level, int(idx[1]), int(idx[0]))
-        raise InadmissibleStateError(
-            f"inadmissible total state at {where}, cell (level={loc[0]}, i={loc[1]}, j={loc[2]})",
-            location=loc,
-        )
+        for traces in (Bx[1, :, :-1], Bx[0, :, 1:], Bz[1, :-1], Bz[0, 1:]):
+            check_admissible(traces, self.level, "face trace")
 
     def max_wave_speeds(self, Up: np.ndarray):
         """Per-cell directional max wave speeds (|u|+c, |w|+c) of U'+Ubar."""
@@ -252,7 +221,7 @@ class DGOperator:
         nz, nx, p = self.nz, self.nx, b.p
 
         full = Up + self.bg_vol
-        self._admissible(full, "volume node")
+        check_admissible(full, self.level, "volume node")
 
         # volume flux difference against the background
         Fx, Fz = physics.flux_convective_xz(full, c)
@@ -274,44 +243,15 @@ class DGOperator:
         rhs += (b.dhat @ Fz.reshape(nz * nx, p, p * 4)).reshape(nz, nx, p, p, 4) / self.dz
         rhs[..., physics.RHO_W] -= c.g * Up[..., physics.RHO]
 
-        # traces of the perturbation, then full face states
-        tx = (b.traces @ Up.reshape(-1, p, 4)).reshape(nz, nx, p, 2, 4)
-        Uw, Ue = tx[..., 0, :], tx[..., 1, :]
-        tz = (b.traces @ Up.reshape(nz * nx, p, p * 4)).reshape(nz, nx, 2, p, 4)
-        Us, Un = tz[..., 0, :, :], tz[..., 1, :, :]
-        UwF = Uw + self.bg_xface[:, :-1]
-        UeF = Ue + self.bg_xface[:, 1:]
-        UsF = Us + self.bg_zface[:-1]
-        UnF = Un + self.bg_zface[1:]
-        self._admissible(UwF, "west trace")
-        self._admissible(UeF, "east trace")
-        self._admissible(UsF, "south trace")
-        self._admissible(UnF, "north trace")
-
-        Hx = np.empty((nz, nx + 1, p, 4))
-        Hx[:, 1:-1] = physics.hllc_flux_axis(UeF[:, :-1], UwF[:, 1:], 0, c)
-        if self.periodic_x:
-            wrap_left = Ue[:, -1] + self.bg_xface[:, 0]
-            Hx[:, 0] = physics.hllc_flux_axis(wrap_left, UwF[:, 0], 0, c)
-            Hx[:, -1] = Hx[:, 0]
-        else:
-            Hx[:, 0] = physics.wall_flux_axis(UwF[:, 0], 0, c, ghost_on_left=True)
-            Hx[:, -1] = physics.wall_flux_axis(UeF[:, -1], 0, c, ghost_on_left=False)
+        buf, Bx, Bz = self._face_states(Up)
+        self._admissible_faces(buf, Bx, Bz)
+        Hx = self.xfaces.flux(*Bx, c)
         Hx -= self.bg_hflux_x
-
-        Hz = np.empty((nz + 1, nx, p, 4))
-        Hz[1:-1] = physics.hllc_flux_axis(UnF[:-1], UsF[1:], 1, c)
-        if self.periodic_z:
-            wrap_bot = Un[-1] + self.bg_zface[0]
-            Hz[0] = physics.hllc_flux_axis(wrap_bot, UsF[0], 1, c)
-            Hz[-1] = Hz[0]
-        else:
-            Hz[0] = physics.wall_flux_axis(UsF[0], 1, c, ghost_on_left=True)
-            Hz[-1] = physics.wall_flux_axis(UnF[-1], 1, c, ghost_on_left=False)
+        Hz = self.zfaces.flux(*Bz, c)
         Hz -= self.bg_hflux_z
 
         if mu > 0.0:
-            hvx, hvz = self._viscous_face_fluxes(V, dVdx, dVdz, UwF, UeF, UsF, UnF)
+            hvx, hvz = self._viscous_face_fluxes(V, dVdx, dVdz, Bx, Bz)
             Hx[..., 1:] -= hvx - self.bg_hvx
             Hz[..., 1:] -= hvz - self.bg_hvz
 
@@ -322,6 +262,28 @@ class DGOperator:
         l1z = b.lift1.reshape(1, 1, p, 1, 1)
         rhs -= (Hz[1:, :, None, :, :] * l1z - Hz[:-1, :, None, :, :] * l0z) / self.dz
         return rhs
+
+    def _face_states(self, Up: np.ndarray):
+        """Total face states of U' + Ubar in one buffer, with its ghost-filled
+        views Bx (2, nz, nx + 1, p, 4) and Bz (2, nz + 1, nx, p, 4): index 0
+        holds the east (north) trace left of each face, index 1 the west
+        (south) trace right of it."""
+        b = self.basis
+        nz, nx, p = self.nz, self.nx, b.p
+        # traces as broadcasted GEMMs, laid out like the volume contractions
+        tx = (b.traces @ Up.reshape(-1, p, 4)).reshape(nz, nx, p, 2, 4)
+        tz = (b.traces @ Up.reshape(nz * nx, p, p * 4)).reshape(nz, nx, 2, p, 4)
+        nbx = 2 * nz * (nx + 1) * p * 4
+        buf = np.empty(nbx + 2 * (nz + 1) * nx * p * 4)
+        Bx = buf[:nbx].reshape(2, nz, nx + 1, p, 4)
+        Bz = buf[nbx:].reshape(2, nz + 1, nx, p, 4)
+        np.add(tx[..., 1, :], self.bg_xface[:, 1:], out=Bx[0, :, 1:])
+        np.add(tx[..., 0, :], self.bg_xface[:, :-1], out=Bx[1, :, :-1])
+        np.add(tz[:, :, 1], self.bg_zface[1:], out=Bz[0, 1:])
+        np.add(tz[:, :, 0], self.bg_zface[:-1], out=Bz[1, :-1])
+        self.xfaces.fill_ghosts(*Bx)
+        self.zfaces.fill_ghosts(*Bz)
+        return buf, Bx, Bz
 
     def _primitive_gradients(self, full: np.ndarray):
         """Primitives (u, w, theta) at the nodes and their per-cell
@@ -341,10 +303,11 @@ class DGOperator:
         dVdz = (b.diff @ V.reshape(nz * nx, p, p * 3)).reshape(nz, nx, p, p, 3) / self.dz
         return V, dVdx, dVdz
 
-    def _viscous_face_fluxes(self, V, dVdx, dVdz, UwF, UeF, UsF, UnF):
+    def _viscous_face_fluxes(self, V, dVdx, dVdz, Bx, Bz):
         """Interior-penalty viscous face flux: average of mu*rho*grad_n
         plus an eta/h penalty on the primitive jump; zero through slip
-        walls. Returns per-face arrays for the (u, w, theta) rows."""
+        walls. Densities come from the face buffers of _face_states.
+        Returns per-face arrays for the (u, w, theta) rows."""
         b = self.basis
         mu = self.constants.mu
         p = b.p
@@ -358,15 +321,15 @@ class DGOperator:
         Ve = np.einsum("b,zxabq->zxaq", b.e1, V)
         Gw = np.einsum("b,zxabq->zxaq", b.e0, dVdx)
         Ge = np.einsum("b,zxabq->zxaq", b.e1, dVdx)
-        rho_w = UwF[..., physics.RHO]
-        rho_e = UeF[..., physics.RHO]
+        rho_e = Bx[0, :, 1:, :, physics.RHO]
+        rho_w = Bx[1, :, :-1, :, physics.RHO]
         hvx = np.zeros((self.nz, self.nx + 1, p, 3))
         hvx[:, 1:-1] = ip_flux(
             rho_e[:, :-1], Ge[:, :-1], Ve[:, :-1],
             rho_w[:, 1:], Gw[:, 1:], Vw[:, 1:],
             self.pen_x,
         )
-        if self.periodic_x:
+        if self.xfaces.periodic:
             hvx[:, 0] = ip_flux(
                 rho_e[:, -1], Ge[:, -1], Ve[:, -1],
                 rho_w[:, 0], Gw[:, 0], Vw[:, 0],
@@ -378,15 +341,15 @@ class DGOperator:
         Vn = np.einsum("a,zxabq->zxbq", b.e1, V)
         Gs = np.einsum("a,zxabq->zxbq", b.e0, dVdz)
         Gn = np.einsum("a,zxabq->zxbq", b.e1, dVdz)
-        rho_s = UsF[..., physics.RHO]
-        rho_n = UnF[..., physics.RHO]
+        rho_n = Bz[0, 1:, :, :, physics.RHO]
+        rho_s = Bz[1, :-1, :, :, physics.RHO]
         hvz = np.zeros((self.nz + 1, self.nx, p, 3))
         hvz[1:-1] = ip_flux(
             rho_n[:-1], Gn[:-1], Vn[:-1],
             rho_s[1:], Gs[1:], Vs[1:],
             self.pen_z,
         )
-        if self.periodic_z:
+        if self.zfaces.periodic:
             hvz[0] = ip_flux(
                 rho_n[-1], Gn[-1], Vn[-1], rho_s[0], Gs[0], Vs[0], self.pen_z
             )

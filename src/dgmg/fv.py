@@ -5,9 +5,14 @@ values, HLLC face fluxes in perturbation form, two-point viscous fluxes,
 and the same slip/periodic boundary treatment. It exists to drive the
 multigrid preconditioner; field layout is (nz, nx, 4).
 
+Per axis the cell states are copied into an array padded with one ghost
+cell per side (wrapped for periodic sides, mirrored for slip walls; see
+physics.FaceAxis), and one HLLC call on two overlapping views of it gives
+the fluxes of all faces, boundaries included.
+
 Backgrounds are evaluated at the cell centers of the level, and the face
 flux subtracts the background numerical flux computed from the two
-adjacent cell backgrounds through the same HLLC path, so the operator is
+adjacent cell backgrounds through the same face path, so the operator is
 well balanced on every level independently.
 """
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import physics
 from .mesh import BoundaryKind, GridHierarchy
-from .physics import InadmissibleStateError, PhysConstants
+from .physics import FaceAxis, PhysConstants, check_admissible
 
 _EPS_FD = float(np.sqrt(np.finfo(float).eps))
 
@@ -42,27 +47,13 @@ class FVOperator:
         self.bg = case.atmosphere.state(Xc, Zc)
 
         west, east, south, north = case.bc
-        self.periodic_x = west is BoundaryKind.PERIODIC
-        self.periodic_z = south is BoundaryKind.PERIODIC
+        self.xfaces = FaceAxis(0, west is BoundaryKind.PERIODIC)
+        self.zfaces = FaceAxis(1, south is BoundaryKind.PERIODIC)
 
         c = self.constants
         bg = self.bg
-        self.bg_hflux_x = np.zeros((self.nz, self.nx + 1, 4))
-        self.bg_hflux_x[:, 1:-1] = physics.hllc_flux_axis(bg[:, :-1], bg[:, 1:], 0, c)
-        if self.periodic_x:
-            self.bg_hflux_x[:, 0] = physics.hllc_flux_axis(bg[:, -1], bg[:, 0], 0, c)
-            self.bg_hflux_x[:, -1] = self.bg_hflux_x[:, 0]
-        else:
-            self.bg_hflux_x[:, 0] = physics.wall_flux_axis(bg[:, 0], 0, c, ghost_on_left=True)
-            self.bg_hflux_x[:, -1] = physics.wall_flux_axis(bg[:, -1], 0, c, ghost_on_left=False)
-        self.bg_hflux_z = np.zeros((self.nz + 1, self.nx, 4))
-        self.bg_hflux_z[1:-1] = physics.hllc_flux_axis(bg[:-1], bg[1:], 1, c)
-        if self.periodic_z:
-            self.bg_hflux_z[0] = physics.hllc_flux_axis(bg[-1], bg[0], 1, c)
-            self.bg_hflux_z[-1] = self.bg_hflux_z[0]
-        else:
-            self.bg_hflux_z[0] = physics.wall_flux_axis(bg[0], 1, c, ghost_on_left=True)
-            self.bg_hflux_z[-1] = physics.wall_flux_axis(bg[-1], 1, c, ghost_on_left=False)
+        # background numerical fluxes through the runtime face path
+        self.bg_hflux_x, self.bg_hflux_z = self._face_fluxes(bg)
         if c.mu > 0.0:
             # background two-point viscous fluxes (analytically zero for the
             # constant-primitive atmospheres) subtracted as a grouped
@@ -75,42 +66,14 @@ class FVOperator:
     def background(self) -> np.ndarray:
         return self.bg
 
-    def _admissible(self, full: np.ndarray):
-        bad = np.minimum(full[..., physics.RHO], full[..., physics.RHO_THETA])
-        if np.all(bad > 0.0):
-            return
-        idx = np.unravel_index(np.argmin(bad), bad.shape)
-        loc = (self.level, int(idx[1]), int(idx[0]))
-        raise InadmissibleStateError(
-            f"inadmissible total state in FV cell (level={loc[0]}, i={loc[1]}, j={loc[2]})",
-            location=loc,
-        )
-
     def __call__(self, up: np.ndarray) -> np.ndarray:
         self.ncalls += 1
         c = self.constants
-        nz, nx = self.nz, self.nx
         full = up + self.bg
-        self._admissible(full)
+        check_admissible(full, self.level, "cell average")
 
-        Hx = np.empty((nz, nx + 1, 4))
-        Hx[:, 1:-1] = physics.hllc_flux_axis(full[:, :-1], full[:, 1:], 0, c)
-        if self.periodic_x:
-            Hx[:, 0] = physics.hllc_flux_axis(full[:, -1], full[:, 0], 0, c)
-            Hx[:, -1] = Hx[:, 0]
-        else:
-            Hx[:, 0] = physics.wall_flux_axis(full[:, 0], 0, c, ghost_on_left=True)
-            Hx[:, -1] = physics.wall_flux_axis(full[:, -1], 0, c, ghost_on_left=False)
+        Hx, Hz = self._face_fluxes(full)
         Hx -= self.bg_hflux_x
-
-        Hz = np.empty((nz + 1, nx, 4))
-        Hz[1:-1] = physics.hllc_flux_axis(full[:-1], full[1:], 1, c)
-        if self.periodic_z:
-            Hz[0] = physics.hllc_flux_axis(full[-1], full[0], 1, c)
-            Hz[-1] = Hz[0]
-        else:
-            Hz[0] = physics.wall_flux_axis(full[0], 1, c, ghost_on_left=True)
-            Hz[-1] = physics.wall_flux_axis(full[-1], 1, c, ghost_on_left=False)
         Hz -= self.bg_hflux_z
 
         if c.mu > 0.0:
@@ -121,6 +84,22 @@ class FVOperator:
         rhs = -(Hx[:, 1:] - Hx[:, :-1]) / self.dx - (Hz[1:] - Hz[:-1]) / self.dz
         rhs[..., physics.RHO_W] -= c.g * up[..., physics.RHO]
         return rhs
+
+    def _face_fluxes(self, full):
+        """HLLC fluxes through every x- and z-face of the cell states full.
+
+        Each axis pads the cells with one ghost per side, so the left and
+        right states of the n + 1 faces are two overlapping views.
+        """
+        nz, nx = self.nz, self.nx
+        Px = np.empty((nz, nx + 2, 4))
+        Px[:, 1:-1] = full
+        Pz = np.empty((nz + 2, nx, 4))
+        Pz[1:-1] = full
+        c = self.constants
+        self.xfaces.fill_ghosts(Px[:, :-1], Px[:, 1:])
+        self.zfaces.fill_ghosts(Pz[:-1], Pz[1:])
+        return self.xfaces.flux(Px[:, :-1], Px[:, 1:], c), self.zfaces.flux(Pz[:-1], Pz[1:], c)
 
     def _viscous_face_fluxes(self, full):
         """Two-point viscous flux mu*rho_face*(V_R - V_L)/h per face for
@@ -134,7 +113,7 @@ class FVOperator:
         gx[:, 1:-1] = mu * 0.5 * (rho[:, :-1] + rho[:, 1:])[..., None] * (
             V[:, 1:] - V[:, :-1]
         ) / self.dx
-        if self.periodic_x:
+        if self.xfaces.periodic:
             gx[:, 0] = mu * 0.5 * (rho[:, -1] + rho[:, 0])[..., None] * (
                 V[:, 0] - V[:, -1]
             ) / self.dx
@@ -142,7 +121,7 @@ class FVOperator:
 
         gz = np.zeros((self.nz + 1, self.nx, 3))
         gz[1:-1] = mu * 0.5 * (rho[:-1] + rho[1:])[..., None] * (V[1:] - V[:-1]) / self.dz
-        if self.periodic_z:
+        if self.zfaces.periodic:
             gz[0] = mu * 0.5 * (rho[-1] + rho[0])[..., None] * (V[0] - V[-1]) / self.dz
             gz[-1] = gz[0]
         return gx, gz

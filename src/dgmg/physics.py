@@ -8,6 +8,11 @@ over leading axes, with the component axis last.
 The well-balanced formulation evolves perturbations U' around a steady
 background atmosphere; the pert_* variants return exactly zero for a zero
 perturbation.
+
+FaceAxis is the one face-flux path of the DG and FV operators: they write
+the left and right states of all faces of a grid direction into one
+array padded with ghost states, and FaceAxis fills the ghosts (periodic
+wrap or slip-wall mirror) and makes one HLLC call for all faces.
 """
 
 from __future__ import annotations
@@ -159,10 +164,9 @@ def _hllc_normal(UL: np.ndarray, UR: np.ndarray, axis: int, c: PhysConstants):
     mn, mt = 1 + axis, 2 - axis
     rhoL, rhoR = UL[..., RHO], UR[..., RHO]
     rtL, rtR = UL[..., RHO_THETA], UR[..., RHO_THETA]
-    if (
-        np.any(rhoL <= 0.0) or np.any(rhoR <= 0.0)
-        or np.any(rtL <= 0.0) or np.any(rtR <= 0.0)
-    ):
+    # one reduction over the RHO and RHO_THETA components of both sides;
+    # fmin skips a NaN on one side, as separate `<= 0` tests would
+    if (np.fmin(UL[..., ::3], UR[..., ::3]) <= 0.0).any():
         raise InadmissibleStateError("non-positive density or rho*theta passed to HLLC")
     unL, unR = UL[..., mn] / rhoL, UR[..., mn] / rhoR
     utL, utR = UL[..., mt] / rhoL, UR[..., mt] / rhoR
@@ -177,7 +181,7 @@ def _hllc_normal(UL: np.ndarray, UR: np.ndarray, axis: int, c: PhysConstants):
     dR = rhoR * (SR - unR)
     SM = (pR - pL + unL * dL - unR * dR) / (dL - dR)
     p_star = pL + dL * (SM - unL)
-    if np.any(p_star <= 0.0) or np.any(SM <= SL) or np.any(SM >= SR):
+    if ((p_star <= 0.0) | (SM <= SL) | (SM >= SR)).any():
         raise InadmissibleStateError("vacuum or negative-pressure HLLC star state")
 
     left = SM >= 0.0
@@ -189,12 +193,12 @@ def _hllc_normal(UL: np.ndarray, UR: np.ndarray, axis: int, c: PhysConstants):
     p = np.where(left, pL, pR)
     Sd = np.where(left, SL, SR)
     fac = (Sd - un) / (Sd - SM)
-    drho = rho * (fac - 1.0)
+    fac1 = fac - 1.0
     m = rho * un
-    f0 = m + S * drho
+    f0 = m + S * (rho * fac1)
     f1 = m * un + p + S * (rho * fac * SM - m)
-    f2 = (m + S * drho) * ut
-    f3 = (un + S * (fac - 1.0)) * rt
+    f2 = f0 * ut
+    f3 = (un + S * fac1) * rt
     return f0, f1, f2, f3
 
 
@@ -208,6 +212,65 @@ def hllc_flux_axis(UL: np.ndarray, UR: np.ndarray, axis: int, c: PhysConstants) 
     F[..., 2 - axis] = f_t
     F[..., RHO_THETA] = f_rt
     return F
+
+
+@dataclass(frozen=True)
+class FaceAxis:
+    """The faces normal to x (normal = 0) or to z (normal = 1).
+
+    UL and UR are views of one padded array holding the left and right
+    states of faces 0..n, laid out (z-index, x-index, ...); only UL[face 0]
+    and UR[face n] are ghosts.
+    """
+
+    normal: int
+    periodic: bool
+
+    def _face(self, f: int) -> tuple:
+        return (slice(None),) * (1 - self.normal) + (f,)
+
+    def fill_ghosts(self, UL: np.ndarray, UR: np.ndarray) -> None:
+        """Periodic sides wrap around; slip walls mirror the adjacent state
+        with its normal momentum negated."""
+        first, last = self._face(0), self._face(-1)
+        if self.periodic:
+            UL[first] = UL[last]
+            UR[last] = UR[first]
+            return
+        UL[first] = UR[first]
+        UR[last] = UL[last]
+        for ghost in (UL[first], UR[last]):
+            ghost[..., 1 + self.normal] = -ghost[..., 1 + self.normal]
+
+    def flux(self, UL: np.ndarray, UR: np.ndarray, c: PhysConstants) -> np.ndarray:
+        """HLLC flux through all faces from ghost-filled states.
+
+        A periodic axis has one face at both ends, so face n copies face 0.
+        The mirrored Riemann problem puts the contact on a slip wall: the
+        mass, tangential-momentum and rho*theta fluxes are zeroed exactly.
+        """
+        F = hllc_flux_axis(UL, UR, self.normal, c)
+        first, last = self._face(0), self._face(-1)
+        if self.periodic:
+            F[last] = F[first]
+        else:
+            passive = [RHO, 2 - self.normal, RHO_THETA]
+            F[first][..., passive] = 0.0
+            F[last][..., passive] = 0.0
+        return F
+
+
+def check_admissible(full: np.ndarray, level: int, where: str) -> None:
+    """Raise InadmissibleStateError, located at the worst cell, if a state
+    laid out (z-index, x-index, ...) has rho <= 0 or rho*theta <= 0."""
+    bad = np.minimum(full[..., RHO], full[..., RHO_THETA])
+    if np.all(bad > 0.0):
+        return
+    j, i = (int(n) for n in np.unravel_index(np.argmin(bad), bad.shape)[:2])
+    raise InadmissibleStateError(
+        f"inadmissible total state at {where} of cell (level={level}, i={i}, j={j})",
+        location=(level, i, j),
+    )
 
 
 def hllc_flux(UL: np.ndarray, UR: np.ndarray, n, c: PhysConstants) -> np.ndarray:
@@ -231,29 +294,6 @@ def hllc_flux(UL: np.ndarray, UR: np.ndarray, n, c: PhysConstants) -> np.ndarray
     F[..., RHO_U] = f_n * nx + f_t * tx
     F[..., RHO_W] = f_n * nz + f_t * tz
     F[..., RHO_THETA] = f_rt
-    return F
-
-
-def wall_flux_axis(U_in: np.ndarray, axis: int, c: PhysConstants,
-                   ghost_on_left: bool) -> np.ndarray:
-    """Slip-wall flux from the mirrored-ghost Riemann problem.
-
-    The ghost state negates the normal momentum of the interior trace;
-    ghost_on_left says which side of the face (in global +axis
-    orientation) the wall is on. For the mirrored problem the contact
-    sits on the wall, so the mass, tangential-momentum and rho*theta
-    fluxes vanish identically; they are zeroed exactly here and only the
-    normal-momentum (pressure) flux of the HLLC solve is kept.
-    """
-    U_in = np.asarray(U_in)
-    ghost = U_in.copy()
-    ghost[..., 1 + axis] = -ghost[..., 1 + axis]
-    if ghost_on_left:
-        _, f_n, _, _ = _hllc_normal(ghost, U_in, axis, c)
-    else:
-        _, f_n, _, _ = _hllc_normal(U_in, ghost, axis, c)
-    F = np.zeros_like(U_in)
-    F[..., 1 + axis] = f_n
     return F
 
 

@@ -72,6 +72,7 @@ class StageStats:
     fv_ops: int = 0
     residual_initial: float = 0.0
     residual_final: float = 0.0
+    gmres_unconverged: int = 0
 
 
 @dataclass
@@ -253,6 +254,7 @@ class NewtonResult:
     residual_initial: float
     residual_final: float
     converged: bool
+    gmres_unconverged: int = 0  # linear solves that stopped above their tolerance
 
 
 def newton_solve(
@@ -274,6 +276,7 @@ def newton_solve(
     norm0 = weighted_rms(r, weights)
     norms = [norm0]
     gmres_total = 0
+    unconverged = 0
     if norm0 == 0.0:
         return NewtonResult(u, 0, 0, 0.0, 0.0, True)
     eta = params.eta_initial
@@ -290,11 +293,13 @@ def newton_solve(
             weights=weights,
         )
         gmres_total += info.iterations
+        if not info.converged:
+            unconverged += 1
         u = u + delta
         r = residual(u)
         norms.append(weighted_rms(r, weights))
         if norms[-1] < params.tol * norm0:
-            return NewtonResult(u, k + 1, gmres_total, norm0, norms[-1], True)
+            return NewtonResult(u, k + 1, gmres_total, norm0, norms[-1], True, unconverged)
         if len(norms) >= 4 and norms[-1] > (1.0 - 1e-3) * norms[-4]:
             raise SolverFailure(
                 f"Newton stagnation: residual {norms[-1]:.3e} after {k + 1} iterations",
@@ -354,6 +359,7 @@ def sdirk2_step(
                 fv_ops=after[1] - before[1],
                 residual_initial=res.residual_initial,
                 residual_final=res.residual_final,
+                gmres_unconverged=res.gmres_unconverged,
             )
         )
         return res.u

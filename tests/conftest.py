@@ -45,7 +45,7 @@ def unit_sound_speed_constants() -> PhysConstants:
 
 
 def advection_case(u: float = 1.0, w: float = 0.0, domain: Domain2D | None = None,
-                   periodic_z: bool = True) -> CaseSetup:
+                   periodic_z: bool = True, periodic_x: bool = True) -> CaseSetup:
     """Uniform background (rho = 1, |c_sound| = 1) for manufactured tests."""
     c = unit_sound_speed_constants()
     pbar = 1.0 / c.gamma
@@ -57,6 +57,7 @@ def advection_case(u: float = 1.0, w: float = 0.0, domain: Domain2D | None = Non
         u=u,
         w=w,
     )
+    bx = BoundaryKind.PERIODIC if periodic_x else BoundaryKind.SLIP
     bz = BoundaryKind.PERIODIC if periodic_z else BoundaryKind.SLIP
     return CaseSetup(
         name="advection",
@@ -64,7 +65,7 @@ def advection_case(u: float = 1.0, w: float = 0.0, domain: Domain2D | None = Non
         constants=c,
         atmosphere=atm,
         theta_pert=lambda x, z: np.zeros(np.broadcast(x, z).shape),
-        bc=(BoundaryKind.PERIODIC, BoundaryKind.PERIODIC, bz, bz),
+        bc=(bx, bx, bz, bz),
         t_final=1.0,
     )
 

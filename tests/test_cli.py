@@ -216,6 +216,31 @@ class TestMain:
         assert main(["--case", "rising-bubble"]) == 2  # no grid, no dt
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--output-interval", "0"),  # would loop forever
+            ("--output-interval", "-25"),
+            ("--output-interval", "nan"),
+            ("--explicit-cfl", "0"),  # dt = 0 never advances t
+            ("--explicit-cfl", "-0.5"),
+            ("--pseudo-cfl", "-1"),
+            ("--pseudo-cfl", "0"),
+            ("--pseudo-cfl", "2"),
+        ],
+    )
+    def test_invalid_numeric_value_exit_code(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "out")
+        rc = main([
+            "--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",
+            "--dt", "25", "--t-final", "25", "--mg", "mg001111V", "--outdir", out,
+            flag, value,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and flag[2:].replace("-", "_") in err
+        assert not os.path.exists(out)
+
     def test_unknown_flag_case(self):
         with pytest.raises(SystemExit):
             main(["--case", "unknown-case"])

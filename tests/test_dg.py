@@ -259,3 +259,30 @@ class TestErrors:
         with pytest.raises(InadmissibleStateError) as err:
             setup.dg_op(U)
         assert err.value.location == (setup.subgrid.dg_level, 2, 3)
+
+    @pytest.mark.parametrize(
+        "name, base_nx, base_nz, axis, side, i, j",
+        [
+            ("rising-bubble", 5, 10, "x", "lo", 2, 3),  # interior face
+            ("rising-bubble", 5, 10, "x", "lo", 0, 3),  # west wall ghost
+            ("rising-bubble", 5, 10, "x", "hi", 4, 6),  # east wall ghost
+            ("rising-bubble", 5, 10, "z", "lo", 1, 0),  # bottom wall ghost
+            ("rising-bubble", 5, 10, "z", "hi", 3, 9),  # top wall ghost
+            ("inertia-gravity", 10, 1, "x", "hi", 9, 0),  # periodic seam
+            ("inertia-gravity", 10, 1, "x", "lo", 0, 0),
+        ],
+    )
+    def test_inadmissible_trace_reports_cell(self, name, base_nx, base_nz, axis, side, i, j):
+        # rho*theta' linear across the cell: positive at every volume node,
+        # negative on one face trace only
+        setup = make_setup(name, base_nx, base_nz, 0)
+        op = setup.dg_op
+        x = op.basis.nodes
+        r = (0.5 - x) / (0.5 - x[0]) if side == "lo" else (x - 0.5) / (x[-1] - 0.5)
+        r = r[None, :] if axis == "x" else r[:, None]
+        U = op.zero_field()
+        U[j, i, ..., 3] = -0.97 * op.bg_vol[j, i, ..., 3] * r
+        assert np.all((U + op.bg_vol)[..., 3] > 0.0)
+        with pytest.raises(InadmissibleStateError, match="face trace") as err:
+            op(U)
+        assert err.value.location == (setup.subgrid.dg_level, i, j)

@@ -5,6 +5,7 @@ from conftest import advection_case, entropy_wave, make_setup, rms
 from dgmg import cases, mesh
 from dgmg.fv import FVLinearization, FVOperator, fv_background, fv_residual_linop
 from dgmg.mesh import Domain2D
+from dgmg.physics import InadmissibleStateError
 
 
 class CountingOp:
@@ -89,6 +90,17 @@ class TestOperator:
         area = setup.hierarchy.cell_area(lvl)
         total_mass = area * op.bg[..., 0].sum()
         assert abs(area * out[..., 0].sum()) < 1e-12 * total_mass
+
+
+class TestErrors:
+    def test_inadmissible_cell_reports_level_and_cell(self):
+        setup = make_setup("inertia-gravity", 5, 2, 2)
+        op = setup.fv_op(1)
+        u = op.zero_field()
+        u[3, 7, 0] = -2.0 * op.bg[3, 7, 0]
+        with pytest.raises(InadmissibleStateError, match="cell average") as err:
+            op(u)
+        assert err.value.location == (1, 7, 3)
 
 
 class TestBackground:

@@ -16,7 +16,6 @@ from dgmg.physics import (
     pert_source,
     pressure,
     source_gravity,
-    wall_flux_axis,
 )
 
 RB = PhysConstants(c_p=1005.0, c_v=717.95, g=9.80665, p0=1e5)
@@ -180,33 +179,24 @@ class TestHLLC:
         with pytest.raises(InadmissibleStateError):
             hllc_flux_axis(bad, U, 0, RB)
 
+    @pytest.mark.parametrize("component", [0, 3])
+    @pytest.mark.parametrize("right", [False, True])
+    def test_nonpositive_rho_or_rho_theta_on_either_side_raises(self, component, right):
+        U = np.stack([rest_state(RB)] * 3)
+        bad = U.copy()
+        bad[1, component] = 0.0
+        with pytest.raises(InadmissibleStateError, match="non-positive"):
+            hllc_flux_axis(U, bad, 1, RB) if right else hllc_flux_axis(bad, U, 1, RB)
 
-class TestWallFlux:
-    def test_only_normal_momentum_nonzero(self):
-        rng = np.random.default_rng(9)
-        for axis in (0, 1):
-            for left in (True, False):
-                U = state(1.1, 10.0 * rng.random(), -5.0 * rng.random(), 290.0)
-                F = wall_flux_axis(U, axis, RB, ghost_on_left=left)
-                assert F[0] == 0.0
-                assert F[3] == 0.0
-                assert F[2 - axis] == 0.0
-                assert F[1 + axis] != 0.0
-
-    def test_rest_state_wall_pressure(self):
+    def test_vacuum_star_state_raises(self):
+        # two states receding from the face at three sound speeds
         U = rest_state(RB)
-        p = pressure(U, RB)
-        F = wall_flux_axis(U, 1, RB, ghost_on_left=True)
-        assert F[2] == pytest.approx(p, rel=1e-12)
-
-    def test_compression_vs_suction(self):
-        # updraft toward a top wall compresses; away from a bottom wall pulls
-        U = rest_state(RB)
-        p = pressure(U, RB)
-        U[2] = U[0] * 10.0  # w = +10 m/s
-        top = wall_flux_axis(U, 1, RB, ghost_on_left=False)
-        bottom = wall_flux_axis(U, 1, RB, ghost_on_left=True)
-        assert top[2] > p > bottom[2]
+        c_snd = float(physics.sound_speed(U, RB))
+        UL, UR = U.copy(), U.copy()
+        UL[2] = -3.0 * c_snd * U[0]
+        UR[2] = 3.0 * c_snd * U[0]
+        with pytest.raises(InadmissibleStateError, match="vacuum"):
+            hllc_flux_axis(np.stack([U, UL]), np.stack([U, UR]), 1, RB)
 
 
 class TestPerturbationForms:

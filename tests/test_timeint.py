@@ -125,6 +125,33 @@ class TestNewton:
         # e_{k+1}/e_k^2 approaches |G''/(2 G')| = 1/4
         assert 0.15 < errs[1] / errs[0] ** 2 < 0.35
 
+    def test_unconverged_linear_solves_are_counted(self, monkeypatch):
+        # two GMRES iterations per Newton step cannot meet the forcing
+        # term on a diagonal system with 40 spread eigenvalues
+        from dgmg import timeint
+
+        d = np.linspace(1.0, 50.0, 40)
+        converged = []
+
+        def recording_gmres(*args, **kwargs):
+            x, info = gmres_solve(*args, **kwargs)
+            converged.append(info.converged)
+            return x, info
+
+        monkeypatch.setattr(timeint, "gmres_solve", recording_gmres)
+        params = NewtonParams(tol=1e-2, gmres_restart=2, gmres_maxiter=2)
+        res = newton_solve(lambda u: d * u - 1.0, np.zeros(40), params)
+        assert res.converged
+        assert res.gmres_unconverged == converged.count(False) > 0
+
+        converged.clear()
+        _, stats = sdirk2_step(lambda u, t: 1.0 - d * u, np.zeros(40), 0.0, 0.5, params=params)
+        assert sum(s.gmres_unconverged for s in stats.stages) == converged.count(False) > 0
+
+    def test_converged_linear_solves_count_zero(self):
+        res = newton_solve(lambda u: 2.0 * u - 1.0, np.zeros(3), NewtonParams())
+        assert res.gmres_unconverged == 0
+
     def test_stagnation_raises(self):
         # residual independent of u: no progress possible
         with pytest.raises(SolverFailure):
