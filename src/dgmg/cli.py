@@ -74,16 +74,16 @@ class RunConfig:
             raise ConfigError("either base_nx/base_nz or a target dx must be given")
         if (self.base_nx is None) != (self.base_nz is None):
             raise ConfigError("base_nx and base_nz must be given together")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        # `not x > 0` also rejects NaN; a step or interval that is not
+        # positive would never advance the time loop
+        for key in ("dx", "dt", "t_final", "output_interval"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
         if self.integrator == "implicit" and self.dt is None:
             raise ConfigError("implicit runs need an explicit dt value")
         if not 0 < self.newton_tol < 1:
             raise ConfigError(f"newton_tol must be in (0, 1), got {self.newton_tol}")
-        # `not x > 0` also rejects NaN; a step or interval that is not
-        # positive would never advance the time loop
-        if self.output_interval is not None and not self.output_interval > 0:
-            raise ConfigError(f"output_interval must be positive, got {self.output_interval}")
         if not self.explicit_cfl > 0:
             raise ConfigError(f"explicit_cfl must be positive, got {self.explicit_cfl}")
         if not 0 < self.pseudo_cfl < 2:

@@ -13,8 +13,10 @@ f(0) = 0 bit-exact.
 
 The total trace states of all faces go into one buffer, padded per axis
 with ghost states (wrapped for periodic sides, mirrored for slip walls;
-see physics.FaceAxis). One admissibility check covers the whole buffer, and
-one HLLC call per axis covers interior and boundary faces alike.
+see physics.FaceAxis). One admissibility check covers the whole buffer.
+Per axis, one physics.primitives call gives the primitives of all left
+and right states, with rho and rho*theta as views of the buffer, and one
+HLLC call covers interior and boundary faces alike.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ class DGOperator:
         # background numerical fluxes, evaluated through the same face path
         # as the runtime fluxes so the U'=0 difference is bit-exact
         _, Bx, Bz = self._face_states(self.zero_field())
-        self.bg_hflux_x = self.xfaces.flux(*Bx, c)
-        self.bg_hflux_z = self.zfaces.flux(*Bz, c)
+        self.bg_hflux_x = self._axis_flux(self.xfaces, Bx)
+        self.bg_hflux_z = self._axis_flux(self.zfaces, Bz)
 
         # interior-penalty coefficient eta/h with eta = (k+1)^2
         self.pen_x = p * p / self.dx
@@ -245,9 +247,9 @@ class DGOperator:
 
         buf, Bx, Bz = self._face_states(Up)
         self._admissible_faces(buf, Bx, Bz)
-        Hx = self.xfaces.flux(*Bx, c)
+        Hx = self._axis_flux(self.xfaces, Bx)
         Hx -= self.bg_hflux_x
-        Hz = self.zfaces.flux(*Bz, c)
+        Hz = self._axis_flux(self.zfaces, Bz)
         Hz -= self.bg_hflux_z
 
         if mu > 0.0:
@@ -284,6 +286,13 @@ class DGOperator:
         self.xfaces.fill_ghosts(*Bx)
         self.zfaces.fill_ghosts(*Bz)
         return buf, Bx, Bz
+
+    def _axis_flux(self, faces: FaceAxis, B: np.ndarray) -> np.ndarray:
+        """HLLC flux through the faces of one axis from its ghost-filled
+        face states B (see _face_states). The primitives of the whole axis
+        come from one call; rho and rho*theta stay views of the buffer."""
+        P = physics.primitives(B, self.constants)
+        return faces.flux([q[0] for q in P], [q[1] for q in P], self.constants)
 
     def _primitive_gradients(self, full: np.ndarray):
         """Primitives (u, w, theta) at the nodes and their per-cell

@@ -5,10 +5,13 @@ values, HLLC face fluxes in perturbation form, two-point viscous fluxes,
 and the same slip/periodic boundary treatment. It exists to drive the
 multigrid preconditioner; field layout is (nz, nx, 4).
 
-Per axis the cell states are copied into an array padded with one ghost
-cell per side (wrapped for periodic sides, mirrored for slip walls; see
-physics.FaceAxis), and one HLLC call on two overlapping views of it gives
-the fluxes of all faces, boundaries included.
+The primitives (rho, u, w, rho*theta, p, c_s) of each cell are computed
+once per call and copied per axis into an array padded with one ghost
+cell per side (wrapped for periodic sides, mirrored with the normal
+velocity negated for slip walls; see physics.FaceAxis). One HLLC call on
+two overlapping views of it gives the fluxes of all faces, boundaries
+included, and the two-point viscous flux reads u, w and theta from the
+same views.
 
 Backgrounds are evaluated at the cell centers of the level, and the face
 flux subtracts the background numerical flux computed from the two
@@ -50,15 +53,11 @@ class FVOperator:
         self.xfaces = FaceAxis(0, west is BoundaryKind.PERIODIC)
         self.zfaces = FaceAxis(1, south is BoundaryKind.PERIODIC)
 
-        c = self.constants
-        bg = self.bg
-        # background numerical fluxes through the runtime face path
-        self.bg_hflux_x, self.bg_hflux_z = self._face_fluxes(bg)
-        if c.mu > 0.0:
-            # background two-point viscous fluxes (analytically zero for the
-            # constant-primitive atmospheres) subtracted as a grouped
-            # difference for exact balance
-            self.bg_gx, self.bg_gz = self._viscous_face_fluxes(bg)
+        # background numerical fluxes through the runtime face path; the
+        # background two-point viscous fluxes (analytically zero for the
+        # constant-primitive atmospheres) are subtracted as a grouped
+        # difference for exact balance
+        (self.bg_hflux_x, self.bg_gx), (self.bg_hflux_z, self.bg_gz) = self._face_fluxes(self.bg)
 
     def zero_field(self) -> np.ndarray:
         return np.zeros((self.nz, self.nx, 4))
@@ -72,12 +71,10 @@ class FVOperator:
         full = up + self.bg
         check_admissible(full, self.level, "cell average")
 
-        Hx, Hz = self._face_fluxes(full)
+        (Hx, gx), (Hz, gz) = self._face_fluxes(full)
         Hx -= self.bg_hflux_x
         Hz -= self.bg_hflux_z
-
         if c.mu > 0.0:
-            gx, gz = self._viscous_face_fluxes(full)
             Hx[..., 1:] -= gx - self.bg_gx
             Hz[..., 1:] -= gz - self.bg_gz
 
@@ -86,45 +83,41 @@ class FVOperator:
         return rhs
 
     def _face_fluxes(self, full):
-        """HLLC fluxes through every x- and z-face of the cell states full.
+        """(HLLC, viscous) fluxes through every x-face and every z-face of
+        the cell states full; the viscous ones are None when mu = 0.
 
-        Each axis pads the cells with one ghost per side, so the left and
-        right states of the n + 1 faces are two overlapping views.
+        The primitives of each cell are computed once and copied into one
+        array per axis, laid out (primitive, z-index, x-index) and padded
+        with one ghost cell per side, so the left and right states of the
+        n + 1 faces are two overlapping views of it.
         """
         nz, nx = self.nz, self.nx
-        Px = np.empty((nz, nx + 2, 4))
-        Px[:, 1:-1] = full
-        Pz = np.empty((nz + 2, nx, 4))
-        Pz[1:-1] = full
-        c = self.constants
-        self.xfaces.fill_ghosts(Px[:, :-1], Px[:, 1:])
-        self.zfaces.fill_ghosts(Pz[:-1], Pz[1:])
-        return self.xfaces.flux(Px[:, :-1], Px[:, 1:], c), self.zfaces.flux(Pz[:-1], Pz[1:], c)
+        Qx = np.empty((6, nz, nx + 2))
+        Qx[..., 1:-1] = physics.primitives(full, self.constants)
+        Qz = np.empty((6, nz + 2, nx))
+        Qz[:, 1:-1] = Qx[..., 1:-1]
+        return (self._axis_fluxes(self.xfaces, Qx[..., :-1], Qx[..., 1:], self.dx),
+                self._axis_fluxes(self.zfaces, Qz[:, :-1], Qz[:, 1:], self.dz))
 
-    def _viscous_face_fluxes(self, full):
-        """Two-point viscous flux mu*rho_face*(V_R - V_L)/h per face for
-        the (u, w, theta) rows; zero through slip walls. The combined face
-        flux is convective minus viscous."""
+    def _axis_fluxes(self, faces: FaceAxis, L, R, h: float):
+        """HLLC fluxes from the padded primitives L, R of one axis, and the
+        two-point viscous flux mu*rho_face*(V_R - V_L)/h of the (u, w,
+        theta) rows, zero through slip walls. The combined face flux is
+        convective minus viscous."""
+        faces.fill_ghosts(L.transpose(1, 2, 0), R.transpose(1, 2, 0))
+        H = faces.flux(L, R, self.constants)
         mu = self.constants.mu
-        rho = full[..., physics.RHO]
-        V = full[..., 1:] / rho[..., None]
-
-        gx = np.zeros((self.nz, self.nx + 1, 3))
-        gx[:, 1:-1] = mu * 0.5 * (rho[:, :-1] + rho[:, 1:])[..., None] * (
-            V[:, 1:] - V[:, :-1]
-        ) / self.dx
-        if self.xfaces.periodic:
-            gx[:, 0] = mu * 0.5 * (rho[:, -1] + rho[:, 0])[..., None] * (
-                V[:, 0] - V[:, -1]
-            ) / self.dx
-            gx[:, -1] = gx[:, 0]
-
-        gz = np.zeros((self.nz + 1, self.nx, 3))
-        gz[1:-1] = mu * 0.5 * (rho[:-1] + rho[1:])[..., None] * (V[1:] - V[:-1]) / self.dz
-        if self.zfaces.periodic:
-            gz[0] = mu * 0.5 * (rho[-1] + rho[0])[..., None] * (V[0] - V[-1]) / self.dz
-            gz[-1] = gz[0]
-        return gx, gz
+        if mu == 0.0:
+            return H, None
+        coef = mu * 0.5 * (L[0] + R[0])
+        G = np.empty(H.shape[:-1] + (3,))
+        G[..., 0] = coef * (R[1] - L[1]) / h
+        G[..., 1] = coef * (R[2] - L[2]) / h
+        G[..., 2] = coef * (R[3] / R[0] - L[3] / L[0]) / h
+        if not faces.periodic:
+            first, last = faces.ends
+            G[first] = G[last] = 0.0
+        return H, G
 
 
 def fv_background(case, hierarchy: GridHierarchy, level: int) -> np.ndarray:
@@ -161,8 +154,3 @@ class FVLinearization:
         eps = _EPS_FD / norm
         df = (self.op(self.u0 + eps * w) - self.f0) / eps
         return w - self.alpha_dt * df
-
-
-def fv_residual_linop(lin: FVLinearization, w: np.ndarray) -> np.ndarray:
-    """Jacobian-vector product of the low-order stage residual."""
-    return lin.matvec(w)

@@ -9,10 +9,13 @@ The well-balanced formulation evolves perturbations U' around a steady
 background atmosphere; the pert_* variants return exactly zero for a zero
 perturbation.
 
-FaceAxis is the one face-flux path of the DG and FV operators: they write
-the left and right states of all faces of a grid direction into one
-array padded with ghost states, and FaceAxis fills the ghosts (periodic
-wrap or slip-wall mirror) and makes one HLLC call for all faces.
+FaceAxis is the one face-flux path of the DG and FV operators. The
+Riemann solve has two parts: primitives computes (rho, u, w, rho*theta,
+p, c_s) of a set of states, and hllc_flux_axis works from the primitives
+of the left and right states of all faces of a grid direction. The
+operators lay those states out in arrays padded with ghost states;
+FaceAxis fills the ghosts (periodic wrap or slip-wall mirror) and makes
+one HLLC call for all faces.
 """
 
 from __future__ import annotations
@@ -149,31 +152,34 @@ def source_gravity(U: np.ndarray, c: PhysConstants) -> np.ndarray:
     return S
 
 
-def _hllc_normal(UL: np.ndarray, UR: np.ndarray, axis: int, c: PhysConstants):
-    """HLLC flux in the face frame for grid-aligned normals.
+def primitives(U: np.ndarray, c: PhysConstants) -> tuple:
+    """Primitives (rho, u, w, rho*theta, p, c_s) of the states U (..., 4).
 
-    axis 0 means normal +x (tangential w); axis 1 means normal +z. Returns
-    the four flux components (mass, normal momentum, tangential momentum,
-    rho*theta) in the face frame. Wave speeds use the Davis bounds; theta
-    and the tangential velocity ride the contact wave.
-
-    Uses the branchless form: clipping the outer wave speeds to
-    min(S_L, 0) / max(S_R, 0) folds the supersonic cases into the star
-    fluxes, so only the contact sign selects a side.
+    rho and rho*theta are views of U. Raises on a non-positive density or
+    rho*theta; fmin skips a NaN in one of the two, as separate `<= 0`
+    tests would.
     """
-    mn, mt = 1 + axis, 2 - axis
-    rhoL, rhoR = UL[..., RHO], UR[..., RHO]
-    rtL, rtR = UL[..., RHO_THETA], UR[..., RHO_THETA]
-    # one reduction over the RHO and RHO_THETA components of both sides;
-    # fmin skips a NaN on one side, as separate `<= 0` tests would
-    if (np.fmin(UL[..., ::3], UR[..., ::3]) <= 0.0).any():
+    U = np.asarray(U)
+    rho, rt = U[..., RHO], U[..., RHO_THETA]
+    if (np.fmin(rho, rt) <= 0.0).any():
         raise InadmissibleStateError("non-positive density or rho*theta passed to HLLC")
-    unL, unR = UL[..., mn] / rhoL, UR[..., mn] / rhoR
-    utL, utR = UL[..., mt] / rhoL, UR[..., mt] / rhoR
-    pL = c.p0 * (c.R_d * rtL / c.p0) ** c.gamma
-    pR = c.p0 * (c.R_d * rtR / c.p0) ** c.gamma
-    cL = np.sqrt(c.gamma * pL / rhoL)
-    cR = np.sqrt(c.gamma * pR / rhoR)
+    p = c.p0 * (c.R_d * rt / c.p0) ** c.gamma
+    return rho, U[..., RHO_U] / rho, U[..., RHO_W] / rho, rt, p, np.sqrt(c.gamma * p / rho)
+
+
+def hllc_flux_axis(PL, PR, axis: int, c: PhysConstants) -> np.ndarray:
+    """HLLC flux through faces with normal +x (axis=0) or +z (axis=1).
+
+    PL and PR are the primitives (see primitives) of the left and right
+    states, six arrays each. Wave speeds use the Davis bounds; theta and
+    the tangential velocity ride the contact wave. The branchless form
+    clips the outer wave speeds to min(S_L, 0) / max(S_R, 0), which folds
+    the supersonic cases into the star fluxes, so only the contact sign
+    selects a side.
+    """
+    rhoL, uL, wL, rtL, pL, cL = PL
+    rhoR, uR, wR, rtR, pR, cR = PR
+    unL, utL, unR, utR = (uL, wL, uR, wR) if axis == 0 else (wL, uL, wR, uR)
 
     SL = np.minimum(unL - cL, unR - cR)
     SR = np.maximum(unL + cL, unR + cR)
@@ -196,21 +202,11 @@ def _hllc_normal(UL: np.ndarray, UR: np.ndarray, axis: int, c: PhysConstants):
     fac1 = fac - 1.0
     m = rho * un
     f0 = m + S * (rho * fac1)
-    f1 = m * un + p + S * (rho * fac * SM - m)
-    f2 = f0 * ut
-    f3 = (un + S * fac1) * rt
-    return f0, f1, f2, f3
-
-
-def hllc_flux_axis(UL: np.ndarray, UR: np.ndarray, axis: int, c: PhysConstants) -> np.ndarray:
-    """HLLC flux through a face with normal +x (axis=0) or +z (axis=1)."""
-    UL, UR = np.asarray(UL), np.asarray(UR)
-    f_rho, f_n, f_t, f_rt = _hllc_normal(UL, UR, axis, c)
-    F = np.empty(np.broadcast(UL, UR).shape)
-    F[..., RHO] = f_rho
-    F[..., 1 + axis] = f_n
-    F[..., 2 - axis] = f_t
-    F[..., RHO_THETA] = f_rt
+    F = np.empty(SM.shape + (4,))
+    F[..., RHO] = f0
+    F[..., 1 + axis] = m * un + p + S * (rho * fac * SM - m)
+    F[..., 2 - axis] = f0 * ut
+    F[..., RHO_THETA] = (un + S * fac1) * rt
     return F
 
 
@@ -219,20 +215,25 @@ class FaceAxis:
     """The faces normal to x (normal = 0) or to z (normal = 1).
 
     UL and UR are views of one padded array holding the left and right
-    states of faces 0..n, laid out (z-index, x-index, ...); only UL[face 0]
-    and UR[face n] are ghosts.
+    states of faces 0..n, laid out (z-index, x-index, ..., component);
+    only UL[face 0] and UR[face n] are ghosts. Component 1 + normal is the
+    normal momentum of a conserved state and the normal velocity of a
+    primitive one, so both are mirrored by the same negation.
     """
 
     normal: int
     periodic: bool
 
-    def _face(self, f: int) -> tuple:
-        return (slice(None),) * (1 - self.normal) + (f,)
+    @property
+    def ends(self) -> tuple:
+        """Indices of face 0 and face n in a (z-index, x-index, ...) array."""
+        lead = (slice(None),) * (1 - self.normal)
+        return lead + (0,), lead + (-1,)
 
     def fill_ghosts(self, UL: np.ndarray, UR: np.ndarray) -> None:
         """Periodic sides wrap around; slip walls mirror the adjacent state
-        with its normal momentum negated."""
-        first, last = self._face(0), self._face(-1)
+        with its normal momentum (velocity) negated."""
+        first, last = self.ends
         if self.periodic:
             UL[first] = UL[last]
             UR[last] = UR[first]
@@ -242,15 +243,16 @@ class FaceAxis:
         for ghost in (UL[first], UR[last]):
             ghost[..., 1 + self.normal] = -ghost[..., 1 + self.normal]
 
-    def flux(self, UL: np.ndarray, UR: np.ndarray, c: PhysConstants) -> np.ndarray:
-        """HLLC flux through all faces from ghost-filled states.
+    def flux(self, PL, PR, c: PhysConstants) -> np.ndarray:
+        """HLLC flux through all faces from the primitives of ghost-filled
+        states.
 
         A periodic axis has one face at both ends, so face n copies face 0.
         The mirrored Riemann problem puts the contact on a slip wall: the
         mass, tangential-momentum and rho*theta fluxes are zeroed exactly.
         """
-        F = hllc_flux_axis(UL, UR, self.normal, c)
-        first, last = self._face(0), self._face(-1)
+        F = hllc_flux_axis(PL, PR, self.normal, c)
+        first, last = self.ends
         if self.periodic:
             F[last] = F[first]
         else:
@@ -271,30 +273,6 @@ def check_admissible(full: np.ndarray, level: int, where: str) -> None:
         f"inadmissible total state at {where} of cell (level={level}, i={i}, j={j})",
         location=(level, i, j),
     )
-
-
-def hllc_flux(UL: np.ndarray, UR: np.ndarray, n, c: PhysConstants) -> np.ndarray:
-    """HLLC flux for an arbitrary unit normal n = (n_x, n_z).
-
-    Consistent (equal states give F_c(U) . n) and conservative
-    (hllc(UL, UR, n) == -hllc(UR, UL, -n)).
-    """
-    UL, UR = np.asarray(UL), np.asarray(UR)
-    nx, nz = float(n[0]), float(n[1])
-    tx, tz = -nz, nx
-    def rotate(U):
-        V = U.copy()
-        V[..., RHO_U] = U[..., RHO_U] * nx + U[..., RHO_W] * nz
-        V[..., RHO_W] = U[..., RHO_U] * tx + U[..., RHO_W] * tz
-        return V
-
-    f_rho, f_n, f_t, f_rt = _hllc_normal(rotate(UL), rotate(UR), 0, c)
-    F = np.empty(np.broadcast(UL, UR).shape)
-    F[..., RHO] = f_rho
-    F[..., RHO_U] = f_n * nx + f_t * tx
-    F[..., RHO_W] = f_n * nz + f_t * tz
-    F[..., RHO_THETA] = f_rt
-    return F
 
 
 @dataclass(frozen=True)
@@ -340,11 +318,3 @@ def pert_flux_convective(Up, x, z, atm: Atmosphere, c: PhysConstants) -> np.ndar
 def pert_source(Up, x, z, atm: Atmosphere, c: PhysConstants) -> np.ndarray:
     """Gravity source of the perturbation system, (0, 0, -rho' g, 0)."""
     return source_gravity(np.asarray(Up), c)
-
-
-def pert_hllc(UpL, UpR, x, z, n, atm: Atmosphere, c: PhysConstants) -> np.ndarray:
-    """HLLC flux difference against the background at the face point."""
-    Ub = atm.state(x, z)
-    return hllc_flux(np.asarray(UpL) + Ub, np.asarray(UpR) + Ub, n, c) - hllc_flux(
-        Ub, Ub, n, c
-    )

@@ -227,6 +227,10 @@ class TestMain:
             ("--pseudo-cfl", "-1"),
             ("--pseudo-cfl", "0"),
             ("--pseudo-cfl", "2"),
+            ("--dt", "nan"),  # passed `dt <= 0`, then failed as a solver error
+            ("--t-final", "nan"),  # ran no step and exited 0
+            ("--t-final", "-5"),
+            ("--t-final", "0"),
         ],
     )
     def test_invalid_numeric_value_exit_code(self, tmp_path, capsys, flag, value):
@@ -239,6 +243,19 @@ class TestMain:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and flag[2:].replace("-", "_") in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["nan", "0"])
+    def test_invalid_dx_exit_code(self, tmp_path, capsys, value):
+        # without base dims the grid comes from dx, which crashed on these
+        out = str(tmp_path / "out")
+        rc = main([
+            "--case", "inertia-gravity", "--dx", value, "--dt", "25", "--t-final", "25",
+            "--outdir", out,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "dx" in err
         assert not os.path.exists(out)
 
     def test_unknown_flag_case(self):

@@ -2,9 +2,11 @@
 reference built face by face.
 
 The reference treats every face on its own: interior and periodic faces
-call hllc_flux_axis on the two adjacent states, slip-wall faces call
-wall_flux_axis below, which solves the mirrored-ghost Riemann problem.
-The operators must agree with it bit for bit.
+call the conserved-state reference HLLC on the two adjacent states,
+slip-wall faces call wall_flux_axis below, which solves the
+mirrored-ghost Riemann problem, and the FV viscous flux is the two-point
+formula with its own periodic branch. The operators must agree with it
+bit for bit.
 """
 
 import dataclasses
@@ -16,11 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import advection_case, make_setup
-from dgmg import cases, mesh
+from dgmg import cases, mesh, physics
 from dgmg.dg import DGBasis, DGOperator
 from dgmg.fv import FVOperator
 from dgmg.mesh import BoundaryKind
-from dgmg.physics import RHO, RHO_W, PhysConstants, flux_convective_xz, hllc_flux_axis, pressure
+from dgmg.physics import RHO, RHO_W, PhysConstants, flux_convective_xz, pressure
+from references import fv_viscous_fluxes, hllc_flux_axis
 
 RB = PhysConstants(c_p=1005.0, c_v=717.95, g=9.80665, p0=1e5)
 
@@ -90,6 +93,11 @@ def fv_reference(op, up):
     bx, bz = axis_fluxes(op.case, op.bg, op.bg, op.bg, op.bg, c)
     Hx -= bx
     Hz -= bz
+    if c.mu > 0.0:
+        gx, gz = fv_viscous_fluxes(full, op.dx, op.dz, *periodicity(op.case), c.mu)
+        bgx, bgz = fv_viscous_fluxes(op.bg, op.dx, op.dz, *periodicity(op.case), c.mu)
+        Hx[..., 1:] -= gx - bgx
+        Hz[..., 1:] -= gz - bgz
     rhs = -(Hx[:, 1:] - Hx[:, :-1]) / op.dx - (Hz[1:] - Hz[:-1]) / op.dz
     rhs[..., RHO_W] -= c.g * up[..., RHO]
     return rhs
@@ -134,13 +142,22 @@ def perturbations(shape):
     return arrays(np.float64, shape, elements=st.floats(-0.05, 0.05))
 
 
+def with_viscosity(case, mu):
+    c = dataclasses.replace(case.constants, mu=mu)
+    atm = dataclasses.replace(case.atmosphere, constants=c)
+    return dataclasses.replace(case, constants=c, atmosphere=atm)
+
+
 @st.composite
-def advection_cases(draw):
-    """All four boundary combinations, a small mean flow, grid sizes."""
+def advection_cases(draw, viscous=False):
+    """All four boundary combinations, a small mean flow, grid sizes; with
+    viscous, mu = 0 or a drawn mu > 0."""
     case = advection_case(
         u=draw(st.floats(-0.3, 0.3)), w=draw(st.floats(-0.3, 0.3)),
         periodic_x=draw(st.booleans()), periodic_z=draw(st.booleans()),
     )
+    if viscous:
+        case = with_viscosity(case, draw(st.sampled_from([0.0, 1e-3, 0.05])))
     return case, draw(st.integers(1, 5)), draw(st.integers(1, 5))
 
 
@@ -182,8 +199,8 @@ class TestAgainstReference:
         Up = data.draw(perturbations(op.bg_vol.shape))
         assert np.array_equal(op(Up), dg_reference(op, Up))
 
-    @settings(max_examples=40, deadline=None)
-    @given(setup=advection_cases(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    @given(setup=advection_cases(viscous=True), data=st.data())
     def test_fv_operator(self, setup, data):
         case, nx, nz = setup
         h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
@@ -193,14 +210,11 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("name", ["inertia-gravity", "rising-bubble", "density-current"])
     def test_stratified_cases(self, name):
-        # gravity and a stratified background; the reference is inviscid,
-        # so the density current runs with mu = 0
+        # gravity and a stratified background; the DG reference is
+        # inviscid, so the density current's DG operator runs with mu = 0
         case = cases.by_name(name)
-        c = dataclasses.replace(case.constants, mu=0.0)
-        atm = dataclasses.replace(case.atmosphere, constants=c)
-        case = dataclasses.replace(case, constants=c, atmosphere=atm)
         h, sg = mesh.build_hierarchy(case.domain, 4, 3, 1, 3)
-        op = DGOperator(h, sg, DGBasis(3), case)
+        op = DGOperator(h, sg, DGBasis(3), with_viscosity(case, 0.0))
         rng = np.random.default_rng(5)
         scale = 1e-3 * np.abs(op.bg_vol).max(axis=(0, 1, 2, 3))
         Up = scale * rng.standard_normal(op.bg_vol.shape)
@@ -223,3 +237,27 @@ class TestWellBalance:
         for lvl in range(setup.hierarchy.n_levels):
             op = setup.fv_op(lvl)
             assert np.all(op(op.zero_field()) == 0.0), lvl
+
+
+class TestHLLCHook:
+    @pytest.mark.parametrize(
+        "name, base_nx, base_nz",
+        [("inertia-gravity", 10, 1), ("rising-bubble", 5, 10), ("density-current", 16, 4)],
+    )
+    def test_one_call_per_axis(self, monkeypatch, name, base_nx, base_nz):
+        # every face flux goes through physics.hllc_flux_axis, the function
+        # the benchmark's physics.hllc layer counts
+        calls = []
+        kernel = physics.hllc_flux_axis
+
+        def counted(PL, PR, axis, c):
+            calls.append(axis)
+            return kernel(PL, PR, axis, c)
+
+        monkeypatch.setattr(physics, "hllc_flux_axis", counted)
+        setup = make_setup(name, base_nx, base_nz, 2)
+        ops = [setup.dg_op] + [setup.fv_op(l) for l in range(setup.hierarchy.n_levels)]
+        for op in ops:
+            del calls[:]
+            op(op.zero_field())
+            assert sorted(calls) == [0, 1], (type(op).__name__, getattr(op, "level", None))

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import advection_case, entropy_wave, make_setup, rms
 from dgmg import cases, mesh
-from dgmg.fv import FVLinearization, FVOperator, fv_background, fv_residual_linop
+from dgmg.fv import FVLinearization, FVOperator, fv_background
 from dgmg.mesh import Domain2D
 from dgmg.physics import InadmissibleStateError
 
@@ -144,7 +144,7 @@ class TestLinearization:
         op = FVOperator(h, 0, case)
         lin = FVLinearization(op, np.zeros((4, 4, 4)), alpha_dt=1.0)
         calls = op.ncalls
-        out = fv_residual_linop(lin, np.zeros((4, 4, 4)))
+        out = lin.matvec(np.zeros((4, 4, 4)))
         assert np.all(out == 0.0)
         assert op.ncalls == calls  # no operator evaluation
 
@@ -155,7 +155,7 @@ class TestLinearization:
         lin = FVLinearization(op, np.zeros((4, 4, 4)), alpha_dt=0.0)
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 4, 4))
-        assert np.allclose(fv_residual_linop(lin, w), w, atol=1e-14)
+        assert np.allclose(lin.matvec(w), w, atol=1e-14)
 
     def test_fd_matches_assembled_matrix_linear_advection(self):
         # on a linear operator the FD product is exact up to roundoff
@@ -168,7 +168,7 @@ class TestLinearization:
         rng = np.random.default_rng(2)
         for _ in range(20):
             w = rng.standard_normal((n, 1, 1))
-            got = fv_residual_linop(lin, w)
+            got = lin.matvec(w)
             want = (G @ w.ravel()).reshape(n, 1, 1)
             assert rms(got - want) <= 1e-6 * rms(want)
 

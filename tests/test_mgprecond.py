@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_setup, rms
 from dgmg import cases
@@ -92,6 +95,16 @@ class TestTransfersBetweenLevels:
         lhs = 4.0 * np.sum(restrict(u) * v)
         rhs = np.sum(u * prolong(v))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nz=st.integers(1, 12), nx=st.integers(1, 12), data=st.data())
+    def test_restrict_is_bitwise_the_child_mean(self, nz, nx, data):
+        # the (nz, nx, 4) field layout; numpy sums a single trailing
+        # component in another order, (a + b) + (c + d)
+        shape = (2 * nz, 2 * nx, 4)
+        u = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+        mean = u.reshape(nz, 2, nx, 2, 4).mean(axis=(1, 3))
+        assert np.array_equal(restrict(u), mean)
 
     def test_restrict_rejects_odd_grid(self):
         with pytest.raises(ValueError):

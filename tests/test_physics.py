@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import references
 from dgmg import physics
 from dgmg.physics import (
     Atmosphere,
@@ -8,15 +11,15 @@ from dgmg.physics import (
     PhysConstants,
     flux_convective,
     flux_viscous,
-    hllc_flux,
     hllc_flux_axis,
     max_wave_speed,
     pert_flux_convective,
-    pert_hllc,
     pert_source,
     pressure,
+    primitives,
     source_gravity,
 )
+from references import hllc_flux, pert_hllc
 
 RB = PhysConstants(c_p=1005.0, c_v=717.95, g=9.80665, p0=1e5)
 DC = PhysConstants(c_p=1004.0, c_v=717.0, g=9.81, mu=75.0, p0=1e5)
@@ -30,6 +33,11 @@ def rest_state(c, T=300.0):
     """Surface state at temperature T and pressure p0 (theta = T there)."""
     rho = c.p0 / (c.R_d * T)
     return state(rho, 0.0, 0.0, T)
+
+
+def hllc(UL, UR, axis, c):
+    """The production HLLC path on conserved states."""
+    return hllc_flux_axis(primitives(UL, c), primitives(UR, c), axis, c)
 
 
 class TestConstants:
@@ -140,8 +148,9 @@ class TestHLLC:
         rng = np.random.default_rng(3)
         for _ in range(20):
             U = self.random_admissible(rng)
-            F = hllc_flux(U, U, [1.0, 0.0], RB)
-            assert np.allclose(F, flux_convective(U, RB)[:, 0], rtol=1e-11, atol=1e-8)
+            for axis in (0, 1):
+                F = hllc(U, U, axis, RB)
+                assert np.allclose(F, flux_convective(U, RB)[:, axis], rtol=1e-11, atol=1e-8)
 
     def test_supersonic_full_upwind(self):
         U = rest_state(RB)
@@ -149,7 +158,7 @@ class TestHLLC:
         UL = U.copy()
         UL[1] = UL[0] * 3.0 * c_snd  # u = 3c
         UR = UL * 1.3
-        F = hllc_flux_axis(UL, UR, 0, RB)
+        F = hllc(UL, UR, 0, RB)
         assert np.allclose(F, flux_convective(UL, RB)[:, 0], rtol=1e-12)
 
     def test_conservation_antisymmetry(self):
@@ -168,16 +177,16 @@ class TestHLLC:
         rng = np.random.default_rng(5)
         UL = np.stack([self.random_admissible(rng) for _ in range(6)])
         UR = np.stack([self.random_admissible(rng) for _ in range(6)])
-        F = hllc_flux_axis(UL, UR, 0, RB)
+        F = hllc(UL, UR, 0, RB)
         for i in range(6):
-            assert np.allclose(F[i], hllc_flux_axis(UL[i], UR[i], 0, RB))
+            assert np.allclose(F[i], hllc(UL[i], UR[i], 0, RB))
 
     def test_inadmissible_input_raises(self):
         U = rest_state(RB)
         bad = U.copy()
         bad[0] = -1.0
         with pytest.raises(InadmissibleStateError):
-            hllc_flux_axis(bad, U, 0, RB)
+            hllc(bad, U, 0, RB)
 
     @pytest.mark.parametrize("component", [0, 3])
     @pytest.mark.parametrize("right", [False, True])
@@ -186,7 +195,7 @@ class TestHLLC:
         bad = U.copy()
         bad[1, component] = 0.0
         with pytest.raises(InadmissibleStateError, match="non-positive"):
-            hllc_flux_axis(U, bad, 1, RB) if right else hllc_flux_axis(bad, U, 1, RB)
+            hllc(U, bad, 1, RB) if right else hllc(bad, U, 1, RB)
 
     def test_vacuum_star_state_raises(self):
         # two states receding from the face at three sound speeds
@@ -196,7 +205,81 @@ class TestHLLC:
         UL[2] = -3.0 * c_snd * U[0]
         UR[2] = 3.0 * c_snd * U[0]
         with pytest.raises(InadmissibleStateError, match="vacuum"):
-            hllc_flux_axis(np.stack([U, UL]), np.stack([U, UR]), 1, RB)
+            hllc(np.stack([U, UL]), np.stack([U, UR]), 1, RB)
+
+
+def outcome(solve):
+    """The flux, or the message of the InadmissibleStateError raised."""
+    try:
+        return solve()
+    except InadmissibleStateError as err:
+        return str(err)
+
+
+def same_outcome(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array_equal(a, b)
+
+
+def mirror(U, axis):
+    G = U.copy()
+    G[..., 1 + axis] = -G[..., 1 + axis]
+    return G
+
+
+@st.composite
+def face_states(draw, n):
+    """Conserved states; velocities up to a few sound speeds, so some
+    pairs have a vacuum star state."""
+    def floats(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    rho = floats(0.3, 2.0)
+    return np.stack(
+        [rho, rho * floats(-1200.0, 1200.0), rho * floats(-1200.0, 1200.0),
+         rho * floats(250.0, 350.0)],
+        axis=-1,
+    )
+
+
+class TestPrimitiveKernel:
+    """physics.primitives + hllc_flux_axis against the conserved-state
+    reference: bit-identical fluxes, and the same error where it raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6), axis=st.sampled_from([0, 1]), data=st.data(),
+        bad=st.one_of(st.none(), st.tuples(
+            st.booleans(), st.sampled_from([0, 3]), st.sampled_from([0.0, -1.0]),
+        )),
+    )
+    def test_matches_reference(self, n, axis, data, bad):
+        UL, UR = data.draw(face_states(n)), data.draw(face_states(n))
+        if bad is not None:
+            right, component, value = bad
+            (UR if right else UL)[data.draw(st.integers(0, n - 1)), component] = value
+        got = outcome(lambda: hllc(UL, UR, axis, RB))
+        want = outcome(lambda: references.hllc_flux_axis(UL, UR, axis, RB))
+        assert same_outcome(got, want), (got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), axis=st.sampled_from([0, 1]), data=st.data())
+    def test_mirrored_ghost(self, n, axis, data):
+        # the FV operator mirrors primitives: the ghost negates the normal
+        # velocity where the reference negates the normal momentum
+        U = data.draw(face_states(n))
+        P = primitives(U, RB)
+        ghost = list(P)
+        ghost[1 + axis] = -P[1 + axis]
+        for prod, ref in (
+            (lambda: hllc_flux_axis(ghost, P, axis, RB),
+             lambda: references.hllc_flux_axis(mirror(U, axis), U, axis, RB)),
+            (lambda: hllc_flux_axis(P, ghost, axis, RB),
+             lambda: references.hllc_flux_axis(U, mirror(U, axis), axis, RB)),
+        ):
+            got, want = outcome(prod), outcome(ref)
+            assert same_outcome(got, want), (got, want)
 
 
 class TestPerturbationForms:
