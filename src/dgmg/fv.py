@@ -42,12 +42,7 @@ class FVOperator:
         self.dz = hierarchy.dz[level]
         self.ncalls = 0
 
-        dom = hierarchy.domain
-        self.xc = dom.x_min + self.dx * (np.arange(self.nx) + 0.5)
-        self.zc = dom.z_min + self.dz * (np.arange(self.nz) + 0.5)
-        Xc = np.broadcast_to(self.xc[None, :], (self.nz, self.nx))
-        Zc = np.broadcast_to(self.zc[:, None], (self.nz, self.nx))
-        self.bg = case.atmosphere.state(Xc, Zc)
+        self.bg = fv_background(case, hierarchy, level)
 
         west, east, south, north = case.bc
         self.xfaces = FaceAxis(0, west is BoundaryKind.PERIODIC)

@@ -8,14 +8,19 @@ the DG nodal values from subcell-center samples.
 The mass-fix variant T^mf shifts each cell's subcell values by a constant
 so the piecewise-constant mass matches the DG mass exactly. The DG mass
 is computed from the already-evaluated subcell-center values with the
-cell-center quadrature weights, which are exact for tensor cubics.
+cell-center quadrature weights, which are exact for tensor cubics, so
+T^mf = (I - 11^T/p^2 + 1 w^T)(T1 x T1) with w the tensor weights.
+
+Each map is one GEMM of the (cells, 4p^2) view against kron(M, I_4).T
+(dg.kron_t) for its per-cell matrix M; the forward GEMM is batched over
+subcell rows so that it writes the FV layout directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dg import DGBasis
+from .dg import DGBasis, kron_t
 from .mesh import SubgridMap
 from .quadrature import modified_newton_cotes
 
@@ -27,48 +32,44 @@ class TransferOperators:
             raise ValueError(
                 f"subgrid has {subgrid.subcells_per_side} subcells per side, basis has p={p}"
             )
-        self.basis = basis
         self.subgrid = subgrid
         self.p = p
         centers = (2 * np.arange(p) + 1) / (2 * p)
-        self.centers = centers
         self.T1 = basis.eval_matrix(centers)        # (m, i) = l_i(center_m)
         self.T1inv = np.linalg.inv(self.T1)
         self.nc_weights = modified_newton_cotes(basis.k).weights
 
-    def _scatter(self, cellwise: np.ndarray) -> np.ndarray:
-        """(nz, nx, p, p, 4) per-cell values -> flat (nz*p, nx*p, 4) grid."""
-        nz, nx, p = cellwise.shape[0], cellwise.shape[1], self.p
-        return cellwise.transpose(0, 2, 1, 3, 4).reshape(nz * p, nx * p, 4)
+        T = kron_t(self.T1, self.T1).T
+        w = np.outer(self.nc_weights, self.nc_weights).ravel()
+        massfix = np.eye(p * p) - 1.0 / (p * p) + w
+        # forward operands with their columns (m, n, c) split by subcell row m
+        self._to_fv, self._to_fv_massfix = (
+            kron_t(M, np.eye(4)).reshape(-1, p, 4 * p).transpose(1, 0, 2)
+            for M in (T, massfix @ T)
+        )
+        self._to_dg = kron_t(kron_t(self.T1inv, self.T1inv).T, np.eye(4))
 
-    def _gather(self, flat: np.ndarray) -> np.ndarray:
-        nzp, nxp = flat.shape[0], flat.shape[1]
-        p = self.p
-        return flat.reshape(nzp // p, p, nxp // p, p, 4).transpose(0, 2, 1, 3, 4)
+    def _forward(self, U: np.ndarray, K: np.ndarray) -> np.ndarray:
+        """(nz, nx, p, p, 4) -> (nz*p, nx*p, 4); batch (z, m) is FV row p*z + m."""
+        nz, nx, p = U.shape[0], U.shape[1], self.p
+        out = np.empty((nz, p, nx, 4 * p))
+        np.matmul(U.reshape(nz, 1, nx, -1), K, out=out)
+        return out.reshape(nz * p, nx * p, 4)
 
     def dg_to_fv(self, U: np.ndarray) -> np.ndarray:
         """Interpolation transfer T: polynomial values at subcell centers."""
-        vals = np.einsum("ma,zxabc->zxmbc", self.T1, U)
-        vals = np.einsum("nb,zxmbc->zxmnc", self.T1, vals)
-        return self._scatter(vals)
+        return self._forward(U, self._to_fv)
 
     def dg_to_fv_massfix(self, U: np.ndarray) -> np.ndarray:
-        """Mass-conservative transfer T^mf.
-
-        Per cell and component the plain interpolation is shifted by the
-        (piecewise-constant minus DG) mass average, so subcell averages
-        integrate to the DG mass exactly.
-        """
-        vals = np.einsum("ma,zxabc->zxmbc", self.T1, U)
-        vals = np.einsum("nb,zxmbc->zxmnc", self.T1, vals)
-        fv_mean = vals.mean(axis=(2, 3))
-        dg_mean = np.einsum("m,n,zxmnc->zxc", self.nc_weights, self.nc_weights, vals)
-        vals = vals - (fv_mean - dg_mean)[:, :, None, None, :]
-        return self._scatter(vals)
+        """Mass-conservative transfer T^mf: per cell and component, the
+        interpolation shifted so the subcell averages integrate to the DG
+        mass exactly."""
+        return self._forward(U, self._to_fv_massfix)
 
     def fv_to_dg(self, u: np.ndarray) -> np.ndarray:
         """Inverse transfer T^-1: nodal values of the unique degree-k
         tensor polynomial interpolating the subcell-center values."""
-        vals = self._gather(u)
-        vals = np.einsum("am,zxmnc->zxanc", self.T1inv, vals)
-        return np.einsum("bn,zxanc->zxabc", self.T1inv, vals)
+        p = self.p
+        nz, nx = u.shape[0] // p, u.shape[1] // p
+        cells = u.reshape(nz, p, nx, 4 * p).transpose(0, 2, 1, 3).reshape(nz * nx, -1)
+        return (cells @ self._to_dg).reshape(nz, nx, p, p, 4)

@@ -6,6 +6,12 @@ which is the arithmetic the primitive-based physics.hllc_flux_axis must
 reproduce bit for bit. hllc_flux rotates it to an arbitrary normal for
 the consistency and conservation properties, and fv_viscous_fluxes is the
 two-point FV viscous flux with its own periodic branch.
+
+The DG viscous terms and the DG <-> FV transfers are here in the form
+that contracts one node axis at a time (einsum and broadcasts), with the
+mass fix as an explicit per-cell mean shift and the viscous face flux
+with its own periodic branches. The production GEMM forms change the
+order of the sums, so they agree with these to round-off.
 """
 
 import numpy as np
@@ -126,3 +132,99 @@ def fv_viscous_fluxes(full, dx, dz, periodic_x, periodic_z, mu):
         gz[0] = mu * 0.5 * (rho[-1] + rho[0])[..., None] * (V[0] - V[-1]) / dz
         gz[-1] = gz[0]
     return gx, gz
+
+
+def _scatter(vals):
+    """(nz, nx, p, p, 4) per-cell values -> flat (nz*p, nx*p, 4) grid."""
+    nz, nx, p = vals.shape[:3]
+    return vals.transpose(0, 2, 1, 3, 4).reshape(nz * p, nx * p, 4)
+
+
+def dg_to_fv(tr, U):
+    """Interpolation transfer T, one node axis at a time."""
+    vals = np.einsum("ma,zxabc->zxmbc", tr.T1, U)
+    return _scatter(np.einsum("nb,zxmbc->zxmnc", tr.T1, vals))
+
+
+def dg_to_fv_massfix(tr, U):
+    """T^mf: per cell and component, the interpolated values shifted by
+    (subcell mean - Newton-Cotes mean)."""
+    vals = np.einsum("ma,zxabc->zxmbc", tr.T1, U)
+    vals = np.einsum("nb,zxmbc->zxmnc", tr.T1, vals)
+    fv_mean = vals.mean(axis=(2, 3))
+    dg_mean = np.einsum("m,n,zxmnc->zxc", tr.nc_weights, tr.nc_weights, vals)
+    return _scatter(vals - (fv_mean - dg_mean)[:, :, None, None, :])
+
+
+def fv_to_dg(tr, u):
+    """Inverse transfer T^-1, one node axis at a time."""
+    p = tr.p
+    vals = u.reshape(u.shape[0] // p, p, u.shape[1] // p, p, 4).transpose(0, 2, 1, 3, 4)
+    vals = np.einsum("am,zxmnc->zxanc", tr.T1inv, vals)
+    return np.einsum("bn,zxanc->zxabc", tr.T1inv, vals)
+
+
+def dg_primitive_gradients(op, full):
+    """Primitives (u, w, theta) at the DG nodes and their per-cell
+    gradients, as node-axis matmuls on (..., p, 3) views."""
+    b = op.basis
+    nz, nx, p = op.nz, op.nx, b.p
+    V = full[..., 1:] / full[..., RHO, None]
+    dVdx = (b.diff @ V.reshape(-1, p, 3)).reshape(nz, nx, p, p, 3) / op.dx
+    dVdz = (b.diff @ V.reshape(nz * nx, p, p * 3)).reshape(nz, nx, p, p, 3) / op.dz
+    return V, dVdx, dVdz
+
+
+def einsum_traces(basis, V, dVdx, dVdz):
+    """x traces (Vw, Ve, Gw, Ge) and z traces (Vs, Vn, Gs, Gn) of the
+    primitives and their normal derivatives."""
+    x = [np.einsum("b,zxabq->zxaq", e, W) for W in (V, dVdx) for e in (basis.e0, basis.e1)]
+    z = [np.einsum("a,zxabq->zxbq", e, W) for W in (V, dVdz) for e in (basis.e0, basis.e1)]
+    return x, z
+
+
+def dg_viscous_face_fluxes(op, Bx, Bz, x_traces, z_traces):
+    """Interior-penalty DG viscous face flux of the (u, w, theta) rows:
+    interior faces from the traces, periodic faces by their own branch,
+    slip-wall faces zero. Densities come from the interior slots of the
+    face buffers Bx, Bz of DGOperator._face_states."""
+    mu = op.constants.mu
+    p = op.basis.p
+
+    def ip_flux(rho_L, G_L, V_L, rho_R, G_R, V_R, pen):
+        avg = 0.5 * mu * (rho_L[..., None] * G_L + rho_R[..., None] * G_R)
+        jump = 0.5 * mu * pen * (rho_L + rho_R)[..., None] * (V_L - V_R)
+        return avg - jump
+
+    Vw, Ve, Gw, Ge = x_traces
+    rho_e = Bx[0, :, 1:, :, RHO]
+    rho_w = Bx[1, :, :-1, :, RHO]
+    hvx = np.zeros((op.nz, op.nx + 1, p, 3))
+    hvx[:, 1:-1] = ip_flux(
+        rho_e[:, :-1], Ge[:, :-1], Ve[:, :-1],
+        rho_w[:, 1:], Gw[:, 1:], Vw[:, 1:],
+        op.pen_x,
+    )
+    if op.xfaces.periodic:
+        hvx[:, 0] = ip_flux(
+            rho_e[:, -1], Ge[:, -1], Ve[:, -1],
+            rho_w[:, 0], Gw[:, 0], Vw[:, 0],
+            op.pen_x,
+        )
+        hvx[:, -1] = hvx[:, 0]
+
+    Vs, Vn, Gs, Gn = z_traces
+    rho_n = Bz[0, 1:, :, :, RHO]
+    rho_s = Bz[1, :-1, :, :, RHO]
+    hvz = np.zeros((op.nz + 1, op.nx, p, 3))
+    hvz[1:-1] = ip_flux(
+        rho_n[:-1], Gn[:-1], Vn[:-1],
+        rho_s[1:], Gs[1:], Vs[1:],
+        op.pen_z,
+    )
+    if op.zfaces.periodic:
+        hvz[0] = ip_flux(
+            rho_n[-1], Gn[-1], Vn[-1], rho_s[0], Gs[0], Vs[0], op.pen_z
+        )
+        hvz[-1] = hvz[0]
+    return hvx, hvz

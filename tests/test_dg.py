@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import advection_case, entropy_wave, make_setup, rms
 from dgmg import cases, mesh
-from dgmg.dg import DGBasis, DGOperator, evaluate, l2_project
+from dgmg.dg import DGBasis, DGOperator, evaluate, kron_t
 from dgmg.physics import InadmissibleStateError
 from dgmg.quadrature import gauss_legendre, tensorize
 from dgmg.timeint import ssprk34_step
@@ -38,6 +41,17 @@ class TestBasis:
         assert self.b.weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
+def matrices():
+    return arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=st.floats(-1e3, 1e3))
+
+
+@given(M=matrices(), q=st.integers(1, 16), B=matrices())
+def test_kron_t_is_numpy_kron_transposed(M, q, B):
+    assert np.array_equal(kron_t(M, np.eye(q)), np.kron(M, np.eye(q)).T)
+    assert np.array_equal(kron_t(M, B), np.kron(M, B).T)
+
+
 class TestProjectionAndEvaluate:
     def setup_method(self):
         case = advection_case()
@@ -46,7 +60,7 @@ class TestProjectionAndEvaluate:
         self.op = DGOperator(h, sg, self.basis, case)
 
     def test_constant_field(self):
-        U = l2_project(lambda x, z: np.broadcast_to([2.5, 0, 0, 1.0], x.shape + (4,)), self.op)
+        U = self.op.project(lambda x, z: np.broadcast_to([2.5, 0, 0, 1.0], x.shape + (4,)))
         assert np.all(U[..., 0] == 2.5)
         v = evaluate(U, self.basis, 1, 1, np.array([0.3, 0.7]))
         assert np.allclose(v, [2.5, 0, 0, 1.0], atol=1e-13)
@@ -57,7 +71,7 @@ class TestProjectionAndEvaluate:
             out[..., 0] = x**3 - 2 * x * z + z**2
             return out
 
-        U = l2_project(f, self.op)
+        U = self.op.project(f)
         # compare at off-node points against the polynomial oracle
         rng = np.random.default_rng(1)
         pts = rng.random((40, 2))
@@ -89,7 +103,7 @@ class TestProjectionAndEvaluate:
             out[..., 2] = poly(x, z)
             return out
 
-        U = l2_project(f, self.op)
+        U = self.op.project(f)
         v = evaluate(U, self.basis, 0, 0, np.array([1 / 8, 3 / 8]))
         x = self.op.hierarchy.domain.x_min + self.op.dx / 8
         z = self.op.hierarchy.domain.z_min + 3 * self.op.dz / 8
@@ -97,8 +111,8 @@ class TestProjectionAndEvaluate:
 
     def test_inertia_gravity_profile_at_nodes(self):
         setup = make_setup("inertia-gravity", 10, 1, 0)
-        U = l2_project(
-            lambda x, z: np.stack([setup.case.theta_pert(x, z)] * 4, axis=-1), setup.dg_op
+        U = setup.dg_op.project(
+            lambda x, z: np.stack([setup.case.theta_pert(x, z)] * 4, axis=-1)
         )
         expected = setup.case.theta_pert(setup.dg_op.X, setup.dg_op.Z)
         assert np.array_equal(U[..., 0], expected)

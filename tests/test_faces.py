@@ -5,8 +5,10 @@ The reference treats every face on its own: interior and periodic faces
 call the conserved-state reference HLLC on the two adjacent states,
 slip-wall faces call wall_flux_axis below, which solves the
 mirrored-ghost Riemann problem, and the FV viscous flux is the two-point
-formula with its own periodic branch. The operators must agree with it
-bit for bit.
+formula with its own periodic branch, as is the DG interior-penalty flux.
+The operators must agree with it bit for bit, except for the viscous DG
+terms: the operator takes their traces as GEMMs, the reference as
+einsums, so they agree to round-off.
 """
 
 import dataclasses
@@ -23,7 +25,13 @@ from dgmg.dg import DGBasis, DGOperator
 from dgmg.fv import FVOperator
 from dgmg.mesh import BoundaryKind
 from dgmg.physics import RHO, RHO_W, PhysConstants, flux_convective_xz, pressure
-from references import fv_viscous_fluxes, hllc_flux_axis
+from references import (
+    dg_primitive_gradients,
+    dg_viscous_face_fluxes,
+    einsum_traces,
+    fv_viscous_fluxes,
+    hllc_flux_axis,
+)
 
 RB = PhysConstants(c_p=1005.0, c_v=717.95, g=9.80665, p0=1e5)
 
@@ -104,36 +112,74 @@ def fv_reference(op, up):
 
 
 def dg_reference(op, Up):
-    """The inviscid DG operator with the face fluxes of reference_fluxes;
-    the volume terms and the lifting repeat the operator's arithmetic."""
+    """The DG operator with the face fluxes of reference_fluxes; the
+    inviscid volume terms and the lifting repeat the operator's arithmetic
+    in per-node-axis form, the viscous terms are the references' forms."""
     b, c = op.basis, op.constants
     nz, nx, p = op.nz, op.nx, b.p
     Fx, Fz = flux_convective_xz(Up + op.bg_vol, c)
     Fx -= op.bg_Fx
     Fz -= op.bg_Fz
+    if c.mu > 0.0:
+        (vx, vz, hvx, hvz), (bvx, bvz, bhx, bhz) = (
+            dg_viscous_reference(op, U) for U in (Up, np.zeros_like(Up))
+        )
+        Fx[..., 1:] -= vx - bvx
+        Fz[..., 1:] -= vz - bvz
     rhs = (b.dhat @ Fx.reshape(-1, p, 4)).reshape(nz, nx, p, p, 4) / op.dx
     rhs += (b.dhat @ Fz.reshape(nz * nx, p, p * 4)).reshape(nz, nx, p, p, 4) / op.dz
     rhs[..., RHO_W] -= c.g * Up[..., RHO]
 
     def fluxes(U):
-        tx = (b.traces @ U.reshape(-1, p, 4)).reshape(nz, nx, p, 2, 4)
-        tz = (b.traces @ U.reshape(nz * nx, p, p * 4)).reshape(nz, nx, 2, p, 4)
-        return axis_fluxes(
-            op.case,
-            tx[..., 0, :] + op.bg_xface[:, :-1], tx[..., 1, :] + op.bg_xface[:, 1:],
-            tz[:, :, 0] + op.bg_zface[:-1], tz[:, :, 1] + op.bg_zface[1:],
-            c,
-        )
+        return axis_fluxes(op.case, *trace_states(op, U), c)
 
     Hx, Hz = fluxes(Up)
     bx, bz = fluxes(np.zeros_like(Up))
     Hx -= bx
     Hz -= bz
+    if c.mu > 0.0:
+        Hx[..., 1:] -= hvx - bhx
+        Hz[..., 1:] -= hvz - bhz
     l0x, l1x = b.lift0.reshape(1, 1, 1, p, 1), b.lift1.reshape(1, 1, 1, p, 1)
     rhs -= (Hx[:, 1:, :, None, :] * l1x - Hx[:, :-1, :, None, :] * l0x) / op.dx
     l0z, l1z = b.lift0.reshape(1, 1, p, 1, 1), b.lift1.reshape(1, 1, p, 1, 1)
     rhs -= (Hz[1:, :, None, :, :] * l1z - Hz[:-1, :, None, :, :] * l0z) / op.dz
     return rhs
+
+
+def trace_states(op, U):
+    """Total west, east, south and north traces of U + Ubar per cell."""
+    b = op.basis
+    nz, nx, p = op.nz, op.nx, b.p
+    tx = (b.traces @ U.reshape(-1, p, 4)).reshape(nz, nx, p, 2, 4)
+    tz = (b.traces @ U.reshape(nz * nx, p, p * 4)).reshape(nz, nx, 2, p, 4)
+    return (tx[..., 0, :] + op.bg_xface[:, :-1], tx[..., 1, :] + op.bg_xface[:, 1:],
+            tz[:, :, 0] + op.bg_zface[:-1], tz[:, :, 1] + op.bg_zface[1:])
+
+
+def dg_viscous_reference(op, U):
+    """Viscous volume fluxes mu*rho*grad V and face fluxes of U + Ubar,
+    with einsum traces and the periodic-branch face flux."""
+    mu = op.constants.mu
+    full = U + op.bg_vol
+    V, dVdx, dVdz = dg_primitive_gradients(op, full)
+    rho = full[..., RHO, None]
+    west, east, south, north = trace_states(op, U)
+    Bx = np.empty((2, op.nz, op.nx + 1) + west.shape[2:])
+    Bx[0, :, 1:], Bx[1, :, :-1] = east, west
+    Bz = np.empty((2, op.nz + 1) + south.shape[1:])
+    Bz[0, 1:], Bz[1, :-1] = north, south
+    hvx, hvz = dg_viscous_face_fluxes(op, Bx, Bz, *einsum_traces(op.basis, V, dVdx, dVdz))
+    return mu * rho * dVdx, mu * rho * dVdz, hvx, hvz
+
+
+def viscous_scale(op, Up):
+    """Size mu*|V|*eta/h^2 of the penalty terms of the total state U' + Ubar.
+    The perturbation form subtracts the background's terms, so their
+    round-off stays in f(U') even when U' is negligible."""
+    full = Up + op.bg_vol
+    V = np.abs(full[..., 1:] / full[..., :1]).max()
+    return op.constants.mu * V * max(op.pen_x / op.dx, op.pen_z / op.dz)
 
 
 def perturbations(shape):
@@ -198,6 +244,54 @@ class TestAgainstReference:
         op = DGOperator(h, sg, DGBasis(k), case)
         Up = data.draw(perturbations(op.bg_vol.shape))
         assert np.array_equal(op(Up), dg_reference(op, Up))
+
+    @settings(max_examples=40, deadline=None)
+    @given(setup=advection_cases(), mu=st.sampled_from([1e-3, 0.05]),
+           k=st.sampled_from([1, 3]), data=st.data())
+    def test_viscous_dg_operator(self, setup, mu, k, data):
+        # the GEMM traces sum in another order than the reference's
+        # per-node form: round-off of a few p-term sums
+        case, nx, nz = setup
+        h, sg = mesh.build_hierarchy(case.domain, nx, nz, 0, k)
+        op = DGOperator(h, sg, DGBasis(k), with_viscosity(case, mu))
+        Up = data.draw(perturbations(op.bg_vol.shape))
+        rhs = op(Up)
+        tol = 1e-12 * (np.abs(rhs).max() + viscous_scale(op, Up))
+        assert np.abs(rhs - dg_reference(op, Up)).max() <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(setup=advection_cases(), mu=st.sampled_from([1e-3, 0.05]),
+           k=st.sampled_from([1, 3]), data=st.data())
+    def test_viscous_faces_equal_periodic_branch_form(self, setup, mu, k, data):
+        # one padded evaluation per axis does the per-face arithmetic of
+        # the branchy reference, fed the operator's own traces
+        case, nx, nz = setup
+        h, sg = mesh.build_hierarchy(case.domain, nx, nz, 0, k)
+        op = DGOperator(h, sg, DGBasis(k), with_viscosity(case, mu))
+        Up = data.draw(perturbations(op.bg_vol.shape))
+        V, dVdx, dVdz = op._primitive_gradients(Up + op.bg_vol)
+        _, Bx, Bz = op._face_states(Up)
+        b, p = op.basis, k + 1
+        tx = [(W.reshape(-1, 3 * p) @ op.vtraces_x).reshape(nz, nx, p, 2, 3) for W in (V, dVdx)]
+        tz = [(b.traces @ W.reshape(nz * nx, p, 3 * p)).reshape(nz, nx, 2, p, 3)
+              for W in (V, dVdz)]
+        expected = dg_viscous_face_fluxes(
+            op, Bx, Bz, [t[..., s, :] for t in tx for s in (0, 1)],
+            [t[:, :, s] for t in tz for s in (0, 1)],
+        )
+        for got, want in zip(op._viscous_face_fluxes(V, dVdx, dVdz, Bx, Bz), expected):
+            assert np.array_equal(got, want)
+
+    def test_viscous_density_current(self):
+        case = cases.by_name("density-current")
+        h, sg = mesh.build_hierarchy(case.domain, 4, 3, 1, 3)
+        op = DGOperator(h, sg, DGBasis(3), case)
+        assert op.constants.mu > 0.0
+        rng = np.random.default_rng(6)
+        Up = 1e-3 * np.abs(op.bg_vol).max(axis=(0, 1, 2, 3)) * rng.standard_normal(op.bg_vol.shape)
+        rhs = op(Up)
+        tol = 1e-12 * (np.abs(rhs).max() + viscous_scale(op, Up))
+        assert np.abs(rhs - dg_reference(op, Up)).max() <= tol
 
     @settings(max_examples=60, deadline=None)
     @given(setup=advection_cases(viscous=True), data=st.data())

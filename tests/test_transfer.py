@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import references
 from conftest import advection_case
 from dgmg import mesh
 from dgmg.dg import DGBasis, DGOperator
@@ -21,6 +25,41 @@ def dg_cell_masses(op, U):
     """Per-cell, per-component DG masses via the diagonal mass matrix."""
     w2 = op.basis.weights[:, None] * op.basis.weights[None, :]
     return op.dx * op.dz * np.einsum("ab,zxabc->zxc", w2, U)
+
+
+@st.composite
+def dg_fields(draw):
+    """A transfer pair on a drawn grid and k, and a DG field for it."""
+    k = draw(st.sampled_from([1, 3]))
+    case = advection_case()
+    h, sg = mesh.build_hierarchy(case.domain, draw(st.integers(1, 5)), draw(st.integers(1, 5)), 0, k)
+    op = DGOperator(h, sg, DGBasis(k), case)
+    U = draw(arrays(np.float64, op.bg_vol.shape,
+                    elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    # products near the underflow threshold lose their relative precision
+    # in any summation order, so such inputs are flushed to zero
+    U[np.abs(U) < 1e-150] = 0.0
+    return h, sg, op, TransferOperators(op.basis, sg), U
+
+
+class TestAgainstEinsumReference:
+    # 16-term dot products (64 with the zeros of the kron factor) in another
+    # order than the reference's two 4-term einsums: round-off well below
+    # 1e-13 of the largest input
+    @settings(max_examples=60, deadline=None)
+    @given(dg_fields())
+    def test_forward_maps(self, fields):
+        h, sg, op, tr, U = fields
+        tol = 1e-13 * np.abs(U).max()
+        assert np.abs(tr.dg_to_fv(U) - references.dg_to_fv(tr, U)).max() <= tol
+        assert np.abs(tr.dg_to_fv_massfix(U) - references.dg_to_fv_massfix(tr, U)).max() <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(dg_fields())
+    def test_inverse_map(self, fields):
+        h, sg, op, tr, U = fields
+        u = U.transpose(0, 2, 1, 3, 4).reshape(op.nz * tr.p, op.nx * tr.p, 4)
+        assert np.abs(tr.fv_to_dg(u) - references.fv_to_dg(tr, u)).max() <= 1e-13 * np.abs(u).max()
 
 
 class TestInterpolationTransfer:
@@ -79,16 +118,19 @@ class TestMassFix:
         U = np.full((2, 3, 4, 4, 4), -1.5)
         assert np.allclose(tr.dg_to_fv_massfix(U), tr.dg_to_fv(U), atol=1e-14)
 
-    def test_per_cell_mass_matches_dg_mass(self, setup):
-        case, h, sg, basis, op, tr = setup
-        rng = np.random.default_rng(1)
-        U = rng.standard_normal((2, 3, 4, 4, 4))
+    @settings(max_examples=60, deadline=None)
+    @given(dg_fields())
+    def test_per_cell_mass_matches_dg_mass(self, fields):
+        h, sg, op, tr, U = fields
         u = tr.dg_to_fv_massfix(U)
         dg_mass = dg_cell_masses(op, U)
         area_sub = h.cell_area(sg.fv_level)
         p = sg.subcells_per_side
-        fv_mass = area_sub * u.reshape(2, p, 3, p, 4).sum(axis=(1, 3))
-        assert np.allclose(fv_mass, dg_mass, rtol=1e-12, atol=1e-14)
+        fv_mass = area_sub * u.reshape(op.nz, p, op.nx, p, 4).sum(axis=(1, 3))
+        # a cell whose mass cancels to about zero is held to the round-off
+        # of its largest value
+        atol = 1e-13 * h.cell_area(sg.dg_level) * np.abs(U).max()
+        assert np.allclose(fv_mass, dg_mass, rtol=1e-12, atol=atol)
 
     def test_appendix_rule_equals_gl_mass_for_cubics(self, setup):
         # the subcell-center quadrature evaluates the DG cell mass exactly
