@@ -4,7 +4,7 @@ subcell finite-volume geometric multigrid method."""
 from .cases import CaseSetup, build_initial_state, by_name, density_current, inertia_gravity, rising_bubble
 from .dg import DGBasis, DGOperator
 from .fv import FVLinearization, FVOperator
-from .mesh import BoundaryKind, CellIndex, Domain2D, GridHierarchy, SubgridMap, build_hierarchy
+from .mesh import BoundaryKind, Domain2D, GridHierarchy, SubgridMap, build_hierarchy
 from .mgprecond import MGConfig, MultigridPreconditioner, parse_mg_config
 from .physics import Atmosphere, InadmissibleStateError, PhysConstants
 from .timeint import NewtonParams, SolverFailure, sdirk2_step, ssprk34_step
@@ -14,7 +14,6 @@ __all__ = [
     "Atmosphere",
     "BoundaryKind",
     "CaseSetup",
-    "CellIndex",
     "DGBasis",
     "DGOperator",
     "Domain2D",

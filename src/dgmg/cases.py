@@ -31,8 +31,6 @@ class CaseSetup:
     theta_pert: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bc: tuple[BoundaryKind, BoundaryKind, BoundaryKind, BoundaryKind]  # W, E, S, N
     t_final: float
-    recommended_dx: tuple[float, ...] = ()
-    recommended_dt: tuple[float, ...] = ()
 
 
 def _neutral_atmosphere(constants: PhysConstants, theta0: float, T0: float) -> Atmosphere:
@@ -89,8 +87,6 @@ def inertia_gravity() -> CaseSetup:
         theta_pert=theta_pert,
         bc=(_PERIODIC, _PERIODIC, _SLIP, _SLIP),
         t_final=3000.0,
-        recommended_dx=(937.5, 468.75),
-        recommended_dt=(6.75, 12.5, 25.0, 50.0, 100.0),
     )
 
 
@@ -119,8 +115,6 @@ def rising_bubble() -> CaseSetup:
         theta_pert=theta_pert,
         bc=(_SLIP, _SLIP, _SLIP, _SLIP),
         t_final=1200.0,
-        recommended_dx=(25.0, 12.5),
-        recommended_dt=(5.0, 10.0),
     )
 
 
@@ -146,8 +140,6 @@ def density_current() -> CaseSetup:
         theta_pert=theta_pert,
         bc=(_SLIP, _SLIP, _SLIP, _SLIP),
         t_final=900.0,
-        recommended_dx=(320.0, 160.0),
-        recommended_dt=(1.0, 3.0, 5.0),
     )
 
 

@@ -55,7 +55,6 @@ class RunConfig:
     output_interval: float | None = None
     log_format: str = "csv"
     pseudo_cfl: float = 1.0
-    smoother_stages: int = 1
     explicit_cfl: float = 0.8
     vtk: bool = False
 
@@ -80,6 +79,9 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        # an infinite end time would make the time loop's end test NaN
+        if self.t_final is not None and not math.isfinite(self.t_final):
+            raise ConfigError(f"t_final must be finite, got {self.t_final}")
         if self.integrator == "implicit" and self.dt is None:
             raise ConfigError("implicit runs need an explicit dt value")
         if not 0 < self.newton_tol < 1:
@@ -93,9 +95,7 @@ class RunConfig:
         if self.mg == "none":
             return None
         try:
-            return parse_mg_config(
-                self.mg, pseudo_cfl=self.pseudo_cfl, smoother_stages=self.smoother_stages
-            )
+            return parse_mg_config(self.mg, pseudo_cfl=self.pseudo_cfl)
         except MGConfigError as err:
             raise ConfigError(str(err)) from err
 
@@ -117,7 +117,6 @@ _SCHEMA = {
     "output_interval": float,
     "log_format": str,
     "pseudo_cfl": float,
-    "smoother_stages": int,
     "explicit_cfl": float,
     "vtk": lambda s: s.lower() in ("1", "true", "yes"),
 }
@@ -307,8 +306,9 @@ def run(cfg: RunConfig) -> int:
     else:
         dt = cfg.dt
 
+    tol = 1e-9 * max(t_final, 1.0)
     try:
-        while t < t_final - 1e-9 * max(t_final, 1.0):
+        while t < t_final - tol:
             step_dt = min(dt, t_final - t)
             if cfg.integrator == "implicit":
                 U, step_stats = sdirk2_step(
@@ -331,10 +331,11 @@ def run(cfg: RunConfig) -> int:
                 after = bundle.op_counts()
                 stats.row(t + step_dt, 0, 0, 0, after[0] - before[0], 0, 0.0)
             t += step_dt
-            if t >= next_output - 1e-9 * max(t_final, 1.0):
+            if t >= next_output - tol:
                 write_snapshot(U, bundle, os.path.join(cfg.outdir, _snap_name(t)))
-                while next_output <= t + 1e-9 * max(t_final, 1.0):
-                    next_output += interval
+                # the first output time past t, in one update however many
+                # intervals the step spanned
+                next_output = ((t + tol) // interval + 1.0) * interval
     except (SolverFailure, InadmissibleStateError) as err:
         stats.close()
         print(f"solver failure at t = {t:.6f}: {err}", file=sys.stderr)
@@ -349,7 +350,7 @@ def _snap_name(t: float) -> str:
     return f"snapshot_t{t:012.4f}.csv"
 
 
-def main(argv=None) -> int:
+def _arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="solver",
         description="2D compressible-flow DG solver with multigrid-preconditioned implicit stepping",
@@ -373,7 +374,11 @@ def main(argv=None) -> int:
     ap.add_argument("--pseudo-cfl", dest="pseudo_cfl", type=float)
     ap.add_argument("--explicit-cfl", dest="explicit_cfl", type=float)
     ap.add_argument("--vtk", action="store_const", const=True, default=None)
-    args = vars(ap.parse_args(argv))
+    return ap
+
+
+def main(argv=None) -> int:
+    args = vars(_arg_parser().parse_args(argv))
     config_path = args.pop("config")
     try:
         cfg = parse_config(config_path, overrides=args)

@@ -216,10 +216,7 @@ class DGOperator:
 
     def max_wave_speeds(self, Up: np.ndarray):
         """Per-cell directional max wave speeds (|u|+c, |w|+c) of U'+Ubar."""
-        full = Up + self.bg_vol
-        cs = physics.sound_speed(full, self.constants)
-        lx = np.abs(full[..., physics.RHO_U] / full[..., physics.RHO]) + cs
-        lz = np.abs(full[..., physics.RHO_W] / full[..., physics.RHO]) + cs
+        lx, lz = physics.wave_speeds(Up + self.bg_vol, self.constants)
         return lx.max(axis=(2, 3)), lz.max(axis=(2, 3))
 
     def stable_dt(self, Up: np.ndarray, cfl: float = 0.8) -> float:
@@ -374,15 +371,3 @@ class DGOperator:
             H[first] = H[last] = 0.0
         return H
 
-
-def evaluate(field: np.ndarray, basis: DGBasis, i: int, j: int, local: np.ndarray) -> np.ndarray:
-    """Evaluate the tensor polynomial of cell (i, j) at reference points.
-
-    local has shape (..., 2) with columns (x-ref, z-ref) in [0, 1]^2.
-    """
-    local = np.asarray(local, dtype=float)
-    pts = local.reshape(-1, 2)
-    Ax = basis.eval_matrix(pts[:, 0])
-    Az = basis.eval_matrix(pts[:, 1])
-    vals = np.einsum("pa,pb,abc->pc", Az, Ax, field[j, i])
-    return vals.reshape(local.shape[:-1] + (4,))

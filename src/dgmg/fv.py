@@ -57,9 +57,6 @@ class FVOperator:
     def zero_field(self) -> np.ndarray:
         return np.zeros((self.nz, self.nx, 4))
 
-    def background(self) -> np.ndarray:
-        return self.bg
-
     def __call__(self, up: np.ndarray) -> np.ndarray:
         self.ncalls += 1
         c = self.constants

@@ -1,4 +1,4 @@
-"""Nested Cartesian quad-grid hierarchy, DG mesh, and FV subgrid indexing.
+"""Nested Cartesian quad-grid hierarchy and the DG and FV subgrid levels.
 
 The hierarchy is a stack of uniform quad grids where level l+1 is obtained
 from level l by splitting every cell into four children. The DG mesh lives
@@ -41,22 +41,6 @@ class Domain2D:
         return self.z_max - self.z_min
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    level: int
-    i: int  # column (x) index
-    j: int  # row (z) index
-
-
-@dataclass(frozen=True)
-class Neighbor:
-    """One side of a cell: an interior/periodic neighbor or a boundary tag."""
-
-    kind: str  # "interior" | "periodic" | "boundary"
-    cell: CellIndex | None = None
-    tag: str | None = None
-
-
 class GridHierarchy:
     """Uniform Cartesian grids from the coarse base (level 0) upward.
 
@@ -85,34 +69,6 @@ class GridHierarchy:
     def cell_area(self, level: int) -> float:
         return self.dx[level] * self.dz[level]
 
-    def cell_center(self, c: CellIndex) -> tuple[float, float]:
-        x = self.domain.x_min + (c.i + 0.5) * self.dx[c.level]
-        z = self.domain.z_min + (c.j + 0.5) * self.dz[c.level]
-        return x, z
-
-    def _check(self, c: CellIndex):
-        if not 0 <= c.level < self.n_levels:
-            raise IndexError(f"level {c.level} outside hierarchy of {self.n_levels} levels")
-        if not (0 <= c.i < self.nx[c.level] and 0 <= c.j < self.nz[c.level]):
-            raise IndexError(f"cell ({c.i}, {c.j}) outside level-{c.level} grid "
-                             f"{self.nx[c.level]}x{self.nz[c.level]}")
-
-    def children(self, c: CellIndex) -> tuple[CellIndex, ...]:
-        """The four level-(l+1) cells covering c."""
-        self._check(c)
-        if c.level >= self.n_levels - 1:
-            raise IndexError(f"cell on finest level {c.level} has no children")
-        l = c.level + 1
-        return tuple(
-            CellIndex(l, 2 * c.i + di, 2 * c.j + dj) for dj in (0, 1) for di in (0, 1)
-        )
-
-    def parent(self, c: CellIndex) -> CellIndex:
-        self._check(c)
-        if c.level == 0:
-            raise IndexError("level-0 cell has no parent")
-        return CellIndex(c.level - 1, c.i // 2, c.j // 2)
-
 
 @dataclass(frozen=True)
 class SubgridMap:
@@ -129,15 +85,6 @@ class SubgridMap:
     @property
     def subcells_per_dg_cell(self) -> int:
         return self.subcells_per_side**2
-
-    def subcells_of(self, i: int, j: int) -> list[tuple[int, int]]:
-        """FV (i, j) index pairs covering DG cell (i, j), row-major."""
-        p = self.subcells_per_side
-        return [(p * i + di, p * j + dj) for dj in range(p) for di in range(p)]
-
-    def dg_cell_of(self, fi: int, fj: int) -> tuple[int, int]:
-        p = self.subcells_per_side
-        return fi // p, fj // p
 
 
 def build_hierarchy(
@@ -163,34 +110,3 @@ def build_hierarchy(
         dg_level=dg_refine_level, fv_level=dg_refine_level + extra, subcells_per_side=p
     )
     return hierarchy, subgrid
-
-
-def neighbors(
-    h: GridHierarchy,
-    c: CellIndex,
-    bc: tuple[BoundaryKind, BoundaryKind, BoundaryKind, BoundaryKind],
-) -> tuple[Neighbor, Neighbor, Neighbor, Neighbor]:
-    """Neighbors on the four sides (west, east, south, north).
-
-    bc gives the boundary kind per side in the same order. A periodic side
-    wraps to the opposite edge of the grid; a slip side yields a boundary
-    tag instead of a neighbor.
-    """
-    h._check(c)
-    nx, nz = h.nx[c.level], h.nz[c.level]
-    west, east, south, north = bc
-
-    def side(di: int, dj: int, kind: BoundaryKind) -> Neighbor:
-        i, j = c.i + di, c.j + dj
-        if 0 <= i < nx and 0 <= j < nz:
-            return Neighbor("interior", CellIndex(c.level, i, j))
-        if kind is BoundaryKind.PERIODIC:
-            return Neighbor("periodic", CellIndex(c.level, i % nx, j % nz))
-        return Neighbor("boundary", tag=kind.value)
-
-    return (
-        side(-1, 0, west),
-        side(+1, 0, east),
-        side(0, -1, south),
-        side(0, +1, north),
-    )

@@ -9,7 +9,7 @@ the DG system itself.
 Grid transfers are agglomeration restriction (volume-weighted child
 average) and injection prolongation. The smoother integrates the dual
 pseudo-time ODE dw/dtau = (b - g'(u) w)/(alpha dt) with explicit
-Runge-Kutta steps; the per-cell pseudo step
+Euler steps; the per-cell pseudo step
 
     dtau = pseudo_cfl / (1 + alpha dt * ((|u|+c)/dx + (|w|+c)/dz
                                           + 2 mu (1/dx^2 + 1/dz^2)))
@@ -22,7 +22,6 @@ step at pseudo_cfl = 1.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,6 @@ class MGConfig:
     mid_post: int
     cycle: str
     pseudo_cfl: float = 1.0
-    smoother_stages: int = 1
 
     def __post_init__(self):
         counts = (self.dg_pre, self.dg_post, self.fine_pre, self.fine_post,
@@ -61,21 +59,9 @@ class MGConfig:
             raise MGConfigError(f"smoothing counts must be nonnegative, got {counts}")
         if self.cycle not in ("V", "W"):
             raise MGConfigError(f"cycle must be 'V' or 'W', got {self.cycle!r}")
-        if self.smoother_stages < 1:
-            raise MGConfigError(f"smoother needs at least one stage, got {self.smoother_stages}")
-
-    @property
-    def key(self) -> str:
-        return "mg{}{}{}{}{}{}{}".format(
-            self.dg_pre, self.dg_post, self.fine_pre, self.fine_post,
-            self.mid_pre, self.mid_post, self.cycle,
-        )
 
 
-_MG_KEY = re.compile(r"mg(\d)(\d)(\d)(\d)(\d)(\d)([VW])")
-
-
-def parse_mg_config(text: str, pseudo_cfl: float = 1.0, smoother_stages: int = 1) -> MGConfig:
+def parse_mg_config(text: str, pseudo_cfl: float = 1.0) -> MGConfig:
     """Parse 'mg' + six decimal digits + cycle letter, e.g. 'mg001111V'."""
     if not text.startswith("mg"):
         raise MGConfigError(f"{text!r}: expected prefix 'mg' at position 0")
@@ -84,14 +70,12 @@ def parse_mg_config(text: str, pseudo_cfl: float = 1.0, smoother_stages: int = 1
             f"{text!r}: expected 'mg' + 6 digits + cycle letter (9 characters, got {len(text)})"
         )
     for pos in range(2, 8):
-        if not text[pos].isdigit():
+        if text[pos] not in "0123456789":
             raise MGConfigError(f"{text!r}: expected digit at position {pos}, got {text[pos]!r}")
     if text[8] not in "VW":
         raise MGConfigError(f"{text!r}: expected 'V' or 'W' at position 8, got {text[8]!r}")
-    m = _MG_KEY.fullmatch(text)
     a, b, c, d, e, f = (int(text[i]) for i in range(2, 8))
-    return MGConfig(a, b, c, d, e, f, m.group(7),
-                    pseudo_cfl=pseudo_cfl, smoother_stages=smoother_stages)
+    return MGConfig(a, b, c, d, e, f, text[8], pseudo_cfl=pseudo_cfl)
 
 
 def restrict(u: np.ndarray) -> np.ndarray:
@@ -115,20 +99,12 @@ def prolong(u: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(u, 2, axis=0), 2, axis=1)
 
 
-def smooth(matvec, x: np.ndarray, b: np.ndarray, n_steps: int, dtau: np.ndarray,
-           stages: int = 1) -> np.ndarray:
-    """Pseudo-time Runge-Kutta smoothing steps for the system g' x = b.
-
-    One step of the default one-stage scheme is the explicit Euler update
-    x <- x + dtau * (b - g' x). Multi-stage sweeps use the standard
-    1/(s+1-j) stage fractions. Zero iterates skip the operator call.
-    """
+def smooth(matvec, x: np.ndarray, b: np.ndarray, n_steps: int, dtau: np.ndarray) -> np.ndarray:
+    """Explicit pseudo-time Euler steps x <- x + dtau * (b - g' x) for the
+    system g' x = b. Zero iterates skip the operator call."""
     for _ in range(n_steps):
-        y = x
-        for j in range(stages):
-            r = b - matvec(y) if np.any(y) else b
-            y = x + (dtau / (stages - j)) * r
-        x = y
+        r = b - matvec(x) if np.any(x) else b
+        x = x + dtau * r
     return x
 
 
@@ -152,15 +128,15 @@ def mg_cycle(levels: list[MGLevel], l: int, x: np.ndarray, b: np.ndarray,
     finest = len(levels) - 1
     if l == 0:
         pre, post = (cfg.fine_pre, cfg.fine_post) if finest == 0 else (cfg.mid_pre, cfg.mid_post)
-        return smooth(lev.matvec, x, b, max(2, pre + post), lev.dtau, cfg.smoother_stages)
+        return smooth(lev.matvec, x, b, max(2, pre + post), lev.dtau)
     pre, post = (cfg.fine_pre, cfg.fine_post) if l == finest else (cfg.mid_pre, cfg.mid_post)
-    x = smooth(lev.matvec, x, b, pre, lev.dtau, cfg.smoother_stages)
+    x = smooth(lev.matvec, x, b, pre, lev.dtau)
     r = restrict(lev.matvec(x) - b) if np.any(x) else restrict(-b)
     v = np.zeros_like(r)
     for _ in range(2 if cfg.cycle == "W" else 1):
         v = mg_cycle(levels, l - 1, v, r, cfg)
     x = x - prolong(v)
-    return smooth(lev.matvec, x, b, post, lev.dtau, cfg.smoother_stages)
+    return smooth(lev.matvec, x, b, post, lev.dtau)
 
 
 class MultigridPreconditioner:
@@ -184,10 +160,7 @@ class MultigridPreconditioner:
 
     def _fv_dtau(self, op: FVOperator, u_frozen: np.ndarray, alpha_dt: float) -> np.ndarray:
         c = op.constants
-        full = u_frozen + op.bg
-        cs = physics.sound_speed(full, c)
-        lx = np.abs(full[..., physics.RHO_U] / full[..., physics.RHO]) + cs
-        lz = np.abs(full[..., physics.RHO_W] / full[..., physics.RHO]) + cs
+        lx, lz = physics.wave_speeds(u_frozen + op.bg, c)
         rate = lx / op.dx + lz / op.dz
         if c.mu > 0.0:
             rate = rate + 2.0 * c.mu * (1.0 / op.dx**2 + 1.0 / op.dz**2)
@@ -230,7 +203,7 @@ class MultigridPreconditioner:
         def precondition(y: np.ndarray) -> np.ndarray:
             x = np.zeros_like(y)
             if cfg.dg_pre:
-                x = smooth(dg_lin.matvec, x, y, cfg.dg_pre, dg_dtau, cfg.smoother_stages)
+                x = smooth(dg_lin.matvec, x, y, cfg.dg_pre, dg_dtau)
                 r = y - dg_lin.matvec(x)
             else:
                 r = y
@@ -238,7 +211,7 @@ class MultigridPreconditioner:
             v = mg_cycle(levels, finest, np.zeros_like(bf), bf, cfg)
             x = x + self.transfer.fv_to_dg(v)
             if cfg.dg_post:
-                x = smooth(dg_lin.matvec, x, y, cfg.dg_post, dg_dtau, cfg.smoother_stages)
+                x = smooth(dg_lin.matvec, x, y, cfg.dg_post, dg_dtau)
             return x
 
         return precondition

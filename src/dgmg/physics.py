@@ -6,8 +6,9 @@ p = p0 * (R_d * rho * theta / p0)**gamma. All functions are vectorized
 over leading axes, with the component axis last.
 
 The well-balanced formulation evolves perturbations U' around a steady
-background atmosphere; the pert_* variants return exactly zero for a zero
-perturbation.
+background atmosphere (Atmosphere); the DG and FV operators subtract the
+background's fluxes from the total state's, so a zero perturbation gives
+exactly zero.
 
 FaceAxis is the one face-flux path of the DG and FV operators. The
 Riemann solve has two parts: primitives computes (rho, u, w, rho*theta,
@@ -75,42 +76,9 @@ def pressure(U: np.ndarray, c: PhysConstants) -> np.ndarray:
     return c.p0 * (c.R_d * rt / c.p0) ** c.gamma
 
 
-def sound_speed(U: np.ndarray, c: PhysConstants) -> np.ndarray:
-    rho = np.asarray(U)[..., RHO]
-    if np.any(rho <= 0.0):
-        raise InadmissibleStateError("non-positive density in sound speed evaluation")
-    return np.sqrt(c.gamma * pressure(U, c) / rho)
-
-
-def max_wave_speed(U: np.ndarray, n: np.ndarray, c: PhysConstants) -> np.ndarray:
-    """|v . n| + sound speed, for CFL estimates and pseudo-time steps."""
-    U = np.asarray(U)
-    vn = (U[..., RHO_U] * n[0] + U[..., RHO_W] * n[1]) / U[..., RHO]
-    return np.abs(vn) + sound_speed(U, c)
-
-
-def flux_convective(U: np.ndarray, c: PhysConstants) -> np.ndarray:
-    """Convective flux tensor, shape (..., 4, 2); column 0 is the x-flux."""
-    U = np.asarray(U)
-    p = pressure(U, c)
-    rho = U[..., RHO]
-    u = U[..., RHO_U] / rho
-    w = U[..., RHO_W] / rho
-    F = np.empty(U.shape + (2,))
-    F[..., RHO, 0] = U[..., RHO_U]
-    F[..., RHO_U, 0] = U[..., RHO_U] * u + p
-    F[..., RHO_W, 0] = U[..., RHO_W] * u
-    F[..., RHO_THETA, 0] = U[..., RHO_THETA] * u
-    F[..., RHO, 1] = U[..., RHO_W]
-    F[..., RHO_U, 1] = U[..., RHO_U] * w
-    F[..., RHO_W, 1] = U[..., RHO_W] * w + p
-    F[..., RHO_THETA, 1] = U[..., RHO_THETA] * w
-    return F
-
-
 def flux_convective_xz(U: np.ndarray, c: PhysConstants) -> tuple[np.ndarray, np.ndarray]:
-    """Convective flux columns as two contiguous arrays (hot-path form of
-    flux_convective)."""
+    """Convective x- and z-flux columns of the states U, as two arrays
+    shaped like U."""
     U = np.asarray(U)
     p = pressure(U, c)
     rho = U[..., RHO]
@@ -129,29 +97,6 @@ def flux_convective_xz(U: np.ndarray, c: PhysConstants) -> tuple[np.ndarray, np.
     return Fx, Fz
 
 
-def flux_viscous(U: np.ndarray, grad_prims: np.ndarray, c: PhysConstants) -> np.ndarray:
-    """Diffusive flux mu*rho*(0, grad u, grad w, grad theta), shape (..., 4, 2).
-
-    grad_prims holds the gradients of the primitive fields (u, w, theta)
-    with shape (..., 3, 2), last axis (d/dx, d/dz).
-    """
-    U = np.asarray(U)
-    F = np.zeros(U.shape + (2,))
-    if c.mu == 0.0:
-        return F
-    scale = c.mu * U[..., RHO, None, None]
-    F[..., 1:, :] = scale * np.asarray(grad_prims)
-    return F
-
-
-def source_gravity(U: np.ndarray, c: PhysConstants) -> np.ndarray:
-    """Gravity source (0, 0, -rho g, 0)."""
-    U = np.asarray(U)
-    S = np.zeros_like(U)
-    S[..., RHO_W] = -U[..., RHO] * c.g
-    return S
-
-
 def primitives(U: np.ndarray, c: PhysConstants) -> tuple:
     """Primitives (rho, u, w, rho*theta, p, c_s) of the states U (..., 4).
 
@@ -162,9 +107,16 @@ def primitives(U: np.ndarray, c: PhysConstants) -> tuple:
     U = np.asarray(U)
     rho, rt = U[..., RHO], U[..., RHO_THETA]
     if (np.fmin(rho, rt) <= 0.0).any():
-        raise InadmissibleStateError("non-positive density or rho*theta passed to HLLC")
+        raise InadmissibleStateError("non-positive density or rho*theta in primitive-variable evaluation")
     p = c.p0 * (c.R_d * rt / c.p0) ** c.gamma
     return rho, U[..., RHO_U] / rho, U[..., RHO_W] / rho, rt, p, np.sqrt(c.gamma * p / rho)
+
+
+def wave_speeds(U: np.ndarray, c: PhysConstants) -> tuple[np.ndarray, np.ndarray]:
+    """Directional max wave speeds (|u| + c_s, |w| + c_s) of the states U,
+    for CFL estimates and pseudo-time steps."""
+    _, u, w, _, _, cs = primitives(U, c)
+    return np.abs(u) + cs, np.abs(w) + cs
 
 
 def hllc_flux_axis(PL, PR, axis: int, c: PhysConstants) -> np.ndarray:
@@ -307,14 +259,3 @@ class Atmosphere:
         U[..., RHO_W] = rho * self.w
         U[..., RHO_THETA] = rho_theta
         return U
-
-
-def pert_flux_convective(Up, x, z, atm: Atmosphere, c: PhysConstants) -> np.ndarray:
-    """F_c(U' + Ubar) - F_c(Ubar); exactly zero for U' = 0."""
-    Ub = atm.state(x, z)
-    return flux_convective(np.asarray(Up) + Ub, c) - flux_convective(Ub, c)
-
-
-def pert_source(Up, x, z, atm: Atmosphere, c: PhysConstants) -> np.ndarray:
-    """Gravity source of the perturbation system, (0, 0, -rho' g, 0)."""
-    return source_gravity(np.asarray(Up), c)

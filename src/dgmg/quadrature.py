@@ -1,4 +1,4 @@
-"""1D quadrature rules on the unit interval and their tensor products.
+"""1D quadrature rules on the unit interval.
 
 Two rule families are provided: Gauss-Legendre rules, which double as the
 nodal points of the tensor-product DG basis, and a modified Newton-Cotes
@@ -29,18 +29,6 @@ class QuadRule1D:
     nodes: np.ndarray
     weights: np.ndarray
     degree: int  # highest polynomial degree integrated exactly
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
-
-@dataclass(frozen=True)
-class QuadRule2D:
-    """Tensor-product rule on the unit square."""
-
-    points: np.ndarray   # (n, 2)
-    weights: np.ndarray  # (n,)
-    degree: int
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,12 +89,3 @@ def modified_newton_cotes(k: int) -> QuadRule1D:
     moments = 1.0 / (np.arange(n) + 1.0)
     weights = np.linalg.solve(vander, moments)
     return QuadRule1D(nodes, weights, degree=k)
-
-
-def tensorize(rule: QuadRule1D) -> QuadRule2D:
-    """Tensor product of a 1D rule over the unit square."""
-    x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    wx, wy = np.meshgrid(rule.weights, rule.weights, indexing="ij")
-    points = np.column_stack([x.ravel(), y.ravel()])
-    weights = (wx * wy).ravel()
-    return QuadRule2D(points, weights, degree=rule.degree)

@@ -22,26 +22,9 @@ import numpy as np
 
 _EPS_FD = float(np.sqrt(np.finfo(float).eps))
 
+# Ellsiepen's 2-stage, order-2, stiffly accurate SDIRK tableau:
+# A = [[alpha, 0], [1 - alpha, alpha]], b = A[1], c = (alpha, 1)
 SDIRK2_ALPHA = 1.0 - math.sqrt(2.0) / 2.0
-
-
-@dataclass(frozen=True)
-class SDIRK2Tableau:
-    """Ellsiepen's 2-stage, order-2, singly diagonal tableau."""
-
-    alpha: float = SDIRK2_ALPHA
-
-    @property
-    def a(self) -> np.ndarray:
-        return np.array([[self.alpha, 0.0], [1.0 - self.alpha, self.alpha]])
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.array([1.0 - self.alpha, self.alpha])
-
-    @property
-    def c(self) -> np.ndarray:
-        return np.array([self.alpha, 1.0])
 
 
 @dataclass

@@ -12,11 +12,17 @@ that contracts one node axis at a time (einsum and broadcasts), with the
 mass fix as an explicit per-cell mean shift and the viscous face flux
 with its own periodic branches. The production GEMM forms change the
 order of the sums, so they agree with these to round-off.
+
+The rest are oracles the package itself has no use for: the convective
+flux tensor, pointwise evaluation of a DG cell polynomial, and
+quadrature sums in 1D and over the unit square.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from dgmg.physics import RHO, RHO_THETA, RHO_U, RHO_W, InadmissibleStateError
+from dgmg.physics import RHO, RHO_THETA, RHO_U, RHO_W, InadmissibleStateError, pressure
 
 
 def hllc_normal(UL, UR, axis, c):
@@ -30,7 +36,9 @@ def hllc_normal(UL, UR, axis, c):
     rhoL, rhoR = UL[..., RHO], UR[..., RHO]
     rtL, rtR = UL[..., RHO_THETA], UR[..., RHO_THETA]
     if (np.fmin(UL[..., ::3], UR[..., ::3]) <= 0.0).any():
-        raise InadmissibleStateError("non-positive density or rho*theta passed to HLLC")
+        raise InadmissibleStateError(
+            "non-positive density or rho*theta in primitive-variable evaluation"
+        )
     unL, unR = UL[..., mn] / rhoL, UR[..., mn] / rhoR
     utL, utR = UL[..., mt] / rhoL, UR[..., mt] / rhoR
     pL = c.p0 * (c.R_d * rtL / c.p0) ** c.gamma
@@ -100,14 +108,6 @@ def hllc_flux(UL, UR, n, c):
     F[..., RHO_W] = f_n * nz + f_t * tz
     F[..., RHO_THETA] = f_rt
     return F
-
-
-def pert_hllc(UpL, UpR, x, z, n, atm, c):
-    """HLLC flux difference against the background at the face point."""
-    Ub = atm.state(x, z)
-    return hllc_flux(np.asarray(UpL) + Ub, np.asarray(UpR) + Ub, n, c) - hllc_flux(
-        Ub, Ub, n, c
-    )
 
 
 def fv_viscous_fluxes(full, dx, dz, periodic_x, periodic_z, mu):
@@ -228,3 +228,58 @@ def dg_viscous_face_fluxes(op, Bx, Bz, x_traces, z_traces):
         )
         hvz[-1] = hvz[0]
     return hvx, hvz
+
+
+def flux_convective(U, c):
+    """Convective flux tensor, shape (..., 4, 2); column 0 is the x-flux."""
+    U = np.asarray(U)
+    rho = U[..., RHO]
+    u = U[..., RHO_U] / rho
+    w = U[..., RHO_W] / rho
+    p = pressure(U, c)
+    F = np.empty(U.shape + (2,))
+    F[..., RHO, 0] = U[..., RHO_U]
+    F[..., RHO_U, 0] = U[..., RHO_U] * u + p
+    F[..., RHO_W, 0] = U[..., RHO_W] * u
+    F[..., RHO_THETA, 0] = U[..., RHO_THETA] * u
+    F[..., RHO, 1] = U[..., RHO_W]
+    F[..., RHO_U, 1] = U[..., RHO_U] * w
+    F[..., RHO_W, 1] = U[..., RHO_W] * w + p
+    F[..., RHO_THETA, 1] = U[..., RHO_THETA] * w
+    return F
+
+
+def evaluate(field, basis, i, j, local):
+    """Evaluate the tensor polynomial of DG cell (i, j) at reference points.
+
+    local has shape (..., 2) with columns (x-ref, z-ref) in [0, 1]^2.
+    """
+    local = np.asarray(local, dtype=float)
+    pts = local.reshape(-1, 2)
+    Ax = basis.eval_matrix(pts[:, 0])
+    Az = basis.eval_matrix(pts[:, 1])
+    vals = np.einsum("pa,pb,abc->pc", Az, Ax, field[j, i])
+    return vals.reshape(local.shape[:-1] + (4,))
+
+
+def integrate(rule, values):
+    """Quadrature sum of a 1D rule over values at its nodes."""
+    return float(np.dot(rule.weights, values))
+
+
+@dataclass(frozen=True)
+class QuadRule2D:
+    """Tensor-product rule on the unit square."""
+
+    points: np.ndarray   # (n, 2)
+    weights: np.ndarray  # (n,)
+    degree: int
+
+
+def tensorize(rule):
+    """Tensor product of a 1D rule over the unit square."""
+    x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    wx, wy = np.meshgrid(rule.weights, rule.weights, indexing="ij")
+    points = np.column_stack([x.ravel(), y.ravel()])
+    weights = (wx * wy).ravel()
+    return QuadRule2D(points, weights, degree=rule.degree)

@@ -1,9 +1,14 @@
+import dataclasses
 import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgmg import cli
+from dgmg import cases, cli
 from dgmg.cli import (
     ConfigError,
     RunConfig,
@@ -229,6 +234,7 @@ class TestMain:
             ("--pseudo-cfl", "2"),
             ("--dt", "nan"),  # passed `dt <= 0`, then failed as a solver error
             ("--t-final", "nan"),  # ran no step and exited 0
+            ("--t-final", "inf"),  # so did this
             ("--t-final", "-5"),
             ("--t-final", "0"),
         ],
@@ -258,6 +264,22 @@ class TestMain:
         assert "configuration error" in err and "dx" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("interval", ["1e-12", "1e-300"])
+    def test_tiny_output_interval_writes_one_snapshot_per_step(self, tmp_path, interval):
+        # catching up with the output times one interval at a time ran for
+        # t / interval additions, forever once interval no longer moved t
+        out = str(tmp_path / "out")
+        start = time.perf_counter()
+        rc = main([
+            "--case", "inertia-gravity", "--level", "0", "--base-nx", "10", "--base-nz", "1",
+            "--dt", "25", "--mg", "none", "--t-final", "50", "--output-interval", interval,
+            "--outdir", out,
+        ])
+        assert rc == 0
+        assert time.perf_counter() - start < 30.0
+        snaps = sorted(f for f in os.listdir(out) if f.startswith("snapshot"))
+        assert snaps == [f"snapshot_t{t:012.4f}.csv" for t in (0.0, 25.0, 50.0)]
+
     def test_unknown_flag_case(self):
         with pytest.raises(SystemExit):
             main(["--case", "unknown-case"])
@@ -271,6 +293,70 @@ class TestMain:
         ])
         assert rc == 0
         assert os.path.exists(os.path.join(out, "stats.csv"))
+
+
+class TestConfigKeys:
+    def test_schema_fields_and_flags_name_the_same_keys(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        flags = {a.dest for a in cli._arg_parser()._actions} - {"help", "config"}
+        assert set(cli._SCHEMA) == fields
+        assert flags == fields
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_file_and_flags_parse_alike(self, data):
+        values = data.draw(run_configs())
+        text = {k: repr(v) if isinstance(v, float) else str(v) for k, v in values.items()}
+        flags = []
+        for key, val in text.items():
+            if key != "vtk":
+                flags += ["--" + key.replace("_", "-"), val]
+            elif values[key]:
+                flags.append("--vtk")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.writelines(f"{key} = {val}\n" for key, val in text.items())
+            from_file = parse_config(path)
+        args = vars(cli._arg_parser().parse_args(flags))
+        args.pop("config")
+        assert parse_config(None, overrides=args) == from_file
+
+
+@st.composite
+def run_configs(draw):
+    """A valid config as {key: value}; keys left out take their defaults."""
+    positive = st.floats(1e-6, 1e6)
+
+    def maybe(key, strategy):
+        value = draw(st.none() | strategy)
+        if value is not None:
+            values[key] = value
+
+    integrator = draw(st.sampled_from(["implicit", "explicit"]))
+    values = {"case": draw(st.sampled_from(sorted(cases.CASES))), "integrator": integrator}
+    if integrator == "implicit":
+        values["dt"] = draw(positive)
+    else:
+        maybe("dt", positive)
+    grid = draw(st.sampled_from(["base", "dx", "both"]))
+    if grid != "dx":
+        values["base_nx"], values["base_nz"] = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    if grid != "base":
+        values["dx"] = draw(positive)
+    maybe("k", st.sampled_from([0, 1, 3, 7]))
+    maybe("level", st.integers(0, 4))
+    maybe("t_final", positive)
+    maybe("mg", st.just("none") | st.from_regex(r"mg[0-9]{6}[VW]", fullmatch=True))
+    maybe("transfer", st.sampled_from(["interp", "massfix"]))
+    maybe("newton_tol", st.floats(1e-12, 0.999))
+    maybe("outdir", st.text("abz09_./", min_size=1, max_size=12))
+    maybe("output_interval", positive)
+    maybe("log_format", st.sampled_from(["csv", "jsonl"]))
+    maybe("pseudo_cfl", st.floats(1e-6, 1.999))
+    maybe("explicit_cfl", positive)
+    maybe("vtk", st.booleans())
+    return values
 
 
 class TestCrossSchemeAgreement:

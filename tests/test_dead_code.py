@@ -1,0 +1,69 @@
+"""Every public module-level function and class of the package has a
+reader: code in src/dgmg other than its own definition and the __init__
+re-exports, a hook target of the benchmark's tracer (perfbench/tracing.py,
+read without importing dgmg through it), or the console entry point
+cli.main. A name that only tests read belongs in tests/references.py."""
+
+import ast
+import pathlib
+
+from test_hooks import load_tracing
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dgmg"
+ENTRY_POINTS = {("dgmg.cli", "main")}
+
+
+def package_modules() -> dict:
+    return {
+        f"dgmg.{path.stem}": ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def public_definitions(modules: dict):
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield module, node
+
+
+def is_read(name: str, definition: ast.AST, modules: dict) -> bool:
+    """A load of `name`, or an attribute of that name, outside its own
+    definition anywhere in the package."""
+    own = {id(node) for node in ast.walk(definition)}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+                return True
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                return True
+    return False
+
+
+def unread_names(modules: dict, exempt: set) -> list[str]:
+    return [
+        f"{module}.{node.name}"
+        for module, node in public_definitions(modules)
+        if (module, node.name) not in exempt and not is_read(node.name, node, modules)
+    ]
+
+
+def test_every_public_name_has_a_reader():
+    hooks = {(h.module, h.target.partition(".")[0]) for h in load_tracing().HOOKS}
+    assert unread_names(package_modules(), hooks | ENTRY_POINTS) == []
+
+
+def test_checker_flags_a_name_read_only_by_itself():
+    tree = ast.parse(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
+        "class Orphan:\n    pass\n\n"
+        "def hooked():\n    pass\n"
+    )
+    modules = {"dgmg.sample": tree}
+    assert unread_names(modules, {("dgmg.sample", "hooked")}) == [
+        "dgmg.sample.recursive", "dgmg.sample.Orphan",
+    ]

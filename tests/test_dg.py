@@ -8,10 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import advection_case, entropy_wave, make_setup, rms
 from dgmg import cases, mesh
-from dgmg.dg import DGBasis, DGOperator, evaluate, kron_t
+from dgmg.dg import DGBasis, DGOperator, kron_t
 from dgmg.physics import InadmissibleStateError
-from dgmg.quadrature import gauss_legendre, tensorize
+from dgmg.quadrature import gauss_legendre
 from dgmg.timeint import ssprk34_step
+from references import evaluate, tensorize
 
 
 class TestBasis:

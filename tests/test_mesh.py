@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from dgmg.mesh import (
-    BoundaryKind,
-    CellIndex,
-    Domain2D,
-    build_hierarchy,
-    neighbors,
-)
-
-SLIP = BoundaryKind.SLIP
-PERIODIC = BoundaryKind.PERIODIC
+from dgmg.dg import DGBasis
+from dgmg.mesh import Domain2D, build_hierarchy
+from dgmg.transfer import TransferOperators
 
 
 class TestDomain:
@@ -69,71 +62,25 @@ class TestBuildHierarchy:
 
 
 class TestChildrenParent:
-    def setup_method(self):
-        self.h, _ = build_hierarchy(Domain2D(0, 1, 0, 1), 2, 2, 1, 3)
-
-    def test_quadrisection_of_origin_cell(self):
-        kids = self.h.children(CellIndex(0, 0, 0))
-        assert set((c.level, c.i, c.j) for c in kids) == {
-            (1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1),
-        }
-
-    def test_parent_inverts_children(self):
-        for i in range(2):
-            for j in range(2):
-                parent = CellIndex(1, i, j)
-                for child in self.h.children(parent):
-                    assert self.h.parent(child) == parent
-
     def test_child_areas_partition_parent(self):
-        c = CellIndex(0, 1, 1)
-        kids = self.h.children(c)
-        total = sum(self.h.cell_area(k.level) for k in kids)
-        assert total == pytest.approx(self.h.cell_area(0), rel=1e-15)
-
-    def test_finest_level_has_no_children(self):
-        finest = self.h.n_levels - 1
-        with pytest.raises(IndexError):
-            self.h.children(CellIndex(finest, 0, 0))
-
-    def test_out_of_range_cell_rejected(self):
-        with pytest.raises(IndexError):
-            self.h.children(CellIndex(0, 5, 0))
-
-
-class TestNeighbors:
-    def setup_method(self):
-        self.h, _ = build_hierarchy(Domain2D(0, 1, 0, 1), 4, 3, 0, 3)
-
-    def test_interior_cell_has_four_interior_neighbors(self):
-        n = neighbors(self.h, CellIndex(0, 1, 1), (SLIP, SLIP, SLIP, SLIP))
-        assert all(e.kind == "interior" for e in n)
-        assert (n[0].cell.i, n[1].cell.i) == (0, 2)
-        assert (n[2].cell.j, n[3].cell.j) == (0, 2)
-
-    def test_periodic_wraparound(self):
-        n = neighbors(self.h, CellIndex(0, 0, 1), (PERIODIC, PERIODIC, SLIP, SLIP))
-        assert n[0].kind == "periodic"
-        assert n[0].cell.i == self.h.nx[0] - 1
-
-    def test_slip_bottom_tag(self):
-        n = neighbors(self.h, CellIndex(0, 2, 0), (PERIODIC, PERIODIC, SLIP, SLIP))
-        assert n[2].kind == "boundary"
-        assert n[2].tag == "slip"
+        h, _ = build_hierarchy(Domain2D(0, 1, 0, 1), 2, 2, 1, 3)
+        for l in range(h.n_levels - 1):
+            assert 4 * h.cell_area(l + 1) == pytest.approx(h.cell_area(l), rel=1e-15)
 
 
 class TestSubgridMap:
     def test_partition_covers_every_fv_cell_once(self):
+        # a field constant per DG cell, tagged by the cell's index, lands
+        # on the FV grid as blocks of p x p subcells carrying that tag
         h, sg = build_hierarchy(Domain2D(0, 1, 0, 1), 3, 2, 1, 3)
         nx_dg, nz_dg = h.nx[sg.dg_level], h.nz[sg.dg_level]
-        seen = set()
-        for i in range(nx_dg):
-            for j in range(nz_dg):
-                for fi, fj in sg.subcells_of(i, j):
-                    assert (fi, fj) not in seen
-                    seen.add((fi, fj))
-                    assert sg.dg_cell_of(fi, fj) == (i, j)
-        assert len(seen) == h.nx[sg.fv_level] * h.nz[sg.fv_level]
+        p = sg.subcells_per_side
+        tag = np.arange(nz_dg * nx_dg, dtype=float).reshape(nz_dg, nx_dg)
+        U = np.broadcast_to(tag[:, :, None, None, None], (nz_dg, nx_dg, p, p, 4))
+        u = TransferOperators(DGBasis(3), sg).dg_to_fv(U)
+        assert u.shape[:2] == (h.nz[sg.fv_level], h.nx[sg.fv_level])
+        fj, fi = np.indices(u.shape[:2])
+        assert np.allclose(u[..., 0], tag[fj // p, fi // p], atol=1e-12)
 
     def test_dof_counts_match(self):
         h, sg = build_hierarchy(Domain2D(0, 1, 0, 1), 3, 2, 2, 3)

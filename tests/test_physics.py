@@ -1,25 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references
-from dgmg import physics
+from conftest import advection_case
+from dgmg import mesh
+from dgmg.fv import FVOperator
 from dgmg.physics import (
     Atmosphere,
     InadmissibleStateError,
     PhysConstants,
-    flux_convective,
-    flux_viscous,
+    flux_convective_xz,
     hllc_flux_axis,
-    max_wave_speed,
-    pert_flux_convective,
-    pert_source,
     pressure,
     primitives,
-    source_gravity,
+    wave_speeds,
 )
-from references import hllc_flux, pert_hllc
+from references import flux_convective, hllc_flux
 
 RB = PhysConstants(c_p=1005.0, c_v=717.95, g=9.80665, p0=1e5)
 DC = PhysConstants(c_p=1004.0, c_v=717.0, g=9.81, mu=75.0, p0=1e5)
@@ -93,40 +93,29 @@ class TestFluxes:
     def test_rest_state_only_pressure_survives(self):
         U = rest_state(RB)
         p = pressure(U, RB)
-        F = flux_convective(U, RB)
-        expected = np.array([[0, 0], [p, 0], [0, p], [0, 0]])
-        assert np.allclose(F, expected, rtol=1e-14)
+        Fx, Fz = flux_convective_xz(U, RB)
+        assert np.allclose(Fx, [0, p, 0, 0], rtol=1e-14)
+        assert np.allclose(Fz, [0, 0, p, 0], rtol=1e-14)
 
     def test_direct_substitution(self):
         # rho=1, u=1, w=0, theta=1: x-flux column is (1, 1+p, 0, 1)
         U = state(1.0, 1.0, 0.0, 1.0)
         p = pressure(U, RB)
-        F = flux_convective(U, RB)
-        assert np.allclose(F[:, 0], [1.0, 1.0 + p, 0.0, 1.0], rtol=1e-14)
-        assert np.allclose(F[:, 1], [0.0, 0.0, p, 0.0], rtol=1e-14)
-
-    def test_viscous_zero_cases(self):
-        U = state(1.2, 3.0, -1.0, 300.0)
-        grad = np.zeros((3, 2))
-        assert np.all(flux_viscous(U, grad, DC) == 0.0)
-        grad = np.ones((3, 2))
-        assert np.all(flux_viscous(U, grad, RB) == 0.0)  # mu = 0
-
-    def test_viscous_theta_row(self):
-        U = state(1.0, 0.0, 0.0, 300.0)
-        grad = np.zeros((3, 2))
-        grad[2] = [1.0, 0.0]  # grad theta
-        F = flux_viscous(U, grad, DC)
-        assert np.allclose(F[3], [75.0, 0.0])
-        assert np.all(F[0] == 0.0)
+        Fx, Fz = flux_convective_xz(U, RB)
+        assert np.allclose(Fx, [1.0, 1.0 + p, 0.0, 1.0], rtol=1e-14)
+        assert np.allclose(Fz, [0.0, 0.0, p, 0.0], rtol=1e-14)
 
     def test_gravity_source(self):
-        c = DC
-        S = source_gravity(state(1.0, 0.0, 0.0, 300.0), c)
-        assert np.allclose(S, [0.0, 0.0, -9.81, 0.0])
-        assert np.all(source_gravity(np.zeros(4), c) == 0.0)
-        S2 = source_gravity(2.0 * state(1.0, 0.0, 0.0, 300.0), c)
-        assert np.allclose(S2, 2.0 * S)
+        # one periodic FV cell has no net face flux, so its tendency is the
+        # gravity source (0, 0, -g rho', 0) of the perturbation alone
+        case = advection_case(u=1.0, w=1.0)
+        case = dataclasses.replace(case, constants=dataclasses.replace(case.constants, g=DC.g))
+        h, _ = mesh.build_hierarchy(case.domain, 1, 1, 0, 0)
+        op = FVOperator(h, 0, case)
+        u = np.array([[[0.01, 0.002, -0.003, 0.004]]])
+        assert np.array_equal(op(u)[0, 0], [0.0, 0.0, -DC.g * 0.01, 0.0])
+        assert np.all(op(np.zeros_like(u)) == 0.0)
+        assert np.array_equal(op(2.0 * u), 2.0 * op(u))
 
 
 class TestHLLC:
@@ -154,7 +143,7 @@ class TestHLLC:
 
     def test_supersonic_full_upwind(self):
         U = rest_state(RB)
-        c_snd = float(physics.sound_speed(U, RB))
+        c_snd = float(primitives(U, RB)[5])
         UL = U.copy()
         UL[1] = UL[0] * 3.0 * c_snd  # u = 3c
         UR = UL * 1.3
@@ -200,7 +189,7 @@ class TestHLLC:
     def test_vacuum_star_state_raises(self):
         # two states receding from the face at three sound speeds
         U = rest_state(RB)
-        c_snd = float(physics.sound_speed(U, RB))
+        c_snd = float(primitives(U, RB)[5])
         UL, UR = U.copy(), U.copy()
         UL[2] = -3.0 * c_snd * U[0]
         UR[2] = 3.0 * c_snd * U[0]
@@ -295,29 +284,6 @@ class TestPerturbationForms:
 
         return Atmosphere(constants=case_c, theta=theta, pressure=pres, u=0.0, w=0.0)
 
-    def test_zero_perturbation_gives_exact_zeros(self):
-        atm = self.make_atm()
-        z0 = np.zeros(4)
-        F = pert_flux_convective(z0, 10.0, 100.0, atm, RB)
-        S = pert_source(z0, 10.0, 100.0, atm, RB)
-        H = pert_hllc(z0, z0, 10.0, 100.0, [0.0, 1.0], atm, RB)
-        assert np.all(F == 0.0) and np.all(S == 0.0) and np.all(H == 0.0)
-
-    def test_pert_flux_matches_difference(self):
-        atm = self.make_atm()
-        rng = np.random.default_rng(2)
-        Up = 1e-3 * rng.standard_normal(4) * np.array([1.0, 10.0, 10.0, 300.0])
-        Ub = atm.state(5.0, 50.0)
-        F = pert_flux_convective(Up, 5.0, 50.0, atm, RB)
-        expected = flux_convective(Up + Ub, RB) - flux_convective(Ub, RB)
-        assert np.allclose(F, expected, rtol=1e-13)
-
-    def test_pert_source_is_linear_in_rho(self):
-        atm = self.make_atm()
-        Up = np.array([0.01, 0.0, 0.0, 0.0])
-        S = pert_source(Up, 0.0, 0.0, atm, RB)
-        assert np.allclose(S, [0.0, 0.0, -0.01 * RB.g, 0.0])
-
     def test_atmosphere_state_pressure_consistent(self):
         atm = self.make_atm()
         z = np.linspace(0.0, 2000.0, 7)
@@ -331,18 +297,22 @@ class TestMaxWaveSpeed:
         U = rest_state(DC, T=300.0)
         expected = np.sqrt(DC.gamma * DC.R_d * 300.0)
         assert expected == pytest.approx(347.2, abs=0.1)
-        assert max_wave_speed(U, [1.0, 0.0], DC) == pytest.approx(expected, rel=1e-12)
+        for speed in wave_speeds(U, DC):
+            assert speed == pytest.approx(expected, rel=1e-12)
 
     def test_velocity_adds_along_normal(self):
         U = rest_state(DC)
-        base = max_wave_speed(U, [1.0, 0.0], DC)
+        base_x, base_z = wave_speeds(U, DC)
         U2 = U.copy()
         U2[1] = U2[0] * 17.0
-        assert max_wave_speed(U2, [1.0, 0.0], DC) == pytest.approx(base + 17.0, rel=1e-12)
+        U2[2] = -U2[0] * 5.0
+        lx, lz = wave_speeds(U2, DC)
+        assert lx == pytest.approx(base_x + 17.0, rel=1e-12)
+        assert lz == pytest.approx(base_z + 5.0, rel=1e-12)
 
     def test_strictly_positive(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             U = state(0.1 + rng.random(), rng.standard_normal(), rng.standard_normal(),
                       200.0 + 200.0 * rng.random())
-            assert max_wave_speed(U, [0.0, 1.0], DC) > 0.0
+            assert all(speed > 0.0 for speed in wave_speeds(U, DC))

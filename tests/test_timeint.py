@@ -6,7 +6,6 @@ from dgmg.timeint import (
     FDLinearization,
     GMRESInfo,
     NewtonParams,
-    SDIRK2Tableau,
     SolverFailure,
     eisenstat_walker_eta,
     gmres_solve,
@@ -31,13 +30,11 @@ def exact_params():
 
 class TestTableau:
     def test_ellsiepen_coefficients(self):
-        tab = SDIRK2Tableau()
-        assert tab.alpha == pytest.approx(0.29289321881, abs=1e-10)
-        a = tab.a
-        assert a[0, 0] == a[1, 1] == tab.alpha
-        assert a[1, 0] == pytest.approx(1.0 - tab.alpha)
-        assert np.allclose(tab.b, [1.0 - tab.alpha, tab.alpha])
-        assert np.allclose(tab.b, a[1])  # stiffly accurate
+        a = SDIRK2_ALPHA
+        assert a == pytest.approx(0.29289321881, abs=1e-10)
+        # stiffly accurate: b = (1 - a, a) is the last row of A, c = (a, 1);
+        # order two needs sum_i b_i c_i = 1/2
+        assert (1.0 - a) * a + a * 1.0 == pytest.approx(0.5, abs=1e-15)
 
     def test_a_stability_on_imaginary_axis(self):
         y = np.linspace(0.0, 50.0, 100)
