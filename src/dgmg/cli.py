@@ -31,6 +31,9 @@ from .transfer import TransferOperators
 
 SNAPSHOT_HEADER = "x,z,rho_p,rhou_p,rhow_p,theta_p"
 STATS_HEADER = "time,stage,newton_iters,gmres_iters,dg_ops,fv_ops,residual"
+# Most steps a run may take: beyond this, t_final / dt is a mistake, and
+# the run would never finish while stats.csv grew by a row per step.
+MAX_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -297,19 +300,24 @@ def run(cfg: RunConfig) -> int:
     t = 0.0
     write_snapshot(U, bundle, os.path.join(cfg.outdir, _snap_name(t)))
     next_output = interval
-
-    factory = bundle.mg.factory if bundle.mg is not None else None
     alpha_frac = timeint.SDIRK2_ALPHA
 
     if cfg.integrator == "explicit":
         dt = cfg.dt if cfg.dt is not None else bundle.dg_op.stable_dt(U, cfg.explicit_cfl)
     else:
         dt = cfg.dt
+    if t_final / dt > MAX_STEPS:
+        stats.close()
+        raise ConfigError(
+            f"t_final / dt = {t_final / dt:.3g} steps exceeds the limit of {MAX_STEPS:,}"
+        )
 
     tol = 1e-9 * max(t_final, 1.0)
     try:
         while t < t_final - tol:
             step_dt = min(dt, t_final - t)
+            if t + step_dt == t:
+                raise SolverFailure(f"time step {step_dt:.3g} no longer advances t")
             if cfg.integrator == "implicit":
                 U, step_stats = sdirk2_step(
                     bundle.rhs,
@@ -318,7 +326,7 @@ def run(cfg: RunConfig) -> int:
                     step_dt,
                     params=bundle.params,
                     weights=bundle.dg_op.norm_weights,
-                    precond_factory=factory,
+                    precond=bundle.mg,
                     op_counts=bundle.op_counts,
                 )
                 stage_times = (t + alpha_frac * step_dt, t + step_dt)

@@ -184,27 +184,12 @@ class DGOperator:
             (self.nz, self.nx, p, p, 4),
         )
         self.norm_weights = (w / w.sum()).copy()
-        self._mass_scale = self.dx * self.dz * w2d
 
     # -- small helpers -------------------------------------------------
 
     def zero_field(self) -> np.ndarray:
         p = self.basis.p
         return np.zeros((self.nz, self.nx, p, p, 4))
-
-    def project(self, fn) -> np.ndarray:
-        """Nodal interpolation of fn(x, z) -> (..., 4) at the GL points.
-
-        Under the diagonal mass matrix this coincides with the L2
-        projection onto the discrete space; polynomials of degree <= k per
-        direction are reproduced exactly.
-        """
-        return np.asarray(fn(self.X, self.Z), dtype=float)
-
-    def total_mass(self, field: np.ndarray, component: int | None = None):
-        """Integral of the field over the domain (exact for DG polynomials)."""
-        m = np.einsum("ab,zxabc->c", self._mass_scale, field)
-        return m if component is None else float(m[component])
 
     def _admissible_faces(self, buf, Bx, Bz):
         """One check over the face buffer; the ghosts repeat traces, so

@@ -63,12 +63,6 @@ class GridHierarchy:
         self.dx = [domain.width / n for n in self.nx]
         self.dz = [domain.height / n for n in self.nz]
 
-    def ncells(self, level: int) -> int:
-        return self.nx[level] * self.nz[level]
-
-    def cell_area(self, level: int) -> float:
-        return self.dx[level] * self.dz[level]
-
 
 @dataclass(frozen=True)
 class SubgridMap:
@@ -81,10 +75,6 @@ class SubgridMap:
     dg_level: int
     fv_level: int
     subcells_per_side: int  # k + 1
-
-    @property
-    def subcells_per_dg_cell(self) -> int:
-        return self.subcells_per_side**2
 
 
 def build_hierarchy(

@@ -1,10 +1,14 @@
-"""Jacobian-free geometric multigrid preconditioner on the FV subgrid.
+"""Geometric multigrid preconditioner on the FV subgrid.
 
 The preconditioner approximates the inverse of the outer stage Jacobian
 as T^-1 q^-1 T: transfer the residual to the piecewise-constant subgrid,
 run one multigrid cycle on the low-order linearization, and map the
 correction back, optionally wrapped in pseudo-time smoothing sweeps on
-the DG system itself.
+the DG system itself. The outer DG system stays Jacobian-free: the DG
+sweeps use the Newton iteration's FD linearization. The FV levels use
+assembled stencils (fv.FVLinearization), lagged to one assembly per time
+step (Knoll & Keyes, J. Comput. Phys. 2004): each step's FV level stack
+is frozen at the DG state the step starts from.
 
 Grid transfers are agglomeration restriction (volume-weighted child
 average) and injection prolongation. The smoother integrates the dual
@@ -143,11 +147,16 @@ class MultigridPreconditioner:
     """Builds per-Newton-iterate preconditioner applications.
 
     Holds the FV operators of every hierarchy level, the DG/FV transfer,
-    and the cycle configuration. factory() freezes the current Newton
-    iterate: the DG state is transferred to the finest FV level and
-    restricted downward, each level gets an FD linearization and local
-    pseudo-time steps, and the returned closure applies one cycle per
-    call. The closure is linear to FD accuracy and stateless across calls.
+    and the cycle configuration. The FV level stack is lagged: the first
+    factory() call after begin_step() transfers its Newton iterate, the
+    state the time step starts from, to the finest FV level, restricts it
+    downward and assembles each level's stencil linearization
+    (FVLinearization) and local pseudo-time steps. Later factory() calls
+    of the step, for both stages and every Newton iteration, reuse the
+    stack; a new alpha_dt rebuilds it. The DG side (the outer
+    Jacobian-free linearization and its pseudo-time steps) follows the
+    current Newton iterate. The returned closure applies one cycle per
+    call; it is linear and stateless across calls.
     """
 
     def __init__(self, dg_op, fv_ops: list[FVOperator], transfer: TransferOperators,
@@ -157,6 +166,24 @@ class MultigridPreconditioner:
         self.transfer = transfer
         self.cfg = cfg
         self.forward = transfer.dg_to_fv_massfix if use_massfix else transfer.dg_to_fv
+        self._stack = None  # (alpha_dt, levels)
+
+    def begin_step(self) -> None:
+        """Start a time step: the next factory() call rebuilds the FV level
+        stack."""
+        self._stack = None
+
+    def fv_levels(self, U: np.ndarray, alpha_dt: float) -> list[MGLevel]:
+        """The FV level stack (coarsest first) frozen at the DG state U."""
+        finest = len(self.fv_ops) - 1
+        states: list[np.ndarray | None] = [None] * (finest + 1)
+        states[finest] = self.forward(U)
+        for l in range(finest, 0, -1):
+            states[l - 1] = restrict(states[l])
+        return [
+            MGLevel(FVLinearization(op, u, alpha_dt).matvec, self._fv_dtau(op, u, alpha_dt))
+            for op, u in zip(self.fv_ops, states)
+        ]
 
     def _fv_dtau(self, op: FVOperator, u_frozen: np.ndarray, alpha_dt: float) -> np.ndarray:
         c = op.constants
@@ -184,18 +211,10 @@ class MultigridPreconditioner:
 
     def factory(self, dg_lin, alpha_dt: float):
         cfg = self.cfg
-        finest = len(self.fv_ops) - 1
-        states: list[np.ndarray | None] = [None] * (finest + 1)
-        states[finest] = self.forward(dg_lin.u0)
-        for l in range(finest, 0, -1):
-            states[l - 1] = restrict(states[l])
-        levels = [
-            MGLevel(
-                FVLinearization(self.fv_ops[l], states[l], alpha_dt).matvec,
-                self._fv_dtau(self.fv_ops[l], states[l], alpha_dt),
-            )
-            for l in range(finest + 1)
-        ]
+        if self._stack is None or self._stack[0] != alpha_dt:
+            self._stack = (alpha_dt, self.fv_levels(dg_lin.u0, alpha_dt))
+        levels = self._stack[1]
+        finest = len(levels) - 1
         dg_dtau = (
             self._dg_dtau(dg_lin.u0, alpha_dt) if (cfg.dg_pre or cfg.dg_post) else None
         )

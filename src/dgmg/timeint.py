@@ -303,15 +303,20 @@ def sdirk2_step(
     dt: float,
     params: NewtonParams | None = None,
     weights: np.ndarray | None = None,
-    precond_factory=None,
+    precond=None,
     op_counts=None,
 ) -> tuple[np.ndarray, SolveStats]:
     """One SDIRK2 step; the second stage is the new solution value.
 
     Stage right-hand sides follow the tableau; f(U1) is recovered from the
     solved first stage as (U1 - Ubar1)/(alpha*dt), avoiding an extra
-    operator call. op_counts, if given, is a callable returning cumulative
-    (dg, fv) operator-call counters for the statistics.
+    operator call. precond, if given, preconditions the stage solves:
+    precond.factory is the Newton preconditioner factory, and
+    precond.begin_step() is called once per step, so the parts it lags are
+    rebuilt once per step, from the first Newton iterate of the first
+    stage (the step's initial state). op_counts, if given, is a callable
+    returning cumulative (dg, fv) operator-call counters for the
+    statistics.
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -319,6 +324,10 @@ def sdirk2_step(
     alpha = SDIRK2_ALPHA
     a_dt = alpha * dt
     stats = SolveStats()
+    factory = None
+    if precond is not None:
+        precond.begin_step()
+        factory = precond.factory
 
     def solve_stage(stage: int, Ubar: np.ndarray, ts: float) -> np.ndarray:
         before = op_counts() if op_counts is not None else (0, 0)
@@ -328,7 +337,7 @@ def sdirk2_step(
 
         try:
             res = newton_solve(
-                G, Ubar, params, weights, precond_factory, alpha_dt=a_dt
+                G, Ubar, params, weights, factory, alpha_dt=a_dt
             )
         except SolverFailure as err:
             raise SolverFailure(f"stage {stage}: {err}", stats=stats) from err

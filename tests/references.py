@@ -13,9 +13,14 @@ mass fix as an explicit per-cell mean shift and the viscous face flux
 with its own periodic branches. The production GEMM forms change the
 order of the sums, so they agree with these to round-off.
 
+fv_jacobian is the dense Jacobian of an FV operator, one FD column per
+unknown, that the CPR-coloured stencil assembly of fv.FVLinearization
+must reproduce.
+
 The rest are oracles the package itself has no use for: the convective
-flux tensor, pointwise evaluation of a DG cell polynomial, and
-quadrature sums in 1D and over the unit square.
+flux tensor, nodal projection, domain integrals and pointwise evaluation
+of DG fields, cell areas, and quadrature sums in 1D and over the unit
+square.
 """
 
 from dataclasses import dataclass
@@ -283,3 +288,36 @@ def tensorize(rule):
     points = np.column_stack([x.ravel(), y.ravel()])
     weights = (wx * wy).ravel()
     return QuadRule2D(points, weights, degree=rule.degree)
+
+
+def fv_jacobian(op, u0, steps):
+    """Dense float64 Jacobian of the FV operator op at u0, one forward
+    difference per unknown; steps[m] is the step of component m."""
+    f0 = op(u0)
+    n = u0.size
+    J = np.empty((n, n))
+    for idx in range(n):
+        h = steps[idx % 4]
+        up = u0.copy()
+        up.reshape(-1)[idx] += h
+        J[:, idx] = ((op(up) - f0) / h).ravel()
+    return J
+
+
+def cell_area(hierarchy, level):
+    return hierarchy.dx[level] * hierarchy.dz[level]
+
+
+def project(op, fn):
+    """Nodal interpolation of fn(x, z) -> (..., 4) at the GL points of the
+    DG operator op. Under the diagonal mass matrix this coincides with the
+    L2 projection; polynomials of degree <= k per direction are reproduced
+    exactly."""
+    return np.asarray(fn(op.X, op.Z), dtype=float)
+
+
+def total_mass(op, field, component):
+    """Integral of one component of a DG field over the domain (exact for
+    DG polynomials)."""
+    w2d = op.basis.weights[:, None] * op.basis.weights[None, :]
+    return float(np.einsum("ab,zxabc->c", op.dx * op.dz * w2d, field)[component])

@@ -15,23 +15,18 @@ from conftest import make_setup, rms
 from dgmg import cases, mesh
 from dgmg.cases import build_initial_state
 from dgmg.dg import DGBasis, DGOperator
-from dgmg.fv import FVLinearization, FVOperator
-from dgmg.mgprecond import (
-    MGLevel,
-    MultigridPreconditioner,
-    mg_cycle,
-    parse_mg_config,
-    restrict,
-)
+from dgmg.fv import FVOperator
+from dgmg.mgprecond import MultigridPreconditioner, mg_cycle, parse_mg_config
 from dgmg.quadrature import modified_newton_cotes
 from dgmg.timeint import (
     SDIRK2_ALPHA,
+    FDLinearization,
     NewtonParams,
     sdirk2_step,
     ssprk34_step,
 )
 from dgmg.transfer import TransferOperators
-from references import evaluate, integrate
+from references import cell_area, evaluate, integrate, total_mass
 
 
 def report(num, name, detail=""):
@@ -53,13 +48,12 @@ def ig_solver(base_nx=10, base_nz=1, level=2, mg_key=None):
 def run_implicit(setup, mg, dt, t_end, params=None):
     params = params or NewtonParams()
     U = build_initial_state(setup.case, setup.dg_op)
-    factory = mg.factory if mg is not None else None
     t = 0.0
     per_step = []
     while t < t_end - 1e-9:
         U, st = sdirk2_step(
             lambda u, tt: setup.dg_op(u, tt), U, t, dt,
-            params=params, weights=setup.dg_op.norm_weights, precond_factory=factory,
+            params=params, weights=setup.dg_op.norm_weights, precond=mg,
         )
         per_step.append(st.gmres_iters)
         t += dt
@@ -102,7 +96,7 @@ def test_criterion_02_appendix_quadrature():
 def _cell_masses(op, u_fv, subgrid):
     p = subgrid.subcells_per_side
     nz, nx = op.nz, op.nx
-    area = op.hierarchy.cell_area(subgrid.fv_level)
+    area = cell_area(op.hierarchy, subgrid.fv_level)
     return area * u_fv.reshape(nz, p, nx, p, 4).sum(axis=(1, 3))
 
 
@@ -142,7 +136,7 @@ def test_criterion_04_transfer_inverse_pair():
 
 def test_criterion_05_jacobian_free_matvec():
     # first-order upwind advection of a scalar on a periodic 8x8 grid,
-    # run through the same FD linearization as the flow operators
+    # through the FD linearization of the outer stage systems
     n, vel, h = 8, (1.0, 0.5), 1.0 / 8
 
     def f_low(u):
@@ -150,7 +144,11 @@ def test_criterion_05_jacobian_free_matvec():
         out -= vel[1] * (u - np.roll(u, 1, axis=0)) / h
         return out
 
-    lin = FVLinearization(f_low, np.zeros((n, n, 1)), alpha_dt=0.7)
+    def G(u):
+        return u - 0.7 * f_low(u)
+
+    u0 = np.zeros((n, n, 1))
+    lin = FDLinearization(G, u0, G(u0))
     N = n * n
     J = np.zeros((N, N))
     for idx in range(N):
@@ -207,17 +205,8 @@ def test_criterion_07_multigrid_contraction():
     alpha_dt = SDIRK2_ALPHA * dt
     U0 = build_initial_state(setup.case, setup.dg_op)
     tr = setup.transfer()
-    fv_ops = mg.fv_ops
-    finest = len(fv_ops) - 1
-    states = [None] * (finest + 1)
-    states[finest] = tr.dg_to_fv(U0)
-    for l in range(finest, 0, -1):
-        states[l - 1] = restrict(states[l])
-    levels = [
-        MGLevel(FVLinearization(fv_ops[l], states[l], alpha_dt).matvec,
-                mg._fv_dtau(fv_ops[l], states[l], alpha_dt))
-        for l in range(finest + 1)
-    ]
+    levels = mg.fv_levels(U0, alpha_dt)
+    finest = len(levels) - 1
     # right-hand side: the transferred first Newton residual
     G = lambda V: V - alpha_dt * setup.dg_op(V) - U0
     b = tr.dg_to_fv(-G(U0))
@@ -268,7 +257,7 @@ def test_criterion_10_explicit_conservation_and_symmetry():
     op = setup.dg_op
     assert (op.nx, op.nz) == (20, 40)
     U = build_initial_state(setup.case, op)
-    mass0 = op.total_mass(U, 0)
+    mass0 = total_mass(op, U, 0)
     dt = op.stable_dt(U, cfl=0.8)
     t, t_end = 0.0, 100.0
     nsteps = int(np.ceil(t_end / dt))
@@ -276,7 +265,7 @@ def test_criterion_10_explicit_conservation_and_symmetry():
     for _ in range(nsteps):
         U = ssprk34_step(lambda u, tt: op(u, tt), U, t, dt)
         t += dt
-    mass = op.total_mass(U, 0)
+    mass = total_mass(op, U, 0)
     mass_drift = abs(mass - mass0) / abs(mass0)
     assert mass_drift <= 1e-10, mass_drift
 
@@ -337,7 +326,7 @@ def test_criterion_11_implicit_bubble_rises():
     params = NewtonParams()
     for _ in range(15):
         U, _ = sdirk2_step(lambda u, tt: op(u, tt), U, t, dt, params=params,
-                           weights=op.norm_weights, precond_factory=mg.factory)
+                           weights=op.norm_weights, precond=mg)
         t += dt
         if int(round(t)) % 72 == 0:
             heights.append(bubble_height(U))

@@ -110,7 +110,7 @@ class TestRuns:
             U, st = sdirk2_step(
                 bundle.rhs, U, 10.0 * i, 10.0,
                 params=bundle.params, weights=bundle.dg_op.norm_weights,
-                precond_factory=bundle.mg.factory,
+                precond=bundle.mg,
             )
             stats_total += st.newton_iters
         assert np.abs(U).max() <= 1e-10
@@ -279,6 +279,21 @@ class TestMain:
         assert time.perf_counter() - start < 30.0
         snaps = sorted(f for f in os.listdir(out) if f.startswith("snapshot"))
         assert snaps == [f"snapshot_t{t:012.4f}.csv" for t in (0.0, 25.0, 50.0)]
+
+    def test_step_too_small_to_finish_exit_code(self, tmp_path, capsys):
+        # 2.5e301 steps: the run used to step on with stats.csv growing
+        out = str(tmp_path / "out")
+        start = time.perf_counter()
+        rc = main([
+            "--case", "inertia-gravity", "--level", "0", "--base-nx", "10", "--base-nz", "1",
+            "--integrator", "explicit", "--dt", "1e-300", "--t-final", "25", "--outdir", out,
+        ])
+        assert rc == 2
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "steps exceeds the limit" in err
+        with open(os.path.join(out, "stats.csv")) as fh:
+            assert fh.read() == cli.STATS_HEADER + "\n"  # no step taken
 
     def test_unknown_flag_case(self):
         with pytest.raises(SystemExit):

@@ -1,8 +1,11 @@
-"""Every public module-level function and class of the package has a
-reader: code in src/dgmg other than its own definition and the __init__
-re-exports, a hook target of the benchmark's tracer (perfbench/tracing.py,
-read without importing dgmg through it), or the console entry point
-cli.main. A name that only tests read belongs in tests/references.py."""
+"""Every public module-level function and class of the package, and every
+public method of such a class, has a reader: code in src/dgmg other than
+its own definition and the __init__ re-exports, a hook target of the
+benchmark's tracer (perfbench/tracing.py, read without importing dgmg
+through it), or the console entry point cli.main. A name that only tests
+read belongs in tests/references.py. Methods are matched by name: an
+attribute load of that name anywhere in the package counts as a
+reader."""
 
 import ast
 import pathlib
@@ -22,10 +25,16 @@ def package_modules() -> dict:
 
 
 def public_definitions(modules: dict):
+    """(module, qualified name, node) of the public functions and classes
+    and of the public methods of those classes."""
     for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield module, node
+                yield module, node.name, node
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield module, f"{node.name}.{item.name}", item
 
 
 def is_read(name: str, definition: ast.AST, modules: dict) -> bool:
@@ -45,14 +54,15 @@ def is_read(name: str, definition: ast.AST, modules: dict) -> bool:
 
 def unread_names(modules: dict, exempt: set) -> list[str]:
     return [
-        f"{module}.{node.name}"
-        for module, node in public_definitions(modules)
-        if (module, node.name) not in exempt and not is_read(node.name, node, modules)
+        f"{module}.{name}"
+        for module, name, node in public_definitions(modules)
+        if (module, name) not in exempt and not is_read(node.name, node, modules)
     ]
 
 
 def test_every_public_name_has_a_reader():
-    hooks = {(h.module, h.target.partition(".")[0]) for h in load_tracing().HOOKS}
+    hooks = {(h.module, h.target) for h in load_tracing().HOOKS}
+    hooks |= {(module, target.partition(".")[0]) for module, target in hooks}
     assert unread_names(package_modules(), hooks | ENTRY_POINTS) == []
 
 
@@ -61,9 +71,17 @@ def test_checker_flags_a_name_read_only_by_itself():
         "def used():\n    return 1\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
         "class Orphan:\n    pass\n\n"
-        "def hooked():\n    pass\n"
+        "def hooked():\n    pass\n\n"
+        "class Owner:\n"
+        "    def read(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 2\n\n"
+        "    def unread(self):\n        return self.unread\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "    def hooked_method(self):\n        pass\n\n"
+        "Owner().read()\n"
     )
     modules = {"dgmg.sample": tree}
-    assert unread_names(modules, {("dgmg.sample", "hooked")}) == [
-        "dgmg.sample.recursive", "dgmg.sample.Orphan",
+    exempt = {("dgmg.sample", "hooked"), ("dgmg.sample", "Owner.hooked_method")}
+    assert unread_names(modules, exempt) == [
+        "dgmg.sample.recursive", "dgmg.sample.Orphan", "dgmg.sample.Owner.unread",
     ]

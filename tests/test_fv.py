@@ -1,33 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import advection_case, entropy_wave, make_setup, rms
-from dgmg import cases, mesh
+from dgmg import cases, mesh, physics
 from dgmg.fv import FVLinearization, FVOperator, fv_background
-from dgmg.mesh import Domain2D
 from dgmg.physics import InadmissibleStateError
+from references import cell_area, fv_jacobian
+from test_faces import with_viscosity
 
 
-class CountingOp:
-    """Wraps a linear map as an operator with a call counter."""
-
-    def __init__(self, matrix, shape):
-        self.matrix = matrix
-        self.shape = shape
-        self.ncalls = 0
-
-    def __call__(self, u):
-        self.ncalls += 1
-        return (self.matrix @ u.ravel()).reshape(self.shape)
+def fd_steps(op, u0):
+    """The probe step of each component: sqrt(eps) * max(rms of the
+    component's total state, 1)."""
+    scale = np.sqrt(np.mean((u0 + op.bg) ** 2, axis=(0, 1)))
+    return np.sqrt(np.finfo(float).eps) * np.maximum(scale, 1.0)
 
 
-def upwind_advection_matrix(n, velocity=1.0, h=1.0):
-    """Periodic first-order upwind advection in 1D: f = -v (u_i - u_{i-1})/h."""
-    A = np.zeros((n, n))
-    for i in range(n):
-        A[i, i] = -velocity / h
-        A[i, (i - 1) % n] = velocity / h
-    return A
+def stage_matrix(op, u0, alpha_dt):
+    """I - alpha_dt * J(u0) with J from column-by-column FD."""
+    J = fv_jacobian(op, u0, fd_steps(op, u0))
+    return np.eye(J.shape[0]) - alpha_dt * J
+
+
+def random_state(op, rng, amplitude=0.05):
+    """An admissible perturbation of op's background: density and
+    rho*theta change by up to the amplitude (relative), the velocities by
+    up to 10 * amplitude times the background sound speed."""
+    bg = op.bg
+    cs = physics.primitives(bg, op.constants)[5]
+    r = rng.uniform(-1.0, 1.0, bg.shape)
+    u = amplitude * r * bg
+    u[..., 1:3] = 10 * amplitude * r[..., 1:3] * (bg[..., 0] * cs)[..., None]
+    return u
 
 
 class TestWellBalance:
@@ -36,7 +42,7 @@ class TestWellBalance:
         setup = make_setup(name, 5, 2, 1)
         for lvl in range(setup.hierarchy.n_levels):
             op = FVOperator(setup.hierarchy, lvl, setup.case)
-            out = op(op.zero_field())
+            out = op(np.zeros_like(op.bg))
             assert np.abs(out).max() == 0.0, (name, lvl)
 
 
@@ -77,7 +83,7 @@ class TestOperator:
         rng = np.random.default_rng(4)
         u = 0.01 * rng.standard_normal((16, 16, 4))
         out = op(u)
-        area = h.cell_area(0)
+        area = cell_area(h, 0)
         assert abs(area * out[..., 0].sum()) < 1e-13
 
     def test_mass_conservation_slip(self):
@@ -87,7 +93,7 @@ class TestOperator:
         tr = setup.transfer()
         u = tr.dg_to_fv(cases.build_initial_state(setup.case, setup.dg_op))
         out = op(u)
-        area = setup.hierarchy.cell_area(lvl)
+        area = cell_area(setup.hierarchy, lvl)
         total_mass = area * op.bg[..., 0].sum()
         assert abs(area * out[..., 0].sum()) < 1e-12 * total_mass
 
@@ -96,7 +102,7 @@ class TestErrors:
     def test_inadmissible_cell_reports_level_and_cell(self):
         setup = make_setup("inertia-gravity", 5, 2, 2)
         op = setup.fv_op(1)
-        u = op.zero_field()
+        u = np.zeros_like(op.bg)
         u[3, 7, 0] = -2.0 * op.bg[3, 7, 0]
         with pytest.raises(InadmissibleStateError, match="cell average") as err:
             op(u)
@@ -158,18 +164,21 @@ class TestLinearization:
         assert np.allclose(lin.matvec(w), w, atol=1e-14)
 
     def test_fd_matches_assembled_matrix_linear_advection(self):
-        # on a linear operator the FD product is exact up to roundoff
+        # 1D periodic advection on an (n, 1) grid at the rest state; the
+        # stencil holds the same difference quotients as the columns
+        case = advection_case(u=1.0)
         n = 8
-        A = upwind_advection_matrix(n)
-        op = CountingOp(A, (n, 1, 1))
+        h, _ = mesh.build_hierarchy(case.domain, n, 1, 0, 0)
+        op = FVOperator(h, 0, case)
         alpha_dt = 0.7
-        lin = FVLinearization(op, np.zeros((n, 1, 1)), alpha_dt=alpha_dt)
-        G = np.eye(n) - alpha_dt * A
+        u0 = np.zeros((1, n, 4))
+        lin = FVLinearization(op, u0, alpha_dt=alpha_dt)
+        G = stage_matrix(op, u0, alpha_dt)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            w = rng.standard_normal((n, 1, 1))
+            w = rng.standard_normal(u0.shape)
             got = lin.matvec(w)
-            want = (G @ w.ravel()).reshape(n, 1, 1)
+            want = (G @ w.ravel()).reshape(u0.shape)
             assert rms(got - want) <= 1e-6 * rms(want)
 
     def test_fd_matches_column_assembled_euler_jacobian(self):
@@ -177,7 +186,6 @@ class TestLinearization:
         lvl = 1
         op = setup.fv_op(lvl)
         nz, nx = setup.hierarchy.nz[lvl], setup.hierarchy.nx[lvl]
-        tr = setup.transfer()
         rng = np.random.default_rng(3)
         u0 = np.zeros((nz, nx, 4))
         u0[..., 0] = 1e-5 * rng.standard_normal((nz, nx))
@@ -196,11 +204,6 @@ class TestLinearization:
             assert rms(got - want) <= 2e-5 * rms(want), rms(got - want) / rms(want)
 
     def test_linearity_to_fd_accuracy(self):
-        # scaling by a > 0 rescales the FD step onto the same evaluation
-        # point (exact); a = -1 flips the perturbation direction and sees
-        # the one-sided-FD curvature error, which grows with the frozen
-        # state's nonlinearity (inertia-gravity perturbations are tiny,
-        # the density-current blob at -15 K is strongly curved)
         for name, tol in (("inertia-gravity", 1e-6), ("density-current", 5e-6)):
             setup = make_setup(name, 4, 2, 0)
             lvl = setup.subgrid.fv_level
@@ -214,3 +217,51 @@ class TestLinearization:
             for a in (2.0, -1.0):
                 scaled = lin.matvec(a * w)
                 assert rms(scaled - a * base) <= tol * rms(a * base), (name, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.sampled_from([1, 2, 3, 4, 7, 8]), nz=st.sampled_from([1, 2, 3, 4, 7, 8]),
+           periodic_x=st.booleans(), periodic_z=st.booleans(),
+           mu=st.sampled_from([0.0, 0.05]), alpha_dt=st.floats(0.01, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stencil_matches_column_fd_jacobian(self, nx, nz, periodic_x, periodic_z, mu,
+                                                alpha_dt, seed):
+        # every grid size, including periodic sides shorter than the
+        # stencil and lengths that are not multiples of the 5 colours
+        case = with_viscosity(
+            advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
+        h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
+        op = FVOperator(h, 0, case)
+        rng = np.random.default_rng(seed)
+        u0 = random_state(op, rng)
+        lin = FVLinearization(op, u0, alpha_dt)
+        G = stage_matrix(op, u0, alpha_dt)
+        w = rng.standard_normal(u0.shape)
+        calls = op.ncalls
+        got = lin.matvec(w)
+        want = (G @ w.ravel()).reshape(w.shape)
+        # float32 blocks and gather: a few float32 roundings of alpha_dt*J w
+        assert rms(got - want) <= 1e-6 * (rms(w) + rms(want - w))
+        # exactly linear: scaling by powers of two and negation commute with
+        # every rounding; sums to float32 round-off
+        assert np.array_equal(lin.matvec(2.0 * w), 2.0 * got)
+        assert np.array_equal(lin.matvec(-w), -got)
+        v = rng.standard_normal(w.shape)
+        gv = lin.matvec(v)
+        assert rms(lin.matvec(w + v) - got - gv) <= 1e-6 * (rms(got) + rms(gv))
+        assert not lin.matvec(np.zeros_like(w)).any()
+        assert op.ncalls == calls  # matvecs make no operator call
+        assert np.array_equal(FVLinearization(op, u0, 0.0).matvec(w), w)
+
+    def test_real_cases_match_column_fd_jacobian(self):
+        # gravity, stratified backgrounds, slip walls and viscosity on the
+        # acceptance cases
+        for name in ("inertia-gravity", "rising-bubble", "density-current"):
+            setup = make_setup(name, 3, 2, 0)
+            op = setup.fv_op(1)
+            u0 = random_state(op, np.random.default_rng(11))
+            alpha_dt = 5.0
+            lin = FVLinearization(op, u0, alpha_dt)
+            G = stage_matrix(op, u0, alpha_dt)
+            w = np.random.default_rng(12).standard_normal(u0.shape) * op.bg
+            want = (G @ w.ravel()).reshape(w.shape)
+            assert rms(lin.matvec(w) - want) <= 1e-5 * rms(want), name

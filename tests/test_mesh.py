@@ -4,6 +4,7 @@ import pytest
 from dgmg.dg import DGBasis
 from dgmg.mesh import Domain2D, build_hierarchy
 from dgmg.transfer import TransferOperators
+from references import cell_area
 
 
 class TestDomain:
@@ -65,7 +66,7 @@ class TestChildrenParent:
     def test_child_areas_partition_parent(self):
         h, _ = build_hierarchy(Domain2D(0, 1, 0, 1), 2, 2, 1, 3)
         for l in range(h.n_levels - 1):
-            assert 4 * h.cell_area(l + 1) == pytest.approx(h.cell_area(l), rel=1e-15)
+            assert 4 * cell_area(h, l + 1) == pytest.approx(cell_area(h, l), rel=1e-15)
 
 
 class TestSubgridMap:
@@ -84,5 +85,5 @@ class TestSubgridMap:
 
     def test_dof_counts_match(self):
         h, sg = build_hierarchy(Domain2D(0, 1, 0, 1), 3, 2, 2, 3)
-        dg_dofs = h.ncells(sg.dg_level) * sg.subcells_per_dg_cell
-        assert dg_dofs == h.ncells(sg.fv_level)
+        dg_dofs = h.nx[sg.dg_level] * h.nz[sg.dg_level] * sg.subcells_per_side**2
+        assert dg_dofs == h.nx[sg.fv_level] * h.nz[sg.fv_level]

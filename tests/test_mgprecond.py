@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import make_setup, rms
 from dgmg import cases
 from dgmg.cases import build_initial_state
-from dgmg.fv import FVLinearization, FVOperator
+from dgmg.fv import FVOperator
 from dgmg.mgprecond import (
     MGConfig,
     MGConfigError,
@@ -314,6 +314,36 @@ class TestPrecondition:
             states[l - 1] = R(states[l])
         assert np.allclose(states[finest - 2], u_coarse, atol=1e-14)
 
+    def test_fv_stack_assembled_once_per_step(self, ig_precond):
+        # 5 colours x 4 components + the base evaluation on every level,
+        # all in the first stage; the second stage reuses the stack
+        setup, fv_ops, tr, _, _ = ig_precond
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
+
+        def op_counts():
+            return setup.dg_op.ncalls, sum(op.ncalls for op in fv_ops)
+
+        U = build_initial_state(setup.case, setup.dg_op)
+        for step in range(2):
+            U, stats = sdirk2_step(
+                lambda u, t: setup.dg_op(u, t), U, 25.0 * step, 25.0,
+                weights=setup.dg_op.norm_weights, precond=mg, op_counts=op_counts,
+            )
+            assert [st.fv_ops for st in stats.stages] == [21 * len(fv_ops), 0]
+            assert all(st.newton_iters > 0 for st in stats.stages)
+
+    def test_new_alpha_dt_rebuilds_fv_stack(self, ig_precond):
+        setup, fv_ops, tr, lin, alpha_dt = ig_precond
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
+        calls = lambda: sum(op.ncalls for op in fv_ops)
+        mg.begin_step()
+        start = calls()
+        mg.factory(lin, alpha_dt)
+        mg.factory(lin, alpha_dt)
+        assert calls() - start == 21 * len(fv_ops)
+        mg.factory(lin, 0.5 * alpha_dt)
+        assert calls() - start == 2 * 21 * len(fv_ops)
+
     def test_reduces_gmres_iterations_on_newton_system(self, ig_precond):
         setup, fv_ops, tr, _, _ = ig_precond
         U0 = build_initial_state(setup.case, setup.dg_op)
@@ -326,6 +356,6 @@ class TestPrecondition:
         _, stats_mg = sdirk2_step(
             lambda u, t: setup.dg_op(u, t), U0, 0.0, 25.0,
             params=params, weights=setup.dg_op.norm_weights,
-            precond_factory=mg.factory,
+            precond=mg,
         )
         assert stats_mg.gmres_iters < stats_plain.gmres_iters
