@@ -34,6 +34,10 @@ STATS_HEADER = "time,stage,newton_iters,gmres_iters,dg_ops,fv_ops,residual"
 # Most steps a run may take: beyond this, t_final / dt is a mistake, and
 # the run would never finish while stats.csv grew by a row per step.
 MAX_STEPS = 10**6
+# DG fields that build_solver holds at its peak: 9.5 without and 18 with
+# multigrid (tracemalloc on the inertia-gravity grids). A grid for which
+# ten of them exceed the physical memory cannot even be set up.
+SETUP_FIELDS = 10
 
 
 class ConfigError(ValueError):
@@ -191,6 +195,21 @@ def _grid_dims(cfg: RunConfig, case: CaseSetup) -> tuple[int, int]:
     return nx_dg // scale, nz_dg // scale
 
 
+def _check_grid_fits(nx: int, nz: int, k: int) -> None:
+    """Reject a DG grid whose set-up fields exceed the physical memory,
+    before anything of its size is allocated."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # no such query on this platform
+    field = nx * nz * (k + 1) ** 2 * 4 * np.dtype(float).itemsize
+    if SETUP_FIELDS * field > memory:
+        raise ConfigError(
+            f"the {nx} x {nz} DG grid at k = {k} needs {field / 2**30:.3g} GiB per field; "
+            f"{SETUP_FIELDS} fields exceed the {memory / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def build_solver(cfg: RunConfig) -> SolverBundle:
     cfg.validate()
     case = cases.by_name(cfg.case)
@@ -199,6 +218,7 @@ def build_solver(cfg: RunConfig) -> SolverBundle:
         hierarchy, subgrid = build_hierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    _check_grid_fits(hierarchy.nx[subgrid.dg_level], hierarchy.nz[subgrid.dg_level], cfg.k)
     basis = DGBasis(cfg.k)
     dg_op = DGOperator(hierarchy, subgrid, basis, case)
     transfer = TransferOperators(basis, subgrid)

@@ -19,7 +19,7 @@ and right states, with rho and rho*theta as views of the buffer, and one
 HLLC call covers interior and boundary faces alike.
 
 Contractions along the x-node axis are single GEMMs of (rows, p*q) views
-against kron(M, I_q).T (kron_t), the z-node ones batched matmuls on
+against kron(M, I_q).T (kron_eye_t), the z-node ones batched matmuls on
 (nz*nx, p, p*q) views. The viscous traces are padded like the face buffer.
 """
 
@@ -35,9 +35,19 @@ from .quadrature import gauss_legendre
 
 def kron_t(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """np.kron(A, B).T as one broadcast product: the same bits at a fraction
-    of np.kron's cost. A (rows, s*q) view of (node, component) columns
-    times kron_t(M, I_q) applies the (r, s) matrix M along the node axis."""
+    of np.kron's cost."""
     return (A.T[:, None, :, None] * B.T[None, :, None, :]).reshape(A.shape[1] * B.shape[1], -1)
+
+
+def kron_eye_t(M: np.ndarray, q: int) -> np.ndarray:
+    """kron_t(M, I_q), its q diagonal blocks filled by strided assignment
+    at a fraction of the broadcast's cost. A (rows, s*q) view of (node,
+    component) columns times kron_eye_t(M, q) applies the (r, s) matrix M
+    along the node axis."""
+    out = np.zeros((M.shape[1] * q, M.shape[0] * q))
+    for a in range(q):
+        out[a::q, a::q] = M.T
+    return out
 
 
 class DGBasis:
@@ -148,11 +158,10 @@ class DGOperator:
         self.zfaces = FaceAxis(1, south is BoundaryKind.PERIODIC)
 
         # GEMM operands of the x-node contractions and of the lifting
-        I4 = np.eye(4)
-        self.dhat_x, self.traces_x = kron_t(basis.dhat, I4), kron_t(basis.traces, I4)
+        self.dhat_x, self.traces_x = kron_eye_t(basis.dhat, 4), kron_eye_t(basis.traces, 4)
         lifts = np.stack([basis.lift0, basis.lift1], axis=1)
-        self.lift_x = kron_t(lifts, I4).reshape(2, 4, -1)
-        self.lift_z = kron_t(lifts, np.eye(4 * p)).reshape(2, 4 * p, -1)
+        self.lift_x = kron_eye_t(lifts, 4).reshape(2, 4, -1)
+        self.lift_z = kron_eye_t(lifts, 4 * p).reshape(2, 4 * p, -1)
 
         c = self.constants
         # background numerical fluxes, evaluated through the same face path
@@ -166,8 +175,7 @@ class DGOperator:
         self.pen_z = p * p / self.dz
 
         if c.mu > 0.0:
-            I3 = np.eye(3)
-            self.diff_x, self.vtraces_x = kron_t(basis.diff, I3), kron_t(basis.traces, I3)
+            self.diff_x, self.vtraces_x = kron_eye_t(basis.diff, 3), kron_eye_t(basis.traces, 3)
             # discrete viscous flux of the background itself; analytically
             # zero for the constant-primitive atmospheres used with mu > 0,
             # subtracted as a grouped difference so that the perturbation

@@ -12,7 +12,7 @@ cell-center quadrature weights, which are exact for tensor cubics, so
 T^mf = (I - 11^T/p^2 + 1 w^T)(T1 x T1) with w the tensor weights.
 
 Each map is one GEMM of the (cells, 4p^2) view against kron(M, I_4).T
-(dg.kron_t) for its per-cell matrix M; the forward GEMM is batched over
+(dg.kron_eye_t) for its per-cell matrix M; the forward GEMM is batched over
 subcell rows so that it writes the FV layout directly.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dg import DGBasis, kron_t
+from .dg import DGBasis, kron_eye_t, kron_t
 from .mesh import SubgridMap
 from .quadrature import modified_newton_cotes
 
@@ -44,10 +44,10 @@ class TransferOperators:
         massfix = np.eye(p * p) - 1.0 / (p * p) + w
         # forward operands with their columns (m, n, c) split by subcell row m
         self._to_fv, self._to_fv_massfix = (
-            kron_t(M, np.eye(4)).reshape(-1, p, 4 * p).transpose(1, 0, 2)
+            kron_eye_t(M, 4).reshape(-1, p, 4 * p).transpose(1, 0, 2)
             for M in (T, massfix @ T)
         )
-        self._to_dg = kron_t(kron_t(self.T1inv, self.T1inv).T, np.eye(4))
+        self._to_dg = kron_eye_t(kron_t(self.T1inv, self.T1inv).T, 4)
 
     def _forward(self, U: np.ndarray, K: np.ndarray) -> np.ndarray:
         """(nz, nx, p, p, 4) -> (nz*p, nx*p, 4); batch (z, m) is FV row p*z + m."""

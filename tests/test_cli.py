@@ -295,6 +295,23 @@ class TestMain:
         with open(os.path.join(out, "stats.csv")) as fh:
             assert fh.read() == cli.STATS_HEADER + "\n"  # no step taken
 
+    def test_grid_too_large_to_allocate_exit_code(self, tmp_path, monkeypatch, capsys):
+        # 10 * 2^30 x 2^30 DG cells used to die in numpy's allocator with a
+        # traceback; DGOperator fails the test instead of allocating them
+        def allocate(*args):
+            raise AssertionError("DGOperator built for a grid that cannot be allocated")
+
+        monkeypatch.setattr(cli, "DGOperator", allocate)
+        out = str(tmp_path / "out")
+        rc = main([
+            "--case", "inertia-gravity", "--level", "30", "--base-nx", "10", "--base-nz", "1",
+            "--dt", "25", "--t-final", "25", "--outdir", out,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{10 * 2**30} x {2**30} DG grid" in err
+        assert not os.path.exists(out)
+
     def test_unknown_flag_case(self):
         with pytest.raises(SystemExit):
             main(["--case", "unknown-case"])

@@ -3,9 +3,10 @@ public method of such a class, has a reader: code in src/dgmg other than
 its own definition and the __init__ re-exports, a hook target of the
 benchmark's tracer (perfbench/tracing.py, read without importing dgmg
 through it), or the console entry point cli.main. A name that only tests
-read belongs in tests/references.py. Methods are matched by name: an
-attribute load of that name anywhere in the package counts as a
-reader."""
+read belongs in tests/references.py. A `self.<name>` load inside a class
+reads that class's attribute only (no package class inherits from
+another); any other attribute load is matched by name, so `obj.<name>`
+counts as a reader of every method of that name."""
 
 import ast
 import pathlib
@@ -37,9 +38,25 @@ def public_definitions(modules: dict):
                         yield module, f"{node.name}.{item.name}", item
 
 
-def is_read(name: str, definition: ast.AST, modules: dict) -> bool:
-    """A load of `name`, or an attribute of that name, outside its own
-    definition anywhere in the package."""
+def self_attributes(modules: dict) -> dict:
+    """id of every `self.<name>` node -> the (module, class) it reads."""
+    owners = {}
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"):
+                        owners.setdefault(id(node), (module, cls.name))
+    return owners
+
+
+def is_read(module: str, qualname: str, definition: ast.AST, modules: dict,
+            owners: dict) -> bool:
+    """A load of the name, or an attribute of that name, outside its own
+    definition anywhere in the package; a `self.` load counts only in the
+    defining class."""
+    name, owner = definition.name, (module, qualname.rpartition(".")[0])
     own = {id(node) for node in ast.walk(definition)}
     for tree in modules.values():
         for node in ast.walk(tree):
@@ -47,16 +64,18 @@ def is_read(name: str, definition: ast.AST, modules: dict) -> bool:
                 continue
             if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
                 return True
-            if isinstance(node, ast.Attribute) and node.attr == name:
+            if (isinstance(node, ast.Attribute) and node.attr == name
+                    and owners.get(id(node), owner) == owner):
                 return True
     return False
 
 
 def unread_names(modules: dict, exempt: set) -> list[str]:
+    owners = self_attributes(modules)
     return [
         f"{module}.{name}"
         for module, name, node in public_definitions(modules)
-        if (module, name) not in exempt and not is_read(node.name, node, modules)
+        if (module, name) not in exempt and not is_read(module, name, node, modules, owners)
     ]
 
 
@@ -78,10 +97,16 @@ def test_checker_flags_a_name_read_only_by_itself():
         "    def unread(self):\n        return self.unread\n\n"
         "    def _private(self):\n        pass\n\n"
         "    def hooked_method(self):\n        pass\n\n"
+        "    def shared(self):\n        return 3\n\n"
+        "class Other:\n"
+        "    def shared(self):\n        return 4\n\n"
+        "    def run(self):\n        return self.shared()\n\n"
         "Owner().read()\n"
+        "Other().run()\n"
     )
     modules = {"dgmg.sample": tree}
     exempt = {("dgmg.sample", "hooked"), ("dgmg.sample", "Owner.hooked_method")}
     assert unread_names(modules, exempt) == [
         "dgmg.sample.recursive", "dgmg.sample.Orphan", "dgmg.sample.Owner.unread",
+        "dgmg.sample.Owner.shared",
     ]

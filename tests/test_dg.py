@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import advection_case, entropy_wave, make_setup, rms
 from dgmg import cases, mesh
-from dgmg.dg import DGBasis, DGOperator, kron_t
+from dgmg.dg import DGBasis, DGOperator, kron_eye_t, kron_t
 from dgmg.physics import InadmissibleStateError
 from dgmg.quadrature import gauss_legendre
 from dgmg.timeint import ssprk34_step
@@ -51,6 +51,7 @@ def matrices():
 def test_kron_t_is_numpy_kron_transposed(M, q, B):
     assert np.array_equal(kron_t(M, np.eye(q)), np.kron(M, np.eye(q)).T)
     assert np.array_equal(kron_t(M, B), np.kron(M, B).T)
+    assert np.array_equal(kron_eye_t(M, q), np.kron(M, np.eye(q)).T)
 
 
 class TestProjectionAndEvaluate:
