@@ -15,7 +15,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from decimal import Decimal
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .timeint import NewtonParams, SolverFailure, sdirk2_step, ssprk34_step
 from .transfer import TransferOperators
 
 SNAPSHOT_HEADER = "x,z,rho_p,rhou_p,rhow_p,theta_p"
-STATS_HEADER = "time,stage,newton_iters,gmres_iters,dg_ops,fv_ops,residual"
 # Most steps a run may take: beyond this, t_final / dt is a mistake, and
 # the run would never finish while stats.csv grew by a row per step.
 MAX_STEPS = 10**6
@@ -46,43 +46,43 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    case: str
+    """The run configuration: each field is a key of the config file and a
+    flag (`_` written as `-`; the bool `vtk` a bare switch). A field's
+    annotation gives its parser, its metadata the flag's choices and help."""
+
+    case: str = field(metadata={"choices": tuple(sorted(cases.CASES))})
     k: int = 3
     level: int = 0
     base_nx: int | None = None
     base_nz: int | None = None
-    dx: float | None = None
+    dx: float | None = field(
+        default=None, metadata={"help": "target DG cell size (alternative to base dims)"}
+    )
     dt: float | None = None
     t_final: float | None = None
-    integrator: str = "implicit"
-    mg: str = "none"
-    transfer: str = "interp"
+    integrator: str = field(default="implicit", metadata={"choices": ("implicit", "explicit")})
+    mg: str = field(default="none", metadata={"help": "multigrid key like mg001111V, or none"})
+    transfer: str = field(default="interp", metadata={"choices": ("interp", "massfix")})
     newton_tol: float = 1e-3
     outdir: str = "out"
     output_interval: float | None = None
-    log_format: str = "csv"
+    log_format: str = field(default="csv", metadata={"choices": ("csv", "jsonl")})
     pseudo_cfl: float = 1.0
     explicit_cfl: float = 0.8
     vtk: bool = False
 
     def validate(self) -> None:
-        if self.case not in cases.CASES:
-            raise ConfigError(
-                f"unknown case {self.case!r}; available: {', '.join(sorted(cases.CASES))}"
-            )
-        if self.integrator not in ("implicit", "explicit"):
-            raise ConfigError(f"integrator must be implicit or explicit, got {self.integrator!r}")
-        if self.transfer not in ("interp", "massfix"):
-            raise ConfigError(f"transfer must be interp or massfix, got {self.transfer!r}")
-        if self.log_format not in ("csv", "jsonl"):
-            raise ConfigError(f"log_format must be csv or jsonl, got {self.log_format!r}")
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata.get("choices")
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
         if self.base_nx is None and self.dx is None:
             raise ConfigError("either base_nx/base_nz or a target dx must be given")
         if (self.base_nx is None) != (self.base_nz is None):
             raise ConfigError("base_nx and base_nz must be given together")
         # `not x > 0` also rejects NaN; a step or interval that is not
         # positive would never advance the time loop
-        for key in ("dx", "dt", "t_final", "output_interval"):
+        for key in ("base_nx", "base_nz", "dx", "dt", "t_final", "output_interval", "explicit_cfl"):
             value = getattr(self, key)
             if value is not None and not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
@@ -93,8 +93,6 @@ class RunConfig:
             raise ConfigError("implicit runs need an explicit dt value")
         if not 0 < self.newton_tol < 1:
             raise ConfigError(f"newton_tol must be in (0, 1), got {self.newton_tol}")
-        if not self.explicit_cfl > 0:
-            raise ConfigError(f"explicit_cfl must be positive, got {self.explicit_cfl}")
         if not 0 < self.pseudo_cfl < 2:
             raise ConfigError(f"pseudo_cfl must be in the stable range (0, 2), got {self.pseudo_cfl}")
 
@@ -107,26 +105,10 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
 
-_SCHEMA = {
-    "case": str,
-    "k": int,
-    "level": int,
-    "base_nx": int,
-    "base_nz": int,
-    "dx": float,
-    "dt": float,
-    "t_final": float,
-    "integrator": str,
-    "mg": str,
-    "transfer": str,
-    "newton_tol": float,
-    "outdir": str,
-    "output_interval": float,
-    "log_format": str,
-    "pseudo_cfl": float,
-    "explicit_cfl": float,
-    "vtk": lambda s: s.lower() in ("1", "true", "yes"),
-}
+# the config file's parser of each key, read from its field's annotation
+_PARSERS = {"int": int, "float": float, "str": str,
+            "bool": lambda s: s.lower() in ("1", "true", "yes")}
+_SCHEMA = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -196,17 +178,22 @@ def _grid_dims(cfg: RunConfig, case: CaseSetup) -> tuple[int, int]:
 
 
 def _check_grid_fits(nx: int, nz: int, k: int) -> None:
-    """Reject a DG grid whose set-up fields exceed the physical memory,
-    before anything of its size is allocated."""
+    """Reject a DG grid whose set-up fields and z-lifting operand exceed the
+    physical memory, before anything of its size is allocated. The sizes
+    stay ints: a grid too large for a float must not overflow here."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # no such query on this platform
-    field = nx * nz * (k + 1) ** 2 * 4 * np.dtype(float).itemsize
-    if SETUP_FIELDS * field > memory:
+    itemsize = np.dtype(float).itemsize
+    field_bytes = nx * nz * (k + 1) ** 2 * 4 * itemsize
+    lift_bytes = 32 * (k + 1) ** 3 * itemsize  # DGOperator.lift_z, kron(lift, I_4(k+1))
+    if SETUP_FIELDS * field_bytes + lift_bytes > memory:
+        gib = [f"{Decimal(n) / 2**30:.3g}" for n in (field_bytes, lift_bytes, memory)]
         raise ConfigError(
-            f"the {nx} x {nz} DG grid at k = {k} needs {field / 2**30:.3g} GiB per field; "
-            f"{SETUP_FIELDS} fields exceed the {memory / 2**30:.3g} GiB of physical memory"
+            f"the {nx} x {nz} DG grid at k = {k} needs {gib[0]} GiB per field and {gib[1]} GiB "
+            f"for the lifting operand; {SETUP_FIELDS} fields and the operand exceed the "
+            f"{gib[2]} GiB of physical memory"
         )
 
 
@@ -214,11 +201,11 @@ def build_solver(cfg: RunConfig) -> SolverBundle:
     cfg.validate()
     case = cases.by_name(cfg.case)
     base_nx, base_nz = _grid_dims(cfg, case)
+    _check_grid_fits(base_nx * 2**cfg.level, base_nz * 2**cfg.level, cfg.k)
     try:
         hierarchy, subgrid = build_hierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    _check_grid_fits(hierarchy.nx[subgrid.dg_level], hierarchy.nz[subgrid.dg_level], cfg.k)
     basis = DGBasis(cfg.k)
     dg_op = DGOperator(hierarchy, subgrid, basis, case)
     transfer = TransferOperators(basis, subgrid)
@@ -251,53 +238,62 @@ def write_snapshot(field: np.ndarray, bundle: SolverBundle, path: str) -> None:
     dx, dz = hierarchy.dx[lvl], hierarchy.dz[lvl]
     xc = hierarchy.domain.x_min + dx * (np.arange(hierarchy.nx[lvl]) + 0.5)
     zc = hierarchy.domain.z_min + dz * (np.arange(hierarchy.nz[lvl]) + 0.5)
+    columns = dict(zip(SNAPSHOT_HEADER.split(",")[2:], (u[..., 0], u[..., 1], u[..., 2], theta_p)))
     with open(path, "w") as fh:
-        fh.write(SNAPSHOT_HEADER + "\n")
-        for j, z in enumerate(zc):
-            for i, x in enumerate(xc):
-                fh.write(
-                    f"{x:.10g},{z:.10g},{u[j, i, 0]:.12e},{u[j, i, 1]:.12e},"
-                    f"{u[j, i, 2]:.12e},{theta_p[j, i]:.12e}\n"
-                )
+        _write_csv(fh, xc, zc, columns)
     if bundle.cfg.vtk:
-        _write_vtk(path[:-4] + ".vtk", xc, zc, dx, dz, u, theta_p)
+        with open(path[:-4] + ".vtk", "w") as fh:
+            _write_vtk(fh, xc, zc, dx, dz, columns)
 
 
-def _write_vtk(path, xc, zc, dx, dz, u, theta_p):
-    nz, nx = theta_p.shape
-    names = {"rho_p": u[..., 0], "rhou_p": u[..., 1], "rhow_p": u[..., 2], "theta_p": theta_p}
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\nperturbation snapshot\nASCII\n")
-        fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {nx} {nz} 1\n")
-        fh.write(f"ORIGIN {xc[0]:.10g} {zc[0]:.10g} 0\n")
-        fh.write(f"SPACING {dx:.10g} {dz:.10g} 1\n")
-        fh.write(f"POINT_DATA {nx * nz}\n")
-        for name, data in names.items():
-            fh.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
-            for j in range(nz):
-                for i in range(nx):
-                    fh.write(f"{data[j, i]:.12e}\n")
+_SNAPSHOT_ROW = "%.10g,%.10g" + ",%.12e" * (SNAPSHOT_HEADER.count(",") - 1) + "\n"
+
+
+def _write_csv(fh, xc, zc, columns):
+    """The snapshot CSV: a header, then one row per cell, x fastest. Rows
+    are formatted one z-row at a time, since a whole field's .tolist()
+    would raise the peak memory."""
+    fh.write(SNAPSHOT_HEADER + "\n")
+    xs = xc.tolist()
+    for j, z in enumerate(zc.tolist()):
+        values = zip(*(data[j].tolist() for data in columns.values()))
+        fh.writelines(_SNAPSHOT_ROW % (x, z, *row) for x, row in zip(xs, values))
+
+
+def _write_vtk(fh, xc, zc, dx, dz, columns):
+    """The same columns as a legacy-VTK structured-points file."""
+    nz, nx = len(zc), len(xc)
+    fh.write("# vtk DataFile Version 3.0\nperturbation snapshot\nASCII\n")
+    fh.write("DATASET STRUCTURED_POINTS\n")
+    fh.write(f"DIMENSIONS {nx} {nz} 1\n")
+    fh.write(f"ORIGIN {xc[0]:.10g} {zc[0]:.10g} 0\n")
+    fh.write(f"SPACING {dx:.10g} {dz:.10g} 1\n")
+    fh.write(f"POINT_DATA {nx * nz}\n")
+    for name, data in columns.items():
+        fh.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+        for row in data:
+            fh.writelines("%.12e\n" % value for value in row.tolist())
+
+
+# each stats column's name and its format, for the CSV and the JSONL log
+_STATS_COLUMNS = (("time", "%.6f"), ("stage", "%d"), ("newton_iters", "%d"), ("gmres_iters", "%d"),
+                  ("dg_ops", "%d"), ("fv_ops", "%d"), ("residual", "%.12e"))
+STATS_HEADER = ",".join(name for name, _ in _STATS_COLUMNS)
+_STATS_ROWS = {
+    "csv": ",".join(fmt for _, fmt in _STATS_COLUMNS) + "\n",
+    "jsonl": "{" + ", ".join(f'"{name}": {fmt}' for name, fmt in _STATS_COLUMNS) + "}\n",
+}
 
 
 class _StatsLog:
     def __init__(self, path: str, fmt: str):
-        self.fmt = fmt
+        self.row_format = _STATS_ROWS[fmt]
         self.fh = open(path, "w")
         if fmt == "csv":
             self.fh.write(STATS_HEADER + "\n")
 
-    def row(self, time, stage, newton, gmres, dg_ops, fv_ops, residual):
-        if self.fmt == "csv":
-            self.fh.write(
-                f"{time:.6f},{stage},{newton},{gmres},{dg_ops},{fv_ops},{residual:.12e}\n"
-            )
-        else:
-            self.fh.write(
-                '{"time": %.6f, "stage": %d, "newton_iters": %d, "gmres_iters": %d, '
-                '"dg_ops": %d, "fv_ops": %d, "residual": %.12e}\n'
-                % (time, stage, newton, gmres, dg_ops, fv_ops, residual)
-            )
+    def row(self, *values):
+        self.fh.write(self.row_format % values)
         self.fh.flush()
 
     def close(self):
@@ -312,10 +308,7 @@ def run(cfg: RunConfig) -> int:
     interval = cfg.output_interval if cfg.output_interval is not None else t_final
     os.makedirs(cfg.outdir, exist_ok=True)
 
-    stats = _StatsLog(
-        os.path.join(cfg.outdir, "stats." + ("csv" if cfg.log_format == "csv" else "jsonl")),
-        cfg.log_format,
-    )
+    stats = _StatsLog(os.path.join(cfg.outdir, "stats." + cfg.log_format), cfg.log_format)
     U = bundle.U0
     t = 0.0
     write_snapshot(U, bundle, os.path.join(cfg.outdir, _snap_name(t)))
@@ -384,24 +377,13 @@ def _arg_parser() -> argparse.ArgumentParser:
         description="2D compressible-flow DG solver with multigrid-preconditioned implicit stepping",
     )
     ap.add_argument("--config", help="key = value configuration file")
-    ap.add_argument("--case", choices=sorted(cases.CASES))
-    ap.add_argument("--k", type=int)
-    ap.add_argument("--level", type=int)
-    ap.add_argument("--base-nx", dest="base_nx", type=int)
-    ap.add_argument("--base-nz", dest="base_nz", type=int)
-    ap.add_argument("--dx", type=float, help="target DG cell size (alternative to base dims)")
-    ap.add_argument("--dt", type=float)
-    ap.add_argument("--t-final", dest="t_final", type=float)
-    ap.add_argument("--integrator", choices=("implicit", "explicit"))
-    ap.add_argument("--mg", help="multigrid key like mg001111V, or none")
-    ap.add_argument("--transfer", choices=("interp", "massfix"))
-    ap.add_argument("--newton-tol", dest="newton_tol", type=float)
-    ap.add_argument("--outdir")
-    ap.add_argument("--output-interval", dest="output_interval", type=float)
-    ap.add_argument("--log-format", dest="log_format", choices=("csv", "jsonl"))
-    ap.add_argument("--pseudo-cfl", dest="pseudo_cfl", type=float)
-    ap.add_argument("--explicit-cfl", dest="explicit_cfl", type=float)
-    ap.add_argument("--vtk", action="store_const", const=True, default=None)
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            ap.add_argument(flag, action="store_const", const=True, default=None)
+        else:
+            ap.add_argument(flag, type=_SCHEMA[f.name], choices=f.metadata.get("choices"),
+                            help=f.metadata.get("help"))
     return ap
 
 
@@ -409,12 +391,7 @@ def main(argv=None) -> int:
     args = vars(_arg_parser().parse_args(argv))
     config_path = args.pop("config")
     try:
-        cfg = parse_config(config_path, overrides=args)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
+        return run(parse_config(config_path, overrides=args))
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

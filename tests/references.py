@@ -17,6 +17,10 @@ fv_jacobian is the dense Jacobian of an FV operator, one FD column per
 unknown, that the CPR-coloured stencil assembly of fv.FVLinearization
 must reproduce.
 
+write_snapshot_csv, write_vtk and stats_log format the driver's outputs
+value by value with f-strings, the bytes that the row-formatted writers
+of dgmg.cli must reproduce.
+
 The rest are oracles the package itself has no use for: the convective
 flux tensor, nodal projection, domain integrals and pointwise evaluation
 of DG fields, cell areas, and quadrature sums in 1D and over the unit
@@ -321,3 +325,47 @@ def total_mass(op, field, component):
     DG polynomials)."""
     w2d = op.basis.weights[:, None] * op.basis.weights[None, :]
     return float(np.einsum("ab,zxabc->c", op.dx * op.dz * w2d, field)[component])
+
+
+def write_snapshot_csv(fh, xc, zc, u, theta_p):
+    """Snapshot CSV: perturbations u[..., :3] and theta_p per cell, x fastest."""
+    fh.write("x,z,rho_p,rhou_p,rhow_p,theta_p\n")
+    for j, z in enumerate(zc):
+        for i, x in enumerate(xc):
+            fh.write(
+                f"{x:.10g},{z:.10g},{u[j, i, 0]:.12e},{u[j, i, 1]:.12e},"
+                f"{u[j, i, 2]:.12e},{theta_p[j, i]:.12e}\n"
+            )
+
+
+def write_vtk(fh, xc, zc, dx, dz, u, theta_p):
+    """The snapshot's fields as a legacy-VTK structured-points file."""
+    nz, nx = theta_p.shape
+    names = {"rho_p": u[..., 0], "rhou_p": u[..., 1], "rhow_p": u[..., 2], "theta_p": theta_p}
+    fh.write("# vtk DataFile Version 3.0\nperturbation snapshot\nASCII\n")
+    fh.write("DATASET STRUCTURED_POINTS\n")
+    fh.write(f"DIMENSIONS {nx} {nz} 1\n")
+    fh.write(f"ORIGIN {xc[0]:.10g} {zc[0]:.10g} 0\n")
+    fh.write(f"SPACING {dx:.10g} {dz:.10g} 1\n")
+    fh.write(f"POINT_DATA {nx * nz}\n")
+    for name, data in names.items():
+        fh.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+        for j in range(nz):
+            for i in range(nx):
+                fh.write(f"{data[j, i]:.12e}\n")
+
+
+def stats_log(fmt, rows):
+    """The stats log in fmt "csv" or "jsonl", one line per row of (time,
+    stage, newton, gmres, dg_ops, fv_ops, residual)."""
+    lines = ["time,stage,newton_iters,gmres_iters,dg_ops,fv_ops,residual\n"] if fmt == "csv" else []
+    for time, stage, newton, gmres, dg_ops, fv_ops, residual in rows:
+        if fmt == "csv":
+            lines.append(f"{time:.6f},{stage},{newton},{gmres},{dg_ops},{fv_ops},{residual:.12e}\n")
+        else:
+            lines.append(
+                '{"time": %.6f, "stage": %d, "newton_iters": %d, "gmres_iters": %d, '
+                '"dg_ops": %d, "fv_ops": %d, "residual": %.12e}\n'
+                % (time, stage, newton, gmres, dg_ops, fv_ops, residual)
+            )
+    return "".join(lines)

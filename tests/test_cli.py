@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import os
 import tempfile
 import time
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import references
 from dgmg import cases, cli
 from dgmg.cli import (
     ConfigError,
@@ -68,6 +71,15 @@ class TestParseConfig:
         cfg = parse_config(path, overrides={"dt": 2.5, "outdir": "elsewhere"})
         assert cfg.dt == 2.5
         assert cfg.outdir == "elsewhere"
+
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(RunConfig) if "choices" in f.metadata]
+    )
+    def test_value_outside_choices_names_the_key(self, tmp_path, key):
+        values = {"case": "rising-bubble", "base_nx": 5, "base_nz": 10, "dt": 5, key: "bogus"}
+        path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ConfigError, match=f"^{key} must be one of .*'bogus'"):
+            parse_config(path)
 
     def test_missing_case_rejected(self, tmp_path):
         path = write(tmp_path, "dt = 5\nbase_nx = 4\nbase_nz = 4\n")
@@ -312,6 +324,27 @@ class TestMain:
         assert "configuration error" in err and f"{10 * 2**30} x {2**30} DG grid" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flag, value", [("--level", "2000"), ("--k", "1023")])
+    def test_grid_too_large_for_a_float_or_lift_operand_exit_code(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        # level 2000 overflowed a float in GridHierarchy; k = 1023 passed the
+        # field count and died allocating DGOperator's 256 GiB lift_z operand
+        def allocate(*args):
+            raise AssertionError("grid or operator built for a config that cannot be allocated")
+
+        for name in ("build_hierarchy", "DGBasis", "DGOperator"):
+            monkeypatch.setattr(cli, name, allocate)
+        out = str(tmp_path / "out")
+        rc = main([
+            "--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",
+            "--dt", "25", "--t-final", "25", "--outdir", out, flag, value,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "GiB of physical memory" in err
+        assert not os.path.exists(out)
+
     def test_unknown_flag_case(self):
         with pytest.raises(SystemExit):
             main(["--case", "unknown-case"])
@@ -389,6 +422,62 @@ def run_configs(draw):
     maybe("explicit_cfl", positive)
     maybe("vtk", st.booleans())
     return values
+
+
+# values whose formatting differs most: signed zeros, extremes, subnormals,
+# non-finite values and mixed signs
+FORMAT_VALUES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]) | st.floats()
+
+
+@st.composite
+def snapshots(draw):
+    """Cell centres, u and theta_p of a small field, and the writers' columns."""
+    nz, nx = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    xc = draw(arrays(np.float64, nx, elements=FORMAT_VALUES))
+    zc = draw(arrays(np.float64, nz, elements=FORMAT_VALUES))
+    u = draw(arrays(np.float64, (nz, nx, 4), elements=FORMAT_VALUES))
+    theta_p = draw(arrays(np.float64, (nz, nx), elements=FORMAT_VALUES))
+    columns = dict(zip(SNAPSHOT_HEADER.split(",")[2:], (u[..., 0], u[..., 1], u[..., 2], theta_p)))
+    return xc, zc, u, theta_p, columns
+
+
+class TestWriters:
+    """The row-formatted writers give the bytes of the f-string oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(snapshot=snapshots())
+    def test_snapshot_csv_matches_reference(self, snapshot):
+        xc, zc, u, theta_p, columns = snapshot
+        expected, got = io.StringIO(), io.StringIO()
+        references.write_snapshot_csv(expected, xc, zc, u, theta_p)
+        cli._write_csv(got, xc, zc, columns)
+        assert got.getvalue() == expected.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(snapshot=snapshots(), dx=FORMAT_VALUES, dz=FORMAT_VALUES)
+    def test_vtk_matches_reference(self, snapshot, dx, dz):
+        xc, zc, u, theta_p, columns = snapshot
+        expected, got = io.StringIO(), io.StringIO()
+        references.write_vtk(expected, xc, zc, dx, dz, u, theta_p)
+        cli._write_vtk(got, xc, zc, dx, dz, columns)
+        assert got.getvalue() == expected.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fmt=st.sampled_from(["csv", "jsonl"]),
+        rows=st.lists(
+            st.tuples(FORMAT_VALUES, *[st.integers(0, 2**63)] * 5, FORMAT_VALUES), max_size=4
+        ),
+    )
+    def test_stats_log_matches_reference(self, fmt, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "stats." + fmt)
+            log = cli._StatsLog(path, fmt)
+            for row in rows:
+                log.row(*row)
+            log.close()
+            with open(path) as fh:
+                assert fh.read() == references.stats_log(fmt, rows)
 
 
 class TestCrossSchemeAgreement:

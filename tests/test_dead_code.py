@@ -1,12 +1,12 @@
 """Every public module-level function and class of the package, and every
 public method of such a class, has a reader: code in src/dgmg other than
-its own definition and the __init__ re-exports, a hook target of the
-benchmark's tracer (perfbench/tracing.py, read without importing dgmg
-through it), or the console entry point cli.main. A name that only tests
-read belongs in tests/references.py. A `self.<name>` load inside a class
-reads that class's attribute only (no package class inherits from
-another); any other attribute load is matched by name, so `obj.<name>`
-counts as a reader of every method of that name."""
+its own definition, a hook target of the benchmark's tracer
+(perfbench/tracing.py, read without importing dgmg through it), or the
+console entry point cli.main. A name that only tests read belongs in
+tests/references.py. A `self.<name>` load inside a class reads that
+class's attribute only (no package class inherits from another); any
+other attribute load is matched by name, so `obj.<name>` counts as a
+reader of every method of that name."""
 
 import ast
 import pathlib
