@@ -80,6 +80,20 @@ class RunConfig:
             raise ConfigError("either base_nx/base_nz or a target dx must be given")
         if (self.base_nx is None) != (self.base_nz is None):
             raise ConfigError("base_nx and base_nz must be given together")
+        if self.level < 0:
+            raise ConfigError(f"level must be nonnegative, got {self.level}")
+        memory = _physical_memory()
+        # a level-L DG grid has at least 4^L cells of at least 4 floats per
+        # field; the bound is taken in bits, before any 2^level is formed
+        if memory is not None:
+            setup_cell_bytes = SETUP_FIELDS * 4 * np.dtype(float).itemsize
+            top = ((memory // setup_cell_bytes).bit_length() - 1) // 2
+            if self.level > top:
+                raise ConfigError(
+                    f"level must be at most {top}, got {self.level}: {SETUP_FIELDS} fields of "
+                    f"its at least 4^level DG cells exceed the {memory / 2**30:.3g} GiB of "
+                    f"physical memory"
+                )
         # `not x > 0` also rejects NaN; a step or interval that is not
         # positive would never advance the time loop
         for key in ("base_nx", "base_nz", "dx", "dt", "t_final", "output_interval", "explicit_cfl"):
@@ -177,14 +191,21 @@ def _grid_dims(cfg: RunConfig, case: CaseSetup) -> tuple[int, int]:
     return nx_dg // scale, nz_dg // scale
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _check_grid_fits(nx: int, nz: int, k: int) -> None:
     """Reject a DG grid whose set-up fields and z-lifting operand exceed the
     physical memory, before anything of its size is allocated. The sizes
     stay ints: a grid too large for a float must not overflow here."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return  # no such query on this platform
+    memory = _physical_memory()
+    if memory is None:
+        return
     itemsize = np.dtype(float).itemsize
     field_bytes = nx * nz * (k + 1) ** 2 * 4 * itemsize
     lift_bytes = 32 * (k + 1) ** 3 * itemsize  # DGOperator.lift_z, kron(lift, I_4(k+1))

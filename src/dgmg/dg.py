@@ -25,6 +25,8 @@ against kron(M, I_q).T (kron_eye_t), the z-node ones batched matmuls on
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import physics
@@ -193,6 +195,22 @@ class DGOperator:
         )
         self.norm_weights = (w / w.sum()).copy()
 
+    # -- work arrays ---------------------------------------------------
+
+    def _face_work(self):
+        """A face buffer and a trace-GEMM output for _face_states."""
+        nz, nx, p = self.nz, self.nx, self.basis.p
+        return (np.empty(2 * nz * (nx + 1) * p * 4 + 2 * (nz + 1) * nx * p * 4),
+                np.empty(nz * nx * p * 2 * 4))
+
+    @cached_property
+    def _work(self):
+        """The work arrays every call overwrites: the total state (then the
+        z contraction), the two volume fluxes and the _face_work pair. Made
+        by the first call, so that an operator never called holds none."""
+        full = np.empty((self.nz, self.nx, self.basis.p, self.basis.p, 4))
+        return full, (np.empty_like(full), np.empty_like(full)), *self._face_work()
+
     # -- small helpers -------------------------------------------------
 
     def zero_field(self) -> np.ndarray:
@@ -227,16 +245,19 @@ class DGOperator:
     # -- the operator --------------------------------------------------
 
     def __call__(self, Up: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """f(U'), a new array; the intermediates go to the operator's work
+        arrays, so calls must not overlap."""
         self.ncalls += 1
         c = self.constants
         b = self.basis
         nz, nx, p = self.nz, self.nx, b.p
+        full, flux, buf, traces = self._work
 
-        full = Up + self.bg_vol
+        full = np.add(Up, self.bg_vol, out=full)
         check_admissible(full, self.level, "volume node")
 
         # volume flux difference against the background
-        Fx, Fz = physics.flux_convective_xz(full, c)
+        Fx, Fz = physics.flux_convective_xz(full, c, out=flux)
         Fx -= self.bg_Fx
         Fz -= self.bg_Fz
 
@@ -246,16 +267,17 @@ class DGOperator:
             mu_rho = mu * full[..., physics.RHO, None]
             Fx[..., 1:] -= mu_rho * dVdx - self.bg_visc_vol_x
             Fz[..., 1:] -= mu_rho * dVdz - self.bg_visc_vol_z
-        del full  # fewer live field-sized arrays: no per-call heap growth to fault in
 
         rhs = (Fx.reshape(-1, 4 * p) @ self.dhat_x).reshape(nz, nx, p, p, 4)
         rhs /= self.dx
-        work = b.dhat @ Fz.reshape(nz * nx, p, p * 4)
+        # full is dead: its buffer takes the z contraction
+        work = np.matmul(b.dhat, Fz.reshape(nz * nx, p, p * 4), out=full.reshape(nz * nx, p, p * 4))
         work /= self.dz
         rhs += work.reshape(rhs.shape)
-        rhs[..., physics.RHO_W] -= c.g * Up[..., physics.RHO]
+        # so is Fz: its rho column takes the gravity source
+        rhs[..., physics.RHO_W] -= np.multiply(c.g, Up[..., physics.RHO], out=Fz[..., physics.RHO])
 
-        buf, Bx, Bz = self._face_states(Up)
+        _, Bx, Bz = self._face_states(Up, buf, traces)
         self._admissible_faces(buf, Bx, Bz)
         Hx = self._axis_flux(self.xfaces, Bx)
         Hx -= self.bg_hflux_x
@@ -280,21 +302,25 @@ class DGOperator:
             rhs -= lifted.reshape(rhs.shape)
         return rhs
 
-    def _face_states(self, Up: np.ndarray):
+    def _face_states(self, Up: np.ndarray, buf=None, traces=None):
         """Total face states of U' + Ubar in one buffer, with its ghost-filled
         views Bx (2, nz, nx + 1, p, 4) and Bz (2, nz + 1, nx, p, 4): index 0
         holds the east (north) trace left of each face, index 1 the west
-        (south) trace right of it."""
+        (south) trace right of it. buf and traces, which takes the x and
+        then the z traces, are a _face_work pair, fresh if not given."""
+        if buf is None:
+            buf, traces = self._face_work()
         b = self.basis
         nz, nx, p = self.nz, self.nx, b.p
-        tx = (Up.reshape(-1, 4 * p) @ self.traces_x).reshape(nz, nx, p, 2, 4)
-        tz = (b.traces @ Up.reshape(nz * nx, p, p * 4)).reshape(nz, nx, 2, p, 4)
         nbx = 2 * nz * (nx + 1) * p * 4
-        buf = np.empty(nbx + 2 * (nz + 1) * nx * p * 4)
         Bx = buf[:nbx].reshape(2, nz, nx + 1, p, 4)
         Bz = buf[nbx:].reshape(2, nz + 1, nx, p, 4)
+        tx = np.matmul(Up.reshape(-1, 4 * p), self.traces_x, out=traces.reshape(-1, 2 * 4))
+        tx = tx.reshape(nz, nx, p, 2, 4)
         np.add(tx[..., 1, :], self.bg_xface[:, 1:], out=Bx[0, :, 1:])
         np.add(tx[..., 0, :], self.bg_xface[:, :-1], out=Bx[1, :, :-1])
+        tz = np.matmul(b.traces, Up.reshape(nz * nx, p, p * 4), out=traces.reshape(nz * nx, 2, -1))
+        tz = tz.reshape(nz, nx, 2, p, 4)
         np.add(tz[:, :, 1], self.bg_zface[1:], out=Bz[0, 1:])
         np.add(tz[:, :, 0], self.bg_zface[:-1], out=Bz[1, :-1])
         self.xfaces.fill_ghosts(*Bx)

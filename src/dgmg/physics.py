@@ -68,32 +68,45 @@ class PhysConstants:
         return self.c_p / self.c_v
 
 
-def pressure(U: np.ndarray, c: PhysConstants) -> np.ndarray:
-    """Pressure from rho*theta: p = p0 (R_d rho theta / p0)**gamma."""
+def pressure(U: np.ndarray, c: PhysConstants, out: np.ndarray | None = None) -> np.ndarray:
+    """Pressure from rho*theta: p = p0 (R_d rho theta / p0)**gamma, into
+    out (shaped like U without its component axis) if given."""
     rt = np.asarray(U)[..., RHO_THETA]
     if np.any(rt <= 0.0):
         raise InadmissibleStateError("non-positive rho*theta in pressure evaluation")
-    return c.p0 * (c.R_d * rt / c.p0) ** c.gamma
+    p = np.multiply(c.R_d, rt, out=np.empty(rt.shape) if out is None else out)
+    p /= c.p0
+    np.power(p, c.gamma, out=p)
+    p *= c.p0
+    return p
 
 
-def flux_convective_xz(U: np.ndarray, c: PhysConstants) -> tuple[np.ndarray, np.ndarray]:
+def flux_convective_xz(U: np.ndarray, c: PhysConstants, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Convective x- and z-flux columns of the states U, as two arrays
-    shaped like U."""
+    shaped like U, written into out = (Fx, Fz) if given.
+
+    The pressure and the velocities pass through columns of Fx and Fz
+    that take their fluxes last, so no scratch is allocated. Each entry
+    is the same product or sum as in the textbook formulas, so the bits
+    do not depend on out.
+    """
     U = np.asarray(U)
-    p = pressure(U, c)
-    rho = U[..., RHO]
-    u = U[..., RHO_U] / rho
-    w = U[..., RHO_W] / rho
-    Fx = np.empty_like(U)
-    Fx[..., RHO] = U[..., RHO_U]
-    Fx[..., RHO_U] = U[..., RHO_U] * u + p
-    Fx[..., RHO_W] = U[..., RHO_W] * u
-    Fx[..., RHO_THETA] = U[..., RHO_THETA] * u
-    Fz = np.empty_like(U)
-    Fz[..., RHO] = U[..., RHO_W]
-    Fz[..., RHO_U] = U[..., RHO_U] * w
-    Fz[..., RHO_W] = U[..., RHO_W] * w + p
-    Fz[..., RHO_THETA] = U[..., RHO_THETA] * w
+    Fx, Fz = out if out is not None else (np.empty_like(U), np.empty_like(U))
+    # Ellipsis indexing keeps views, 0-d ones for a single state
+    rho, mx, mz, rt = (U[..., i] for i in range(4))
+    p = pressure(U, c, out=Fx[..., RHO_U])
+    u = np.divide(mx, rho, out=Fx[..., RHO_THETA])
+    w = np.divide(mz, rho, out=Fz[..., RHO_THETA])
+    Fz[..., RHO] = mz
+    np.multiply(mx, w, out=Fz[..., RHO_U])
+    np.multiply(mz, w, out=Fz[..., RHO_W])
+    Fz[..., RHO_W] += p
+    w *= rt
+    Fx[..., RHO] = mx
+    # mx * u + p, with mx * u passing through the column it precedes
+    p += np.multiply(mx, u, out=Fx[..., RHO_W])
+    np.multiply(mz, u, out=Fx[..., RHO_W])
+    u *= rt
     return Fx, Fz
 
 

@@ -85,12 +85,6 @@ def weighted_rms(u: np.ndarray, weights: np.ndarray | None = None) -> float:
     return float(np.sqrt(np.sum(weights * u * u)))
 
 
-def weighted_dot(u: np.ndarray, v: np.ndarray, weights: np.ndarray | None = None) -> float:
-    if weights is None:
-        return float(np.mean(u * v))
-    return float(np.sum(weights * u * v))
-
-
 class FDLinearization:
     """Directional finite-difference linearization G'(u0) y of a residual.
 
@@ -136,25 +130,39 @@ def gmres_solve(
     right preconditioning the Arnoldi residual estimate equals the
     unpreconditioned residual. Returns the solution and iteration info;
     a zero right-hand side returns immediately.
+
+    The Krylov basis lives in one (restart + 1, n) array in sqrt(weight)-
+    scaled coordinates, where the weighted inner product is a plain dot
+    product, so weights must be positive. Each new vector is written into
+    its row and orthogonalized by classical Gram-Schmidt run twice (CGS2).
+    The preconditioned vectors fill a (restart, n) array, so a cycle's
+    update is one product. matvec and M receive arrays shaped like b.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"forcing tolerance must be in (0, 1), got {eta}")
     bnorm = weighted_rms(b, weights)
-    x = np.zeros_like(b)
+    x = np.zeros(b.shape)
     history: list[float] = []
     if bnorm == 0.0:
         return x, GMRESInfo(0, 0.0, True, history)
 
+    shape, n = b.shape, b.size
+    # weighted_rms(u) is the 2-norm of u * scale
+    scale = (np.sqrt(np.broadcast_to(weights, shape)).reshape(n) if weights is not None
+             else 1.0 / math.sqrt(n))
+    Z = np.empty((max(min(restart, maxiter), 0), n))
+    V = np.empty((len(Z) + 1, n))
+    work = np.empty(n)  # M's argument, the Gram-Schmidt projection, the update
     tol = eta * bnorm
     total = 0
-    r = b.copy()
+    r = b
     rnorm = bnorm
     while True:
         m = min(restart, maxiter - total)
         if m <= 0:
             return x, GMRESInfo(total, rnorm, False, history)
-        V = [r / rnorm]
-        Z = []
+        np.multiply(r.reshape(n), scale, out=V[0])
+        V[0] /= rnorm
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -165,17 +173,24 @@ def gmres_solve(
         stalled = False
         cycle_start = rnorm
         for j in range(m):
-            z = M(V[j]) if M is not None else V[j]
-            Z.append(z)
-            w = matvec(z)
+            if M is None:
+                np.divide(V[j], scale, out=Z[j])
+            else:
+                np.divide(V[j], scale, out=work)
+                Z[j] = M(work.reshape(shape)).reshape(n)
+            w = V[j + 1]
+            np.multiply(matvec(Z[j].reshape(shape)).reshape(n), scale, out=w)
             total += 1
-            for i in range(j + 1):
-                H[i, j] = weighted_dot(V[i], w, weights)
-                w = w - H[i, j] * V[i]
-            H[j + 1, j] = weighted_rms(w, weights)
+            basis = V[: j + 1]
+            h = basis @ w
+            w -= np.dot(h, basis, out=work)
+            h2 = basis @ w
+            w -= np.dot(h2, basis, out=work)
+            H[: j + 1, j] = h + h2
+            H[j + 1, j] = math.sqrt(w @ w)
             breakdown = H[j + 1, j] < 1e-14 * max(bnorm, 1e-300)
             if not breakdown:
-                V.append(w / H[j + 1, j])
+                w /= H[j + 1, j]
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
@@ -202,8 +217,7 @@ def gmres_solve(
             y = np.zeros(j_last + 1)
             for i in range(j_last, -1, -1):
                 y[i] = (g[i] - H[i, i + 1 : j_last + 1] @ y[i + 1 : j_last + 1]) / H[i, i]
-            for i in range(j_last + 1):
-                x = x + y[i] * Z[i]
+            x += np.dot(y, Z[: j_last + 1], out=work).reshape(shape)
         if converged:
             return x, GMRESInfo(total, rnorm, rnorm <= tol, history)
         if total >= maxiter:

@@ -309,15 +309,17 @@ class TestMain:
 
     def test_grid_too_large_to_allocate_exit_code(self, tmp_path, monkeypatch, capsys):
         # 10 * 2^30 x 2^30 DG cells used to die in numpy's allocator with a
-        # traceback; DGOperator fails the test instead of allocating them
+        # traceback; DGOperator fails the test instead of allocating them.
+        # The grid comes from its base dims: a level that large is refused
+        # before the grid is formed (test_level_beyond_memory_exit_code)
         def allocate(*args):
             raise AssertionError("DGOperator built for a grid that cannot be allocated")
 
         monkeypatch.setattr(cli, "DGOperator", allocate)
         out = str(tmp_path / "out")
         rc = main([
-            "--case", "inertia-gravity", "--level", "30", "--base-nx", "10", "--base-nz", "1",
-            "--dt", "25", "--t-final", "25", "--outdir", out,
+            "--case", "inertia-gravity", "--level", "0", "--base-nx", str(10 * 2**30),
+            "--base-nz", str(2**30), "--dt", "25", "--t-final", "25", "--outdir", out,
         ])
         assert rc == 2
         err = capsys.readouterr().err
@@ -343,6 +345,37 @@ class TestMain:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "GiB of physical memory" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("level", ["30", "15000", "1000000000"])
+    def test_level_beyond_memory_exit_code(self, tmp_path, monkeypatch, capsys, level):
+        # level 15000 died turning the grid size into text (more than 4,300
+        # digits), and 2^level itself grows with the level; validate bounds
+        # the level before any grid size is computed
+        def allocate(*args):
+            raise AssertionError("grid built for a level beyond the memory")
+
+        for name in ("_grid_dims", "_check_grid_fits", "build_hierarchy"):
+            monkeypatch.setattr(cli, name, allocate)
+        out = str(tmp_path / "out")
+        start = time.perf_counter()
+        rc = main([
+            "--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",
+            "--dt", "25", "--t-final", "25", "--outdir", out, "--level", level,
+        ])
+        assert rc == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "configuration error: level must be at most" in err and f"got {level}" in err
+        assert len(err) < 300
+        assert not os.path.exists(out)
+
+    def test_negative_level_names_the_key(self, tmp_path, capsys):
+        # reported as build_hierarchy's dg_refine_level before
+        out = str(tmp_path / "out")
+        assert main(["--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",
+                     "--dt", "25", "--level", "-1", "--outdir", out]) == 2
+        assert "configuration error: level must be nonnegative, got -1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_unknown_flag_case(self):

@@ -163,6 +163,52 @@ class TestWellBalance:
         assert np.abs(out).max() == 0.0
 
 
+class TestWorkArrays:
+    """The operator keeps its intermediates in arrays of its own; every call
+    must overwrite what it reads of them and return a new array."""
+
+    CASES = [("rising-bubble", 5, 10, 0), ("inertia-gravity", 10, 1, 1),
+             ("density-current", 5, 2, 1)]
+
+    @staticmethod
+    def states(setup, n):
+        rng = np.random.default_rng(7)
+        U = cases.build_initial_state(setup.case, setup.dg_op)
+        scale = np.abs(setup.dg_op.bg_vol).max(axis=(0, 1, 2, 3))
+        return [U + 1e-3 * scale * rng.standard_normal(U.shape) for _ in range(n)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_later_calls_leave_earlier_results_unchanged(self, case):
+        setup = make_setup(*case)
+        op = setup.dg_op
+        U1, U2 = self.states(setup, 2)
+        out1 = op(U1)
+        kept = out1.copy()
+        out2 = op(U2)
+        assert out2 is not out1 and np.array_equal(out1, kept)
+        fresh = make_setup(*case).dg_op
+        assert np.array_equal(out2, fresh(U2))
+        assert np.array_equal(op(U1), kept)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("where", ["volume node", "face trace"])
+    def test_call_after_inadmissible_state_matches_fresh_operator(self, case, where):
+        setup = make_setup(*case)
+        op = setup.dg_op
+        (U,) = self.states(setup, 1)
+        bad = U.copy()
+        if where == "volume node":
+            bad[0, 0, 1, 1, 3] = -2.0 * op.bg_vol[0, 0, 1, 1, 3]
+        else:
+            # rho*theta' linear across the cell: negative on its east trace only
+            x = op.basis.nodes
+            bad[0, 0, ..., 3] = -0.97 * op.bg_vol[0, 0, ..., 3] * ((x - 0.5) / (x[-1] - 0.5))[None, :]
+        with pytest.raises(InadmissibleStateError, match=where):
+            op(bad)
+        assert np.array_equal(op(U), make_setup(*case).dg_op(U))
+        assert not np.any(op(op.zero_field()))
+
+
 class TestFreeStream:
     def test_constant_state_is_steady_without_gravity(self):
         case = advection_case(u=1.0, w=0.5)

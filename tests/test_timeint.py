@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgmg.timeint import (
     SDIRK2_ALPHA,
@@ -262,6 +266,128 @@ class TestGMRES:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             gmres_solve(lambda v: v, np.ones(3), eta=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reorthogonalization_keeps_accuracy_on_graded_matrix(self, seed):
+        # eigenvalues over eight decades: a single classical Gram-Schmidt
+        # pass loses orthogonality and stalls near 1e-6; the second pass
+        # reaches the tolerance
+        rng = np.random.default_rng(seed)
+        n = 120
+        A = np.diag(np.logspace(0, 8, n)) + np.triu(rng.standard_normal((n, n)), 1)
+        b = rng.standard_normal(n)
+        x, info = gmres_solve(lambda v: A @ v, b, eta=1e-8, restart=n, maxiter=n)
+        assert info.converged
+        assert weighted_rms(b - A @ x) <= 1e-8 * weighted_rms(b)
+
+    @pytest.mark.parametrize("restart, maxiter", [(200, 200), (5, 400), (4, 10)])
+    def test_one_matvec_per_iteration_and_per_restart(self, restart, maxiter):
+        # the Arnoldi step calls matvec once, each restart once more for the
+        # true residual; M runs once per Arnoldi step
+        A = self._poisson_like(n=8, shift=1.0, coef=0.3)
+        b = np.random.default_rng(4).standard_normal(A.shape[0])
+        calls = {"matvec": 0, "M": 0}
+
+        def matvec(v):
+            calls["matvec"] += 1
+            return A @ v
+
+        def M(v):
+            calls["M"] += 1
+            return v / np.diag(A)
+
+        _, info = gmres_solve(matvec, b, M=M, eta=1e-10, restart=restart, maxiter=maxiter)
+        assert calls["M"] == info.iterations
+        if info.converged:
+            # converged on the Arnoldi estimate, inside the last cycle
+            assert info.residual_history[-1] <= 1e-10 * np.linalg.norm(b) / np.sqrt(b.size)
+            restarts = (info.iterations - 1) // restart
+        else:
+            # stopped at maxiter, at the end of a cycle: no restart follows
+            assert info.iterations == maxiter
+            restarts = math.ceil(maxiter / restart) - 1
+        assert calls["matvec"] == info.iterations + restarts
+        assert info.converged == (maxiter > 10)
+        assert (restarts > 0) == (restart < 200)
+
+
+def weighted_residual(A, x, b, weights):
+    return weighted_rms(b - (A @ x.ravel()).reshape(b.shape), weights)
+
+
+@st.composite
+def gmres_problems(draw):
+    """A well-conditioned nonsymmetric system D + E (D in [1, 3], ||E|| <=
+    0.4) of shape-(n,) unknowns laid out in a multi-dimensional b, with
+    optional positive weights and a Jacobi or perturbed right
+    preconditioner."""
+    shape = draw(st.sampled_from([(7,), (3, 4), (2, 3, 2)]))
+    n = math.prod(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    E = rng.standard_normal((n, n))
+    A = np.diag(rng.uniform(1.0, 3.0, n)) + 0.4 * E / np.linalg.norm(E, 2)
+    b = rng.standard_normal(shape)
+    weights = rng.uniform(0.1, 1.0, shape) if draw(st.booleans()) else None
+    precond = draw(st.sampled_from([None, "jacobi", "perturbed"]))
+    Minv = None
+    if precond == "jacobi":
+        Minv = np.diag(1.0 / np.diag(A))
+    elif precond == "perturbed":
+        Minv = np.linalg.inv(A) + 0.05 * rng.standard_normal((n, n)) / n
+    return A, b, weights, Minv
+
+
+def shaped(Op, shape):
+    def apply(v):
+        assert v.shape == shape
+        return (Op @ v.ravel()).reshape(shape)
+    return apply
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=gmres_problems(), restart=st.integers(1, 12),
+       eta=st.sampled_from([1e-2, 1e-6, 1e-10]))
+def test_gmres_converged_solution_meets_its_tolerance(problem, restart, eta):
+    A, b, weights, Minv = problem
+    n = b.size
+    M = shaped(Minv, b.shape) if Minv is not None else None
+    x, info = gmres_solve(shaped(A, b.shape), b, M=M, eta=eta, restart=restart,
+                          maxiter=6 * n, weights=weights)
+    assert x.shape == b.shape
+    assert len(info.residual_history) == info.iterations
+    bnorm = weighted_rms(b, weights)
+    true = weighted_residual(A, x, b, weights)
+    if restart >= n:
+        # full GMRES on an n-dimensional system ends within n iterations
+        assert info.converged and info.iterations <= n
+    if info.converged:
+        # the Arnoldi estimate tracks the true residual to round-off
+        assert true <= eta * bnorm + 1e-12 * bnorm
+        # and x is as close to the dense solution as that residual allows:
+        # |x - xs| <= |r|_2 / sigma_min, |r|_2 <= |r|_w / sqrt(min weight)
+        xs = np.linalg.solve(A, b.ravel())
+        smin = np.linalg.svd(A, compute_uv=False)[-1]
+        r2 = true * (math.sqrt(n) if weights is None else 1.0 / math.sqrt(weights.min()))
+        assert np.linalg.norm(x.ravel() - xs) <= r2 / smin + 1e-12 * np.linalg.norm(xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), weighted=st.booleans(),
+       shape=st.sampled_from([(10,), (2, 5), (2, 3, 2)]))
+def test_gmres_happy_breakdown_on_invariant_subspace(seed, k, weighted, shape):
+    # b in the span of k eigenvectors of a symmetric A: the Krylov space
+    # stops growing at dimension k, and GMRES solves exactly there
+    n = math.prod(shape)
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 1.0 + np.arange(n) + 0.5 * rng.random(n)
+    A = (Q * lam) @ Q.T
+    b = (Q[:, :k] @ rng.uniform(0.5, 1.5, k)).reshape(shape)
+    weights = rng.uniform(0.1, 1.0, shape) if weighted else None
+    x, info = gmres_solve(shaped(A, shape), b, eta=1e-12, restart=30, maxiter=30,
+                          weights=weights)
+    assert info.converged and info.iterations <= k
+    assert np.allclose(x.ravel(), np.linalg.solve(A, b.ravel()), rtol=0, atol=1e-9)
 
 
 class TestFDLinearization:
