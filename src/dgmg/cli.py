@@ -82,6 +82,9 @@ class RunConfig:
             raise ConfigError("base_nx and base_nz must be given together")
         if self.level < 0:
             raise ConfigError(f"level must be nonnegative, got {self.level}")
+        # the FV subgrid nests into the hierarchy only if k + 1 is a power of two
+        if self.k < 0 or (self.k + 1) & self.k:
+            raise ConfigError(f"k must be nonnegative with k + 1 a power of two, got {self.k}")
         memory = _physical_memory()
         # a level-L DG grid has at least 4^L cells of at least 4 floats per
         # field; the bound is taken in bits, before any 2^level is formed

@@ -20,7 +20,15 @@ HLLC call covers interior and boundary faces alike.
 
 Contractions along the x-node axis are single GEMMs of (rows, p*q) views
 against kron(M, I_q).T (kron_eye_t), the z-node ones batched matmuls on
-(nz*nx, p, p*q) views. The viscous traces are padded like the face buffer.
+(nz*nx, p, p*q) views.
+
+The viscous terms are component-major: the primitives (u, w, theta) and
+their gradients are (3, nz, nx, p, p) arrays, the gradients one GEMM each
+on per-cell (p*p) rows, and the traces of the primitives and of their
+normal gradients go into (value or gradient, side, 3, faces) arrays padded
+like the face buffer. Each of the three viscous rows then updates the
+(nz*nx*p*p) column of its component of a flux with one op. All of it is
+written into work arrays made by the first viscous call.
 """
 
 from __future__ import annotations
@@ -177,16 +185,22 @@ class DGOperator:
         self.pen_z = p * p / self.dz
 
         if c.mu > 0.0:
-            self.diff_x, self.vtraces_x = kron_eye_t(basis.diff, 3), kron_eye_t(basis.traces, 3)
-            # discrete viscous flux of the background itself; analytically
+            # the gradients as (p*p, p*p) operators on per-cell (z-node,
+            # x-node) rows, 1/h folded in; the trace rows (value or normal
+            # gradient) x (west or east), applied along the x-node axis as
+            # they are and along the z-node axis as a (p*p, 4p) operator
+            eye, D = np.eye(p), basis.diff
+            self.vgrad_x, self.vgrad_z = kron_t(eye, D / self.dx), kron_eye_t(D / self.dz, p)
+            self.vtrace_x = np.vstack([basis.traces, basis.traces @ D / self.dx])
+            self.vtrace_z = kron_eye_t(np.vstack([basis.traces, basis.traces @ D / self.dz]), p)
+            # discrete viscous fluxes of the background itself; analytically
             # zero for the constant-primitive atmospheres used with mu > 0,
-            # subtracted as a grouped difference so that the perturbation
-            # operator vanishes bit-exactly on U' = 0
-            Vb, Gxb, Gzb = self._primitive_gradients(self.bg_vol)
-            rb = self.bg_vol[..., physics.RHO, None]
-            self.bg_visc_vol_x = c.mu * rb * Gxb
-            self.bg_visc_vol_z = c.mu * rb * Gzb
-            self.bg_hvx, self.bg_hvz = self._viscous_face_fluxes(Vb, Gxb, Gzb, Bx, Bz)
+            # subtracted as grouped differences so that the perturbation
+            # operator vanishes bit-exactly on U' = 0. They come from fresh
+            # work arrays, so that an operator never called holds none.
+            work = self._viscous_work()
+            V, self.bg_visc_vol = self._viscous_volume_fluxes(self.bg_vol, work)
+            self.bg_hv = [h.copy() for h in self._viscous_face_fluxes(V, Bx, Bz, work)]
 
         w2d = basis.weights[:, None] * basis.weights[None, :]
         w = np.broadcast_to(
@@ -210,6 +224,23 @@ class DGOperator:
         by the first call, so that an operator never called holds none."""
         full = np.empty((self.nz, self.nx, self.basis.p, self.basis.p, 4))
         return full, (np.empty_like(full), np.empty_like(full)), *self._face_work()
+
+    def _viscous_work(self):
+        """Work arrays of the viscous terms, component-major: the primitives
+        V (3, nz, nx, p, p), their x and z gradients, the rows mu*rho, the
+        trace-GEMM output, and per axis the padded traces T (value or
+        gradient, side, 3, faces) and a block of seven face-sized rows for
+        the flux, its scratch and the density sum."""
+        nz, nx, p = self.nz, self.nx, self.basis.p
+        axes = [(np.empty((2, 2, 3) + shape), np.empty((7,) + shape))
+                for shape in ((nz, nx + 1, p), (nz + 1, nx, p))]
+        return (np.empty((3, nz, nx, p, p)), np.empty((2, 3, nz, nx, p, p)),
+                np.empty((nz, nx, p, p)), np.empty((3 * nz * nx, 4 * p)), axes)
+
+    @cached_property
+    def _visc_work(self):
+        """The _viscous_work of every call, made by the first viscous call."""
+        return self._viscous_work()
 
     # -- small helpers -------------------------------------------------
 
@@ -261,12 +292,23 @@ class DGOperator:
         Fx -= self.bg_Fx
         Fz -= self.bg_Fz
 
-        mu = c.mu
-        if mu > 0.0:
-            V, dVdx, dVdz = self._primitive_gradients(full)
-            mu_rho = mu * full[..., physics.RHO, None]
-            Fx[..., 1:] -= mu_rho * dVdx - self.bg_visc_vol_x
-            Fz[..., 1:] -= mu_rho * dVdz - self.bg_visc_vol_z
+        viscous = c.mu > 0.0
+        if viscous:
+            vwork = self._visc_work
+            V, G = self._viscous_volume_fluxes(full, vwork)
+            _subtract_viscous((Fx, Fz), G, self.bg_visc_vol)
+
+        # the face fluxes come before rhs is allocated, so that the HLLC
+        # temporaries are freed by then
+        _, Bx, Bz = self._face_states(Up, buf, traces)
+        self._admissible_faces(buf, Bx, Bz)
+        Hx = self._axis_flux(self.xfaces, Bx)
+        Hx -= self.bg_hflux_x
+        Hz = self._axis_flux(self.zfaces, Bz)
+        Hz -= self.bg_hflux_z
+
+        if viscous:
+            _subtract_viscous((Hx, Hz), self._viscous_face_fluxes(V, Bx, Bz, vwork), self.bg_hv)
 
         rhs = (Fx.reshape(-1, 4 * p) @ self.dhat_x).reshape(nz, nx, p, p, 4)
         rhs /= self.dx
@@ -276,18 +318,6 @@ class DGOperator:
         rhs += work.reshape(rhs.shape)
         # so is Fz: its rho column takes the gravity source
         rhs[..., physics.RHO_W] -= np.multiply(c.g, Up[..., physics.RHO], out=Fz[..., physics.RHO])
-
-        _, Bx, Bz = self._face_states(Up, buf, traces)
-        self._admissible_faces(buf, Bx, Bz)
-        Hx = self._axis_flux(self.xfaces, Bx)
-        Hx -= self.bg_hflux_x
-        Hz = self._axis_flux(self.zfaces, Bz)
-        Hz -= self.bg_hflux_z
-
-        if mu > 0.0:
-            hvx, hvz = self._viscous_face_fluxes(V, dVdx, dVdz, Bx, Bz)
-            Hx[..., 1:] -= hvx - self.bg_hvx
-            Hz[..., 1:] -= hvz - self.bg_hvz
 
         # lifting (east flux * lift1 - west flux * lift0) / h of Hx seen as
         # (nz, nx*p, 4) and Hz as (nz*nx, p*4), into the dead work and Fx
@@ -334,59 +364,76 @@ class DGOperator:
         P = physics.primitives(B, self.constants)
         return faces.flux([q[0] for q in P], [q[1] for q in P], self.constants)
 
-    def _primitive_gradients(self, full: np.ndarray):
-        """Primitives (u, w, theta) at the nodes and their per-cell
-        polynomial gradients."""
-        b = self.basis
-        rho = full[..., physics.RHO]
-        V = np.stack(
-            [
-                full[..., physics.RHO_U] / rho,
-                full[..., physics.RHO_W] / rho,
-                full[..., physics.RHO_THETA] / rho,
-            ],
-            axis=-1,
-        )
-        nz, nx, p = self.nz, self.nx, b.p
-        dVdx = (V.reshape(-1, 3 * p) @ self.diff_x).reshape(nz, nx, p, p, 3) / self.dx
-        dVdz = (b.diff @ V.reshape(nz * nx, p, p * 3)).reshape(nz, nx, p, p, 3) / self.dz
-        return V, dVdx, dVdz
+    def _viscous_volume_fluxes(self, full: np.ndarray, work):
+        """Primitives V = (u, w, theta) of the total state full and the
+        volume fluxes mu*rho*dV/dx, mu*rho*dV/dz, all component-major in the
+        arrays of work (see _viscous_work): V from one divide over the
+        component rows of full, each gradient one GEMM on its (p*p) rows."""
+        V, G, mu_rho, _, _ = work
+        rows = full.reshape(-1, 4).T
+        np.divide(rows[1:], rows[physics.RHO], out=V.reshape(3, -1))
+        Vr = V.reshape(-1, self.basis.p ** 2)
+        for g, op in zip(G, (self.vgrad_x, self.vgrad_z)):
+            np.matmul(Vr, op, out=g.reshape(Vr.shape))
+        np.multiply(self.constants.mu, rows[physics.RHO], out=mu_rho.reshape(-1))
+        G *= mu_rho
+        return V, G
 
-    def _viscous_face_fluxes(self, V, dVdx, dVdz, Bx, Bz):
-        """Interior-penalty viscous face flux: average of mu*rho*grad_n
-        plus an eta/h penalty on the primitive jump; zero through slip
-        walls. Densities come from the face buffers of _face_states.
-        Returns per-face arrays for the (u, w, theta) rows. The traces go
-        into arrays T laid out like those buffers, (V, grad_n V) on axis -2."""
-        b = self.basis
-        nz, nx, p = self.nz, self.nx, b.p
-        Tx = np.empty((2, nz, nx + 1, p, 2, 3))
-        for i, W in enumerate((V, dVdx)):
-            t = (W.reshape(-1, 3 * p) @ self.vtraces_x).reshape(nz, nx, p, 2, 3)
-            Tx[0, :, 1:, :, i] = t[..., 1, :]
-            Tx[1, :, :-1, :, i] = t[..., 0, :]
-        Tz = np.empty((2, nz + 1, nx, p, 2, 3))
-        for i, W in enumerate((V, dVdz)):
-            t = (b.traces @ W.reshape(nz * nx, p, 3 * p)).reshape(nz, nx, 2, p, 3)
-            Tz[0, 1:, :, :, i] = t[:, :, 1]
-            Tz[1, :-1, :, :, i] = t[:, :, 0]
-        return (self._ip_flux(self.xfaces, Tx, Bx, self.pen_x),
-                self._ip_flux(self.zfaces, Tz, Bz, self.pen_z))
+    def _viscous_face_fluxes(self, V: np.ndarray, Bx: np.ndarray, Bz: np.ndarray, work):
+        """Interior-penalty viscous face fluxes (3, nz, nx + 1, p) and
+        (3, nz + 1, nx, p) of the (u, w, theta) rows, from the primitives V
+        and the face buffers Bx, Bz of _face_states, into the arrays of
+        work. One GEMM per axis gives the traces of V and of its normal
+        gradient; they go into the padded arrays T laid out (value or
+        gradient, side, 3, faces), side 0 left and side 1 right of a face
+        as in the face buffers."""
+        nz, nx, p = self.nz, self.nx, self.basis.p
+        _, _, _, out, ((Tx, Ax), (Tz, Az)) = work
+        # t[q, s] holds the west (south) traces at s = 0, the east (north)
+        # ones at s = 1; the x ones come from the x-node rows of V
+        tx = np.matmul(self.vtrace_x, V.reshape(-1, p).T, out=out.reshape(4, -1))
+        tx = tx.reshape(2, 2, 3, nz, nx, p)
+        np.copyto(Tx[:, 0, :, :, 1:], tx[:, 1])
+        np.copyto(Tx[:, 1, :, :, :-1], tx[:, 0])
+        tz = np.matmul(V.reshape(-1, p * p), self.vtrace_z, out=out)
+        tz = tz.reshape(3, nz, nx, 2, 2, p).transpose(3, 4, 0, 1, 2, 5)
+        np.copyto(Tz[:, 0, :, 1:], tz[:, 1])
+        np.copyto(Tz[:, 1, :, :-1], tz[:, 0])
+        return (self._ip_flux(self.xfaces, Tx, Bx, self.pen_x, Ax),
+                self._ip_flux(self.zfaces, Tz, Bz, self.pen_z, Az))
 
-    def _ip_flux(self, faces: FaceAxis, T, B, pen: float) -> np.ndarray:
-        """Interior-penalty flux through all faces of one axis from the
-        padded traces T and face states B. Periodic ghosts wrap around;
-        wall ghosts only have to be finite, as wall faces are zeroed."""
-        faces.fill_ghosts(*T)
+    def _ip_flux(self, faces: FaceAxis, T, B, pen: float, A) -> np.ndarray:
+        """Interior-penalty flux through all faces of one axis, the average
+        of mu*rho*grad_n V minus an eta/h penalty on the jump of V, from
+        the padded traces T and face states B; zero through slip walls.
+        Periodic ghosts wrap around; wall ghosts only have to be finite, as
+        wall faces are zeroed. A holds the flux rows (returned), three rows
+        of scratch and the density sum."""
+        # FaceAxis wants the (z-index, x-index) axes first, components last
+        faces.fill_ghosts(*(np.moveaxis(T[:, s], (2, 3, 1), (0, 1, -1)) for s in (0, 1)))
         mu = self.constants.mu
-        rho_L, rho_R = B[0, ..., physics.RHO, None], B[1, ..., physics.RHO, None]
-        V_L, G_L = T[0, ..., 0, :], T[0, ..., 1, :]
-        V_R, G_R = T[1, ..., 0, :], T[1, ..., 1, :]
-        avg = 0.5 * mu * (rho_L * G_L + rho_R * G_R)
-        jump = 0.5 * mu * pen * (rho_L + rho_R) * (V_L - V_R)
-        H = avg - jump
+        H, tmp, rho = A[:3], A[3:6], A[6]
+        rho_L, rho_R = B[0, ..., physics.RHO], B[1, ..., physics.RHO]
+        (V_L, V_R), (G_L, G_R) = T
+        np.multiply(rho_L, G_L, out=H)
+        H += np.multiply(rho_R, G_R, out=tmp)
+        H *= 0.5 * mu
+        np.add(rho_L, rho_R, out=rho)
+        rho *= 0.5 * mu * pen
+        np.subtract(V_L, V_R, out=tmp)
+        tmp *= rho
+        H -= tmp
         if not faces.periodic:
             first, last = faces.ends
-            H[first] = H[last] = 0.0
+            H[(slice(None),) + first] = H[(slice(None),) + last] = 0.0
         return H
 
+
+def _subtract_viscous(F, G, bg) -> None:
+    """F[a][..., 1 + i] -= G[a][i] - bg[a][i] for each axis a and the
+    (u, w, theta) rows i; G is overwritten. Each row is one op on a long
+    strided column of F."""
+    for f, g, b in zip(F, G, bg):
+        g -= b
+        for i, row in enumerate(g):
+            f[..., 1 + i] -= row

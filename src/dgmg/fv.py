@@ -86,8 +86,11 @@ class FVOperator:
         Hx -= self.bg_hflux_x
         Hz -= self.bg_hflux_z
         if c.mu > 0.0:
-            Hx[..., 1:] -= gx - self.bg_gx
-            Hz[..., 1:] -= gz - self.bg_gz
+            # one op per (u, w, theta) row on a long strided column of H
+            for H, G, bg in ((Hx, gx, self.bg_gx), (Hz, gz, self.bg_gz)):
+                G -= bg
+                for i, g in enumerate(G):
+                    H[..., 1 + i] -= g
 
         rhs = -(Hx[:, 1:] - Hx[:, :-1]) / self.dx - (Hz[1:] - Hz[:-1]) / self.dz
         rhs[..., physics.RHO_W] -= c.g * batch[..., physics.RHO]
@@ -114,21 +117,25 @@ class FVOperator:
     def _axis_fluxes(self, faces: FaceAxis, L, R, h: float):
         """HLLC fluxes from the padded primitives L, R of one axis, and the
         two-point viscous flux mu*rho_face*(V_R - V_L)/h of the (u, w,
-        theta) rows, zero through slip walls. The combined face flux is
-        convective minus viscous."""
+        theta) rows (3, faces), zero through slip walls. The combined face
+        flux is convective minus viscous."""
         faces.fill_ghosts(L.transpose(1, 2, 3, 0), R.transpose(1, 2, 3, 0))
         H = faces.flux(L, R, self.constants)
         mu = self.constants.mu
         if mu == 0.0:
             return H, None
         coef = mu * 0.5 * (L[0] + R[0])
-        G = np.empty(H.shape[:-1] + (3,))
-        G[..., 0] = coef * (R[1] - L[1]) / h
-        G[..., 1] = coef * (R[2] - L[2]) / h
-        G[..., 2] = coef * (R[3] / R[0] - L[3] / L[0]) / h
+        # component-major: each row is one contiguous block
+        G = np.empty((3,) + H.shape[:-1])
+        np.subtract(R[1], L[1], out=G[0])
+        np.subtract(R[2], L[2], out=G[1])
+        np.divide(R[3], R[0], out=G[2])
+        G[2] -= L[3] / L[0]
+        G *= coef
+        G /= h
         if not faces.periodic:
             first, last = faces.ends
-            G[first] = G[last] = 0.0
+            G[(slice(None),) + first] = G[(slice(None),) + last] = 0.0
         return H, G
 
 

@@ -378,6 +378,22 @@ class TestMain:
         assert "configuration error: level must be nonnegative, got -1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("k", ["-1", "2", "4"])
+    def test_invalid_k_exit_code(self, tmp_path, monkeypatch, capsys, k):
+        # build_hierarchy caught these before, after _check_grid_fits had
+        # sized the grid
+        def allocate(*args):
+            raise AssertionError("grid built for an invalid k")
+
+        for name in ("_check_grid_fits", "build_hierarchy"):
+            monkeypatch.setattr(cli, name, allocate)
+        out = str(tmp_path / "out")
+        assert main(["--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",
+                     "--dt", "25", "--k", k, "--outdir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: k must be nonnegative with k + 1 a power of two, got {k}" in err
+        assert not os.path.exists(out)
+
     def test_unknown_flag_case(self):
         with pytest.raises(SystemExit):
             main(["--case", "unknown-case"])

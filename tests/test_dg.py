@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,52 @@ class TestWorkArrays:
             op(bad)
         assert np.array_equal(op(U), make_setup(*case).dg_op(U))
         assert not np.any(op(op.zero_field()))
+
+    @staticmethod
+    def peak_fields(fn, field):
+        """Peak of the bytes fn() allocates, in fields of field's size."""
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / field.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_viscous_terms_allocate_nothing(self):
+        # the dc-mg-viscous cell layout: 64 x 16 DG cells at k = 3, periodic
+        # in x, slip walls in z. The viscous terms write into work arrays
+        # made by the first call; an inviscid operator makes none. What a
+        # whole call still allocates is rhs (one field) and, at its peak,
+        # the HLLC temporaries of one axis with the other axis' fluxes
+        # (1.4 fields here)
+        setup = make_setup("density-current", 16, 4, 2)
+        viscous = setup.dg_op
+        c = dataclasses.replace(setup.case.constants, mu=0.0)
+        case = dataclasses.replace(setup.case, constants=c,
+                                   atmosphere=dataclasses.replace(setup.case.atmosphere, constants=c))
+        inviscid = DGOperator(setup.hierarchy, setup.subgrid, setup.basis, case)
+        (U,) = self.states(setup, 1)
+        peaks = []
+        for op in (viscous, inviscid):
+            assert "_visc_work" not in vars(op)
+            op(U)
+            peaks.append(self.peak_fields(lambda: op(U), U))
+        assert "_visc_work" in vars(viscous) and "_visc_work" not in vars(inviscid)
+        assert peaks[0] <= peaks[1] + 0.01, peaks
+        assert peaks[0] <= 2.5, peaks
+
+        # the viscous terms alone, below the HLLC peak of a whole call
+        op, work = viscous, viscous._visc_work
+        full = U + op.bg_vol
+        _, Bx, Bz = op._face_states(U)
+
+        def terms():
+            V, _ = op._viscous_volume_fluxes(full, work)
+            op._viscous_face_fluxes(V, Bx, Bz, work)
+
+        # numpy copies the periodic ghosts, a row of faces, through a
+        # temporary (0.03 fields); one face-sized temporary would be 0.06
+        assert self.peak_fields(terms, U) <= 0.05
 
 
 class TestFreeStream:

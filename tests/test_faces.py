@@ -269,18 +269,21 @@ class TestAgainstReference:
         h, sg = mesh.build_hierarchy(case.domain, nx, nz, 0, k)
         op = DGOperator(h, sg, DGBasis(k), with_viscosity(case, mu))
         Up = data.draw(perturbations(op.bg_vol.shape))
-        V, dVdx, dVdz = op._primitive_gradients(Up + op.bg_vol)
+        work = op._viscous_work()
+        V, _ = op._viscous_volume_fluxes(Up + op.bg_vol, work)
         _, Bx, Bz = op._face_states(Up)
-        b, p = op.basis, k + 1
-        tx = [(W.reshape(-1, 3 * p) @ op.vtraces_x).reshape(nz, nx, p, 2, 3) for W in (V, dVdx)]
-        tz = [(b.traces @ W.reshape(nz * nx, p, 3 * p)).reshape(nz, nx, 2, p, 3)
-              for W in (V, dVdz)]
+        got = op._viscous_face_fluxes(V, Bx, Bz, work)
+        # the padded traces (value or gradient, side, 3, faces) the call
+        # left in work, as the reference's per-cell (nz, nx, p, 3) traces
+        Tx, Tz = (T for T, _ in work[-1])
+        west, east = Tx[:, 1, :, :, :-1], Tx[:, 0, :, :, 1:]
+        south, north = Tz[:, 1, :, :-1], Tz[:, 0, :, 1:]
         expected = dg_viscous_face_fluxes(
-            op, Bx, Bz, [t[..., s, :] for t in tx for s in (0, 1)],
-            [t[:, :, s] for t in tz for s in (0, 1)],
+            op, Bx, Bz, [np.moveaxis(t[q], 0, -1) for q in (0, 1) for t in (west, east)],
+            [np.moveaxis(t[q], 0, -1) for q in (0, 1) for t in (south, north)],
         )
-        for got, want in zip(op._viscous_face_fluxes(V, dVdx, dVdz, Bx, Bz), expected):
-            assert np.array_equal(got, want)
+        for flux, want in zip(got, expected):
+            assert np.array_equal(np.moveaxis(flux, 0, -1), want)
 
     def test_viscous_density_current(self):
         case = cases.by_name("density-current")
