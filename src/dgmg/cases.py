@@ -164,4 +164,4 @@ def build_initial_state(case: CaseSetup, dg_op) -> np.ndarray:
     - U(theta_bar); exactly zero where the perturbation vanishes."""
     atm = case.atmosphere
     pert = case.theta_pert(dg_op.X, dg_op.Z)
-    return atm.state(dg_op.X, dg_op.Z, theta_pert=pert) - atm.state(dg_op.X, dg_op.Z)
+    return atm.state(dg_op.X, dg_op.Z, theta_pert=pert) - dg_op.bg_vol

@@ -20,7 +20,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import cases, timeint
+from . import cases
 from .cases import CaseSetup, build_initial_state
 from .dg import DGBasis, DGOperator
 from .fv import FVOperator, fv_background
@@ -85,18 +85,6 @@ class RunConfig:
         # the FV subgrid nests into the hierarchy only if k + 1 is a power of two
         if self.k < 0 or (self.k + 1) & self.k:
             raise ConfigError(f"k must be nonnegative with k + 1 a power of two, got {self.k}")
-        memory = _physical_memory()
-        # a level-L DG grid has at least 4^L cells of at least 4 floats per
-        # field; the bound is taken in bits, before any 2^level is formed
-        if memory is not None:
-            setup_cell_bytes = SETUP_FIELDS * 4 * np.dtype(float).itemsize
-            top = ((memory // setup_cell_bytes).bit_length() - 1) // 2
-            if self.level > top:
-                raise ConfigError(
-                    f"level must be at most {top}, got {self.level}: {SETUP_FIELDS} fields of "
-                    f"its at least 4^level DG cells exceed the {memory / 2**30:.3g} GiB of "
-                    f"physical memory"
-                )
         # `not x > 0` also rejects NaN; a step or interval that is not
         # positive would never advance the time loop
         for key in ("base_nx", "base_nz", "dx", "dt", "t_final", "output_interval", "explicit_cfl"):
@@ -122,9 +110,14 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
 
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1, true, yes, 0, false or no, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
+
+
 # the config file's parser of each key, read from its field's annotation
-_PARSERS = {"int": int, "float": float, "str": str,
-            "bool": lambda s: s.lower() in ("1", "true", "yes")}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 _SCHEMA = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
@@ -175,24 +168,6 @@ class SolverBundle:
     def op_counts(self) -> tuple[int, int]:
         return self.dg_op.ncalls, sum(op.ncalls for op in self.fv_ops)
 
-    def rhs(self, U, t=0.0):
-        return self.dg_op(U, t)
-
-
-def _grid_dims(cfg: RunConfig, case: CaseSetup) -> tuple[int, int]:
-    if cfg.base_nx is not None:
-        return cfg.base_nx, cfg.base_nz
-    scale = 2**cfg.level
-    nx_dg = round(case.domain.width / cfg.dx)
-    nz_dg = round(case.domain.height / cfg.dx)
-    for n, axis in ((nx_dg, "x"), (nz_dg, "z")):
-        if n < scale or n % scale:
-            raise ConfigError(
-                f"target dx={cfg.dx} gives {n} DG cells in {axis}, "
-                f"not divisible by 2^level = {scale}"
-            )
-    return nx_dg // scale, nz_dg // scale
-
 
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where the platform cannot say."""
@@ -202,34 +177,52 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_grid_fits(nx: int, nz: int, k: int) -> None:
-    """Reject a DG grid whose set-up fields and z-lifting operand exceed the
-    physical memory, before anything of its size is allocated. The sizes
-    stay ints: a grid too large for a float must not overflow here."""
+def _base_grid(cfg: RunConfig, case: CaseSetup) -> tuple[int, int]:
+    """The base DG dims of the run, once SETUP_FIELDS fields of its DG grid
+    and the z-lifting operand are known to fit in the physical memory. A
+    level-L grid has at least 4^L cells of at least 4 floats per field, so
+    the level is bounded first, in bits, before any 2^level is formed; the
+    sizes stay ints, as a grid too large for a float must not overflow."""
     memory = _physical_memory()
-    if memory is None:
-        return
     itemsize = np.dtype(float).itemsize
+    if memory is not None:
+        top = ((memory // (SETUP_FIELDS * 4 * itemsize)).bit_length() - 1) // 2
+        if cfg.level > top:
+            raise ConfigError(
+                f"level must be at most {top}, got {cfg.level}: {SETUP_FIELDS} fields of "
+                f"its at least 4^level DG cells exceed the {memory / 2**30:.3g} GiB of "
+                f"physical memory"
+            )
+    scale, k = 2**cfg.level, cfg.k
+    if cfg.base_nx is not None:
+        nx, nz = cfg.base_nx * scale, cfg.base_nz * scale
+    else:
+        nx = round(case.domain.width / cfg.dx)
+        nz = round(case.domain.height / cfg.dx)
+        for n, axis in ((nx, "x"), (nz, "z")):
+            if n < scale or n % scale:
+                raise ConfigError(
+                    f"target dx={cfg.dx} gives {n} DG cells in {axis}, "
+                    f"not divisible by 2^level = {scale}"
+                )
     field_bytes = nx * nz * (k + 1) ** 2 * 4 * itemsize
     lift_bytes = 32 * (k + 1) ** 3 * itemsize  # DGOperator.lift_z, kron(lift, I_4(k+1))
-    if SETUP_FIELDS * field_bytes + lift_bytes > memory:
+    if memory is not None and SETUP_FIELDS * field_bytes + lift_bytes > memory:
         gib = [f"{Decimal(n) / 2**30:.3g}" for n in (field_bytes, lift_bytes, memory)]
         raise ConfigError(
             f"the {nx} x {nz} DG grid at k = {k} needs {gib[0]} GiB per field and {gib[1]} GiB "
             f"for the lifting operand; {SETUP_FIELDS} fields and the operand exceed the "
             f"{gib[2]} GiB of physical memory"
         )
+    return nx // scale, nz // scale
 
 
 def build_solver(cfg: RunConfig) -> SolverBundle:
     cfg.validate()
     case = cases.by_name(cfg.case)
-    base_nx, base_nz = _grid_dims(cfg, case)
-    _check_grid_fits(base_nx * 2**cfg.level, base_nz * 2**cfg.level, cfg.k)
-    try:
-        hierarchy, subgrid = build_hierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    base_nx, base_nz = _base_grid(cfg, case)
+    # validate has refused every level, k and base grid build_hierarchy rejects
+    hierarchy, subgrid = build_hierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
     basis = DGBasis(cfg.k)
     dg_op = DGOperator(hierarchy, subgrid, basis, case)
     transfer = TransferOperators(basis, subgrid)
@@ -337,12 +330,9 @@ def run(cfg: RunConfig) -> int:
     t = 0.0
     write_snapshot(U, bundle, os.path.join(cfg.outdir, _snap_name(t)))
     next_output = interval
-    alpha_frac = timeint.SDIRK2_ALPHA
 
-    if cfg.integrator == "explicit":
-        dt = cfg.dt if cfg.dt is not None else bundle.dg_op.stable_dt(U, cfg.explicit_cfl)
-    else:
-        dt = cfg.dt
+    # validate demands a dt of implicit runs
+    dt = cfg.dt if cfg.dt is not None else bundle.dg_op.stable_dt(U, cfg.explicit_cfl)
     if t_final / dt > MAX_STEPS:
         stats.close()
         raise ConfigError(
@@ -356,8 +346,8 @@ def run(cfg: RunConfig) -> int:
             if t + step_dt == t:
                 raise SolverFailure(f"time step {step_dt:.3g} no longer advances t")
             if cfg.integrator == "implicit":
-                U, step_stats = sdirk2_step(
-                    bundle.rhs,
+                U, stages = sdirk2_step(
+                    bundle.dg_op,
                     U,
                     t,
                     step_dt,
@@ -366,13 +356,16 @@ def run(cfg: RunConfig) -> int:
                     precond=bundle.mg,
                     op_counts=bundle.op_counts,
                 )
-                stage_times = (t + alpha_frac * step_dt, t + step_dt)
-                for st, ts in zip(step_stats.stages, stage_times):
-                    stats.row(ts, st.stage, st.newton_iters, st.gmres_iters,
+                for st in stages:
+                    stats.row(st.time, st.stage, st.newton_iters, st.gmres_iters,
                               st.dg_ops, st.fv_ops, st.residual_final)
+                    if st.gmres_unconverged:
+                        print(f"warning at t = {st.time:.6f}, stage {st.stage}: "
+                              f"{st.gmres_unconverged} GMRES solve(s) stopped above their "
+                              "tolerance", file=sys.stderr)
             else:
                 before = bundle.op_counts()
-                U = ssprk34_step(bundle.rhs, U, t, step_dt)
+                U = ssprk34_step(bundle.dg_op, U, t, step_dt)
                 after = bundle.op_counts()
                 stats.row(t + step_dt, 0, 0, 0, after[0] - before[0], 0, 0.0)
             t += step_dt

@@ -89,11 +89,11 @@ class DGBasis:
         self.diff = D
         # weak-form matrix: (Dhat F)_i = sum_m (w_m / w_i) l_i'(node_m) F_m
         self.dhat = (self.weights[None, :] / self.weights[:, None]) * D.T
-        self.e0 = self.eval_matrix(np.array([0.0]))[0]
-        self.e1 = self.eval_matrix(np.array([1.0]))[0]
-        self.traces = np.stack([self.e0, self.e1])
-        self.lift0 = self.e0 / self.weights
-        self.lift1 = self.e1 / self.weights
+        e0 = self.eval_matrix(np.array([0.0]))[0]
+        e1 = self.eval_matrix(np.array([1.0]))[0]
+        self.traces = np.stack([e0, e1])
+        self.lift0 = e0 / self.weights
+        self.lift1 = e1 / self.weights
 
     def eval_matrix(self, pts: np.ndarray) -> np.ndarray:
         """Values of every Lagrange basis function at pts, shape (npts, p)."""
@@ -119,7 +119,6 @@ class DGOperator:
 
     def __init__(self, hierarchy: GridHierarchy, subgrid: SubgridMap, basis: DGBasis, case):
         self.hierarchy = hierarchy
-        self.subgrid = subgrid
         self.basis = basis
         self.case = case
         self.constants: PhysConstants = case.constants
@@ -133,17 +132,17 @@ class DGOperator:
 
         p = basis.p
         dom = hierarchy.domain
-        self.x_edges = dom.x_min + self.dx * np.arange(self.nx + 1)
-        self.z_edges = dom.z_min + self.dz * np.arange(self.nz + 1)
+        x_edges = dom.x_min + self.dx * np.arange(self.nx + 1)
+        z_edges = dom.z_min + self.dz * np.arange(self.nz + 1)
         # node coordinates per cell: xn[cell, node]
-        self.xn = self.x_edges[:-1, None] + self.dx * basis.nodes[None, :]
-        self.zn = self.z_edges[:-1, None] + self.dz * basis.nodes[None, :]
+        xn = x_edges[:-1, None] + self.dx * basis.nodes[None, :]
+        zn = z_edges[:-1, None] + self.dz * basis.nodes[None, :]
         # volume node coordinate arrays, shape (nz, nx, p, p)
         self.X = np.broadcast_to(
-            self.xn[None, :, None, :], (self.nz, self.nx, p, p)
+            xn[None, :, None, :], (self.nz, self.nx, p, p)
         ).copy()
         self.Z = np.broadcast_to(
-            self.zn[:, None, :, None], (self.nz, self.nx, p, p)
+            zn[:, None, :, None], (self.nz, self.nx, p, p)
         ).copy()
 
         atm = case.atmosphere
@@ -151,12 +150,12 @@ class DGOperator:
         self.bg_Fx, self.bg_Fz = physics.flux_convective_xz(self.bg_vol, self.constants)
 
         # x-face background: faces indexed 0..nx, nodes along z
-        Xf = np.broadcast_to(self.x_edges[None, :, None], (self.nz, self.nx + 1, p))
-        Zf = np.broadcast_to(self.zn[:, None, :], (self.nz, self.nx + 1, p))
+        Xf = np.broadcast_to(x_edges[None, :, None], (self.nz, self.nx + 1, p))
+        Zf = np.broadcast_to(zn[:, None, :], (self.nz, self.nx + 1, p))
         self.bg_xface = atm.state(Xf, Zf)
         # z-face background: faces 0..nz, nodes along x
-        Xg = np.broadcast_to(self.xn[None, :, :], (self.nz + 1, self.nx, p))
-        Zg = np.broadcast_to(self.z_edges[:, None, None], (self.nz + 1, self.nx, p))
+        Xg = np.broadcast_to(xn[None, :, :], (self.nz + 1, self.nx, p))
+        Zg = np.broadcast_to(z_edges[:, None, None], (self.nz + 1, self.nx, p))
         self.bg_zface = atm.state(Xg, Zg)
 
         west, east, south, north = case.bc
@@ -296,7 +295,7 @@ class DGOperator:
         if viscous:
             vwork = self._visc_work
             V, G = self._viscous_volume_fluxes(full, vwork)
-            _subtract_viscous((Fx, Fz), G, self.bg_visc_vol)
+            physics.subtract_viscous((Fx, Fz), G, self.bg_visc_vol)
 
         # the face fluxes come before rhs is allocated, so that the HLLC
         # temporaries are freed by then
@@ -308,7 +307,8 @@ class DGOperator:
         Hz -= self.bg_hflux_z
 
         if viscous:
-            _subtract_viscous((Hx, Hz), self._viscous_face_fluxes(V, Bx, Bz, vwork), self.bg_hv)
+            physics.subtract_viscous((Hx, Hz), self._viscous_face_fluxes(V, Bx, Bz, vwork),
+                                     self.bg_hv)
 
         rhs = (Fx.reshape(-1, 4 * p) @ self.dhat_x).reshape(nz, nx, p, p, 4)
         rhs /= self.dx
@@ -427,13 +427,3 @@ class DGOperator:
             first, last = faces.ends
             H[(slice(None),) + first] = H[(slice(None),) + last] = 0.0
         return H
-
-
-def _subtract_viscous(F, G, bg) -> None:
-    """F[a][..., 1 + i] -= G[a][i] - bg[a][i] for each axis a and the
-    (u, w, theta) rows i; G is overwritten. Each row is one op on a long
-    strided column of F."""
-    for f, g, b in zip(F, G, bg):
-        g -= b
-        for i, row in enumerate(g):
-            f[..., 1 + i] -= row

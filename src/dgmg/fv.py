@@ -38,13 +38,11 @@ import numpy as np
 from . import physics
 from .mesh import BoundaryKind, GridHierarchy
 from .physics import FaceAxis, PhysConstants, check_admissible
-
-_EPS_FD = float(np.sqrt(np.finfo(float).eps))
+from .timeint import EPS_FD
 
 
 class FVOperator:
     def __init__(self, hierarchy: GridHierarchy, level: int, case):
-        self.hierarchy = hierarchy
         self.level = level
         self.case = case
         self.constants: PhysConstants = case.constants
@@ -86,11 +84,7 @@ class FVOperator:
         Hx -= self.bg_hflux_x
         Hz -= self.bg_hflux_z
         if c.mu > 0.0:
-            # one op per (u, w, theta) row on a long strided column of H
-            for H, G, bg in ((Hx, gx, self.bg_gx), (Hz, gz, self.bg_gz)):
-                G -= bg
-                for i, g in enumerate(G):
-                    H[..., 1 + i] -= g
+            physics.subtract_viscous((Hx, Hz), (gx, gz), (self.bg_gx, self.bg_gz))
 
         rhs = -(Hx[:, 1:] - Hx[:, :-1]) / self.dx - (Hz[1:] - Hz[:-1]) / self.dz
         rhs[..., physics.RHO_W] -= c.g * batch[..., physics.RHO]
@@ -183,7 +177,7 @@ class FVLinearization:
         self.neighbours = pattern.neighbours
         self.blocks = np.zeros((cells, 4, 20), dtype=np.float32)
         self._gather = np.zeros((cells + 1, 4), dtype=np.float32)
-        steps = _EPS_FD * np.maximum(np.sqrt(np.mean((u0 + op.bg) ** 2, axis=(0, 1))), 1.0)
+        steps = EPS_FD * np.maximum(np.sqrt(np.mean((u0 + op.bg) ** 2, axis=(0, 1))), 1.0)
         f0 = op(u0).reshape(cells, 4)
         for batch in pattern.batches:
             fields = np.repeat(u0[:, :, None], len(batch), axis=2)

@@ -55,8 +55,6 @@ class GridHierarchy:
         if n_levels < 1:
             raise ValueError(f"need at least one level, got {n_levels}")
         self.domain = domain
-        self.base_nx = base_nx
-        self.base_nz = base_nz
         self.n_levels = n_levels
         self.nx = [base_nx * 2**l for l in range(n_levels)]
         self.nz = [base_nz * 2**l for l in range(n_levels)]

@@ -112,35 +112,36 @@ def smooth(matvec, x: np.ndarray, b: np.ndarray, n_steps: int, dtau: np.ndarray)
     return x
 
 
-@dataclass
-class MGLevel:
-    """Frozen linearization and pseudo-time step sizes of one grid level."""
+def _pseudo_dtau(lx, lz, hx, hz, mu, cfl, alpha_dt) -> np.ndarray:
+    """The module docstring's pseudo step from wave speeds and spacings."""
+    rate = lx / hx + lz / hz
+    if mu > 0.0:
+        rate = rate + 2.0 * mu * (1.0 / hx**2 + 1.0 / hz**2)
+    return cfl / (1.0 + alpha_dt * rate)
 
-    matvec: object
-    dtau: np.ndarray
 
-
-def mg_cycle(levels: list[MGLevel], l: int, x: np.ndarray, b: np.ndarray,
+def mg_cycle(levels: list[tuple], l: int, x: np.ndarray, b: np.ndarray,
              cfg: MGConfig) -> np.ndarray:
-    """One V- or W-cycle on the level stack (levels[0] is coarsest).
+    """One V- or W-cycle on the level stack: per level, coarsest first, the
+    (matvec, dtau) pair of its frozen linearization and pseudo steps.
 
     Pre-smooth, restrict the residual, recurse (once for V, twice for W),
     subtract the prolonged correction, post-smooth. The coarsest level
     applies the smoother max(2, pre+post) times.
     """
-    lev = levels[l]
+    matvec, dtau = levels[l]
     finest = len(levels) - 1
     if l == 0:
         pre, post = (cfg.fine_pre, cfg.fine_post) if finest == 0 else (cfg.mid_pre, cfg.mid_post)
-        return smooth(lev.matvec, x, b, max(2, pre + post), lev.dtau)
+        return smooth(matvec, x, b, max(2, pre + post), dtau)
     pre, post = (cfg.fine_pre, cfg.fine_post) if l == finest else (cfg.mid_pre, cfg.mid_post)
-    x = smooth(lev.matvec, x, b, pre, lev.dtau)
-    r = restrict(lev.matvec(x) - b) if np.any(x) else restrict(-b)
+    x = smooth(matvec, x, b, pre, dtau)
+    r = restrict(matvec(x) - b) if np.any(x) else restrict(-b)
     v = np.zeros_like(r)
     for _ in range(2 if cfg.cycle == "W" else 1):
         v = mg_cycle(levels, l - 1, v, r, cfg)
     x = x - prolong(v)
-    return smooth(lev.matvec, x, b, post, lev.dtau)
+    return smooth(matvec, x, b, post, dtau)
 
 
 class MultigridPreconditioner:
@@ -173,41 +174,19 @@ class MultigridPreconditioner:
         stack."""
         self._stack = None
 
-    def fv_levels(self, U: np.ndarray, alpha_dt: float) -> list[MGLevel]:
-        """The FV level stack (coarsest first) frozen at the DG state U."""
+    def fv_levels(self, U: np.ndarray, alpha_dt: float) -> list[tuple]:
+        """The FV level stack of mg_cycle frozen at the DG state U."""
         finest = len(self.fv_ops) - 1
         states: list[np.ndarray | None] = [None] * (finest + 1)
         states[finest] = self.forward(U)
         for l in range(finest, 0, -1):
             states[l - 1] = restrict(states[l])
         return [
-            MGLevel(FVLinearization(op, u, alpha_dt).matvec, self._fv_dtau(op, u, alpha_dt))
+            (FVLinearization(op, u, alpha_dt).matvec,
+             _pseudo_dtau(*physics.wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
+                          op.constants.mu, self.cfg.pseudo_cfl, alpha_dt)[..., None])
             for op, u in zip(self.fv_ops, states)
         ]
-
-    def _fv_dtau(self, op: FVOperator, u_frozen: np.ndarray, alpha_dt: float) -> np.ndarray:
-        c = op.constants
-        lx, lz = physics.wave_speeds(u_frozen + op.bg, c)
-        rate = lx / op.dx + lz / op.dz
-        if c.mu > 0.0:
-            rate = rate + 2.0 * c.mu * (1.0 / op.dx**2 + 1.0 / op.dz**2)
-        return (self.cfg.pseudo_cfl / (1.0 + alpha_dt * rate))[..., None]
-
-    def _dg_dtau(self, U_frozen: np.ndarray, alpha_dt: float) -> np.ndarray:
-        # effective spacing h/(2k+1) accounts for the DG CFL restriction.
-        # The extra 0.5 keeps dtau * eig well below 1: a one-stage Euler
-        # sweep at the stability limit nearly annihilates the modes with
-        # dtau * eig ~ 1, which makes the preconditioner ill-conditioned
-        # and stalls restarted GMRES at tight forcing tolerances.
-        op = self.dg_op
-        c = op.constants
-        fac = 2 * op.basis.k + 1
-        lx, lz = op.max_wave_speeds(U_frozen)
-        dxe, dze = op.dx / fac, op.dz / fac
-        rate = lx / dxe + lz / dze
-        if c.mu > 0.0:
-            rate = rate + 2.0 * c.mu * (1.0 / dxe**2 + 1.0 / dze**2)
-        return (0.5 * self.cfg.pseudo_cfl / (1.0 + alpha_dt * rate))[..., None, None, None]
 
     def factory(self, dg_lin, alpha_dt: float):
         cfg = self.cfg
@@ -215,9 +194,17 @@ class MultigridPreconditioner:
             self._stack = (alpha_dt, self.fv_levels(dg_lin.u0, alpha_dt))
         levels = self._stack[1]
         finest = len(levels) - 1
-        dg_dtau = (
-            self._dg_dtau(dg_lin.u0, alpha_dt) if (cfg.dg_pre or cfg.dg_post) else None
-        )
+        if cfg.dg_pre or cfg.dg_post:
+            # effective spacing h/(2k+1) accounts for the DG CFL restriction.
+            # The extra 0.5 keeps dtau * eig well below 1: a one-stage Euler
+            # sweep at the stability limit nearly annihilates the modes with
+            # dtau * eig ~ 1, which makes the preconditioner ill-conditioned
+            # and stalls restarted GMRES at tight forcing tolerances.
+            op = self.dg_op
+            fac = 2 * op.basis.k + 1
+            dg_dtau = _pseudo_dtau(*op.max_wave_speeds(dg_lin.u0), op.dx / fac, op.dz / fac,
+                                   op.constants.mu, 0.5 * cfg.pseudo_cfl,
+                                   alpha_dt)[..., None, None, None]
 
         def precondition(y: np.ndarray) -> np.ndarray:
             x = np.zeros_like(y)

@@ -227,6 +227,16 @@ class FaceAxis:
         return F
 
 
+def subtract_viscous(F, G, bg) -> None:
+    """F[a][..., 1 + i] -= G[a][i] - bg[a][i] for each axis a and the (u, w,
+    theta) rows i of the DG or FV viscous fluxes G; G is overwritten. Each
+    row is one op on a long strided column of F."""
+    for f, g, b in zip(F, G, bg):
+        g -= b
+        for i, row in enumerate(g):
+            f[..., 1 + i] -= row
+
+
 def check_admissible(full: np.ndarray, level: int, where: str) -> None:
     """Raise InadmissibleStateError, located at the worst cell, if a state
     laid out (z-index, x-index, ...) has rho <= 0 or rho*theta <= 0."""

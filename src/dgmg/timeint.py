@@ -16,11 +16,11 @@ domain size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-_EPS_FD = float(np.sqrt(np.finfo(float).eps))
+EPS_FD = float(np.sqrt(np.finfo(float).eps))
 
 # Ellsiepen's 2-stage, order-2, stiffly accurate SDIRK tableau:
 # A = [[alpha, 0], [1 - alpha, alpha]], b = A[1], c = (alpha, 1)
@@ -48,6 +48,7 @@ class NewtonParams:
 
 @dataclass
 class StageStats:
+    time: float = 0.0
     stage: int = 0
     newton_iters: int = 0
     gmres_iters: int = 0
@@ -58,23 +59,8 @@ class StageStats:
     gmres_unconverged: int = 0
 
 
-@dataclass
-class SolveStats:
-    stages: list = field(default_factory=list)
-
-    @property
-    def newton_iters(self) -> int:
-        return sum(s.newton_iters for s in self.stages)
-
-    @property
-    def gmres_iters(self) -> int:
-        return sum(s.gmres_iters for s in self.stages)
-
-
 class SolverFailure(RuntimeError):
-    def __init__(self, message: str, stats=None):
-        super().__init__(message)
-        self.stats = stats
+    pass
 
 
 def weighted_rms(u: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -103,7 +89,7 @@ class FDLinearization:
         norm = weighted_rms(y, self.weights)
         if norm == 0.0:
             return np.zeros_like(y)
-        eps = _EPS_FD / norm
+        eps = EPS_FD / norm
         return (self.residual(self.u0 + eps * y) - self.r0) / eps
 
 
@@ -250,7 +236,6 @@ class NewtonResult:
     gmres_iters: int
     residual_initial: float
     residual_final: float
-    converged: bool
     gmres_unconverged: int = 0  # linear solves that stopped above their tolerance
 
 
@@ -275,7 +260,7 @@ def newton_solve(
     gmres_total = 0
     unconverged = 0
     if norm0 == 0.0:
-        return NewtonResult(u, 0, 0, 0.0, 0.0, True)
+        return NewtonResult(u, 0, 0, 0.0, 0.0)
     eta = params.eta_initial
     for k in range(params.max_iters):
         lin = FDLinearization(residual, u, r, weights)
@@ -296,17 +281,15 @@ def newton_solve(
         r = residual(u)
         norms.append(weighted_rms(r, weights))
         if norms[-1] < params.tol * norm0:
-            return NewtonResult(u, k + 1, gmres_total, norm0, norms[-1], True, unconverged)
+            return NewtonResult(u, k + 1, gmres_total, norm0, norms[-1], unconverged)
         if len(norms) >= 4 and norms[-1] > (1.0 - 1e-3) * norms[-4]:
             raise SolverFailure(
-                f"Newton stagnation: residual {norms[-1]:.3e} after {k + 1} iterations",
-                stats=norms,
+                f"Newton stagnation: residual {norms[-1]:.3e} after {k + 1} iterations"
             )
         eta = eisenstat_walker_eta(norms[-1], norms[-2], eta, params)
     raise SolverFailure(
         f"Newton did not converge in {params.max_iters} iterations "
-        f"(residual {norms[-1]:.3e} vs target {params.tol * norm0:.3e})",
-        stats=norms,
+        f"(residual {norms[-1]:.3e} vs target {params.tol * norm0:.3e})"
     )
 
 
@@ -319,8 +302,9 @@ def sdirk2_step(
     weights: np.ndarray | None = None,
     precond=None,
     op_counts=None,
-) -> tuple[np.ndarray, SolveStats]:
-    """One SDIRK2 step; the second stage is the new solution value.
+) -> tuple[np.ndarray, list[StageStats]]:
+    """One SDIRK2 step: the new solution value, which is the second stage,
+    and the StageStats of the two stages.
 
     Stage right-hand sides follow the tableau; f(U1) is recovered from the
     solved first stage as (U1 - Ubar1)/(alpha*dt), avoiding an extra
@@ -337,7 +321,7 @@ def sdirk2_step(
     params = params or NewtonParams()
     alpha = SDIRK2_ALPHA
     a_dt = alpha * dt
-    stats = SolveStats()
+    stats: list[StageStats] = []
     factory = None
     if precond is not None:
         precond.begin_step()
@@ -354,10 +338,11 @@ def sdirk2_step(
                 G, Ubar, params, weights, factory, alpha_dt=a_dt
             )
         except SolverFailure as err:
-            raise SolverFailure(f"stage {stage}: {err}", stats=stats) from err
+            raise SolverFailure(f"stage {stage}: {err}") from err
         after = op_counts() if op_counts is not None else (0, 0)
-        stats.stages.append(
+        stats.append(
             StageStats(
+                time=ts,
                 stage=stage,
                 newton_iters=res.iterations,
                 gmres_iters=res.gmres_iters,

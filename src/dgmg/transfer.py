@@ -34,20 +34,19 @@ class TransferOperators:
             )
         self.subgrid = subgrid
         self.p = p
-        centers = (2 * np.arange(p) + 1) / (2 * p)
-        self.T1 = basis.eval_matrix(centers)        # (m, i) = l_i(center_m)
-        self.T1inv = np.linalg.inv(self.T1)
-        self.nc_weights = modified_newton_cotes(basis.k).weights
+        rule = modified_newton_cotes(basis.k)  # nodes at the subcell centers
+        T1 = basis.eval_matrix(rule.nodes)     # (m, i) = l_i(center_m)
+        T1inv = np.linalg.inv(T1)
 
-        T = kron_t(self.T1, self.T1).T
-        w = np.outer(self.nc_weights, self.nc_weights).ravel()
+        T = kron_t(T1, T1).T
+        w = np.outer(rule.weights, rule.weights).ravel()
         massfix = np.eye(p * p) - 1.0 / (p * p) + w
         # forward operands with their columns (m, n, c) split by subcell row m
         self._to_fv, self._to_fv_massfix = (
             kron_eye_t(M, 4).reshape(-1, p, 4 * p).transpose(1, 0, 2)
             for M in (T, massfix @ T)
         )
-        self._to_dg = kron_eye_t(kron_t(self.T1inv, self.T1inv).T, 4)
+        self._to_dg = kron_eye_t(kron_t(T1inv, T1inv).T, 4)
 
     def _forward(self, U: np.ndarray, K: np.ndarray) -> np.ndarray:
         """(nz, nx, p, p, 4) -> (nz*p, nx*p, 4); batch (z, m) is FV row p*z + m."""

@@ -11,7 +11,10 @@ The DG viscous terms and the DG <-> FV transfers are here in the form
 that contracts one node axis at a time (einsum and broadcasts), with the
 mass fix as an explicit per-cell mean shift and the viscous face flux
 with its own periodic branches. The production GEMM forms change the
-order of the sums, so they agree with these to round-off.
+order of the sums, so they agree with these to round-off. The one-axis
+transfer matrices come from subcell_matrices, and
+transfer_cell_matrices reads a cell's matrices of both transfer
+directions off the production maps.
 
 fv_jacobian is the dense Jacobian of an FV operator, one FD column per
 unknown, that the CPR-coloured stencil assembly of fv.FVLinearization
@@ -31,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dgmg.dg import DGBasis
 from dgmg.physics import RHO, RHO_THETA, RHO_U, RHO_W, InadmissibleStateError, pressure
+from dgmg.quadrature import modified_newton_cotes
 
 
 def hllc_normal(UL, UR, axis, c):
@@ -149,28 +154,55 @@ def _scatter(vals):
     return vals.transpose(0, 2, 1, 3, 4).reshape(nz * p, nx * p, 4)
 
 
+def subcell_matrices(k):
+    """The one-axis transfer matrices of degree k: T1 (m, i) = l_i(center_m)
+    at the k + 1 subcell centers of [0, 1], its inverse, and the modified
+    Newton-Cotes weights of those centers."""
+    p = k + 1
+    T1 = DGBasis(k).eval_matrix((2 * np.arange(p) + 1) / (2 * p))
+    return T1, np.linalg.inv(T1), modified_newton_cotes(k).weights
+
+
+def transfer_cell_matrices(tr):
+    """The (p*p, p*p) matrices T and T^-1 of tr.dg_to_fv and tr.fv_to_dg on
+    one cell and component, read off the maps applied to unit vectors;
+    rows and columns are (z-node or subcell row, x-node or subcell column)
+    pairs."""
+    p = tr.p
+    n = p * p
+    U = np.zeros((1, n, p, p, 4))
+    U[0, ..., 0] = np.eye(n).reshape(n, p, p)
+    T = tr.dg_to_fv(U)[..., 0].reshape(p, n, p).transpose(1, 0, 2).reshape(n, n).T
+    u = np.zeros((p, n * p, 4))
+    u[..., 0] = np.eye(n).reshape(n, p, p).transpose(1, 0, 2).reshape(p, n * p)
+    return T, tr.fv_to_dg(u)[0, ..., 0].reshape(n, n).T
+
+
 def dg_to_fv(tr, U):
     """Interpolation transfer T, one node axis at a time."""
-    vals = np.einsum("ma,zxabc->zxmbc", tr.T1, U)
-    return _scatter(np.einsum("nb,zxmbc->zxmnc", tr.T1, vals))
+    T1, _, _ = subcell_matrices(tr.p - 1)
+    vals = np.einsum("ma,zxabc->zxmbc", T1, U)
+    return _scatter(np.einsum("nb,zxmbc->zxmnc", T1, vals))
 
 
 def dg_to_fv_massfix(tr, U):
     """T^mf: per cell and component, the interpolated values shifted by
     (subcell mean - Newton-Cotes mean)."""
-    vals = np.einsum("ma,zxabc->zxmbc", tr.T1, U)
-    vals = np.einsum("nb,zxmbc->zxmnc", tr.T1, vals)
+    T1, _, w = subcell_matrices(tr.p - 1)
+    vals = np.einsum("ma,zxabc->zxmbc", T1, U)
+    vals = np.einsum("nb,zxmbc->zxmnc", T1, vals)
     fv_mean = vals.mean(axis=(2, 3))
-    dg_mean = np.einsum("m,n,zxmnc->zxc", tr.nc_weights, tr.nc_weights, vals)
+    dg_mean = np.einsum("m,n,zxmnc->zxc", w, w, vals)
     return _scatter(vals - (fv_mean - dg_mean)[:, :, None, None, :])
 
 
 def fv_to_dg(tr, u):
     """Inverse transfer T^-1, one node axis at a time."""
     p = tr.p
+    _, T1inv, _ = subcell_matrices(p - 1)
     vals = u.reshape(u.shape[0] // p, p, u.shape[1] // p, p, 4).transpose(0, 2, 1, 3, 4)
-    vals = np.einsum("am,zxmnc->zxanc", tr.T1inv, vals)
-    return np.einsum("bn,zxanc->zxabc", tr.T1inv, vals)
+    vals = np.einsum("am,zxmnc->zxanc", T1inv, vals)
+    return np.einsum("bn,zxanc->zxabc", T1inv, vals)
 
 
 def dg_primitive_gradients(op, full):
@@ -187,8 +219,8 @@ def dg_primitive_gradients(op, full):
 def einsum_traces(basis, V, dVdx, dVdz):
     """x traces (Vw, Ve, Gw, Ge) and z traces (Vs, Vn, Gs, Gn) of the
     primitives and their normal derivatives."""
-    x = [np.einsum("b,zxabq->zxaq", e, W) for W in (V, dVdx) for e in (basis.e0, basis.e1)]
-    z = [np.einsum("a,zxabq->zxbq", e, W) for W in (V, dVdz) for e in (basis.e0, basis.e1)]
+    x = [np.einsum("b,zxabq->zxaq", e, W) for W in (V, dVdx) for e in basis.traces]
+    z = [np.einsum("a,zxabq->zxbq", e, W) for W in (V, dVdz) for e in basis.traces]
     return x, z
 
 

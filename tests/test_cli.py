@@ -3,6 +3,7 @@ import io
 import os
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import references
-from dgmg import cases, cli
+from dgmg import cases, cli, timeint
 from dgmg.cli import (
     ConfigError,
     RunConfig,
@@ -81,6 +82,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be one of .*'bogus'"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text, value", [("1", True), ("true", True), ("YES", True),
+                                             ("0", False), ("False", False), ("nO", False)])
+    def test_bool_spellings(self, tmp_path, text, value):
+        path = write(tmp_path, f"case = rising-bubble\nbase_nx = 5\nbase_nz = 10\ndt = 5\n"
+                               f"vtk = {text}\n")
+        assert parse_config(path).vtk is value
+
+    @pytest.mark.parametrize("text", ["on", "off", "2", "y", "", "true false"])
+    def test_invalid_bool_exit_code_names_the_key(self, tmp_path, capsys, text):
+        # every spelling but 1/true/yes used to parse as False, silently
+        path = write(tmp_path, f"case = inertia-gravity\nbase_nx = 10\nbase_nz = 1\ndt = 25\n"
+                               f"t_final = 25\nvtk = {text}\n")
+        out = str(tmp_path / "out")
+        assert main(["--config", path, "--outdir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {path}:6: bad value for vtk:" in err and repr(text) in err
+        assert not os.path.exists(out)
+
     def test_missing_case_rejected(self, tmp_path):
         path = write(tmp_path, "dt = 5\nbase_nx = 4\nbase_nz = 4\n")
         with pytest.raises(ConfigError, match="case"):
@@ -94,7 +113,7 @@ class TestParseConfig:
     def test_target_dx_derives_base_dims(self):
         cfg = RunConfig(case="rising-bubble", dx=100.0, level=1, dt=5.0)
         bundle = build_solver(cfg)
-        sg = bundle.dg_op.subgrid
+        sg = bundle.transfer.subgrid
         assert bundle.dg_op.hierarchy.nx[sg.dg_level] == 10
         assert bundle.dg_op.hierarchy.nz[sg.dg_level] == 20
 
@@ -120,13 +139,47 @@ class TestRuns:
         stats_total = 0
         for i in range(10):
             U, st = sdirk2_step(
-                bundle.rhs, U, 10.0 * i, 10.0,
+                bundle.dg_op, U, 10.0 * i, 10.0,
                 params=bundle.params, weights=bundle.dg_op.norm_weights,
                 precond=bundle.mg,
             )
-            stats_total += st.newton_iters
+            stats_total += sum(s.newton_iters for s in st)
         assert np.abs(U).max() <= 1e-10
         assert stats_total == 0  # zero iterations after the residual check
+
+    def test_unconverged_solves_are_reported(self, tmp_path, monkeypatch, capsys):
+        # GMRES stopped after two iterations misses the forcing term while
+        # Newton still converges; each stage with such solves gets one
+        # stderr line with its time, stage and count, and stats.csv keeps
+        # its columns
+        cfg = RunConfig(case="inertia-gravity", base_nx=10, base_nz=1, level=1, dt=25.0,
+                        t_final=50.0, outdir=str(tmp_path / "converged"))
+        assert run(cfg) == 0
+        assert capsys.readouterr().err == ""
+
+        gmres, newton = timeint.gmres_solve, timeint.newton_solve
+        counts = []
+
+        def stopped_gmres(*args, **kwargs):
+            return gmres(*args, **{**kwargs, "maxiter": 2})
+
+        def counting_newton(*args, **kwargs):
+            res = newton(*args, **kwargs)
+            counts.append(res.gmres_unconverged)
+            return res
+
+        monkeypatch.setattr(timeint, "gmres_solve", stopped_gmres)
+        monkeypatch.setattr(timeint, "newton_solve", counting_newton)
+        out = str(tmp_path / "stopped")
+        assert run(dataclasses.replace(cfg, outdir=out)) == 0
+        with open(os.path.join(out, "stats.csv")) as fh:
+            assert fh.readline() == cli.STATS_HEADER + "\n"
+            rows = [line.split(",")[:2] for line in fh]
+        assert len(rows) == len(counts) == 4 and all(counts)
+        expected = "".join(
+            f"warning at t = {t}, stage {stage}: {n} GMRES solve(s) stopped above their "
+            f"tolerance\n" for (t, stage), n in zip(rows, counts))
+        assert capsys.readouterr().err == expected
 
     def test_run_writes_expected_outputs(self, tmp_path):
         out = str(tmp_path / "out")
@@ -350,12 +403,12 @@ class TestMain:
     @pytest.mark.parametrize("level", ["30", "15000", "1000000000"])
     def test_level_beyond_memory_exit_code(self, tmp_path, monkeypatch, capsys, level):
         # level 15000 died turning the grid size into text (more than 4,300
-        # digits), and 2^level itself grows with the level; validate bounds
-        # the level before any grid size is computed
+        # digits), and 2^level itself grows with the level; the size check
+        # bounds the level before any grid size is computed
         def allocate(*args):
             raise AssertionError("grid built for a level beyond the memory")
 
-        for name in ("_grid_dims", "_check_grid_fits", "build_hierarchy"):
+        for name in ("build_hierarchy", "DGBasis", "DGOperator"):
             monkeypatch.setattr(cli, name, allocate)
         out = str(tmp_path / "out")
         start = time.perf_counter()
@@ -380,12 +433,12 @@ class TestMain:
 
     @pytest.mark.parametrize("k", ["-1", "2", "4"])
     def test_invalid_k_exit_code(self, tmp_path, monkeypatch, capsys, k):
-        # build_hierarchy caught these before, after _check_grid_fits had
+        # build_hierarchy caught these before, after the size check had
         # sized the grid
         def allocate(*args):
             raise AssertionError("grid built for an invalid k")
 
-        for name in ("_check_grid_fits", "build_hierarchy"):
+        for name in ("_base_grid", "build_hierarchy"):
             monkeypatch.setattr(cli, name, allocate)
         out = str(tmp_path / "out")
         assert main(["--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",
@@ -407,6 +460,43 @@ class TestMain:
         ])
         assert rc == 0
         assert os.path.exists(os.path.join(out, "stats.csv"))
+
+
+@st.composite
+def sized_grids(draw):
+    """A base-dims config, the bytes its set-up needs (None where 4^level
+    cells alone exceed any drawn memory) and a memory size, often within a
+    byte of the need."""
+    level = draw(st.integers(0, 40) | st.integers(41, 10**9))
+    base_nx, base_nz = draw(st.integers(1, 2**12)), draw(st.integers(1, 2**12))
+    k = draw(st.integers(0, 64))
+    cfg = RunConfig(case="inertia-gravity", level=level, base_nx=base_nx, base_nz=base_nz,
+                    k=k, dt=1.0)
+    need = None
+    if level <= 40:
+        field_bytes = base_nx * base_nz * 4**level * (k + 1) ** 2 * 4 * 8
+        need = cli.SETUP_FIELDS * field_bytes + 32 * (k + 1) ** 3 * 8
+    near = st.sampled_from([need - 1, need, need + 1]) if need else st.nothing()
+    return cfg, need, draw(st.integers(0, 2**40) | near)
+
+
+class TestSizeCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=sized_grids())
+    def test_accepts_exactly_the_grids_that_fit(self, grid):
+        # SETUP_FIELDS DG fields and the z-lifting operand must fit in the
+        # physical memory; a refused level is refused at once, however large
+        cfg, need, memory = grid
+        case = cases.by_name(cfg.case)
+        with mock.patch.object(cli, "_physical_memory", lambda: memory):
+            start = time.perf_counter()
+            try:
+                accepted = cli._base_grid(cfg, case) == (cfg.base_nx, cfg.base_nz)
+            except ConfigError as err:
+                accepted = False
+                assert "GiB of physical memory" in str(err)
+            assert time.perf_counter() - start < 1.0
+        assert accepted == (need is not None and need <= memory)
 
 
 class TestConfigKeys:

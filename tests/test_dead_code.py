@@ -6,14 +6,21 @@ console entry point cli.main. A name that only tests read belongs in
 tests/references.py. A `self.<name>` load inside a class reads that
 class's attribute only (no package class inherits from another); any
 other attribute load is matched by name, so `obj.<name>` counts as a
-reader of every method of that name."""
+reader of every method of that name.
+
+Likewise every public `self.<name>` attribute that a package class's
+__init__ sets has a reader outside that __init__, in src/dgmg or in
+perfbench/; exception classes are exempt. An attribute that only the
+constructor reads is a local of it."""
 
 import ast
+import builtins
 import pathlib
 
 from test_hooks import load_tracing
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dgmg"
+PERFBENCH = SRC.parents[1] / "perfbench"
 ENTRY_POINTS = {("dgmg.cli", "main")}
 
 
@@ -79,6 +86,43 @@ def unread_names(modules: dict, exempt: set) -> list[str]:
     ]
 
 
+def is_exception(cls: ast.ClassDef) -> bool:
+    """A class deriving from a builtin exception (no package class derives
+    from another)."""
+    bases = [getattr(builtins, base.id, None) for base in cls.bases if isinstance(base, ast.Name)]
+    return any(isinstance(base, type) and issubclass(base, BaseException) for base in bases)
+
+
+def constructor_only_attributes(modules: dict, readers: list) -> list[str]:
+    """module.Class.name of each public `self.<name>` that a package class's
+    __init__ stores and that no attribute load outside that __init__ reads,
+    in the package (`self.` loads in the same class only) or in the reader
+    trees."""
+    owners = self_attributes(modules)
+    unread = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or is_exception(cls):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                own = {id(node) for node in ast.walk(init)}
+                stored = dict.fromkeys(
+                    node.attr for node in ast.walk(init)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and not node.attr.startswith("_"))
+                loads = {
+                    node.attr for other in [*modules.values(), *readers]
+                    for node in ast.walk(other)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in own
+                    and owners.get(id(node), (module, cls.name)) == (module, cls.name)}
+                unread += [f"{module}.{cls.name}.{name}" for name in stored if name not in loads]
+    return unread
+
+
 def test_every_public_name_has_a_reader():
     hooks = {(h.module, h.target) for h in load_tracing().HOOKS}
     hooks |= {(module, target.partition(".")[0]) for module, target in hooks}
@@ -110,3 +154,29 @@ def test_checker_flags_a_name_read_only_by_itself():
         "dgmg.sample.recursive", "dgmg.sample.Orphan", "dgmg.sample.Owner.unread",
         "dgmg.sample.Owner.shared",
     ]
+
+
+def test_every_constructor_attribute_has_a_reader():
+    readers = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    assert constructor_only_attributes(package_modules(), readers) == []
+
+
+def test_checker_flags_an_attribute_only_its_constructor_reads():
+    tree = ast.parse(
+        "class Owner:\n"
+        "    def __init__(self, n):\n"
+        "        self.kept = n\n"
+        "        self.local = n + 1\n"
+        "        self.doubled = 2 * self.local\n"
+        "        self.external = n\n"
+        "        self._private = n\n\n"
+        "    def read(self):\n        return self.kept + self.doubled\n\n"
+        "class Other:\n"
+        "    def __init__(self):\n        self.other_only = 1\n\n"
+        "    def read(self):\n        return self.local + self.other_only\n\n"
+        "class Failure(RuntimeError):\n"
+        "    def __init__(self, where):\n        self.where = where\n"
+    )
+    reader = ast.parse("def f(owner):\n    return owner.external\n")
+    assert constructor_only_attributes({"dgmg.sample": tree}, [reader]) == [
+        "dgmg.sample.Owner.local"]

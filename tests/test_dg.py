@@ -35,8 +35,9 @@ class TestBasis:
         assert np.allclose(A, np.eye(4), atol=1e-13)
 
     def test_trace_vectors_partition_unity(self):
-        assert self.b.e0.sum() == pytest.approx(1.0, abs=1e-13)
-        assert self.b.e1.sum() == pytest.approx(1.0, abs=1e-13)
+        e0, e1 = self.b.traces
+        assert e0.sum() == pytest.approx(1.0, abs=1e-13)
+        assert e1.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_mass_weights_positive_unit_sum(self):
         assert np.all(self.b.weights > 0.0)
