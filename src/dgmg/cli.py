@@ -98,8 +98,10 @@ class RunConfig:
             raise ConfigError("implicit runs need an explicit dt value")
         if not 0 < self.newton_tol < 1:
             raise ConfigError(f"newton_tol must be in (0, 1), got {self.newton_tol}")
-        if not 0 < self.pseudo_cfl < 2:
-            raise ConfigError(f"pseudo_cfl must be in the stable range (0, 2), got {self.pseudo_cfl}")
+        # beyond 1 the FV pseudo steps leave the disc |z - 1| <= 1 that
+        # the smoother is stable on (mgprecond)
+        if not 0 < self.pseudo_cfl <= 1:
+            raise ConfigError(f"pseudo_cfl must be in the stable range (0, 1], got {self.pseudo_cfl}")
 
     def mg_config(self) -> MGConfig | None:
         if self.mg == "none":

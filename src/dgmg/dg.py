@@ -120,7 +120,6 @@ class DGOperator:
     def __init__(self, hierarchy: GridHierarchy, subgrid: SubgridMap, basis: DGBasis, case):
         self.hierarchy = hierarchy
         self.basis = basis
-        self.case = case
         self.constants: PhysConstants = case.constants
         lvl = subgrid.dg_level
         self.level = lvl

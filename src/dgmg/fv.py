@@ -44,7 +44,6 @@ from .timeint import EPS_FD
 class FVOperator:
     def __init__(self, hierarchy: GridHierarchy, level: int, case):
         self.level = level
-        self.case = case
         self.constants: PhysConstants = case.constants
         self.nx = hierarchy.nx[level]
         self.nz = hierarchy.nz[level]

@@ -12,16 +12,27 @@ is frozen at the DG state the step starts from.
 
 Grid transfers are agglomeration restriction (volume-weighted child
 average) and injection prolongation. The smoother integrates the dual
-pseudo-time ODE dw/dtau = (b - g'(u) w)/(alpha dt) with explicit
-Euler steps; the per-cell pseudo step
+pseudo-time ODE dw/dtau = (b - g'(u) w)/(alpha dt) with explicit steps;
+the per-cell pseudo step
 
     dtau = pseudo_cfl / (1 + alpha dt * ((|u|+c)/dx + (|w|+c)/dz
                                           + 2 mu (1/dx^2 + 1/dz^2)))
 
 is the local stability bound of that scaled system (the "+1" is the
-identity shift of the implicit stage residual), so pseudo_cfl < 2 is
-stable and the alpha*dt -> 0 limit solves the identity system in one
-step at pseudo_cfl = 1.
+identity shift of the implicit stage residual): with pseudo_cfl <= 1 it
+keeps z = dtau * lambda of the FV levels in the disc |z - 1| <= 1
+(tests/test_mgprecond.py checks the coarse levels of the three cases),
+and the alpha*dt -> 0 limit solves the identity system in one Euler step
+at pseudo_cfl = 1.
+
+Each FV smoothing step is an RK_STAGES-stage explicit Runge-Kutta
+pseudo-time step (the paper smooths with explicit RK pseudo-time
+iterations) with the stability polynomial P(z) = (1 - z)^s, i.e. s Euler
+sub-steps of the same dtau. By
+Bernstein's inequality a degree-s polynomial with P(0) = 1 and |P| <= 1
+on that disc has |P'(0)| <= s, with equality only for (1 - z)^s: of all
+s-stage schemes stable on the whole disc it damps the slow modes near
+z = 0 fastest. The DG sweeps stay one Euler step each.
 """
 
 from __future__ import annotations
@@ -34,6 +45,9 @@ from . import physics
 from .fv import FVLinearization, FVOperator
 from .transfer import TransferOperators
 
+# stages s of each FV smoothing step, whose stability polynomial is (1 - z)^s
+RK_STAGES = 3
+
 
 class MGConfigError(ValueError):
     pass
@@ -43,8 +57,9 @@ class MGConfigError(ValueError):
 class MGConfig:
     """Smoothing counts and cycle type, parsed from the key 'mg abcdef G'.
 
-    a, b: pre/post smoothing on the DG system; c, d: on the finest FV
-    level; e, f: on intermediate FV levels; cycle: V or W.
+    a, b: pre/post Euler sweeps on the DG system; c, d: RK pseudo-time
+    steps of RK_STAGES stages on the finest FV level; e, f: on
+    intermediate FV levels; cycle: V or W.
     """
 
     dg_pre: int
@@ -126,22 +141,22 @@ def mg_cycle(levels: list[tuple], l: int, x: np.ndarray, b: np.ndarray,
     (matvec, dtau) pair of its frozen linearization and pseudo steps.
 
     Pre-smooth, restrict the residual, recurse (once for V, twice for W),
-    subtract the prolonged correction, post-smooth. The coarsest level
-    applies the smoother max(2, pre+post) times.
+    subtract the prolonged correction, post-smooth. Each smoothing step
+    is RK_STAGES Euler sub-steps; the coarsest level makes max(2,
+    pre+post) steps.
     """
     matvec, dtau = levels[l]
     finest = len(levels) - 1
-    if l == 0:
-        pre, post = (cfg.fine_pre, cfg.fine_post) if finest == 0 else (cfg.mid_pre, cfg.mid_post)
-        return smooth(matvec, x, b, max(2, pre + post), dtau)
     pre, post = (cfg.fine_pre, cfg.fine_post) if l == finest else (cfg.mid_pre, cfg.mid_post)
-    x = smooth(matvec, x, b, pre, dtau)
+    if l == 0:
+        return smooth(matvec, x, b, RK_STAGES * max(2, pre + post), dtau)
+    x = smooth(matvec, x, b, RK_STAGES * pre, dtau)
     r = restrict(matvec(x) - b) if np.any(x) else restrict(-b)
     v = np.zeros_like(r)
     for _ in range(2 if cfg.cycle == "W" else 1):
         v = mg_cycle(levels, l - 1, v, r, cfg)
     x = x - prolong(v)
-    return smooth(matvec, x, b, post, dtau)
+    return smooth(matvec, x, b, RK_STAGES * post, dtau)
 
 
 class MultigridPreconditioner:

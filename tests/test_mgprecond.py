@@ -9,6 +9,7 @@ from dgmg import cases
 from dgmg.cases import build_initial_state
 from dgmg.fv import FVOperator
 from dgmg.mgprecond import (
+    RK_STAGES,
     MGConfig,
     MGConfigError,
     MultigridPreconditioner,
@@ -154,6 +155,51 @@ class TestSmoother:
         assert len(calls) == 0  # first step sees x = 0
 
 
+# the benchmark grids of the three cases: (case, base_nx, base_nz, level,
+# dt, mass-fix transfer)
+BENCHMARK_GRIDS = [
+    ("inertia-gravity", 10, 1, 2, 25.0, False),
+    ("rising-bubble", 5, 10, 2, 10.0, False),
+    ("density-current", 16, 4, 2, 10.0, True),
+]
+
+
+class TestSmootherStability:
+    """The pseudo steps keep z = dtau * lambda in the disc |z - 1| <= 1,
+    and an FV smoothing step, whose stability polynomial is (1 - z)^s,
+    does not amplify anywhere on that disc."""
+
+    @pytest.mark.parametrize("name, base_nx, base_nz, level, dt, massfix", BENCHMARK_GRIDS)
+    def test_coarse_level_spectra_lie_in_the_disc(self, name, base_nx, base_nz, level, dt,
+                                                   massfix):
+        setup = make_setup(name, base_nx, base_nz, level)
+        fv_ops = [setup.fv_op(l) for l in range(setup.hierarchy.n_levels)]
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
+                                     parse_mg_config("mg111111V"), use_massfix=massfix)
+        U0 = build_initial_state(setup.case, setup.dg_op)
+        for l, (matvec, dtau) in enumerate(mg.fv_levels(U0, SDIRK2_ALPHA * dt)[:2]):
+            shape = (fv_ops[l].nz, fv_ops[l].nx, 4)
+            n = int(np.prod(shape))
+            assert n <= 1024
+            G = np.column_stack([matvec(e.reshape(shape)).ravel() for e in np.eye(n)])
+            z = np.linalg.eigvals(np.broadcast_to(dtau, shape).reshape(-1, 1) * G)
+            assert np.abs(z - 1.0).max() <= 1.0, (l, np.abs(z - 1.0).max())
+
+    def test_step_amplification_is_bounded_on_the_disc(self):
+        # a diagonal operator with eigenvalues z / dtau on circles about 1;
+        # the single-level cycle makes max(2, 1 + 1) smoothing steps
+        theta = np.linspace(0.0, 2.0 * np.pi, 721)
+        z = 1.0 + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * np.exp(1j * theta)
+        dtau = np.full(z.shape + (1,), 0.5)
+        lam = z[..., None] / dtau
+        x0 = np.ones_like(lam)
+        out = mg_cycle([(lambda v: lam * v, dtau)], 0, x0, np.zeros_like(x0),
+                       parse_mg_config("mg001100V"))[..., 0]
+        step = (1.0 - z) ** RK_STAGES
+        assert np.allclose(out, step**2, rtol=0.0, atol=1e-13)
+        assert np.abs(out).max() <= 1.0 + 1e-13
+
+
 def upwind_system(n, alpha_dt=0.5, velocity=1.0, diffusion=0.05):
     """Dense implicit-stage matrix of a periodic upwind advection-diffusion
     discretization on an n x n grid, plus its matvec on (n, n, 1) fields."""
@@ -203,11 +249,11 @@ class TestMGCycle:
         cfg = parse_mg_config("mg001100V")
         b = np.ones((1, 1, 1))
         out = mg_cycle(levels, 0, np.zeros_like(b), b, cfg)
-        # max(2, 1 + 1) smoother applications of the scalar update
+        # max(2, 1 + 1) RK steps of RK_STAGES Euler sub-steps each
         matvec, dtau = levels[0]
         x = np.zeros_like(b)
         for _ in range(2):
-            x = smooth(matvec, x, b, 1, dtau)
+            x = smooth(matvec, x, b, RK_STAGES, dtau)
         assert np.allclose(out, x, atol=1e-14)
 
     def test_zero_rhs_zero_guess_short_circuits(self):
