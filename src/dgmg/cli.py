@@ -27,7 +27,7 @@ from .fv import FVOperator, fv_background
 from .mesh import build_hierarchy
 from .mgprecond import MGConfig, MGConfigError, MultigridPreconditioner, parse_mg_config
 from .physics import InadmissibleStateError
-from .timeint import NewtonParams, SolverFailure, sdirk2_step, ssprk34_step
+from .timeint import NewtonParams, SolverFailure, StageStats, sdirk2_step, ssprk34_step
 from .transfer import TransferOperators
 
 SNAPSHOT_HEADER = "x,z,rho_p,rhou_p,rhow_p,theta_p"
@@ -294,7 +294,8 @@ def _write_vtk(fh, xc, zc, dx, dz, columns):
             fh.writelines("%.12e\n" % value for value in row.tolist())
 
 
-# each stats column's name and its format, for the CSV and the JSONL log
+# each stats column's name and its format, for the CSV and the JSONL log;
+# the names are the StageStats fields, in order
 _STATS_COLUMNS = (("time", "%.6f"), ("stage", "%d"), ("newton_iters", "%d"), ("gmres_iters", "%d"),
                   ("dg_ops", "%d"), ("fv_ops", "%d"), ("residual", "%.12e"))
 STATS_HEADER = ",".join(name for name, _ in _STATS_COLUMNS)
@@ -304,85 +305,75 @@ _STATS_ROWS = {
 }
 
 
-class _StatsLog:
-    def __init__(self, path: str, fmt: str):
-        self.row_format = _STATS_ROWS[fmt]
-        self.fh = open(path, "w")
-        if fmt == "csv":
-            self.fh.write(STATS_HEADER + "\n")
+def _stats_writer(fh, fmt: str):
+    """Start a stats log in fmt on fh; the returned function appends the
+    row of one StageStats and flushes it."""
+    row = _STATS_ROWS[fmt]
+    if fmt == "csv":
+        fh.write(STATS_HEADER + "\n")
 
-    def row(self, *values):
-        self.fh.write(self.row_format % values)
-        self.fh.flush()
+    def write(st: StageStats) -> None:
+        fh.write(row % (st.time, st.stage, st.newton_iters, st.gmres_iters, st.dg_ops,
+                        st.fv_ops, st.residual))
+        fh.flush()
 
-    def close(self):
-        self.fh.close()
+    return write
 
 
 def run(cfg: RunConfig) -> int:
     """Integrate the configured case to its final time, writing outputs."""
     bundle = build_solver(cfg)
-    case = bundle.case
-    t_final = cfg.t_final if cfg.t_final is not None else case.t_final
+    t_final = cfg.t_final if cfg.t_final is not None else bundle.case.t_final
     interval = cfg.output_interval if cfg.output_interval is not None else t_final
-    os.makedirs(cfg.outdir, exist_ok=True)
-
-    stats = _StatsLog(os.path.join(cfg.outdir, "stats." + cfg.log_format), cfg.log_format)
-    U = bundle.U0
-    t = 0.0
-    write_snapshot(U, bundle, os.path.join(cfg.outdir, _snap_name(t)))
-    next_output = interval
-
+    U, t = bundle.U0, 0.0
     # validate demands a dt of implicit runs
     dt = cfg.dt if cfg.dt is not None else bundle.dg_op.stable_dt(U, cfg.explicit_cfl)
     if t_final / dt > MAX_STEPS:
-        stats.close()
         raise ConfigError(
             f"t_final / dt = {t_final / dt:.3g} steps exceeds the limit of {MAX_STEPS:,}"
         )
+    os.makedirs(cfg.outdir, exist_ok=True)
 
-    tol = 1e-9 * max(t_final, 1.0)
-    try:
-        while t < t_final - tol:
-            step_dt = min(dt, t_final - t)
-            if t + step_dt == t:
-                raise SolverFailure(f"time step {step_dt:.3g} no longer advances t")
-            if cfg.integrator == "implicit":
-                U, stages = sdirk2_step(
-                    bundle.dg_op,
-                    U,
-                    t,
-                    step_dt,
-                    params=bundle.params,
-                    weights=bundle.dg_op.norm_weights,
-                    precond=bundle.mg,
-                    op_counts=bundle.op_counts,
-                )
-                for st in stages:
-                    stats.row(st.time, st.stage, st.newton_iters, st.gmres_iters,
-                              st.dg_ops, st.fv_ops, st.residual_final)
-                    if st.gmres_unconverged:
-                        print(f"warning at t = {st.time:.6f}, stage {st.stage}: "
-                              f"{st.gmres_unconverged} GMRES solve(s) stopped above their "
-                              "tolerance", file=sys.stderr)
-            else:
-                before = bundle.op_counts()
-                U = ssprk34_step(bundle.dg_op, U, t, step_dt)
-                after = bundle.op_counts()
-                stats.row(t + step_dt, 0, 0, 0, after[0] - before[0], 0, 0.0)
-            t += step_dt
-            if t >= next_output - tol:
-                write_snapshot(U, bundle, os.path.join(cfg.outdir, _snap_name(t)))
-                # the first output time past t, in one update however many
-                # intervals the step spanned
-                next_output = ((t + tol) // interval + 1.0) * interval
-    except (SolverFailure, InadmissibleStateError) as err:
-        stats.close()
-        print(f"solver failure at t = {t:.6f}: {err}", file=sys.stderr)
-        return 3
-    if not math.isclose(t, next_output - interval, rel_tol=0, abs_tol=1e-6 * max(t_final, 1.0)):
+    def snapshot():
         write_snapshot(U, bundle, os.path.join(cfg.outdir, _snap_name(t)))
-    stats.close()
+
+    with open(os.path.join(cfg.outdir, "stats." + cfg.log_format), "w") as fh:
+        log = _stats_writer(fh, cfg.log_format)
+        snapshot()
+        snapped = True
+        next_output = interval
+        tol = 1e-9 * max(t_final, 1.0)
+        try:
+            while t < t_final - tol:
+                step_dt = min(dt, t_final - t)
+                if t + step_dt == t:
+                    raise SolverFailure(f"time step {step_dt:.3g} no longer advances t")
+                if cfg.integrator == "implicit":
+                    U, stages = sdirk2_step(bundle.dg_op, U, t, step_dt, params=bundle.params,
+                                            weights=bundle.dg_op.norm_weights, precond=bundle.mg,
+                                            op_counts=bundle.op_counts)
+                    for st in stages:
+                        log(st)
+                        if st.gmres_unconverged:
+                            print(f"warning at t = {st.time:.6f}, stage {st.stage}: "
+                                  f"{st.gmres_unconverged} GMRES solve(s) stopped above their "
+                                  "tolerance", file=sys.stderr)
+                else:
+                    before = bundle.dg_op.ncalls
+                    U = ssprk34_step(bundle.dg_op, U, t, step_dt)
+                    log(StageStats(t + step_dt, dg_ops=bundle.dg_op.ncalls - before))
+                t += step_dt
+                snapped = t >= next_output - tol
+                if snapped:
+                    snapshot()
+                    # the first output time past t, in one update however
+                    # many intervals the step spanned
+                    next_output = ((t + tol) // interval + 1.0) * interval
+        except (SolverFailure, InadmissibleStateError) as err:
+            print(f"solver failure at t = {t:.6f}: {err}", file=sys.stderr)
+            return 3
+        if not snapped:
+            snapshot()
     return 0
 
 

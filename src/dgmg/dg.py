@@ -422,7 +422,5 @@ class DGOperator:
         np.subtract(V_L, V_R, out=tmp)
         tmp *= rho
         H -= tmp
-        if not faces.periodic:
-            first, last = faces.ends
-            H[(slice(None),) + first] = H[(slice(None),) + last] = 0.0
+        faces.zero_walls(H)
         return H

@@ -126,9 +126,7 @@ class FVOperator:
         G[2] -= L[3] / L[0]
         G *= coef
         G /= h
-        if not faces.periodic:
-            first, last = faces.ends
-            G[(slice(None),) + first] = G[(slice(None),) + last] = 0.0
+        faces.zero_walls(G)
         return H, G
 
 

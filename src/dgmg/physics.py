@@ -121,7 +121,7 @@ def primitives(U: np.ndarray, c: PhysConstants) -> tuple:
     rho, rt = U[..., RHO], U[..., RHO_THETA]
     if (np.fmin(rho, rt) <= 0.0).any():
         raise InadmissibleStateError("non-positive density or rho*theta in primitive-variable evaluation")
-    p = c.p0 * (c.R_d * rt / c.p0) ** c.gamma
+    p = pressure(U, c)
     return rho, U[..., RHO_U] / rho, U[..., RHO_W] / rho, rt, p, np.sqrt(c.gamma * p / rho)
 
 
@@ -207,6 +207,13 @@ class FaceAxis:
         UR[last] = UL[last]
         for ghost in (UL[first], UR[last]):
             ghost[..., 1 + self.normal] = -ghost[..., 1 + self.normal]
+
+    def zero_walls(self, G: np.ndarray) -> None:
+        """Zero the viscous flux rows G (rows, z-index, x-index) on slip
+        walls: no stress and no heat flux pass through them."""
+        if not self.periodic:
+            first, last = self.ends
+            G[(slice(None),) + first] = G[(slice(None),) + last] = 0.0
 
     def flux(self, PL, PR, c: PhysConstants) -> np.ndarray:
         """HLLC flux through all faces from the primitives of ghost-filled

@@ -48,14 +48,16 @@ class NewtonParams:
 
 @dataclass
 class StageStats:
-    time: float = 0.0
+    """One row of the stats log, fields in column order; the count of
+    linear solves that stopped above their tolerance goes to stderr."""
+
+    time: float
     stage: int = 0
     newton_iters: int = 0
     gmres_iters: int = 0
     dg_ops: int = 0
     fv_ops: int = 0
-    residual_initial: float = 0.0
-    residual_final: float = 0.0
+    residual: float = 0.0
     gmres_unconverged: int = 0
 
 
@@ -96,7 +98,6 @@ class FDLinearization:
 @dataclass
 class GMRESInfo:
     iterations: int
-    residual: float
     converged: bool
     residual_history: list
 
@@ -130,7 +131,7 @@ def gmres_solve(
     x = np.zeros(b.shape)
     history: list[float] = []
     if bnorm == 0.0:
-        return x, GMRESInfo(0, 0.0, True, history)
+        return x, GMRESInfo(0, True, history)
 
     shape, n = b.shape, b.size
     # weighted_rms(u) is the 2-norm of u * scale
@@ -146,7 +147,7 @@ def gmres_solve(
     while True:
         m = min(restart, maxiter - total)
         if m <= 0:
-            return x, GMRESInfo(total, rnorm, False, history)
+            return x, GMRESInfo(total, False, history)
         np.multiply(r.reshape(n), scale, out=V[0])
         V[0] /= rnorm
         H = np.zeros((m + 1, m))
@@ -205,15 +206,15 @@ def gmres_solve(
                 y[i] = (g[i] - H[i, i + 1 : j_last + 1] @ y[i + 1 : j_last + 1]) / H[i, i]
             x += np.dot(y, Z[: j_last + 1], out=work).reshape(shape)
         if converged:
-            return x, GMRESInfo(total, rnorm, rnorm <= tol, history)
+            return x, GMRESInfo(total, rnorm <= tol, history)
         if total >= maxiter:
-            return x, GMRESInfo(total, rnorm, False, history)
+            return x, GMRESInfo(total, False, history)
         r = b - matvec(x)
         rnorm = weighted_rms(r, weights)
         if rnorm <= tol:
-            return x, GMRESInfo(total, rnorm, True, history)
+            return x, GMRESInfo(total, True, history)
         if stalled and rnorm >= (1.0 - 1e-12) * cycle_start:
-            return x, GMRESInfo(total, rnorm, False, history)
+            return x, GMRESInfo(total, False, history)
 
 
 def eisenstat_walker_eta(
@@ -234,8 +235,7 @@ class NewtonResult:
     u: np.ndarray
     iterations: int
     gmres_iters: int
-    residual_initial: float
-    residual_final: float
+    residual: float
     gmres_unconverged: int = 0  # linear solves that stopped above their tolerance
 
 
@@ -245,12 +245,11 @@ def newton_solve(
     params: NewtonParams,
     weights: np.ndarray | None = None,
     precond_factory=None,
-    alpha_dt: float = 0.0,
 ) -> NewtonResult:
     """Inexact Newton iteration terminating on |G| < tol * |G(u0)|.
 
-    precond_factory, if given, maps the current FD linearization (and
-    alpha*dt) to a linear preconditioner callable for GMRES. Raises
+    precond_factory, if given, maps the current FD linearization to a
+    linear preconditioner callable for GMRES. Raises
     SolverFailure on stagnation or iteration exhaustion.
     """
     u = np.array(u0, copy=True)
@@ -260,11 +259,11 @@ def newton_solve(
     gmres_total = 0
     unconverged = 0
     if norm0 == 0.0:
-        return NewtonResult(u, 0, 0, 0.0, 0.0)
+        return NewtonResult(u, 0, 0, 0.0)
     eta = params.eta_initial
     for k in range(params.max_iters):
         lin = FDLinearization(residual, u, r, weights)
-        M = precond_factory(lin, alpha_dt) if precond_factory is not None else None
+        M = precond_factory(lin) if precond_factory is not None else None
         delta, info = gmres_solve(
             lin.matvec,
             -r,
@@ -281,7 +280,7 @@ def newton_solve(
         r = residual(u)
         norms.append(weighted_rms(r, weights))
         if norms[-1] < params.tol * norm0:
-            return NewtonResult(u, k + 1, gmres_total, norm0, norms[-1], unconverged)
+            return NewtonResult(u, k + 1, gmres_total, norms[-1], unconverged)
         if len(norms) >= 4 and norms[-1] > (1.0 - 1e-3) * norms[-4]:
             raise SolverFailure(
                 f"Newton stagnation: residual {norms[-1]:.3e} after {k + 1} iterations"
@@ -309,12 +308,12 @@ def sdirk2_step(
     Stage right-hand sides follow the tableau; f(U1) is recovered from the
     solved first stage as (U1 - Ubar1)/(alpha*dt), avoiding an extra
     operator call. precond, if given, preconditions the stage solves:
-    precond.factory is the Newton preconditioner factory, and
-    precond.begin_step() is called once per step, so the parts it lags are
-    rebuilt once per step, from the first Newton iterate of the first
-    stage (the step's initial state). op_counts, if given, is a callable
-    returning cumulative (dg, fv) operator-call counters for the
-    statistics.
+    precond.factory(lin, alpha*dt) builds the preconditioner of each
+    Newton iterate's linearization lin, and precond.begin_step() is called
+    once per step, so the parts it lags are rebuilt once per step, from
+    the first Newton iterate of the first stage (the step's initial
+    state). op_counts, if given, is a callable returning cumulative (dg,
+    fv) operator-call counters for the statistics.
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -325,7 +324,9 @@ def sdirk2_step(
     factory = None
     if precond is not None:
         precond.begin_step()
-        factory = precond.factory
+
+        def factory(lin):
+            return precond.factory(lin, a_dt)
 
     def solve_stage(stage: int, Ubar: np.ndarray, ts: float) -> np.ndarray:
         before = op_counts() if op_counts is not None else (0, 0)
@@ -334,25 +335,12 @@ def sdirk2_step(
             return V - a_dt * f(V, ts) - Ubar
 
         try:
-            res = newton_solve(
-                G, Ubar, params, weights, factory, alpha_dt=a_dt
-            )
+            res = newton_solve(G, Ubar, params, weights, factory)
         except SolverFailure as err:
             raise SolverFailure(f"stage {stage}: {err}") from err
         after = op_counts() if op_counts is not None else (0, 0)
-        stats.append(
-            StageStats(
-                time=ts,
-                stage=stage,
-                newton_iters=res.iterations,
-                gmres_iters=res.gmres_iters,
-                dg_ops=after[0] - before[0],
-                fv_ops=after[1] - before[1],
-                residual_initial=res.residual_initial,
-                residual_final=res.residual_final,
-                gmres_unconverged=res.gmres_unconverged,
-            )
-        )
+        stats.append(StageStats(ts, stage, res.iterations, res.gmres_iters, after[0] - before[0],
+                                after[1] - before[1], res.residual, res.gmres_unconverged))
         return res.u
 
     U1 = solve_stage(1, U, t + alpha * dt)

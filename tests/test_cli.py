@@ -23,6 +23,7 @@ from dgmg.cli import (
     run,
 )
 from dgmg.mgprecond import MGConfig
+from dgmg.timeint import StageStats
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -267,6 +268,25 @@ class TestRuns:
         assert os.path.exists(os.path.join(out, "stats.csv"))
         assert any(f.startswith("snapshot") for f in os.listdir(out))
 
+    @pytest.mark.parametrize("interval, times", [(30.0, (0.0, 50.0)), (20.0, (0.0, 25.0, 50.0)),
+                                                 (100.0, (0.0, 50.0))])
+    def test_each_snapshot_written_once(self, tmp_path, monkeypatch, interval, times):
+        # the final snapshot is written only if the last step wrote none; a
+        # last step past an output time off the interval grid (t = 50 with
+        # interval 30) used to write it twice
+        written = []
+        write_snapshot = cli.write_snapshot
+
+        def recording(U, bundle, path):
+            written.append(os.path.basename(path))
+            write_snapshot(U, bundle, path)
+
+        monkeypatch.setattr(cli, "write_snapshot", recording)
+        cfg = RunConfig(case="inertia-gravity", base_nx=10, base_nz=1, dt=25.0, t_final=50.0,
+                        mg="none", output_interval=interval, outdir=str(tmp_path / "out"))
+        assert run(cfg) == 0
+        assert written == [f"snapshot_t{t:012.4f}.csv" for t in times]
+
     def test_vtk_flag_writes_legacy_file(self, tmp_path):
         out = str(tmp_path / "out")
         cfg = RunConfig(
@@ -358,8 +378,7 @@ class TestMain:
         assert time.perf_counter() - start < 10.0
         err = capsys.readouterr().err
         assert "configuration error" in err and "steps exceeds the limit" in err
-        with open(os.path.join(out, "stats.csv")) as fh:
-            assert fh.read() == cli.STATS_HEADER + "\n"  # no step taken
+        assert not os.path.exists(out)
 
     def test_grid_too_large_to_allocate_exit_code(self, tmp_path, monkeypatch, capsys):
         # 10 * 2^30 x 2^30 DG cells used to die in numpy's allocator with a
@@ -610,14 +629,11 @@ class TestWriters:
         ),
     )
     def test_stats_log_matches_reference(self, fmt, rows):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "stats." + fmt)
-            log = cli._StatsLog(path, fmt)
-            for row in rows:
-                log.row(*row)
-            log.close()
-            with open(path) as fh:
-                assert fh.read() == references.stats_log(fmt, rows)
+        got = io.StringIO()
+        log = cli._stats_writer(got, fmt)
+        for row in rows:
+            log(StageStats(*row))
+        assert got.getvalue() == references.stats_log(fmt, rows)
 
 
 class TestCrossSchemeAgreement:

@@ -11,7 +11,12 @@ reader of every method of that name.
 Likewise every public `self.<name>` attribute that a package class's
 __init__ sets has a reader outside that __init__, in src/dgmg or in
 perfbench/; exception classes are exempt. An attribute that only the
-constructor reads is a local of it."""
+constructor reads is a local of it.
+
+And every public field of a package dataclass is read by an attribute
+load in src/dgmg, perfbench/ or tests/: being set in a constructor call
+is not a read, and a `self.<name>` load reads only its own class's
+field."""
 
 import ast
 import builtins
@@ -21,6 +26,7 @@ from test_hooks import load_tracing
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dgmg"
 PERFBENCH = SRC.parents[1] / "perfbench"
+TESTS = SRC.parents[1] / "tests"
 ENTRY_POINTS = {("dgmg.cli", "main")}
 
 
@@ -123,6 +129,41 @@ def constructor_only_attributes(modules: dict, readers: list) -> list[str]:
     return unread
 
 
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated with @dataclass or @dataclass(...), plain or qualified."""
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(modules: dict, readers: list) -> list[str]:
+    """module.Class.name of each public field of a package dataclass that no
+    attribute load reads: in the package a `self.` load counts only in the
+    field's class, and in the reader trees it reads the reader's own
+    classes and does not count."""
+    owners = self_attributes(modules)
+    reader_loads = {
+        node.attr for tree in readers for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")}
+    unread = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and is_dataclass(cls)):
+                continue
+            loads = reader_loads | {
+                node.attr for other in modules.values() for node in ast.walk(other)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and owners.get(id(node), (module, cls.name)) == (module, cls.name)}
+            unread += [
+                f"{module}.{cls.name}.{item.target.id}" for item in cls.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and not item.target.id.startswith("_") and item.target.id not in loads]
+    return unread
+
+
 def test_every_public_name_has_a_reader():
     hooks = {(h.module, h.target) for h in load_tracing().HOOKS}
     hooks |= {(module, target.partition(".")[0]) for module, target in hooks}
@@ -180,3 +221,39 @@ def test_checker_flags_an_attribute_only_its_constructor_reads():
     reader = ast.parse("def f(owner):\n    return owner.external\n")
     assert constructor_only_attributes({"dgmg.sample": tree}, [reader]) == [
         "dgmg.sample.Owner.local"]
+
+
+def test_every_dataclass_field_has_a_reader():
+    readers = [ast.parse(path.read_text())
+               for path in sorted([*PERFBENCH.glob("*.py"), *TESTS.glob("*.py")])]
+    assert unread_fields(package_modules(), readers) == []
+
+
+def test_checker_flags_a_field_nothing_reads():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    kept: int\n"
+        "    set_only: int\n"
+        "    external: int = 0\n"
+        "    self_read: int = 0\n"
+        "    _private: int = 0\n\n"
+        "    def total(self):\n        return self.self_read\n\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    other_only: int\n"
+        "    unread: int\n\n"
+        "    def read(self):\n        return self.kept + self.other_only\n\n"
+        "class Plain:\n"
+        "    annotated: int\n\n"
+        "def f(r):\n    return r.kept + Record(1, set_only=2).total()\n"
+    )
+    reader = ast.parse(
+        "class Test:\n"
+        "    def test(self, frozen):\n        return frozen.external + self.unread\n"
+    )
+    # Frozen.other_only is read by its own class's self.other_only
+    assert unread_fields({"dgmg.sample": tree}, [reader]) == [
+        "dgmg.sample.Record.set_only", "dgmg.sample.Frozen.unread"]

@@ -1,22 +1,27 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps dgmg callables by
 module and qualified name, and a hook whose target no longer resolves
 only reads as missing there, with its layer metrics at 0. Renaming or
-merging a hooked callable must fail here instead."""
+merging a hooked callable must fail here instead, and so must a return
+value that a hook's size function can no longer read."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 # physics.wall_flux_axis left the package when the wall faces joined the
 # padded HLLC path; the benchmark reports that hook as missing
 KNOWN_MISSING = {"physics.wall"}
 
 
 def load_tracing():
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
@@ -33,3 +38,40 @@ def test_hook_target_resolves(hook):
     module = importlib.import_module(hook.module)
     owner = getattr(module, owner_name) if owner_name else module
     assert callable(getattr(owner, attr, None)), hook.name
+
+
+# One traced implicit step, as the benchmark's traced repetition makes it;
+# prints the return code, the missing hooks and the layer metrics as JSON.
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from dgmg import cli
+
+tracer = tracing.Tracer()
+missing = tracing.install(tracer)
+cfg = cli.RunConfig(case="inertia-gravity", level=0, base_nx=10, base_nz=1, dt=25.0,
+                    t_final=25.0, mg="mg001111V", outdir=sys.argv[2])
+rc = cli.run(cfg)
+print(json.dumps({"rc": rc, "missing": missing, "layers": tracing.layer_metrics(tracer)}))
+"""
+
+
+def test_tracer_sizes_read_real_return_values(tmp_path):
+    # the size functions read .iterations from what newton_solve and
+    # gmres_solve return, and one that raises fails the traced benchmark
+    # run; the tracer patches dgmg for good, so it runs in its own process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "perfbench"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0
+    assert {entry.split()[0] for entry in result["missing"]} == KNOWN_MISSING
+    layers = result["layers"]
+    assert layers["timeint.newton.iters"] > 0
+    assert layers["timeint.gmres.iters"] > 0
+    assert layers["mgprecond.apply.calls"] > 0  # factory's returned closure

@@ -7,18 +7,20 @@ from hypothesis.extra.numpy import arrays
 from conftest import make_setup, rms
 from dgmg import cases
 from dgmg.cases import build_initial_state
-from dgmg.fv import FVOperator
+from dgmg.fv import FVLinearization, FVOperator
 from dgmg.mgprecond import (
     RK_STAGES,
     MGConfig,
     MGConfigError,
     MultigridPreconditioner,
+    _pseudo_dtau,
     mg_cycle,
     parse_mg_config,
     prolong,
     restrict,
     smooth,
 )
+from dgmg.physics import wave_speeds
 from dgmg.timeint import (
     SDIRK2_ALPHA,
     FDLinearization,
@@ -346,19 +348,21 @@ class TestPrecondition:
         assert np.allclose(M(2.0 * u), 2.0 * M(u), rtol=1e-9, atol=1e-14)
 
     def test_frozen_states_restrict_down_the_hierarchy(self, ig_precond):
+        # fv_levels freezes level finest - 2 at the twice-restricted
+        # transfer of the DG state: its pseudo steps come from that state's
+        # wave speeds, and its matvec is the stencil linearization there
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
-        from dgmg.mgprecond import restrict as R
-
-        u_fine = tr.dg_to_fv(lin.u0)
-        u_coarse = R(R(u_fine))
-        # reconstruct what the factory builds internally
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
-        finest = len(fv_ops) - 1
-        states = [None] * (finest + 1)
-        states[finest] = mg.forward(lin.u0)
-        for l in range(finest, 0, -1):
-            states[l - 1] = R(states[l])
-        assert np.allclose(states[finest - 2], u_coarse, atol=1e-14)
+        levels = mg.fv_levels(lin.u0, alpha_dt)
+        l = len(fv_ops) - 3
+        op = fv_ops[l]
+        u = restrict(restrict(tr.dg_to_fv(lin.u0)))
+        dtau = _pseudo_dtau(*wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
+                            op.constants.mu, mg.cfg.pseudo_cfl, alpha_dt)
+        matvec, got = levels[l]
+        assert np.array_equal(got, dtau[..., None])
+        w = np.random.default_rng(4).standard_normal(u.shape)
+        assert np.array_equal(matvec(w), FVLinearization(op, u, alpha_dt).matvec(w))
 
     def test_fv_stack_assembled_once_per_step(self, ig_precond):
         # 5 colours x 4 components + the base evaluation on every level,
