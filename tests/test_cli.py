@@ -214,6 +214,20 @@ class TestRuns:
                 logs.append(fh.read())
         assert logs[0] == logs[1]
 
+    def test_viscous_massfix_outputs_repeat_byte_for_byte(self, tmp_path):
+        # two runs in one process: nothing an operator keeps between calls
+        # may leak from one run's results into the other's
+        outputs = []
+        for tag in ("a", "b"):
+            out = tmp_path / tag
+            cfg = RunConfig(case="density-current", base_nx=8, base_nz=2, level=1, dt=10.0,
+                            t_final=20.0, mg="mg111111V", transfer="massfix", outdir=str(out),
+                            output_interval=10.0)
+            assert run(cfg) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 4  # stats.csv and snapshots at t = 0, 10, 20
+        assert outputs[0] == outputs[1]
+
     def test_cut_extraction_workflow(self, tmp_path):
         # a fixed-height cut is a row filter on the snapshot file
         out = str(tmp_path / "out")

@@ -16,10 +16,13 @@ constructor reads is a local of it.
 And every public field of a package dataclass is read by an attribute
 load in src/dgmg, perfbench/ or tests/: being set in a constructor call
 is not a read, and a `self.<name>` load reads only its own class's
-field."""
+field. A load passed straight into a package dataclass's constructor, as
+keyword `g=x.f` or in g's positional slot, only forwards the value: it
+reads f if the receiving field g is read, followed transitively."""
 
 import ast
 import builtins
+import itertools
 import pathlib
 
 from test_hooks import load_tracing
@@ -138,30 +141,58 @@ def is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
+def forwards(tree: ast.AST, fields: dict) -> dict:
+    """id of each attribute load that tree passes straight into the
+    constructor of a package dataclass -> (class name, receiving field);
+    fields maps each dataclass's name to its field names in order."""
+    targets = {}
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name not in fields:
+            continue
+        positional = itertools.takewhile(lambda a: not isinstance(a, ast.Starred), call.args)
+        for field, arg in [*zip(fields[name], positional),
+                           *((kw.arg, kw.value) for kw in call.keywords)]:
+            if isinstance(arg, ast.Attribute) and field is not None:
+                targets[id(arg)] = (name, field)
+    return targets
+
+
 def unread_fields(modules: dict, readers: list) -> list[str]:
     """module.Class.name of each public field of a package dataclass that no
     attribute load reads: in the package a `self.` load counts only in the
     field's class, and in the reader trees it reads the reader's own
-    classes and does not count."""
+    classes and does not count. A load forwarded into a dataclass
+    constructor counts once its receiving field is read."""
     owners = self_attributes(modules)
-    reader_loads = {
-        node.attr for tree in readers for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        and not (isinstance(node.value, ast.Name) and node.value.id == "self")}
-    unread = []
-    for module, tree in modules.items():
-        for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and is_dataclass(cls)):
+    records = {cls.name: (module, cls) for module, tree in modules.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and is_dataclass(cls)}
+    fields = {name: [item.target.id for item in cls.body
+                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+              for name, (_, cls) in records.items()}
+    # attribute name -> (owning (module, class) or None, forward target or None)
+    loads = {}
+    for tree, package in [*((t, True) for t in modules.values()), *((t, False) for t in readers)]:
+        targets = forwards(tree, fields)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
                 continue
-            loads = reader_loads | {
-                node.attr for other in modules.values() for node in ast.walk(other)
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                and owners.get(id(node), (module, cls.name)) == (module, cls.name)}
-            unread += [
-                f"{module}.{cls.name}.{item.target.id}" for item in cls.body
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                and not item.target.id.startswith("_") and item.target.id not in loads]
-    return unread
+            if not package and isinstance(node.value, ast.Name) and node.value.id == "self":
+                continue
+            loads.setdefault(node.attr, []).append((owners.get(id(node)), targets.get(id(node))))
+    read = set()
+    while True:
+        new = {(name, f) for name, (module, _) in records.items() for f in fields[name]
+               if (name, f) not in read and any(
+                   owner in (None, (module, name)) and (target is None or target in read)
+                   for owner, target in loads.get(f, ()))}
+        if not new:
+            break
+        read |= new
+    return [f"{module}.{name}.{f}" for name, (module, _) in records.items() for f in fields[name]
+            if not f.startswith("_") and (name, f) not in read]
 
 
 def test_every_public_name_has_a_reader():
@@ -257,3 +288,36 @@ def test_checker_flags_a_field_nothing_reads():
     # Frozen.other_only is read by its own class's self.other_only
     assert unread_fields({"dgmg.sample": tree}, [reader]) == [
         "dgmg.sample.Record.set_only", "dgmg.sample.Frozen.unread"]
+
+
+def test_checker_follows_values_forwarded_into_records():
+    # a load only passed on into a record's constructor reads nothing
+    # unless the receiving field is read: Result.residual_initial goes into
+    # Stage.residual_initial, which nothing reads, so both are flagged;
+    # Result.iters reaches Stage.iters positionally, and Stage.iters is read
+    tree = ast.parse(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\n"
+        "class Result:\n"
+        "    iters: int\n"
+        "    residual_initial: float\n"
+        "    chained: int = 0\n\n"
+        "@dataclass\n"
+        "class Stage:\n"
+        "    iters: int\n"
+        "    residual_initial: float = 0.0\n"
+        "    relay: int = 0\n"
+        "    loop: int = 0\n\n"
+        "@dataclass\n"
+        "class Row:\n"
+        "    relay: int\n\n"
+        "def stage(res, old):\n"
+        "    s = Stage(res.iters, residual_initial=res.residual_initial,\n"
+        "              relay=res.chained, loop=old.loop)\n"
+        "    return Row(relay=s.relay), s\n"
+    )
+    reader = ast.parse("def f(stage):\n    return stage.iters\n")
+    assert unread_fields({"dgmg.sample": tree}, [reader]) == [
+        "dgmg.sample.Result.residual_initial", "dgmg.sample.Result.chained",
+        "dgmg.sample.Stage.residual_initial", "dgmg.sample.Stage.relay",
+        "dgmg.sample.Stage.loop", "dgmg.sample.Row.relay"]

@@ -270,13 +270,13 @@ class TestAgainstReference:
         h, sg = mesh.build_hierarchy(case.domain, nx, nz, 0, k)
         op = DGOperator(h, sg, DGBasis(k), with_viscosity(case, mu))
         Up = data.draw(perturbations(op.bg_vol.shape))
-        work = op._viscous_work()
-        V, _ = op._viscous_volume_fluxes(Up + op.bg_vol, work)
-        _, Bx, Bz = op._face_states(Up)
-        got = op._viscous_face_fluxes(V, Bx, Bz, work)
+        V, _ = op._viscous_volume_fluxes(Up + op.bg_vol)
+        Bx, Bz = op._face_states(Up)
+        got = op._viscous_face_fluxes(V, Bx, Bz)
         # the padded traces (value or gradient, side, 3, faces) the call
-        # left in work, as the reference's per-cell (nz, nx, p, 3) traces
-        Tx, Tz = (T for T, _ in work[-1])
+        # left in the work arrays, as the reference's per-cell (nz, nx, p,
+        # 3) traces
+        Tx, Tz = (T for T, _ in op._vfaces)
         west, east = Tx[:, 1, :, :, :-1], Tx[:, 0, :, :, 1:]
         south, north = Tz[:, 1, :, :-1], Tz[:, 0, :, 1:]
         expected = dg_viscous_face_fluxes(
