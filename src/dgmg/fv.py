@@ -3,8 +3,10 @@
 This is the degree-0 variant of the DG scheme: piecewise-constant cell
 values, HLLC face fluxes in perturbation form, two-point viscous fluxes,
 and the same slip/periodic boundary treatment. It exists to drive the
-multigrid preconditioner; field layout is (nz, nx, 4), and the operator
-also evaluates a batch of fields laid out (nz, nx, B, 4) in one call.
+multigrid preconditioner. The operator's states are laid out (nz, nx, 4),
+and it also evaluates a batch of fields laid out (nz, nx, B, 4) in one
+call; the linearization applies to the multigrid cycle's float32
+component-major vectors (4, nz, nx).
 
 The primitives (rho, u, w, rho*theta, p, c_s) of each cell are computed
 once per call into one array, padded once for both axes with one ghost
@@ -23,7 +25,8 @@ Each cell's tendency depends on itself and its four face neighbours, so
 the Jacobian of a level is a 5-point stencil of 4x4 blocks.
 FVLinearization assembles it once from CPR-coloured FD probes,
 evaluated in batches against a stencil pattern built once per level, and
-applies it as a gather and one contraction; the multigrid preconditioner
+applies it as one contraction over five shifted views of a ghost-padded
+copy of the vector, with no neighbour table; the multigrid preconditioner
 builds these linearizations once per time step. Only these FV levels are
 assembled: the outer DG stage system stays Jacobian-free
 (timeint.FDLinearization).
@@ -161,21 +164,28 @@ class FVLinearization:
     sees exactly one perturbed stencil cell, so the difference quotient at
     the cell is one column of its block row. The probes go to op in the
     batches of the level's stencil pattern (op.pattern, shared by every
-    linearization of the level), and each batch is scattered straight into
-    the blocks. alpha_dt * J is stored as float32 blocks (cells, 4, 20);
-    matvec gathers the stencil values of w into (cells, 20), zero beyond a
-    slip wall and wrapped on a periodic side, and contracts. The identity
-    part stays in float64, so alpha_dt = 0 gives w exactly. Assembly
-    evaluates op on 1 + 4 * colours fields (21 on the usual grids), matvec
-    on none.
+    linearization of the level) and are evaluated in float64, and each
+    batch is scattered straight into the blocks.
+
+    alpha_dt * J is stored as float32 blocks (4, 20, cells): output
+    component, stencil slot x input component, cell. matvec takes and
+    returns the multigrid cycle's float32 component-major vectors
+    (4, nz, nx). It copies w into a padded (4, nz + 2, nx + 2) buffer that
+    it keeps, whose ghosts are wrapped on periodic sides and stay zero
+    beyond slip walls, reads the five stencil slots as shifted views of
+    that buffer, and contracts; no neighbour table is stored. alpha_dt = 0
+    gives w exactly. Assembly evaluates op on 1 + 4 * colours fields (21
+    on the usual grids), matvec on none.
     """
 
     def __init__(self, op: FVOperator, u0: np.ndarray, alpha_dt: float):
         pattern = op.pattern
-        cells = op.nz * op.nx
-        self.neighbours = pattern.neighbours
-        self.blocks = np.zeros((cells, 4, 20), dtype=np.float32)
-        self._gather = np.zeros((cells + 1, 4), dtype=np.float32)
+        nz, nx = op.nz, op.nx
+        cells = nz * nx
+        self.periodic_x, self.periodic_z = op.xfaces.periodic, op.zfaces.periodic
+        self.blocks = np.zeros((4, 20, cells), dtype=np.float32)
+        self._padded = np.zeros((4, nz + 2, nx + 2), dtype=np.float32)
+        self._slots = _slot_views(self._padded)
         steps = EPS_FD * np.maximum(np.sqrt(np.mean((u0 + op.bg) ** 2, axis=(0, 1))), 1.0)
         f0 = op(u0).reshape(cells, 4)
         for batch in pattern.batches:
@@ -185,13 +195,15 @@ class FVLinearization:
                 flat[members, b, m] += steps[m]
             df = op(fields).reshape(cells, len(batch), 4)
             for b, ((_, rows, cols), m) in enumerate(batch):
-                self.blocks[rows, :, cols + m] = (df[rows, b] - f0[rows]) * (alpha_dt / steps[m])
+                self.blocks[:, cols + m, rows] = ((df[rows, b] - f0[rows]) * (alpha_dt / steps[m])).T
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
-        gather = self._gather
-        gather[:-1] = w.reshape(-1, 4)
-        stencil = gather.take(self.neighbours, axis=0).reshape(-1, 20)
-        return w - np.einsum("cij,cj->ci", self.blocks, stencil).reshape(w.shape)
+        padded = self._padded
+        padded[:, 1:-1, 1:-1] = w
+        _wrap_ghosts(padded, self.periodic_x, self.periodic_z)
+        stencil = np.stack(self._slots).reshape(20, -1)
+        out = np.einsum("ijc,jc->ic", self.blocks, stencil).reshape(w.shape)
+        return np.subtract(w, out, out=out)
 
 
 # Most cells x probes in one batched op call of a stencil assembly. Per
@@ -205,16 +217,17 @@ _BATCH_CELLS = 4096
 
 class StencilPattern:
     """The part of a level's stencil assembly that depends only on the
-    grid: the neighbour table of matvec and, per colour, the cells it
-    perturbs, the block rows that see one of them, and the first block
-    column of the stencil slot that holds it. The probes, one per colour
-    and component, are grouped into batches of at most _BATCH_CELLS
-    cells x probes."""
+    grid: per colour, the cells it perturbs, the block rows that see one
+    of them, and the first block column of the stencil slot that holds
+    it. The probes, one per colour and component, are grouped into
+    batches of at most _BATCH_CELLS cells x probes."""
 
     def __init__(self, nz: int, nx: int, periodic_x: bool, periodic_z: bool):
-        self.neighbours = _stencil_neighbours(nz, nx, periodic_x, periodic_z)
         colour = _stencil_colouring(nz, nx, periodic_x, periodic_z)
-        slot_colour = np.append(colour, -1)[self.neighbours]
+        padded = np.full((nz + 2, nx + 2), -1)
+        padded[1:-1, 1:-1] = colour.reshape(nz, nx)
+        _wrap_ghosts(padded, periodic_x, periodic_z)
+        slot_colour = np.stack([v.ravel() for v in _slot_views(padded)], axis=1)
         # narrow index types: these tables stay for the life of the level
         probes = []
         for k in np.unique(colour):
@@ -241,15 +254,18 @@ def _stencil_colouring(nz: int, nx: int, periodic_x: bool, periodic_z: bool) -> 
     return colour.ravel()
 
 
-def _stencil_neighbours(nz: int, nx: int, periodic_x: bool, periodic_z: bool) -> np.ndarray:
-    """(cells, 5) flat indices of the stencil cells in slot order; a
-    neighbour beyond a slip wall is the index `cells`, a zero row."""
-    j, i = np.divmod(np.arange(nz * nx), nx)
-    slots = []
-    for dj, di in _SLOTS:
-        jj, ii = j + dj, i + di
-        outside = (ii < 0) | (ii >= nx) if di else (jj < 0) | (jj >= nz)
-        periodic = periodic_x if di else periodic_z
-        index = (jj % nz) * nx + ii % nx
-        slots.append(index if periodic else np.where(outside, nz * nx, index))
-    return np.stack(slots, axis=1)
+def _wrap_ghosts(padded: np.ndarray, periodic_x: bool, periodic_z: bool) -> None:
+    """Fill the ghosts of the periodic sides of a padded (..., nz + 2,
+    nx + 2) array from the opposite edge; slip-wall ghosts stay as they are."""
+    if periodic_x:
+        padded[..., 1:-1, 0] = padded[..., 1:-1, -2]
+        padded[..., 1:-1, -1] = padded[..., 1:-1, 1]
+    if periodic_z:
+        padded[..., 0, 1:-1] = padded[..., -2, 1:-1]
+        padded[..., -1, 1:-1] = padded[..., 1, 1:-1]
+
+
+def _slot_views(padded: np.ndarray) -> list[np.ndarray]:
+    """The (..., nz, nx) views of a padded array at the stencil slots."""
+    nz, nx = padded.shape[-2] - 2, padded.shape[-1] - 2
+    return [padded[..., 1 + dj:nz + 1 + dj, 1 + di:nx + 1 + di] for dj, di in _SLOTS]

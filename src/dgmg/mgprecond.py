@@ -10,6 +10,19 @@ assembled stencils (fv.FVLinearization), lagged to one assembly per time
 step (Knoll & Keyes, J. Comput. Phys. 2004): each step's FV level stack
 is frozen at the DG state the step starts from.
 
+The FV cycle runs in float32 on component-major vectors (4, nz, nx):
+the residual is copied once into that form when it enters the cycle and
+once back into the float64 operand of the inverse transfer when it
+leaves; the blocks, the per-cell pseudo steps (nz, nx), the smoother,
+restriction and prolongation all stay in float32. That is safe because
+gmres_solve keeps the preconditioned vectors Z and updates the iterate
+from them, the flexible-GMRES form (Saad, SIAM J. Sci. Comput. 1993),
+which tolerates a preconditioner that is linear only to round-off, and
+Newton checks the true float64 residual; single-precision multigrid
+inside double-precision Krylov solvers is standard practice (Goeddeke,
+Strzodka & Turek, IJPEDS 2007). The DG sweeps, the transfers and GMRES
+stay float64.
+
 Grid transfers are agglomeration restriction (volume-weighted child
 average) and injection prolongation. The smoother integrates the dual
 pseudo-time ODE dw/dtau = (b - g'(u) w)/(alpha dt) with explicit steps;
@@ -98,24 +111,32 @@ def parse_mg_config(text: str, pseudo_cfl: float = 1.0) -> MGConfig:
 
 
 def restrict(u: np.ndarray) -> np.ndarray:
-    """Agglomeration restriction: volume-weighted average of the four
-    children (arithmetic mean on uniform grids)."""
-    nz, nx = u.shape[0], u.shape[1]
+    """Agglomeration restriction over the last two (z, x) axes: the
+    volume-weighted average of the four children (arithmetic mean on
+    uniform grids)."""
+    nz, nx = u.shape[-2:]
     if nz % 2 or nx % 2:
         raise ValueError(f"cannot coarsen a {nz}x{nx} grid")
-    # children summed in the order numpy's mean over the (2, 2) child axes
-    # uses for the (nz, nx, 4) field layout, so the result is bit-identical
-    # to reshape(...).mean(axis=(1, 3)) there, without its reduction set-up
-    out = u[0::2, 0::2] + u[0::2, 1::2]
-    out += u[1::2, 0::2]
-    out += u[1::2, 1::2]
+    # children summed in the order ((a + b) + c) + d, the order numpy's
+    # mean over the (2, 2) child axes of the (nz, nx, 4) layout uses
+    out = u[..., 0::2, 0::2] + u[..., 0::2, 1::2]
+    out += u[..., 1::2, 0::2]
+    out += u[..., 1::2, 1::2]
     out /= 4
     return out
 
 
 def prolong(u: np.ndarray) -> np.ndarray:
-    """Injection prolongation: each child receives its parent's value."""
-    return np.repeat(np.repeat(u, 2, axis=0), 2, axis=1)
+    """Injection prolongation over the last two (z, x) axes: each child
+    receives its parent's value."""
+    # strided slot writes: np.repeat along the contiguous x axis copies one
+    # value at a time, 2-3x slower on the component-major float32 levels
+    nz, nx = u.shape[-2:]
+    out = np.empty(u.shape[:-2] + (2 * nz, 2 * nx), dtype=u.dtype)
+    out[..., 0::2, 0::2] = u
+    out[..., 0::2, 1::2] = u
+    out[..., 1::2, :] = out[..., 0::2, :]
+    return out
 
 
 def smooth(matvec, x: np.ndarray, b: np.ndarray, n_steps: int, dtau: np.ndarray) -> np.ndarray:
@@ -138,7 +159,9 @@ def _pseudo_dtau(lx, lz, hx, hz, mu, cfl, alpha_dt) -> np.ndarray:
 def mg_cycle(levels: list[tuple], l: int, x: np.ndarray, b: np.ndarray,
              cfg: MGConfig) -> np.ndarray:
     """One V- or W-cycle on the level stack: per level, coarsest first, the
-    (matvec, dtau) pair of its frozen linearization and pseudo steps.
+    (matvec, dtau) pair of its frozen linearization and pseudo steps. x
+    and b are (components, nz, nx); dtau (nz, nx) broadcasts over the
+    components.
 
     Pre-smooth, restrict the residual, recurse (once for V, twice for W),
     subtract the prolonged correction, post-smooth. Each smoothing step
@@ -172,7 +195,9 @@ class MultigridPreconditioner:
     stack; a new alpha_dt rebuilds it. The DG side (the outer
     Jacobian-free linearization and its pseudo-time steps) follows the
     current Newton iterate. The returned closure applies one cycle per
-    call; it is linear and stateless across calls.
+    call and returns float64 of its input's shape; it is linear to
+    float32 round-off (exactly homogeneous under powers of two) and
+    deterministic across calls.
     """
 
     def __init__(self, dg_op, fv_ops: list[FVOperator], transfer: TransferOperators,
@@ -195,11 +220,12 @@ class MultigridPreconditioner:
         states: list[np.ndarray | None] = [None] * (finest + 1)
         states[finest] = self.forward(U)
         for l in range(finest, 0, -1):
-            states[l - 1] = restrict(states[l])
+            # restrict acts on the last two axes; the FV states are (nz, nx, 4)
+            states[l - 1] = restrict(states[l].transpose(2, 0, 1)).transpose(1, 2, 0)
         return [
             (FVLinearization(op, u, alpha_dt).matvec,
              _pseudo_dtau(*physics.wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
-                          op.constants.mu, self.cfg.pseudo_cfl, alpha_dt)[..., None])
+                          op.constants.mu, self.cfg.pseudo_cfl, alpha_dt).astype(np.float32))
             for op, u in zip(self.fv_ops, states)
         ]
 
@@ -228,9 +254,9 @@ class MultigridPreconditioner:
                 r = y - dg_lin.matvec(x)
             else:
                 r = y
-            bf = self.forward(r)
-            v = mg_cycle(levels, finest, np.zeros_like(bf), bf, cfg)
-            x = x + self.transfer.fv_to_dg(v)
+            b = np.ascontiguousarray(self.forward(r).transpose(2, 0, 1), dtype=np.float32)
+            v = mg_cycle(levels, finest, np.zeros_like(b), b, cfg)
+            x = x + self.transfer.fv_to_dg(v.transpose(1, 2, 0))
             if cfg.dg_post:
                 x = smooth(dg_lin.matvec, x, y, cfg.dg_post, dg_dtau)
             return x

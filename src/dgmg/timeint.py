@@ -16,6 +16,8 @@ domain size.
 from __future__ import annotations
 
 import math
+import mmap
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +104,36 @@ class GMRESInfo:
     residual_history: list
 
 
+# The Krylov rows of the last solve, kept for the next one in the process,
+# so that a solve neither faults in fresh pages nor frees tens of MB: a freed
+# block raises glibc's mmap threshold, the next one then comes from the brk
+# heap, and there numpy's huge-page advice lets khugepaged collapse it at
+# times that vary from run to run, and the peak resident size with them.
+# The rows are a mapping of their own with huge pages declined, so what is
+# resident of them is what the solves have written.
+_kept_rows: dict[tuple[int, int], np.ndarray] = {}
+
+
+@contextmanager
+def _krylov_rows(rows: int, n: int):
+    """A (rows, n) float64 work array, taken from _kept_rows if it holds one
+    of that shape and put back, as its only entry, on exit. A solve nested
+    in another's M, or running in another thread, finds none and makes its
+    own."""
+    shape = (rows, n)
+    work = _kept_rows.pop(shape, None)
+    if work is None:
+        buf = mmap.mmap(-1, rows * n * np.dtype(float).itemsize)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        work = np.frombuffer(buf, dtype=float).reshape(shape)
+    try:
+        yield work
+    finally:
+        _kept_rows.clear()
+        _kept_rows[shape] = work
+
+
 def gmres_solve(
     matvec,
     b: np.ndarray,
@@ -123,7 +155,9 @@ def gmres_solve(
     product, so weights must be positive. Each new vector is written into
     its row and orthogonalized by classical Gram-Schmidt run twice (CGS2).
     The preconditioned vectors fill a (restart, n) array, so a cycle's
-    update is one product. matvec and M receive arrays shaped like b.
+    update is one product. Both arrays are rows of one work array that is
+    kept from one solve to the next. matvec and M receive arrays shaped
+    like b.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"forcing tolerance must be in (0, 1), got {eta}")
@@ -137,84 +171,85 @@ def gmres_solve(
     # weighted_rms(u) is the 2-norm of u * scale
     scale = (np.sqrt(np.broadcast_to(weights, shape)).reshape(n) if weights is not None
              else 1.0 / math.sqrt(n))
-    Z = np.empty((max(min(restart, maxiter), 0), n))
-    V = np.empty((len(Z) + 1, n))
-    work = np.empty(n)  # M's argument, the Gram-Schmidt projection, the update
-    tol = eta * bnorm
-    total = 0
-    r = b
-    rnorm = bnorm
-    while True:
-        m = min(restart, maxiter - total)
-        if m <= 0:
-            return x, GMRESInfo(total, False, history)
-        np.multiply(r.reshape(n), scale, out=V[0])
-        V[0] /= rnorm
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = rnorm
-        j_last = -1
-        converged = False
-        stalled = False
-        cycle_start = rnorm
-        for j in range(m):
-            if M is None:
-                np.divide(V[j], scale, out=Z[j])
-            else:
-                np.divide(V[j], scale, out=work)
-                Z[j] = M(work.reshape(shape)).reshape(n)
-            w = V[j + 1]
-            np.multiply(matvec(Z[j].reshape(shape)).reshape(n), scale, out=w)
-            total += 1
-            basis = V[: j + 1]
-            h = basis @ w
-            w -= np.dot(h, basis, out=work)
-            h2 = basis @ w
-            w -= np.dot(h2, basis, out=work)
-            H[: j + 1, j] = h + h2
-            H[j + 1, j] = math.sqrt(w @ w)
-            breakdown = H[j + 1, j] < 1e-14 * max(bnorm, 1e-300)
-            if not breakdown:
-                w /= H[j + 1, j]
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            d = math.hypot(H[j, j], H[j + 1, j])
-            if d == 0.0:
-                # the operator annihilated this direction; drop the column
-                stalled = True
-                break
-            cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
-            H[j, j] = d
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            rnorm = abs(g[j + 1])
-            history.append(rnorm)
-            j_last = j
-            if rnorm <= tol or breakdown:
-                # a happy breakdown makes the Krylov solve exact; restarting
-                # could only regenerate the same space
-                converged = True
-                break
-        if j_last >= 0:
-            y = np.zeros(j_last + 1)
-            for i in range(j_last, -1, -1):
-                y[i] = (g[i] - H[i, i + 1 : j_last + 1] @ y[i + 1 : j_last + 1]) / H[i, i]
-            x += np.dot(y, Z[: j_last + 1], out=work).reshape(shape)
-        if converged:
-            return x, GMRESInfo(total, rnorm <= tol, history)
-        if total >= maxiter:
-            return x, GMRESInfo(total, False, history)
-        r = b - matvec(x)
-        rnorm = weighted_rms(r, weights)
-        if rnorm <= tol:
-            return x, GMRESInfo(total, True, history)
-        if stalled and rnorm >= (1.0 - 1e-12) * cycle_start:
-            return x, GMRESInfo(total, False, history)
+    k = max(min(restart, maxiter), 0)
+    with _krylov_rows(2 * k + 2, n) as rows:
+        Z, V = rows[:k], rows[k : 2 * k + 1]
+        work = rows[2 * k + 1]  # M's argument, the Gram-Schmidt projection, the update
+        tol = eta * bnorm
+        total = 0
+        r = b
+        rnorm = bnorm
+        while True:
+            m = min(restart, maxiter - total)
+            if m <= 0:
+                return x, GMRESInfo(total, False, history)
+            np.multiply(r.reshape(n), scale, out=V[0])
+            V[0] /= rnorm
+            H = np.zeros((m + 1, m))
+            cs = np.zeros(m)
+            sn = np.zeros(m)
+            g = np.zeros(m + 1)
+            g[0] = rnorm
+            j_last = -1
+            converged = False
+            stalled = False
+            cycle_start = rnorm
+            for j in range(m):
+                if M is None:
+                    np.divide(V[j], scale, out=Z[j])
+                else:
+                    np.divide(V[j], scale, out=work)
+                    Z[j] = M(work.reshape(shape)).reshape(n)
+                w = V[j + 1]
+                np.multiply(matvec(Z[j].reshape(shape)).reshape(n), scale, out=w)
+                total += 1
+                basis = V[: j + 1]
+                h = basis @ w
+                w -= np.dot(h, basis, out=work)
+                h2 = basis @ w
+                w -= np.dot(h2, basis, out=work)
+                H[: j + 1, j] = h + h2
+                H[j + 1, j] = math.sqrt(w @ w)
+                breakdown = H[j + 1, j] < 1e-14 * max(bnorm, 1e-300)
+                if not breakdown:
+                    w /= H[j + 1, j]
+                for i in range(j):
+                    t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+                    H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+                    H[i, j] = t
+                d = math.hypot(H[j, j], H[j + 1, j])
+                if d == 0.0:
+                    # the operator annihilated this direction; drop the column
+                    stalled = True
+                    break
+                cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
+                H[j, j] = d
+                H[j + 1, j] = 0.0
+                g[j + 1] = -sn[j] * g[j]
+                g[j] = cs[j] * g[j]
+                rnorm = abs(g[j + 1])
+                history.append(rnorm)
+                j_last = j
+                if rnorm <= tol or breakdown:
+                    # a happy breakdown makes the Krylov solve exact; restarting
+                    # could only regenerate the same space
+                    converged = True
+                    break
+            if j_last >= 0:
+                y = np.zeros(j_last + 1)
+                for i in range(j_last, -1, -1):
+                    y[i] = (g[i] - H[i, i + 1 : j_last + 1] @ y[i + 1 : j_last + 1]) / H[i, i]
+                x += np.dot(y, Z[: j_last + 1], out=work).reshape(shape)
+            if converged:
+                return x, GMRESInfo(total, rnorm <= tol, history)
+            if total >= maxiter:
+                return x, GMRESInfo(total, False, history)
+            r = b - matvec(x)
+            rnorm = weighted_rms(r, weights)
+            if rnorm <= tol:
+                return x, GMRESInfo(total, True, history)
+            if stalled and rnorm >= (1.0 - 1e-12) * cycle_start:
+                return x, GMRESInfo(total, False, history)
 
 
 def eisenstat_walker_eta(

@@ -67,8 +67,14 @@ class TransferOperators:
 
     def fv_to_dg(self, u: np.ndarray) -> np.ndarray:
         """Inverse transfer T^-1: nodal values of the unique degree-k
-        tensor polynomial interpolating the subcell-center values."""
+        tensor polynomial interpolating the subcell-center values.
+
+        u is (nz*p, nx*p, 4) of any strides and float dtype, such as a
+        transposed view of the multigrid cycle's float32 (4, nz*p, nx*p)
+        vector; one copy writes it into the float64 (cells, 4p^2) GEMM
+        operand."""
         p = self.p
         nz, nx = u.shape[0] // p, u.shape[1] // p
-        cells = u.reshape(nz, p, nx, 4 * p).transpose(0, 2, 1, 3).reshape(nz * nx, -1)
-        return (cells @ self._to_dg).reshape(nz, nx, p, p, 4)
+        cells = np.empty((nz, nx, p, p, 4))
+        np.copyto(cells, u.reshape(nz, p, nx, p, 4).transpose(0, 2, 1, 3, 4))
+        return (cells.reshape(nz * nx, -1) @ self._to_dg).reshape(nz, nx, p, p, 4)

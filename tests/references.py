@@ -18,7 +18,11 @@ directions off the production maps.
 
 fv_jacobian is the dense Jacobian of an FV operator, one FD column per
 unknown, that the CPR-coloured stencil assembly of fv.FVLinearization
-must reproduce.
+must reproduce. stencil_matvec applies an assembled linearization in
+float64 through a neighbour-table gather, where the package reads
+shifted views of a padded float32 buffer, and mg_cycle is the multigrid
+cycle in float64 on fields (nz, nx, 4) that the float32 component-major
+cycle must match to single-precision round-off.
 
 write_snapshot_csv, write_vtk and stats_log format the driver's outputs
 value by value with f-strings, the bytes that the row-formatted writers
@@ -338,6 +342,60 @@ def fv_jacobian(op, u0, steps):
         up.reshape(-1)[idx] += h
         J[:, idx] = ((op(up) - f0) / h).ravel()
     return J
+
+
+def stencil_neighbours(nz, nx, periodic_x, periodic_z):
+    """(cells, 5) flat indices of the cells of each 5-point stencil, in the
+    slot order of fv.FVLinearization's blocks (self, east, north, south,
+    west); a neighbour beyond a slip wall is the index `cells`, the zero
+    row of the gather in stencil_matvec."""
+    j, i = np.divmod(np.arange(nz * nx), nx)
+    slots = []
+    for dj, di in ((0, 0), (0, 1), (1, 0), (-1, 0), (0, -1)):
+        jj, ii = j + dj, i + di
+        outside = (ii < 0) | (ii >= nx) | (jj < 0) | (jj >= nz)
+        index = (jj % nz) * nx + ii % nx
+        periodic = periodic_x if di else periodic_z
+        slots.append(index if periodic else np.where(outside, nz * nx, index))
+    return np.stack(slots, axis=1)
+
+
+def stencil_matvec(lin, neighbours, w):
+    """g'(u0) w of the FV linearization lin, in float64 on a field w
+    (nz, nx, 4): gather the stencil values of every cell through the
+    neighbour table and contract them with lin's blocks."""
+    cells = w.shape[0] * w.shape[1]
+    gather = np.zeros((cells + 1, 4))
+    gather[:-1] = w.reshape(cells, 4)
+    stencil = gather[neighbours].reshape(cells, 20)
+    blocks = lin.blocks.astype(np.float64).transpose(2, 0, 1)
+    return w - np.einsum("cij,cj->ci", blocks, stencil).reshape(w.shape)
+
+
+def mg_cycle(levels, l, x, b, cfg, stages):
+    """mgprecond.mg_cycle in float64 on fields (nz, nx, 4): per level the
+    (matvec, dtau) pair of that layout, RK steps of `stages` Euler
+    sub-steps, restriction as numpy's mean of the four children and
+    prolongation by repeat."""
+    matvec, dtau = levels[l]
+
+    def smooth(x, n):
+        for _ in range(n):
+            x = x + dtau[..., None] * (b - matvec(x))
+        return x
+
+    finest = len(levels) - 1
+    pre, post = (cfg.fine_pre, cfg.fine_post) if l == finest else (cfg.mid_pre, cfg.mid_post)
+    if l == 0:
+        return smooth(x, stages * max(2, pre + post))
+    x = smooth(x, stages * pre)
+    nz, nx = b.shape[0] // 2, b.shape[1] // 2
+    r = (matvec(x) - b).reshape(nz, 2, nx, 2, 4).mean(axis=(1, 3))
+    v = np.zeros_like(r)
+    for _ in range(2 if cfg.cycle == "W" else 1):
+        v = mg_cycle(levels, l - 1, v, r, cfg, stages)
+    x = x - np.repeat(np.repeat(v, 2, axis=0), 2, axis=1)
+    return smooth(x, stages * post)
 
 
 def cell_area(hierarchy, level):

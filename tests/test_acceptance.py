@@ -206,14 +206,15 @@ def test_criterion_07_multigrid_contraction():
     tr = setup.transfer()
     levels = mg.fv_levels(U0, alpha_dt)
     finest = len(levels) - 1
-    # right-hand side: the transferred first Newton residual
+    # right-hand side: the transferred first Newton residual, as the
+    # cycle's float32 component-major vector
     G = lambda V: V - alpha_dt * setup.dg_op(V) - U0
-    b = tr.dg_to_fv(-G(U0))
+    b = np.ascontiguousarray(tr.dg_to_fv(-G(U0)).transpose(2, 0, 1), dtype=np.float32)
     cfg = parse_mg_config("mg111111V")
     x = mg_cycle(levels, finest, np.zeros_like(b), b, cfg)
     matvec, _ = levels[finest]
     r = b - matvec(x)
-    factor = rms(b) / rms(r)
+    factor = rms(b.astype(np.float64)) / rms(r.astype(np.float64))
     assert factor >= 2.0, factor
     report(7, "multigrid contraction", f"(one V-cycle contracts by {factor:.2f}x)")
 

@@ -181,6 +181,17 @@ class TestBackground:
         assert defects[0] < 2e-3
 
 
+def cycle_vector(w):
+    """A field (nz, nx, 4) as the multigrid cycle's float32 component-major
+    vector (4, nz, nx), the form FVLinearization.matvec applies to."""
+    return np.ascontiguousarray(w.transpose(2, 0, 1), dtype=np.float32)
+
+
+def field(v):
+    """A cycle vector (4, nz, nx) as a float64 field (nz, nx, 4)."""
+    return v.transpose(1, 2, 0).astype(np.float64)
+
+
 class TestLinearization:
     def test_zero_vector_short_circuits(self):
         case = advection_case()
@@ -188,7 +199,7 @@ class TestLinearization:
         op = FVOperator(h, 0, case)
         lin = FVLinearization(op, np.zeros((4, 4, 4)), alpha_dt=1.0)
         calls = op.ncalls
-        out = lin.matvec(np.zeros((4, 4, 4)))
+        out = lin.matvec(np.zeros((4, 4, 4), dtype=np.float32))
         assert np.all(out == 0.0)
         assert op.ncalls == calls  # no operator evaluation
 
@@ -198,8 +209,17 @@ class TestLinearization:
         op = FVOperator(h, 0, case)
         lin = FVLinearization(op, np.zeros((4, 4, 4)), alpha_dt=0.0)
         rng = np.random.default_rng(1)
-        w = rng.standard_normal((4, 4, 4))
+        w = rng.standard_normal((4, 4, 4)).astype(np.float32)
         assert np.allclose(lin.matvec(w), w, atol=1e-14)
+
+    def test_matvec_is_float32_component_major(self):
+        setup = make_setup("rising-bubble", 2, 3, 0)
+        op = setup.fv_op(1)
+        lin = FVLinearization(op, random_state(op, np.random.default_rng(13)), 3.0)
+        w = np.random.default_rng(14).standard_normal((4, op.nz, op.nx)).astype(np.float32)
+        out = lin.matvec(w)
+        assert out.dtype == np.float32 and out.shape == (4, op.nz, op.nx)
+        assert lin.blocks.shape == (4, 20, op.nz * op.nx)
 
     def test_fd_matches_assembled_matrix_linear_advection(self):
         # 1D periodic advection on an (n, 1) grid at the rest state; the
@@ -214,9 +234,9 @@ class TestLinearization:
         G = stage_matrix(op, u0, alpha_dt)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            w = rng.standard_normal(u0.shape)
-            got = lin.matvec(w)
-            want = (G @ w.ravel()).reshape(u0.shape)
+            w = cycle_vector(rng.standard_normal(u0.shape))
+            got = field(lin.matvec(w))
+            want = (G @ field(w).ravel()).reshape(u0.shape)
             assert rms(got - want) <= 1e-6 * rms(want)
 
     def test_fd_matches_column_assembled_euler_jacobian(self):
@@ -234,11 +254,11 @@ class TestLinearization:
         for idx in range(n):
             e = np.zeros(n)
             e[idx] = scale[idx % 4]
-            J[:, idx] = lin.matvec(e.reshape(u0.shape)).ravel() / scale[idx % 4]
+            J[:, idx] = field(lin.matvec(cycle_vector(e.reshape(u0.shape)))).ravel() / scale[idx % 4]
         for _ in range(10):
-            w = rng.standard_normal(u0.shape) * scale
-            got = lin.matvec(w)
-            want = (J @ w.ravel()).reshape(u0.shape)
+            w = cycle_vector(rng.standard_normal(u0.shape) * scale)
+            got = field(lin.matvec(w))
+            want = (J @ field(w).ravel()).reshape(u0.shape)
             assert rms(got - want) <= 2e-5 * rms(want), rms(got - want) / rms(want)
 
     def test_linearity_to_fd_accuracy(self):
@@ -250,7 +270,7 @@ class TestLinearization:
             u0 = tr.dg_to_fv(cases.build_initial_state(setup.case, setup.dg_op))
             lin = FVLinearization(op, u0, alpha_dt=1.5)
             rng = np.random.default_rng(6)
-            w = rng.standard_normal(u0.shape) * np.array([1e-5, 1e-4, 1e-4, 1e-3])
+            w = cycle_vector(rng.standard_normal(u0.shape) * np.array([1e-5, 1e-4, 1e-4, 1e-3]))
             base = lin.matvec(w)
             for a in (2.0, -1.0):
                 scaled = lin.matvec(a * w)
@@ -273,17 +293,17 @@ class TestLinearization:
         u0 = random_state(op, rng)
         lin = FVLinearization(op, u0, alpha_dt)
         G = stage_matrix(op, u0, alpha_dt)
-        w = rng.standard_normal(u0.shape)
+        w = cycle_vector(rng.standard_normal(u0.shape))
         calls = op.ncalls
         got = lin.matvec(w)
-        want = (G @ w.ravel()).reshape(w.shape)
-        # float32 blocks and gather: a few float32 roundings of alpha_dt*J w
-        assert rms(got - want) <= 1e-6 * (rms(w) + rms(want - w))
+        want = (G @ field(w).ravel()).reshape(u0.shape)
+        # float32 blocks and vectors: a few float32 roundings of w - alpha_dt*J w
+        assert rms(field(got) - want) <= 1e-6 * (rms(w) + rms(want - field(w)))
         # exactly linear: scaling by powers of two and negation commute with
         # every rounding; sums to float32 round-off
         assert np.array_equal(lin.matvec(2.0 * w), 2.0 * got)
         assert np.array_equal(lin.matvec(-w), -got)
-        v = rng.standard_normal(w.shape)
+        v = cycle_vector(rng.standard_normal(u0.shape))
         gv = lin.matvec(v)
         assert rms(lin.matvec(w + v) - got - gv) <= 1e-6 * (rms(got) + rms(gv))
         assert not lin.matvec(np.zeros_like(w)).any()
@@ -300,6 +320,6 @@ class TestLinearization:
             alpha_dt = 5.0
             lin = FVLinearization(op, u0, alpha_dt)
             G = stage_matrix(op, u0, alpha_dt)
-            w = np.random.default_rng(12).standard_normal(u0.shape) * op.bg
-            want = (G @ w.ravel()).reshape(w.shape)
-            assert rms(lin.matvec(w) - want) <= 1e-5 * rms(want), name
+            w = cycle_vector(np.random.default_rng(12).standard_normal(u0.shape) * op.bg)
+            want = (G @ field(w).ravel()).reshape(u0.shape)
+            assert rms(field(lin.matvec(w)) - want) <= 1e-5 * rms(want), name

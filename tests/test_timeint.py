@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgmg import timeint
 from dgmg.timeint import (
     SDIRK2_ALPHA,
     FDLinearization,
@@ -129,8 +130,6 @@ class TestNewton:
     def test_unconverged_linear_solves_are_counted(self, monkeypatch):
         # two GMRES iterations per Newton step cannot meet the forcing
         # term on a diagonal system with 40 spread eigenvalues
-        from dgmg import timeint
-
         d = np.linspace(1.0, 50.0, 40)
         converged = []
 
@@ -253,6 +252,24 @@ class TestGMRES:
         scale = np.linalg.norm(xs) / np.sqrt(b.size)
         for x in (x1, x2):
             assert weighted_rms(x - xs) <= 10 * eta * scale
+
+    def test_solves_share_rows_and_a_nested_solve_makes_its_own(self):
+        # M runs a GMRES solve of the same size and restart: it must not
+        # write into the Krylov rows of the outer solve, which keeps them
+        A = self._poisson_like(n=8, shift=1.0, coef=0.3)
+        P = np.diag(np.diag(A)) + np.diag(np.diag(A, 1), 1)
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+
+        def M(v):
+            return gmres_solve(lambda u: P @ u, v, eta=1e-12, restart=20, maxiter=20)[0]
+
+        gmres_solve(lambda v: A @ v, b, eta=1e-6, restart=20)
+        (rows,) = timeint._kept_rows.values()
+        x, info = gmres_solve(lambda v: A @ v, b, M=M, eta=1e-10, restart=20)
+        assert info.converged
+        assert weighted_rms(b - A @ x) <= 1e-10 * weighted_rms(b)
+        (kept,) = timeint._kept_rows.values()
+        assert kept is rows
 
     def test_restart_still_converges(self):
         A = self._poisson_like(n=8, shift=1.0, coef=0.3)
