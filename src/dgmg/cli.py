@@ -162,13 +162,9 @@ class SolverBundle:
     case: CaseSetup
     dg_op: DGOperator
     transfer: TransferOperators
-    fv_ops: list
     mg: MultigridPreconditioner | None
     params: NewtonParams
     U0: np.ndarray
-
-    def op_counts(self) -> tuple[int, int]:
-        return self.dg_op.ncalls, sum(op.ncalls for op in self.fv_ops)
 
 
 def _physical_memory() -> int | None:
@@ -229,16 +225,16 @@ def build_solver(cfg: RunConfig) -> SolverBundle:
     mg_cfg = cfg.mg_config()
     # the FV levels come first, so that their set-up temporaries are freed
     # before the DG operator makes the work arrays it keeps
-    fv_ops: list[FVOperator] = []
+    fv_operators: list[FVOperator] = []
     if mg_cfg is not None:
-        fv_ops = [FVOperator(hierarchy, l, case) for l in range(hierarchy.n_levels)]
+        fv_operators = [FVOperator(hierarchy, l, case) for l in range(hierarchy.n_levels)]
     dg_op = DGOperator(hierarchy, subgrid, basis, case)
     transfer = TransferOperators(basis, subgrid)
     mg = None if mg_cfg is None else MultigridPreconditioner(
-        dg_op, fv_ops, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix")
+        dg_op, fv_operators, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix")
     params = NewtonParams(tol=cfg.newton_tol)
     U0 = build_initial_state(case, dg_op)
-    return SolverBundle(cfg, case, dg_op, transfer, fv_ops, mg, params, U0)
+    return SolverBundle(cfg, case, dg_op, transfer, mg, params, U0)
 
 
 def write_snapshot(field: np.ndarray, bundle: SolverBundle, path: str) -> None:
@@ -297,7 +293,7 @@ def _write_vtk(fh, xc, zc, dx, dz, columns):
 # each stats column's name and its format, for the CSV and the JSONL log;
 # the names are the StageStats fields, in order
 _STATS_COLUMNS = (("time", "%.6f"), ("stage", "%d"), ("newton_iters", "%d"), ("gmres_iters", "%d"),
-                  ("dg_ops", "%d"), ("fv_ops", "%d"), ("residual", "%.12e"))
+                  ("dg_ops", "%d"), ("residual", "%.12e"))
 STATS_HEADER = ",".join(name for name, _ in _STATS_COLUMNS)
 _STATS_ROWS = {
     "csv": ",".join(fmt for _, fmt in _STATS_COLUMNS) + "\n",
@@ -314,7 +310,7 @@ def _stats_writer(fh, fmt: str):
 
     def write(st: StageStats) -> None:
         fh.write(row % (st.time, st.stage, st.newton_iters, st.gmres_iters, st.dg_ops,
-                        st.fv_ops, st.residual))
+                        st.residual))
         fh.flush()
 
     return write
@@ -350,8 +346,7 @@ def run(cfg: RunConfig) -> int:
                     raise SolverFailure(f"time step {step_dt:.3g} no longer advances t")
                 if cfg.integrator == "implicit":
                     U, stages = sdirk2_step(bundle.dg_op, U, t, step_dt, params=bundle.params,
-                                            weights=bundle.dg_op.norm_weights, precond=bundle.mg,
-                                            op_counts=bundle.op_counts)
+                                            weights=bundle.dg_op.norm_weights, precond=bundle.mg)
                     for st in stages:
                         log(st)
                         if st.gmres_unconverged:

@@ -3,9 +3,8 @@
 This is the degree-0 variant of the DG scheme: piecewise-constant cell
 values, HLLC face fluxes in perturbation form, two-point viscous fluxes,
 and the same slip/periodic boundary treatment. It exists to drive the
-multigrid preconditioner. The operator's states are laid out (nz, nx, 4),
-and it also evaluates a batch of fields laid out (nz, nx, B, 4) in one
-call; the linearization applies to the multigrid cycle's float32
+multigrid preconditioner. The operator's states are laid out (nz, nx, 4);
+the linearization applies to the multigrid cycle's float32
 component-major vectors (4, nz, nx).
 
 The primitives (rho, u, w, rho*theta, p, c_s) of each cell are computed
@@ -21,20 +20,19 @@ flux subtracts the background numerical flux computed from the two
 adjacent cell backgrounds through the same face path, so the operator is
 well balanced on every level independently.
 
-Each cell's tendency depends on itself and its four face neighbours, so
-the Jacobian of a level is a 5-point stencil of 4x4 blocks.
-FVLinearization assembles it once from CPR-coloured FD probes,
-evaluated in batches against a stencil pattern built once per level, and
-applies it as one contraction over five shifted views of a ghost-padded
-copy of the vector, with no neighbour table; the multigrid preconditioner
-builds these linearizations once per time step. Only these FV levels are
+Each cell's tendency is a sum of face fluxes over h, and each face flux
+depends on the two cells of the face, so the Jacobian of a level is a
+5-point stencil of 4x4 blocks. FVLinearization assembles it once from
+one-sided finite differences of the face fluxes, the usual implicit-FV
+assembly (Blazek, Computational Fluid Dynamics, ch. 6), and applies it as
+one contraction over five shifted views of a ghost-padded copy of the
+vector, with no neighbour table; the multigrid preconditioner builds
+these linearizations once per time step. Only these FV levels are
 assembled: the outer DG stage system stays Jacobian-free
 (timeint.FDLinearization).
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +50,6 @@ class FVOperator:
         self.nz = hierarchy.nz[level]
         self.dx = hierarchy.dx[level]
         self.dz = hierarchy.dz[level]
-        self.ncalls = 0
 
         self.bg = fv_background(case, hierarchy, level)
 
@@ -63,61 +60,60 @@ class FVOperator:
         # background numerical fluxes through the runtime face path; the
         # background two-point viscous fluxes (analytically zero for the
         # constant-primitive atmospheres) are subtracted as a grouped
-        # difference for exact balance; they keep a batch axis of length 1
-        # that broadcasts over the fields of a batch
-        (self.bg_hflux_x, self.bg_gx), (self.bg_hflux_z, self.bg_gz) = (
-            self._face_fluxes(self.bg[:, :, None]))
-
-    @cached_property
-    def pattern(self) -> StencilPattern:
-        """The level's stencil pattern, built at its first assembly. Lazy,
-        as built eagerly the patterns of a hierarchy would nearly double
-        set-up: 2.4/8.2/10.2 ms against `build_solver` times of 4.1/8.7/12.6
-        ms on the ig/bubble/dc benchmark grids (medians, one BLAS thread)."""
-        return StencilPattern(self.nz, self.nx, self.xfaces.periodic, self.zfaces.periodic)
+        # difference for exact balance
+        Q = self.padded_primitives(self.bg)
+        self.bg_hflux_x, self.bg_gx = self._axis_fluxes(self.xfaces, Q, Q)
+        self.bg_hflux_z, self.bg_gz = self._axis_fluxes(self.zfaces, Q, Q)
 
     def __call__(self, up: np.ndarray) -> np.ndarray:
-        """Tendency of the perturbation field up (nz, nx, 4), or of each
-        field of a batch up (nz, nx, B, 4); ncalls counts fields."""
-        batch = up if up.ndim == 4 else up[:, :, None]
-        self.ncalls += batch.shape[2]
+        """Tendency of the perturbation field up (nz, nx, 4)."""
         c = self.constants
-        full = batch + self.bg[:, :, None]
+        full = up + self.bg
         check_admissible(full, self.level, "cell average")
 
-        (Hx, gx), (Hz, gz) = self._face_fluxes(full)
+        Q = self.padded_primitives(full)
+        Hx, gx = self._axis_fluxes(self.xfaces, Q, Q)
+        Hz, gz = self._axis_fluxes(self.zfaces, Q, Q)
         Hx -= self.bg_hflux_x
         Hz -= self.bg_hflux_z
         if c.mu > 0.0:
             physics.subtract_viscous((Hx, Hz), (gx, gz), (self.bg_gx, self.bg_gz))
 
         rhs = -(Hx[:, 1:] - Hx[:, :-1]) / self.dx - (Hz[1:] - Hz[:-1]) / self.dz
-        rhs[..., physics.RHO_W] -= c.g * batch[..., physics.RHO]
-        return rhs if up.ndim == 4 else rhs[:, :, 0]
+        rhs[..., physics.RHO_W] -= c.g * up[..., physics.RHO]
+        return rhs
 
-    def _face_fluxes(self, full):
-        """(HLLC, viscous) fluxes through every x-face and every z-face of
-        the batch of cell states full (nz, nx, B, 4); the viscous ones are
-        None when mu = 0.
-
-        The primitives of each cell are computed once into one array laid
-        out (primitive, z-index, x-index, batch) and padded with one ghost
-        cell per side of both axes, so the left and right states of the
-        n + 1 faces of an axis are two overlapping views of it. The x and z
-        ghost strips do not overlap, and the corners stay unused.
-        """
-        nz, nx, nb = full.shape[:3]
-        Q = np.empty((6, nz + 2, nx + 2, nb))
+    def padded_primitives(self, full: np.ndarray) -> np.ndarray:
+        """The primitives of the cell states full (nz, nx, 4), laid out
+        (primitive, z-index, x-index) and padded with one ghost cell per
+        side of both axes, the ghosts filled from this array's own cells.
+        The left and right states of the n + 1 faces of an axis are two
+        overlapping views of it; the x and z ghost strips do not overlap,
+        and the corners stay unused."""
+        Q = np.empty((6, self.nz + 2, self.nx + 2))
         Q[:, 1:-1, 1:-1] = physics.primitives(full, self.constants)
-        return (self._axis_fluxes(self.xfaces, Q[:, 1:-1, :-1], Q[:, 1:-1, 1:], self.dx),
-                self._axis_fluxes(self.zfaces, Q[:, :-1, 1:-1], Q[:, 1:, 1:-1], self.dz))
+        for faces in (self.xfaces, self.zfaces):
+            L, R = _face_sides(faces, Q, Q)
+            faces.fill_ghosts(L.transpose(1, 2, 0), R.transpose(1, 2, 0))
+        return Q
 
-    def _axis_fluxes(self, faces: FaceAxis, L, R, h: float):
-        """HLLC fluxes from the padded primitives L, R of one axis, and the
+    def face_flux(self, faces: FaceAxis, QL: np.ndarray, QR: np.ndarray) -> np.ndarray:
+        """The combined (convective minus viscous) flux through the faces
+        of one axis, the left states read from the padded primitives QL
+        and the right ones from QR."""
+        H, G = self._axis_fluxes(faces, QL, QR)
+        if G is not None:
+            for i, row in enumerate(G):
+                H[..., 1 + i] -= row
+        return H
+
+    def _axis_fluxes(self, faces: FaceAxis, QL: np.ndarray, QR: np.ndarray):
+        """HLLC fluxes through the faces of one axis from the padded
+        primitives QL (left states) and QR (right states), and the
         two-point viscous flux mu*rho_face*(V_R - V_L)/h of the (u, w,
-        theta) rows (3, faces), zero through slip walls. The combined face
-        flux is convective minus viscous."""
-        faces.fill_ghosts(L.transpose(1, 2, 3, 0), R.transpose(1, 2, 3, 0))
+        theta) rows (3, faces), zero through slip walls, or None when
+        mu = 0. The combined face flux is convective minus viscous."""
+        L, R = _face_sides(faces, QL, QR)
         H = faces.flux(L, R, self.constants)
         mu = self.constants.mu
         if mu == 0.0:
@@ -130,9 +126,17 @@ class FVOperator:
         np.divide(R[3], R[0], out=G[2])
         G[2] -= L[3] / L[0]
         G *= coef
-        G /= h
+        G /= self.dz if faces.normal else self.dx
         faces.zero_walls(G)
         return H, G
+
+
+def _face_sides(faces: FaceAxis, QL: np.ndarray, QR: np.ndarray):
+    """The (6, z-index, x-index) views of the left states of the faces of
+    one axis in the padded array QL and of their right states in QR."""
+    if faces.normal == 0:
+        return QL[:, 1:-1, :-1], QR[:, 1:-1, 1:]
+    return QL[:, :-1, 1:-1], QR[:, 1:, 1:-1]
 
 
 def fv_background(case, hierarchy: GridHierarchy, level: int) -> np.ndarray:
@@ -156,16 +160,21 @@ class FVLinearization:
 
     matvec(w) applies g'(u0) w = w - alpha_dt * J(u0) w, where J is the
     Jacobian of the first-order operator op at the frozen state u0. J is
-    found with CPR-coloured finite-difference probes (Curtis, Powell &
-    Reid 1974): the cells are coloured so that the five cells of every
-    stencil carry distinct colours, and one probe per colour and component
-    perturbs that component of every cell of the colour by
-    sqrt(eps) * max(rms of the component's total state, 1). Each cell then
-    sees exactly one perturbed stencil cell, so the difference quotient at
-    the cell is one column of its block row. The probes go to op in the
-    batches of the level's stencil pattern (op.pattern, shared by every
-    linearization of the level) and are evaluated in float64, and each
-    batch is scattered straight into the blocks.
+    found from one-sided finite differences of the face fluxes. For each
+    component m, that component of every cell is perturbed by
+    sqrt(eps) * max(rms of the component's total state, 1), and the padded
+    primitives of the perturbed cells are built once, ghosts included.
+    Each face flux is then evaluated twice more per axis: with only its
+    left states read from the perturbed array, and with only its right
+    ones. A face sees one perturbed state in each, so the differences are
+    its derivatives with respect to its left and right cell. A cell's
+    tendency is (F_west - F_east)/h per axis, so its self block gains
+    (dR_west - dL_east)/h, its east block is -dR_east/h and its west block
+    dL_west/h. At a slip wall the ghost mirrors the cell itself, so the
+    wall face's derivative goes into the self block. The gravity source
+    enters the self block exactly. The self blocks, and the slots that
+    read one cell on a periodic axis of one or two cells, are summed in
+    float64 before they are stored.
 
     alpha_dt * J is stored as float32 blocks (4, 20, cells): output
     component, stencil slot x input component, cell. matvec takes and
@@ -174,28 +183,58 @@ class FVLinearization:
     it keeps, whose ghosts are wrapped on periodic sides and stay zero
     beyond slip walls, reads the five stencil slots as shifted views of
     that buffer, and contracts; no neighbour table is stored. alpha_dt = 0
-    gives w exactly. Assembly evaluates op on 1 + 4 * colours fields (21
-    on the usual grids), matvec on none.
+    gives w exactly. Assembly makes 1 + 4 primitive evaluations and
+    2 + 16 face-flux evaluations per level, and no op call; matvec none.
     """
 
     def __init__(self, op: FVOperator, u0: np.ndarray, alpha_dt: float):
-        pattern = op.pattern
         nz, nx = op.nz, op.nx
-        cells = nz * nx
         self.periodic_x, self.periodic_z = op.xfaces.periodic, op.zfaces.periodic
-        self.blocks = np.zeros((4, 20, cells), dtype=np.float32)
+        self.blocks = np.zeros((4, 20, nz * nx), dtype=np.float32)
         self._padded = np.zeros((4, nz + 2, nx + 2), dtype=np.float32)
         self._slots = _slot_views(self._padded)
-        steps = EPS_FD * np.maximum(np.sqrt(np.mean((u0 + op.bg) ** 2, axis=(0, 1))), 1.0)
-        f0 = op(u0).reshape(cells, 4)
-        for batch in pattern.batches:
-            fields = np.repeat(u0[:, :, None], len(batch), axis=2)
-            flat = fields.reshape(cells, len(batch), 4)
-            for b, ((members, _, _), m) in enumerate(batch):
-                flat[members, b, m] += steps[m]
-            df = op(fields).reshape(cells, len(batch), 4)
-            for b, ((_, rows, cols), m) in enumerate(batch):
-                self.blocks[:, cols + m, rows] = ((df[rows, b] - f0[rows]) * (alpha_dt / steps[m])).T
+        full = u0 + op.bg
+        check_admissible(full, op.level, "cell average")
+        steps = EPS_FD * np.maximum(np.sqrt(np.mean(full ** 2, axis=(0, 1))), 1.0)
+        Q0 = op.padded_primitives(full)
+        # per axis: faces, spacing, cells along it, and the slots of the
+        # neighbour across its last and its first face
+        axes = ((op.xfaces, op.dx, nx, 1, 4), (op.zfaces, op.dz, nz, 2, 3))
+        F0 = [op.face_flux(faces, Q0, Q0) for faces, *_ in axes]
+        # (output component, slot, input component, z-index, x-index)
+        blocks = self.blocks.reshape(4, 5, 4, nz, nx)
+        for m in range(4):
+            up = full.copy()
+            up[..., m] += steps[m]
+            Qm = op.padded_primitives(up)
+            diag = np.zeros((4, nz, nx))
+            if m == physics.RHO:
+                diag[physics.RHO_W] = -alpha_dt * op.constants.g
+            for (faces, h, n, east_slot, west_slot), f0 in zip(axes, F0):
+                scale = alpha_dt / (steps[m] * h)
+                dL, dR = (np.moveaxis(op.face_flux(faces, QL, QR) - f0, -1, 0) * scale
+                          for QL, QR in ((Qm, Q0), (Q0, Qm)))
+                # (4, z-index, x-index) views of the faces west (south) and
+                # east (north) of each cell, and of the first and last cells
+                lead = (slice(None),) * (2 - faces.normal)
+                west_face, east_face = lead + (slice(None, -1),), lead + (slice(1, None),)
+                first, last = lead + (0,), lead + (-1,)
+                diag += dR[west_face]
+                diag -= dL[east_face]
+                east, west = -dR[east_face], dL[west_face]
+                if not faces.periodic:
+                    diag[first] += west[first]
+                    diag[last] += east[last]
+                    west[first] = east[last] = 0.0
+                elif n == 1:  # east, west and self read the cell itself
+                    diag += east + west
+                    east[:] = west[:] = 0.0
+                elif n == 2:  # east and west read the same cell
+                    east += west
+                    west[:] = 0.0
+                blocks[:, east_slot, m] = east
+                blocks[:, west_slot, m] = west
+            blocks[:, 0, m] = diag
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         padded = self._padded
@@ -204,54 +243,6 @@ class FVLinearization:
         stencil = np.stack(self._slots).reshape(20, -1)
         out = np.einsum("ijc,jc->ic", self.blocks, stencil).reshape(w.shape)
         return np.subtract(w, out, out=out)
-
-
-# Most cells x probes in one batched op call of a stencil assembly. Per
-# field, a batch of at most this many cell-fields cost 5-15x less than
-# single calls on the levels of up to 200 cells and 1.6-2x less on those of
-# 640 to 1,024 cells; on the levels of 2,560 to 4,096 cells, batches of 2-6
-# fields were within 10% of single calls either way and 8 or more up to
-# 1.5x slower (one BLAS thread, 2-core x86-64 host).
-_BATCH_CELLS = 4096
-
-
-class StencilPattern:
-    """The part of a level's stencil assembly that depends only on the
-    grid: per colour, the cells it perturbs, the block rows that see one
-    of them, and the first block column of the stencil slot that holds
-    it. The probes, one per colour and component, are grouped into
-    batches of at most _BATCH_CELLS cells x probes."""
-
-    def __init__(self, nz: int, nx: int, periodic_x: bool, periodic_z: bool):
-        colour = _stencil_colouring(nz, nx, periodic_x, periodic_z)
-        padded = np.full((nz + 2, nx + 2), -1)
-        padded[1:-1, 1:-1] = colour.reshape(nz, nx)
-        _wrap_ghosts(padded, periodic_x, periodic_z)
-        slot_colour = np.stack([v.ravel() for v in _slot_views(padded)], axis=1)
-        # narrow index types: these tables stay for the life of the level
-        probes = []
-        for k in np.unique(colour):
-            hit = slot_colour == k
-            rows = np.flatnonzero(hit.any(axis=1))
-            colour_k = (np.flatnonzero(colour == k).astype(np.int32), rows.astype(np.int32),
-                        (4 * hit[rows].argmax(axis=1)).astype(np.int8))
-            probes += [(colour_k, m) for m in range(4)]
-        size = max(1, _BATCH_CELLS // (nz * nx))
-        self.batches = [probes[s:s + size] for s in range(0, len(probes), size)]
-
-
-def _stencil_colouring(nz: int, nx: int, periodic_x: bool, periodic_z: bool) -> np.ndarray:
-    """Colour of every cell such that the distinct cells of each stencil
-    differ: (i + 2j) mod 5. A periodic axis whose length is not a multiple
-    of 5 breaks that pattern across its seam, so its first two columns
-    (rows) take a colour set of their own."""
-    j, i = np.indices((nz, nx))
-    colour = (i + 2 * j) % 5
-    if periodic_x and nx % 5:
-        colour += 5 * (i < 2)
-    if periodic_z and nz % 5:
-        colour += 10 * (j < 2)
-    return colour.ravel()
 
 
 def _wrap_ghosts(padded: np.ndarray, periodic_x: bool, periodic_z: bool) -> None:

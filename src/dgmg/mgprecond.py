@@ -200,10 +200,10 @@ class MultigridPreconditioner:
     deterministic across calls.
     """
 
-    def __init__(self, dg_op, fv_ops: list[FVOperator], transfer: TransferOperators,
+    def __init__(self, dg_op, fv_operators: list[FVOperator], transfer: TransferOperators,
                  cfg: MGConfig, use_massfix: bool = False):
         self.dg_op = dg_op
-        self.fv_ops = fv_ops
+        self.fv_operators = fv_operators
         self.transfer = transfer
         self.cfg = cfg
         self.forward = transfer.dg_to_fv_massfix if use_massfix else transfer.dg_to_fv
@@ -216,7 +216,7 @@ class MultigridPreconditioner:
 
     def fv_levels(self, U: np.ndarray, alpha_dt: float) -> list[tuple]:
         """The FV level stack of mg_cycle frozen at the DG state U."""
-        finest = len(self.fv_ops) - 1
+        finest = len(self.fv_operators) - 1
         states: list[np.ndarray | None] = [None] * (finest + 1)
         states[finest] = self.forward(U)
         for l in range(finest, 0, -1):
@@ -226,7 +226,7 @@ class MultigridPreconditioner:
             (FVLinearization(op, u, alpha_dt).matvec,
              _pseudo_dtau(*physics.wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
                           op.constants.mu, self.cfg.pseudo_cfl, alpha_dt).astype(np.float32))
-            for op, u in zip(self.fv_ops, states)
+            for op, u in zip(self.fv_operators, states)
         ]
 
     def factory(self, dg_lin, alpha_dt: float):

@@ -58,7 +58,6 @@ class StageStats:
     newton_iters: int = 0
     gmres_iters: int = 0
     dg_ops: int = 0
-    fv_ops: int = 0
     residual: float = 0.0
     gmres_unconverged: int = 0
 
@@ -335,7 +334,6 @@ def sdirk2_step(
     params: NewtonParams | None = None,
     weights: np.ndarray | None = None,
     precond=None,
-    op_counts=None,
 ) -> tuple[np.ndarray, list[StageStats]]:
     """One SDIRK2 step: the new solution value, which is the second stage,
     and the StageStats of the two stages.
@@ -347,8 +345,7 @@ def sdirk2_step(
     Newton iterate's linearization lin, and precond.begin_step() is called
     once per step, so the parts it lags are rebuilt once per step, from
     the first Newton iterate of the first stage (the step's initial
-    state). op_counts, if given, is a callable returning cumulative (dg,
-    fv) operator-call counters for the statistics.
+    state). A stage's dg_ops counts its calls of f.
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -364,18 +361,19 @@ def sdirk2_step(
             return precond.factory(lin, a_dt)
 
     def solve_stage(stage: int, Ubar: np.ndarray, ts: float) -> np.ndarray:
-        before = op_counts() if op_counts is not None else (0, 0)
+        calls = 0
 
         def G(V):
+            nonlocal calls
+            calls += 1
             return V - a_dt * f(V, ts) - Ubar
 
         try:
             res = newton_solve(G, Ubar, params, weights, factory)
         except SolverFailure as err:
             raise SolverFailure(f"stage {stage}: {err}") from err
-        after = op_counts() if op_counts is not None else (0, 0)
-        stats.append(StageStats(ts, stage, res.iterations, res.gmres_iters, after[0] - before[0],
-                                after[1] - before[1], res.residual, res.gmres_unconverged))
+        stats.append(StageStats(ts, stage, res.iterations, res.gmres_iters, calls, res.residual,
+                                res.gmres_unconverged))
         return res.u
 
     U1 = solve_stage(1, U, t + alpha * dt)

@@ -17,7 +17,7 @@ transfer_cell_matrices reads a cell's matrices of both transfer
 directions off the production maps.
 
 fv_jacobian is the dense Jacobian of an FV operator, one FD column per
-unknown, that the CPR-coloured stencil assembly of fv.FVLinearization
+unknown, that the face-flux stencil assembly of fv.FVLinearization
 must reproduce. stencil_matvec applies an assembled linearization in
 float64 through a neighbour-table gather, where the package reads
 shifted views of a padded float32 buffer, and mg_cycle is the multigrid
@@ -447,15 +447,15 @@ def write_vtk(fh, xc, zc, dx, dz, u, theta_p):
 
 def stats_log(fmt, rows):
     """The stats log in fmt "csv" or "jsonl", one line per row of (time,
-    stage, newton, gmres, dg_ops, fv_ops, residual)."""
-    lines = ["time,stage,newton_iters,gmres_iters,dg_ops,fv_ops,residual\n"] if fmt == "csv" else []
-    for time, stage, newton, gmres, dg_ops, fv_ops, residual in rows:
+    stage, newton, gmres, dg_ops, residual)."""
+    lines = ["time,stage,newton_iters,gmres_iters,dg_ops,residual\n"] if fmt == "csv" else []
+    for time, stage, newton, gmres, dg_ops, residual in rows:
         if fmt == "csv":
-            lines.append(f"{time:.6f},{stage},{newton},{gmres},{dg_ops},{fv_ops},{residual:.12e}\n")
+            lines.append(f"{time:.6f},{stage},{newton},{gmres},{dg_ops},{residual:.12e}\n")
         else:
             lines.append(
                 '{"time": %.6f, "stage": %d, "newton_iters": %d, "gmres_iters": %d, '
-                '"dg_ops": %d, "fv_ops": %d, "residual": %.12e}\n'
-                % (time, stage, newton, gmres, dg_ops, fv_ops, residual)
+                '"dg_ops": %d, "residual": %.12e}\n'
+                % (time, stage, newton, gmres, dg_ops, residual)
             )
     return "".join(lines)

@@ -196,7 +196,7 @@ class TestRuns:
             assert fh.readline().strip() == SNAPSHOT_HEADER
         with open(os.path.join(out, "stats.csv")) as fh:
             header = fh.readline().strip()
-            assert header == "time,stage,newton_iters,gmres_iters,dg_ops,fv_ops,residual"
+            assert header == "time,stage,newton_iters,gmres_iters,dg_ops,residual"
             times = [float(line.split(",")[0]) for line in fh]
         assert times == sorted(times)
         assert len(set(times)) == len(times)  # strictly increasing
@@ -639,7 +639,7 @@ class TestWriters:
     @given(
         fmt=st.sampled_from(["csv", "jsonl"]),
         rows=st.lists(
-            st.tuples(FORMAT_VALUES, *[st.integers(0, 2**63)] * 5, FORMAT_VALUES), max_size=4
+            st.tuples(FORMAT_VALUES, *[st.integers(0, 2**63)] * 4, FORMAT_VALUES), max_size=4
         ),
     )
     def test_stats_log_matches_reference(self, fmt, rows):

@@ -84,6 +84,17 @@ class TestSDIRK2Step:
         with pytest.raises(ValueError):
             sdirk2_step(lambda u, t: u, np.ones(1), 0.0, 0.0)
 
+    def test_dg_ops_count_the_calls_of_each_stage(self):
+        calls = []
+
+        def f(u, t):
+            calls.append(t)
+            return -u * u
+
+        _, stats = sdirk2_step(f, np.array([1.0, 0.5]), 0.0, 0.1, params=exact_params())
+        assert [st.dg_ops for st in stats] == [calls.count(st.time) for st in stats]
+        assert all(st.dg_ops > 0 for st in stats) and sum(st.dg_ops for st in stats) == len(calls)
+
 
 class TestNewton:
     def test_exact_initial_guess_takes_zero_iterations(self):
