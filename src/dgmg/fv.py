@@ -57,14 +57,6 @@ class FVOperator:
         self.xfaces = FaceAxis(0, west is BoundaryKind.PERIODIC)
         self.zfaces = FaceAxis(1, south is BoundaryKind.PERIODIC)
 
-        # background numerical fluxes through the runtime face path; the
-        # background two-point viscous fluxes (analytically zero for the
-        # constant-primitive atmospheres) are subtracted as a grouped
-        # difference for exact balance
-        Q = self.padded_primitives(self.bg)
-        self.bg_hflux_x, self.bg_gx = self._axis_fluxes(self.xfaces, Q, Q)
-        self.bg_hflux_z, self.bg_gz = self._axis_fluxes(self.zfaces, Q, Q)
-
     def __call__(self, up: np.ndarray) -> np.ndarray:
         """Tendency of the perturbation field up (nz, nx, 4)."""
         c = self.constants
@@ -74,10 +66,17 @@ class FVOperator:
         Q = self.padded_primitives(full)
         Hx, gx = self._axis_fluxes(self.xfaces, Q, Q)
         Hz, gz = self._axis_fluxes(self.zfaces, Q, Q)
-        Hx -= self.bg_hflux_x
-        Hz -= self.bg_hflux_z
+        # background numerical fluxes through the same face path; the
+        # background two-point viscous fluxes (analytically zero for the
+        # constant-primitive atmospheres) are subtracted as a grouped
+        # difference for exact balance
+        Qbg = self.padded_primitives(self.bg)
+        bg_hx, bg_gx = self._axis_fluxes(self.xfaces, Qbg, Qbg)
+        bg_hz, bg_gz = self._axis_fluxes(self.zfaces, Qbg, Qbg)
+        Hx -= bg_hx
+        Hz -= bg_hz
         if c.mu > 0.0:
-            physics.subtract_viscous((Hx, Hz), (gx, gz), (self.bg_gx, self.bg_gz))
+            physics.subtract_viscous((Hx, Hz), (gx, gz), (bg_gx, bg_gz))
 
         rhs = -(Hx[:, 1:] - Hx[:, :-1]) / self.dx - (Hz[1:] - Hz[:-1]) / self.dz
         rhs[..., physics.RHO_W] -= c.g * up[..., physics.RHO]
@@ -181,8 +180,9 @@ class FVLinearization:
     returns the multigrid cycle's float32 component-major vectors
     (4, nz, nx). It copies w into a padded (4, nz + 2, nx + 2) buffer that
     it keeps, whose ghosts are wrapped on periodic sides and stay zero
-    beyond slip walls, reads the five stencil slots as shifted views of
-    that buffer, and contracts; no neighbour table is stored. alpha_dt = 0
+    beyond slip walls, copies the five stencil slots, shifted views of
+    that buffer, into a (5, 4, nz, nx) buffer that it also keeps, and
+    contracts; no neighbour table is stored. alpha_dt = 0
     gives w exactly. Assembly makes 1 + 4 primitive evaluations and
     2 + 16 face-flux evaluations per level, and no op call; matvec none.
     """
@@ -193,6 +193,7 @@ class FVLinearization:
         self.blocks = np.zeros((4, 20, nz * nx), dtype=np.float32)
         self._padded = np.zeros((4, nz + 2, nx + 2), dtype=np.float32)
         self._slots = _slot_views(self._padded)
+        self._stencil = np.empty((5, 4, nz, nx), dtype=np.float32)
         full = u0 + op.bg
         check_admissible(full, op.level, "cell average")
         steps = EPS_FD * np.maximum(np.sqrt(np.mean(full ** 2, axis=(0, 1))), 1.0)
@@ -240,8 +241,10 @@ class FVLinearization:
         padded = self._padded
         padded[:, 1:-1, 1:-1] = w
         _wrap_ghosts(padded, self.periodic_x, self.periodic_z)
-        stencil = np.stack(self._slots).reshape(20, -1)
-        out = np.einsum("ijc,jc->ic", self.blocks, stencil).reshape(w.shape)
+        for slot, view in zip(self._stencil, self._slots):
+            slot[...] = view
+        out = np.einsum("ijc,jc->ic", self.blocks, self._stencil.reshape(20, -1))
+        out = out.reshape(w.shape)
         return np.subtract(w, out, out=out)
 
 

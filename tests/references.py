@@ -22,7 +22,9 @@ must reproduce. stencil_matvec applies an assembled linearization in
 float64 through a neighbour-table gather, where the package reads
 shifted views of a padded float32 buffer, and mg_cycle is the multigrid
 cycle in float64 on fields (nz, nx, 4) that the float32 component-major
-cycle must match to single-precision round-off.
+cycle must match to single-precision round-off; its bilinear prolong pads
+the coarse field with np.pad and sums the four weights in one 2D pass,
+where the package takes two separable passes.
 
 write_snapshot_csv, write_vtk and stats_log format the driver's outputs
 value by value with f-strings, the bytes that the row-formatted writers
@@ -372,12 +374,37 @@ def stencil_matvec(lin, neighbours, w):
     return w - np.einsum("cij,cj->ci", blocks, stencil).reshape(w.shape)
 
 
+def prolong(v, periodic):
+    """Cell-centred bilinear prolongation of a field v (nz, nx, 4) in one
+    2D pass: np.pad adds the ghost ring, wrapped along periodic axes and
+    mirrored at slip walls with the wall-normal momentum negated (rho u in
+    the x-ghost columns, rho w in the z-ghost rows, both in the corners),
+    and each child sums 9/16 of its parent, 3/16 of the parent's
+    neighbours on the child's side and 1/16 of the diagonal one."""
+    pad = np.pad(v, ((1, 1), (0, 0), (0, 0)), mode="wrap" if periodic[1] else "symmetric")
+    if not periodic[1]:
+        pad[[0, -1], :, RHO_W] *= -1
+    pad = np.pad(pad, ((0, 0), (1, 1), (0, 0)), mode="wrap" if periodic[0] else "symmetric")
+    if not periodic[0]:
+        pad[:, [0, -1], RHO_U] *= -1
+    nz, nx = v.shape[:2]
+
+    def at(dj, di):
+        return pad[1 + dj:nz + 1 + dj, 1 + di:nx + 1 + di]
+
+    out = np.empty((2 * nz, 2 * nx, v.shape[2]))
+    for a, dj in ((0, -1), (1, 1)):
+        for c, di in ((0, -1), (1, 1)):
+            out[a::2, c::2] = (9 * at(0, 0) + 3 * at(dj, 0) + 3 * at(0, di) + at(dj, di)) / 16
+    return out
+
+
 def mg_cycle(levels, l, x, b, cfg, stages):
     """mgprecond.mg_cycle in float64 on fields (nz, nx, 4): per level the
-    (matvec, dtau) pair of that layout, RK steps of `stages` Euler
-    sub-steps, restriction as numpy's mean of the four children and
-    prolongation by repeat."""
-    matvec, dtau = levels[l]
+    (matvec, dtau, periodic) record of that layout, RK steps of `stages`
+    Euler sub-steps, restriction as numpy's mean of the four children and
+    prolongation by the 2D pass of prolong above."""
+    matvec, dtau, periodic = levels[l]
 
     def smooth(x, n):
         for _ in range(n):
@@ -394,7 +421,7 @@ def mg_cycle(levels, l, x, b, cfg, stages):
     v = np.zeros_like(r)
     for _ in range(2 if cfg.cycle == "W" else 1):
         v = mg_cycle(levels, l - 1, v, r, cfg, stages)
-    x = x - np.repeat(np.repeat(v, 2, axis=0), 2, axis=1)
+    x = x - prolong(v, periodic)
     return smooth(x, stages * post)
 
 

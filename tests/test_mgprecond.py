@@ -9,11 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 import references
 from conftest import advection_case, make_setup, rms
-from dgmg import cases, mesh, mgprecond
+from dgmg import cases, mesh, mgprecond, physics
 from dgmg.cases import build_initial_state
 from dgmg.fv import FVLinearization, FVOperator
 from dgmg.mgprecond import (
     RK_STAGES,
+    Level,
     MGConfig,
     MGConfigError,
     MultigridPreconditioner,
@@ -87,29 +88,91 @@ class TestTransfersBetweenLevels:
         # each coarse cell has 4x the area: total volume-weighted sum conserved
         assert 4.0 * restrict(u).sum() == pytest.approx(u.sum(), rel=1e-12)
 
-    def test_prolong_injects_parent_values(self):
-        u = np.arange(6.0).reshape(1, 2, 3)
-        v = prolong(u)
-        assert v.shape == (1, 4, 6)
-        assert np.all(v[0, 0:2, 0:2] == u[0, 0, 0])
-        checker = np.indices((2, 2)).sum(axis=0) % 2
-        blocks = prolong(checker[None])
-        assert np.all(blocks[0, 0:2, 2:4] == 1)
-        assert prolong(u.astype(np.float32)).dtype == np.float32
+    @settings(max_examples=200, deadline=None)
+    @given(nz=st.integers(1, 6), nx=st.integers(1, 6), periodic=st.tuples(st.booleans(),
+                                                                          st.booleans()),
+           dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    def test_prolong_spreads_a_parent_by_the_bilinear_weights(self, nz, nx, periodic, dtype,
+                                                              data):
+        # a unit parent reaches the children 2I-1 .. 2I+2 of each axis with
+        # 1/4, 3/4, 3/4, 1/4; a child beyond the grid wraps around a
+        # periodic axis, and at a slip wall lands on the child next to it,
+        # negated for the wall-normal momentum. The weights are dyadic, so
+        # the products are exact in either precision.
+        m = data.draw(st.integers(0, 3))
+        j, i = data.draw(st.integers(0, nz - 1)), data.draw(st.integers(0, nx - 1))
+        u = np.zeros((4, nz, nx), dtype=dtype)
+        u[m, j, i] = 1.0
 
-    def test_restrict_after_prolong_is_identity(self):
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal((4, 3, 5))
-        assert np.allclose(restrict(prolong(u)), u, atol=1e-15)
+        def kernel(n, parent, wrap, sign):
+            k = np.zeros(2 * n)
+            for child, weight in zip(range(2 * parent - 1, 2 * parent + 3), (1, 3, 3, 1)):
+                if wrap:
+                    k[child % (2 * n)] += weight / 4
+                else:
+                    inside = min(max(child, 0), 2 * n - 1)
+                    k[inside] += weight / 4 * (sign if inside != child else 1)
+            return k
 
-    def test_adjointness_up_to_volume_scaling(self):
-        # <R u, v>_coarse * 4 == <u, P v>_fine on uniform grids
-        rng = np.random.default_rng(2)
-        u = rng.standard_normal((1, 4, 6))
-        v = rng.standard_normal((1, 2, 3))
-        lhs = 4.0 * np.sum(restrict(u) * v)
-        rhs = np.sum(u * prolong(v))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        kx = kernel(nx, i, periodic[0], -1 if m == physics.RHO_U else 1)
+        kz = kernel(nz, j, periodic[1], -1 if m == physics.RHO_W else 1)
+        want = np.zeros((4, 2 * nz, 2 * nx))
+        want[m] = np.outer(kz, kx)
+        got = prolong(u, periodic)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        if 0 < j < nz - 1 and 0 < i < nx - 1:
+            block = got[m, 2 * j - 1:2 * j + 3, 2 * i - 1:2 * i + 3]
+            assert np.array_equal(block, np.outer([1, 3, 3, 1], [1, 3, 3, 1]) / 16)
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis=st.sampled_from([-1, -2]), n=st.integers(2, 8), other=st.integers(1, 4),
+           other_periodic=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
+           slope=st.lists(st.integers(-8, 8), min_size=4, max_size=4),
+           offset=st.lists(st.integers(-64, 64), min_size=4, max_size=4))
+    def test_prolong_reproduces_linear_fields_along_a_periodic_axis(
+            self, axis, n, other, other_periodic, dtype, slope, offset):
+        # u = offset + slope * I along a periodic axis and constant along
+        # the other one: every child lies a quarter cell from its parent,
+        # at I -+ 1/4, and takes the linear value there, except the two
+        # children next to the seam, which average across it
+        index = np.arange(n)
+        line = np.array(offset)[:, None] + np.array(slope)[:, None] * index
+        shape = (4, other, n) if axis == -1 else (4, n, other)
+        u = np.broadcast_to(np.expand_dims(line, -axis), shape).astype(dtype)
+        periodic = (True, other_periodic) if axis == -1 else (other_periodic, True)
+        got = np.moveaxis(prolong(u, periodic), axis, -1)
+        child = np.arange(2 * n)
+        want = np.array(offset)[:, None] + np.array(slope)[:, None] * (child / 2 - 0.25)
+        want[:, 0] = 0.75 * line[:, 0] + 0.25 * line[:, -1]
+        want[:, -1] = 0.75 * line[:, -1] + 0.25 * line[:, 0]
+        # the momentum normal to the other axis is mirrored there, so it is
+        # compared only where that axis is periodic
+        kept = [m for m in range(4)
+                if other_periodic or m != (physics.RHO_W if axis == -1 else physics.RHO_U)]
+        assert got.dtype == dtype
+        assert np.array_equal(got[kept], np.broadcast_to(want[kept, None], got[kept].shape))
+
+    @settings(max_examples=50, deadline=None)
+    @given(nz=st.integers(1, 6), nx=st.integers(1, 6), periodic=st.tuples(st.booleans(),
+                                                                          st.booleans()),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           state=st.lists(st.integers(-16, 16), min_size=4, max_size=4))
+    def test_prolong_mirrors_the_normal_momentum_at_slip_walls(self, nz, nx, periodic, dtype,
+                                                               state):
+        # a uniform state: the ghost beyond a slip wall carries the negated
+        # wall-normal momentum, so the children next to that wall keep
+        # 3/4 - 1/4 = 1/2 of it; everything else is reproduced
+        u = np.broadcast_to(np.array(state, dtype=dtype)[:, None, None], (4, nz, nx))
+        got = prolong(u, periodic)
+        want = np.broadcast_to(np.array(state, dtype=float)[:, None, None],
+                               (4, 2 * nz, 2 * nx)).copy()
+        if not periodic[0]:
+            want[physics.RHO_U, :, [0, -1]] /= 2
+        if not periodic[1]:
+            want[physics.RHO_W, [0, -1], :] /= 2
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(nz=st.integers(1, 12), nx=st.integers(1, 12),
@@ -195,7 +258,7 @@ class TestSmootherStability:
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
                                      parse_mg_config("mg111111V"), use_massfix=massfix)
         U0 = build_initial_state(setup.case, setup.dg_op)
-        for l, (matvec, dtau) in enumerate(mg.fv_levels(U0, SDIRK2_ALPHA * dt)[:2]):
+        for l, (matvec, dtau, _) in enumerate(mg.fv_levels(U0, SDIRK2_ALPHA * dt)[:2]):
             shape = (4, fv_ops[l].nz, fv_ops[l].nx)
             n = int(np.prod(shape))
             assert n <= 1024
@@ -212,7 +275,7 @@ class TestSmootherStability:
         dtau = np.full(z.shape, 0.5)
         lam = (z / dtau)[None]
         x0 = np.ones_like(lam)
-        out = mg_cycle([(lambda v: lam * v, dtau)], 0, x0, np.zeros_like(x0),
+        out = mg_cycle([Level(lambda v: lam * v, dtau, (True, True))], 0, x0, np.zeros_like(x0),
                        parse_mg_config("mg001100V"))[0]
         step = (1.0 - z) ** RK_STAGES
         assert np.allclose(out, step**2, rtol=0.0, atol=1e-13)
@@ -260,7 +323,7 @@ class TestMGCycle:
             # spectral radius bound of the 2D upwind + 5-point operator
             rate = 2.0 / h + 8 * 0.05 / h**2
             dtau = np.full((m, m), 1.0 / (1.0 + alpha_dt * rate))
-            levels.append((mv, dtau))
+            levels.append(Level(mv, dtau, (True, True)))
         return levels
 
     def test_single_level_reduces_to_smoothing(self):
@@ -269,7 +332,7 @@ class TestMGCycle:
         b = np.ones((1, 1, 1))
         out = mg_cycle(levels, 0, np.zeros_like(b), b, cfg)
         # max(2, 1 + 1) RK steps of RK_STAGES Euler sub-steps each
-        matvec, dtau = levels[0]
+        matvec, dtau, _ = levels[0]
         x = np.zeros_like(b)
         for _ in range(2):
             x = smooth(matvec, x, b, RK_STAGES, dtau)
@@ -282,8 +345,8 @@ class TestMGCycle:
             calls.append(1)
             return v
 
-        levels = [(mv, np.full((2, 2), 0.3)),
-                  (mv, np.full((4, 4), 0.3))]
+        levels = [Level(mv, np.full((2, 2), 0.3), (True, True)),
+                  Level(mv, np.full((4, 4), 0.3), (True, True))]
         cfg = parse_mg_config("mg001111V")
         out = mg_cycle(levels, 1, np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), cfg)
         assert np.all(out == 0.0)
@@ -329,7 +392,8 @@ class TestCycleAgainstReference:
                                                          alpha_dt, key, seed):
         # a stack of stencil linearizations at random states, each level
         # with its own pseudo steps; the reference runs the same cycle in
-        # float64 on (nz, nx, 4) fields with the neighbour-table gather
+        # float64 on (nz, nx, 4) fields with the neighbour-table gather and
+        # its own np.pad bilinear prolongation
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
         h = mesh.GridHierarchy(case.domain, base_nx, base_nz, n_levels)
@@ -342,9 +406,9 @@ class TestCycleAgainstReference:
             dtau = _pseudo_dtau(*wave_speeds(u0 + op.bg, op.constants), op.dx, op.dz,
                                 op.constants.mu, 1.0, alpha_dt)
             neighbours = references.stencil_neighbours(op.nz, op.nx, periodic_x, periodic_z)
-            levels.append((lin.matvec, dtau.astype(np.float32)))
+            levels.append(Level(lin.matvec, dtau.astype(np.float32), (periodic_x, periodic_z)))
             ref_levels.append((functools.partial(references.stencil_matvec, lin, neighbours),
-                               dtau))
+                               dtau, (periodic_x, periodic_z)))
         cfg = parse_mg_config(key)
         b = rng.standard_normal((4, h.nz[-1], h.nx[-1])).astype(np.float32)
         got = mg_cycle(levels, n_levels - 1, np.zeros_like(b), b, cfg)
@@ -473,7 +537,8 @@ class TestPrecondition:
         u = child_mean(child_mean(tr.dg_to_fv(U)))
         dtau = _pseudo_dtau(*wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
                             op.constants.mu, mg.cfg.pseudo_cfl, alpha_dt)
-        matvec, got = levels[l]
+        matvec, got, periodic = levels[l]
+        assert periodic == (True, False)  # inertia-gravity: periodic in x, slip walls in z
         assert got.dtype == np.float32
         assert np.array_equal(got, dtau.astype(np.float32))
         w = np.random.default_rng(4).standard_normal((4, op.nz, op.nx)).astype(np.float32)
@@ -523,16 +588,19 @@ class TestPrecondition:
 
 
 class TestGridIndependence:
-    """GMRES iterations per Newton iteration of inertia-gravity over DG
-    levels 1-3 (20x2 to 80x8 cells), four steps of 25 s each. Measured:
-    4.8 / 5.1 / 6.1 with mg001111V, and 17.9 / 35.8 on levels 1 and 2
-    without a preconditioner, where every level doubles the count."""
+    """GMRES iterations per Newton iteration over DG levels.
+
+    Inertia-gravity over DG levels 1-3 (20x2 to 80x8 cells), four steps of
+    25 s each. Measured: 4.8 / 5.3 / 5.3 with mg001111V, and 17.9 / 35.8
+    on levels 1 and 2 without a preconditioner, where every level doubles
+    the count. Rising bubble over DG levels 1-2 (10x20 and 20x40 cells),
+    one step of 10 s with mg111111V: 12.2 / 12.5."""
 
     GROWTH = 1.5  # largest ratio allowed from one level to the next
 
     @staticmethod
-    def gmres_per_newton(level, mg_key):
-        setup = make_setup("inertia-gravity", 10, 1, level)
+    def gmres_per_newton(name, base_nx, base_nz, level, mg_key, dt, n_steps):
+        setup = make_setup(name, base_nx, base_nz, level)
         mg = None
         if mg_key is not None:
             fv_ops = [setup.fv_op(l) for l in range(setup.hierarchy.n_levels)]
@@ -540,18 +608,26 @@ class TestGridIndependence:
                                          parse_mg_config(mg_key))
         U = build_initial_state(setup.case, setup.dg_op)
         newton = gmres = 0
-        for step in range(4):
-            U, stats = sdirk2_step(setup.dg_op, U, 25.0 * step, 25.0,
+        for step in range(n_steps):
+            U, stats = sdirk2_step(setup.dg_op, U, dt * step, dt,
                                    weights=setup.dg_op.norm_weights, precond=mg)
             newton += sum(st.newton_iters for st in stats)
             gmres += sum(st.gmres_iters for st in stats)
         return gmres / newton
 
+    def ig_per_newton(self, level, mg_key):
+        return self.gmres_per_newton("inertia-gravity", 10, 1, level, mg_key, 25.0, 4)
+
     def test_multigrid_iterations_grow_slowly_with_the_grid(self):
-        per_newton = [self.gmres_per_newton(level, "mg001111V") for level in (1, 2, 3)]
+        per_newton = [self.ig_per_newton(level, "mg001111V") for level in (1, 2, 3)]
         for coarse, fine in zip(per_newton, per_newton[1:]):
             assert fine <= self.GROWTH * coarse, per_newton
 
     def test_unpreconditioned_iterations_fail_the_same_bound(self):
-        coarse, fine = (self.gmres_per_newton(level, None) for level in (1, 2))
+        coarse, fine = (self.ig_per_newton(level, None) for level in (1, 2))
         assert fine > self.GROWTH * coarse, (coarse, fine)
+
+    def test_bubble_iterations_grow_slowly_with_the_grid(self):
+        coarse, fine = (self.gmres_per_newton("rising-bubble", 5, 10, level, "mg111111V", 10.0, 1)
+                        for level in (1, 2))
+        assert fine <= self.GROWTH * coarse, (coarse, fine)
