@@ -78,6 +78,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
         if self.base_nx is None and self.dx is None:
             raise ConfigError("either base_nx/base_nz or a target dx must be given")
+        if self.dx is not None and (self.base_nx is not None or self.base_nz is not None):
+            raise ConfigError("base_nx/base_nz and dx both set the grid; give one of them")
         if (self.base_nx is None) != (self.base_nz is None):
             raise ConfigError("base_nx and base_nz must be given together")
         if self.level < 0:

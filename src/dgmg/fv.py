@@ -1,24 +1,22 @@
 """First-order finite-volume discretization on any hierarchy level.
 
 This is the degree-0 variant of the DG scheme: piecewise-constant cell
-values, HLLC face fluxes in perturbation form, two-point viscous fluxes,
-and the same slip/periodic boundary treatment. It exists to drive the
-multigrid preconditioner. The operator's states are laid out (nz, nx, 4);
-the linearization applies to the multigrid cycle's float32
-component-major vectors (4, nz, nx).
+values, HLLC face fluxes, two-point viscous fluxes, and the same
+slip/periodic boundary treatment. It exists to drive the multigrid
+preconditioner, which sees a level only through its linearization, so no
+run evaluates an FV tendency. FVOperator holds what that linearization
+reads of a level: its constants and geometry, the background state at its
+cell centers, its two face axes and the face flux. The states are laid
+out (nz, nx, 4); the linearization applies to the multigrid cycle's
+float32 component-major vectors (4, nz, nx).
 
-The primitives (rho, u, w, rho*theta, p, c_s) of each cell are computed
-once per call into one array, padded once for both axes with one ghost
+The primitives (rho, u, w, rho*theta, p, c_s) of each cell of a state are
+computed once into one array, padded once for both axes with one ghost
 cell per side (wrapped for periodic sides, mirrored with the normal
 velocity negated for slip walls; see physics.FaceAxis). Per axis, one
 HLLC call on two overlapping views of it gives the fluxes of all faces,
 boundaries included, and the two-point viscous flux reads u, w and theta
 from the same views.
-
-Backgrounds are evaluated at the cell centers of the level, and the face
-flux subtracts the background numerical flux computed from the two
-adjacent cell backgrounds through the same face path, so the operator is
-well balanced on every level independently.
 
 Each cell's tendency is a sum of face fluxes over h, and each face flux
 depends on the two cells of the face, so the Jacobian of a level is a
@@ -57,31 +55,6 @@ class FVOperator:
         self.xfaces = FaceAxis(0, west is BoundaryKind.PERIODIC)
         self.zfaces = FaceAxis(1, south is BoundaryKind.PERIODIC)
 
-    def __call__(self, up: np.ndarray) -> np.ndarray:
-        """Tendency of the perturbation field up (nz, nx, 4)."""
-        c = self.constants
-        full = up + self.bg
-        check_admissible(full, self.level, "cell average")
-
-        Q = self.padded_primitives(full)
-        Hx, gx = self._axis_fluxes(self.xfaces, Q, Q)
-        Hz, gz = self._axis_fluxes(self.zfaces, Q, Q)
-        # background numerical fluxes through the same face path; the
-        # background two-point viscous fluxes (analytically zero for the
-        # constant-primitive atmospheres) are subtracted as a grouped
-        # difference for exact balance
-        Qbg = self.padded_primitives(self.bg)
-        bg_hx, bg_gx = self._axis_fluxes(self.xfaces, Qbg, Qbg)
-        bg_hz, bg_gz = self._axis_fluxes(self.zfaces, Qbg, Qbg)
-        Hx -= bg_hx
-        Hz -= bg_hz
-        if c.mu > 0.0:
-            physics.subtract_viscous((Hx, Hz), (gx, gz), (bg_gx, bg_gz))
-
-        rhs = -(Hx[:, 1:] - Hx[:, :-1]) / self.dx - (Hz[1:] - Hz[:-1]) / self.dz
-        rhs[..., physics.RHO_W] -= c.g * up[..., physics.RHO]
-        return rhs
-
     def padded_primitives(self, full: np.ndarray) -> np.ndarray:
         """The primitives of the cell states full (nz, nx, 4), laid out
         (primitive, z-index, x-index) and padded with one ghost cell per
@@ -97,26 +70,16 @@ class FVOperator:
         return Q
 
     def face_flux(self, faces: FaceAxis, QL: np.ndarray, QR: np.ndarray) -> np.ndarray:
-        """The combined (convective minus viscous) flux through the faces
-        of one axis, the left states read from the padded primitives QL
-        and the right ones from QR."""
-        H, G = self._axis_fluxes(faces, QL, QR)
-        if G is not None:
-            for i, row in enumerate(G):
-                H[..., 1 + i] -= row
-        return H
-
-    def _axis_fluxes(self, faces: FaceAxis, QL: np.ndarray, QR: np.ndarray):
-        """HLLC fluxes through the faces of one axis from the padded
-        primitives QL (left states) and QR (right states), and the
-        two-point viscous flux mu*rho_face*(V_R - V_L)/h of the (u, w,
-        theta) rows (3, faces), zero through slip walls, or None when
-        mu = 0. The combined face flux is convective minus viscous."""
+        """The combined flux through the faces of one axis, the left states
+        read from the padded primitives QL and the right ones from QR: the
+        HLLC flux minus, when mu > 0, the two-point viscous flux
+        mu*rho_face*(V_R - V_L)/h of the (u, w, theta) rows, which is zero
+        through slip walls."""
         L, R = _face_sides(faces, QL, QR)
         H = faces.flux(L, R, self.constants)
         mu = self.constants.mu
         if mu == 0.0:
-            return H, None
+            return H
         coef = mu * 0.5 * (L[0] + R[0])
         # component-major: each row is one contiguous block
         G = np.empty((3,) + H.shape[:-1])
@@ -127,7 +90,9 @@ class FVOperator:
         G *= coef
         G /= self.dz if faces.normal else self.dx
         faces.zero_walls(G)
-        return H, G
+        for i, row in enumerate(G):
+            H[..., 1 + i] -= row
+        return H
 
 
 def _face_sides(faces: FaceAxis, QL: np.ndarray, QR: np.ndarray):
@@ -158,7 +123,7 @@ class FVLinearization:
     assembled as a 5-point stencil of 4x4 blocks.
 
     matvec(w) applies g'(u0) w = w - alpha_dt * J(u0) w, where J is the
-    Jacobian of the first-order operator op at the frozen state u0. J is
+    Jacobian of the level's first-order tendency at the frozen state u0. J is
     found from one-sided finite differences of the face fluxes. For each
     component m, that component of every cell is perturbed by
     sqrt(eps) * max(rms of the component's total state, 1), and the padded
@@ -184,7 +149,7 @@ class FVLinearization:
     that buffer, into a (5, 4, nz, nx) buffer that it also keeps, and
     contracts; no neighbour table is stored. alpha_dt = 0
     gives w exactly. Assembly makes 1 + 4 primitive evaluations and
-    2 + 16 face-flux evaluations per level, and no op call; matvec none.
+    2 + 16 face-flux evaluations per level; matvec none.
     """
 
     def __init__(self, op: FVOperator, u0: np.ndarray, alpha_dt: float):
@@ -219,7 +184,7 @@ class FVLinearization:
                 # east (north) of each cell, and of the first and last cells
                 lead = (slice(None),) * (2 - faces.normal)
                 west_face, east_face = lead + (slice(None, -1),), lead + (slice(1, None),)
-                first, last = lead + (0,), lead + (-1,)
+                first, last = ((slice(None),) + e for e in faces.ends)
                 diag += dR[west_face]
                 diag -= dL[east_face]
                 east, west = -dR[east_face], dL[west_face]

@@ -6,7 +6,7 @@ p = p0 * (R_d * rho * theta / p0)**gamma. All functions are vectorized
 over leading axes, with the component axis last.
 
 The well-balanced formulation evolves perturbations U' around a steady
-background atmosphere (Atmosphere); the DG and FV operators subtract the
+background atmosphere (Atmosphere); the DG operator subtracts the
 background's fluxes from the total state's, so a zero perturbation gives
 exactly zero.
 
@@ -236,8 +236,8 @@ class FaceAxis:
 
 def subtract_viscous(F, G, bg) -> None:
     """F[a][..., 1 + i] -= G[a][i] - bg[a][i] for each axis a and the (u, w,
-    theta) rows i of the DG or FV viscous fluxes G; G is overwritten. Each
-    row is one op on a long strided column of F."""
+    theta) rows i of the DG viscous fluxes G; G is overwritten. Each row is
+    one op on a long strided column of F."""
     for f, g, b in zip(F, G, bg):
         g -= b
         for i, row in enumerate(g):

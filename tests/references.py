@@ -7,6 +7,14 @@ reproduce bit for bit. hllc_flux rotates it to an arbitrary normal for
 the consistency and conservation properties, and fv_viscous_fluxes is the
 two-point FV viscous flux with its own periodic branch.
 
+reference_fluxes treats every face of a grid direction on its own:
+interior and periodic faces call the conserved-state HLLC on the two
+adjacent states, slip-wall faces call wall_flux_axis, which solves the
+mirrored-ghost Riemann problem. fv_reference is the first-order FV
+tendency built from these fluxes in perturbation form, with the background
+fluxes subtracted and the gravity source of the perturbation; the package
+evaluates no FV tendency, only the face fluxes it linearizes.
+
 The DG viscous terms and the DG <-> FV transfers are here in the form
 that contracts one node axis at a time (einsum and broadcasts), with the
 mass fix as an explicit per-cell mean shift and the viscous face flux
@@ -16,9 +24,9 @@ transfer matrices come from subcell_matrices, and
 transfer_cell_matrices reads a cell's matrices of both transfer
 directions off the production maps.
 
-fv_jacobian is the dense Jacobian of an FV operator, one FD column per
-unknown, that the face-flux stencil assembly of fv.FVLinearization
-must reproduce. stencil_matvec applies an assembled linearization in
+fv_jacobian is the dense Jacobian of a tendency such as fv_reference, one
+FD column per unknown, that the face-flux stencil assembly of
+fv.FVLinearization must reproduce. stencil_matvec applies an assembled linearization in
 float64 through a neighbour-table gather, where the package reads
 shifted views of a padded float32 buffer, and mg_cycle is the multigrid
 cycle in float64 on fields (nz, nx, 4) that the float32 component-major
@@ -41,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dgmg.dg import DGBasis
+from dgmg.mesh import BoundaryKind
 from dgmg.physics import RHO, RHO_THETA, RHO_U, RHO_W, InadmissibleStateError, pressure
 from dgmg.quadrature import modified_newton_cotes
 
@@ -152,6 +161,74 @@ def fv_viscous_fluxes(full, dx, dz, periodic_x, periodic_z, mu):
         gz[0] = mu * 0.5 * (rho[-1] + rho[0])[..., None] * (V[0] - V[-1]) / dz
         gz[-1] = gz[0]
     return gx, gz
+
+
+def wall_flux_axis(U_in, axis, c, ghost_on_left):
+    """Slip-wall flux from the mirrored-ghost Riemann problem.
+
+    The ghost state negates the normal momentum of the interior trace;
+    ghost_on_left says which side of the face (in global +axis
+    orientation) the wall is on. For the mirrored problem the contact
+    sits on the wall, so the mass, tangential-momentum and rho*theta
+    fluxes vanish; only the normal-momentum (pressure) flux is kept.
+    """
+    U_in = np.asarray(U_in)
+    ghost = U_in.copy()
+    ghost[..., 1 + axis] = -ghost[..., 1 + axis]
+    UL, UR = (ghost, U_in) if ghost_on_left else (U_in, ghost)
+    F = np.zeros_like(U_in)
+    F[..., 1 + axis] = hllc_flux_axis(UL, UR, axis, c)[..., 1 + axis]
+    return F
+
+
+def reference_fluxes(lo, hi, normal, periodic, c):
+    """Fluxes through faces 0..n, one solver call per face.
+
+    lo[i] and hi[i] are the total states on the low and high side of
+    cell i, with the face-counting axis first.
+    """
+    n = lo.shape[0]
+    F = np.empty((n + 1,) + lo.shape[1:])
+    for f in range(1, n):
+        F[f] = hllc_flux_axis(hi[f - 1], lo[f], normal, c)
+    if periodic:
+        F[0] = F[n] = hllc_flux_axis(hi[n - 1], lo[0], normal, c)
+    else:
+        F[0] = wall_flux_axis(lo[0], normal, c, ghost_on_left=True)
+        F[n] = wall_flux_axis(hi[n - 1], normal, c, ghost_on_left=False)
+    return F
+
+
+def periodicity(case):
+    west, _, south, _ = case.bc
+    return west is BoundaryKind.PERIODIC, south is BoundaryKind.PERIODIC
+
+
+def axis_fluxes(case, west, east, south, north, c):
+    """Reference x- and z-face fluxes of (nz, nx, ...) side states."""
+    px, pz = periodicity(case)
+    Hx = reference_fluxes(np.moveaxis(west, 1, 0), np.moveaxis(east, 1, 0), 0, px, c)
+    return np.moveaxis(Hx, 0, 1), reference_fluxes(south, north, 1, pz, c)
+
+
+def fv_reference(op, case, up):
+    """Tendency of the perturbation up (nz, nx, 4) on the FV level of op,
+    whose constants, spacings and background it reads; the faces take
+    their boundary kinds from case."""
+    c = op.constants
+    full = up + op.bg
+    Hx, Hz = axis_fluxes(case, full, full, full, full, c)
+    bx, bz = axis_fluxes(case, op.bg, op.bg, op.bg, op.bg, c)
+    Hx -= bx
+    Hz -= bz
+    if c.mu > 0.0:
+        gx, gz = fv_viscous_fluxes(full, op.dx, op.dz, *periodicity(case), c.mu)
+        bgx, bgz = fv_viscous_fluxes(op.bg, op.dx, op.dz, *periodicity(case), c.mu)
+        Hx[..., 1:] -= gx - bgx
+        Hz[..., 1:] -= gz - bgz
+    rhs = -(Hx[:, 1:] - Hx[:, :-1]) / op.dx - (Hz[1:] - Hz[:-1]) / op.dz
+    rhs[..., RHO_W] -= c.g * up[..., RHO]
+    return rhs
 
 
 def _scatter(vals):
@@ -332,17 +409,18 @@ def tensorize(rule):
     return QuadRule2D(points, weights, degree=rule.degree)
 
 
-def fv_jacobian(op, u0, steps):
-    """Dense float64 Jacobian of the FV operator op at u0, one forward
-    difference per unknown; steps[m] is the step of component m."""
-    f0 = op(u0)
+def fv_jacobian(tendency, u0, steps):
+    """Dense float64 Jacobian of the callable tendency (nz, nx, 4) ->
+    (nz, nx, 4) at u0, one forward difference per unknown; steps[m] is the
+    step of component m."""
+    f0 = tendency(u0)
     n = u0.size
     J = np.empty((n, n))
     for idx in range(n):
         h = steps[idx % 4]
         up = u0.copy()
         up.reshape(-1)[idx] += h
-        J[:, idx] = ((op(up) - f0) / h).ravel()
+        J[:, idx] = ((tendency(up) - f0) / h).ravel()
     return J
 
 

@@ -364,6 +364,21 @@ class TestMain:
         assert "configuration error" in err and "dx" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("file_keys, flags", [
+        ("base_nx = 5\nbase_nz = 10\n", ["--dx", "25"]),
+        ("dx = 25\n", ["--base-nx", "5", "--base-nz", "10"]),
+        ("base_nx = 5\nbase_nz = 10\ndx = 25\n", []),
+    ])
+    def test_base_dims_and_dx_together_exit_code(self, tmp_path, capsys, file_keys, flags):
+        # neither key may silently win: a --dx flag over a file's base dims
+        # would otherwise be ignored, against flags overriding file values
+        out = str(tmp_path / "out")
+        path = write(tmp_path, "case = rising-bubble\ndt = 5\n" + file_keys)
+        assert main(["--config", path, "--outdir", out] + flags) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "base_nx" in err and "dx" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("interval", ["1e-12", "1e-300"])
     def test_tiny_output_interval_writes_one_snapshot_per_step(self, tmp_path, interval):
         # catching up with the output times one interval at a time ran for
@@ -577,10 +592,9 @@ def run_configs(draw):
         values["dt"] = draw(positive)
     else:
         maybe("dt", positive)
-    grid = draw(st.sampled_from(["base", "dx", "both"]))
-    if grid != "dx":
+    if draw(st.booleans()):
         values["base_nx"], values["base_nz"] = draw(st.integers(1, 64)), draw(st.integers(1, 64))
-    if grid != "base":
+    else:
         values["dx"] = draw(positive)
     maybe("k", st.sampled_from([0, 1, 3, 7]))
     maybe("level", st.integers(0, 4))

@@ -1,17 +1,18 @@
-"""The ghost-padded face path of the DG and FV operators against a
-reference built face by face.
+"""The ghost-padded face path of the DG operator and of the FV face flux
+against a reference built face by face.
 
 The reference treats every face on its own: interior and periodic faces
 call the conserved-state reference HLLC on the two adjacent states,
-slip-wall faces call wall_flux_axis below, which solves the
+slip-wall faces call references.wall_flux_axis, which solves the
 mirrored-ghost Riemann problem, and the FV viscous flux is the two-point
 formula with its own periodic branch, as is the DG interior-penalty flux.
-The operators must agree with it bit for bit, except for the viscous DG
+The package must agree with it bit for bit, except for the viscous DG
 terms: the operator takes their traces as GEMMs, the reference as
 einsums, so they agree to round-off.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -22,15 +23,16 @@ from hypothesis.extra.numpy import arrays
 from conftest import advection_case, make_setup
 from dgmg import cases, mesh, physics
 from dgmg.dg import DGBasis, DGOperator
-from dgmg.fv import FVOperator
-from dgmg.mesh import BoundaryKind
+from dgmg.fv import FVLinearization, FVOperator
 from dgmg.physics import RHO, RHO_W, PhysConstants, flux_convective_xz, pressure
 from references import (
+    axis_fluxes,
     dg_primitive_gradients,
     dg_viscous_face_fluxes,
     einsum_traces,
     fv_viscous_fluxes,
-    hllc_flux_axis,
+    periodicity,
+    wall_flux_axis,
 )
 
 RB = PhysConstants(c_p=1005.0, c_v=717.95, g=9.80665, p0=1e5)
@@ -46,73 +48,23 @@ def rest_state(c, T=300.0):
     return state(rho, 0.0, 0.0, T)
 
 
-def wall_flux_axis(U_in, axis, c, ghost_on_left):
-    """Slip-wall flux from the mirrored-ghost Riemann problem.
-
-    The ghost state negates the normal momentum of the interior trace;
-    ghost_on_left says which side of the face (in global +axis
-    orientation) the wall is on. For the mirrored problem the contact
-    sits on the wall, so the mass, tangential-momentum and rho*theta
-    fluxes vanish; only the normal-momentum (pressure) flux is kept.
-    """
-    U_in = np.asarray(U_in)
-    ghost = U_in.copy()
-    ghost[..., 1 + axis] = -ghost[..., 1 + axis]
-    UL, UR = (ghost, U_in) if ghost_on_left else (U_in, ghost)
-    F = np.zeros_like(U_in)
-    F[..., 1 + axis] = hllc_flux_axis(UL, UR, axis, c)[..., 1 + axis]
-    return F
-
-
-def reference_fluxes(lo, hi, normal, periodic, c):
-    """Fluxes through faces 0..n, one solver call per face.
-
-    lo[i] and hi[i] are the total states on the low and high side of
-    cell i, with the face-counting axis first.
-    """
-    n = lo.shape[0]
-    F = np.empty((n + 1,) + lo.shape[1:])
-    for f in range(1, n):
-        F[f] = hllc_flux_axis(hi[f - 1], lo[f], normal, c)
-    if periodic:
-        F[0] = F[n] = hllc_flux_axis(hi[n - 1], lo[0], normal, c)
-    else:
-        F[0] = wall_flux_axis(lo[0], normal, c, ghost_on_left=True)
-        F[n] = wall_flux_axis(hi[n - 1], normal, c, ghost_on_left=False)
-    return F
-
-
-def periodicity(case):
-    west, _, south, _ = case.bc
-    return west is BoundaryKind.PERIODIC, south is BoundaryKind.PERIODIC
-
-
-def axis_fluxes(case, west, east, south, north, c):
-    """Reference x- and z-face fluxes of (nz, nx, ...) side states."""
-    px, pz = periodicity(case)
-    Hx = reference_fluxes(np.moveaxis(west, 1, 0), np.moveaxis(east, 1, 0), 0, px, c)
-    return np.moveaxis(Hx, 0, 1), reference_fluxes(south, north, 1, pz, c)
-
-
-def fv_reference(op, case, up):
+def assert_fv_face_fluxes(op, case, full):
+    """The face flux of op through both axes, boundaries included, equals
+    the reference's bit for bit on the cell states full: HLLC per face
+    minus the two-point viscous flux."""
     c = op.constants
-    full = up + op.bg
     Hx, Hz = axis_fluxes(case, full, full, full, full, c)
-    bx, bz = axis_fluxes(case, op.bg, op.bg, op.bg, op.bg, c)
-    Hx -= bx
-    Hz -= bz
     if c.mu > 0.0:
         gx, gz = fv_viscous_fluxes(full, op.dx, op.dz, *periodicity(case), c.mu)
-        bgx, bgz = fv_viscous_fluxes(op.bg, op.dx, op.dz, *periodicity(case), c.mu)
-        Hx[..., 1:] -= gx - bgx
-        Hz[..., 1:] -= gz - bgz
-    rhs = -(Hx[:, 1:] - Hx[:, :-1]) / op.dx - (Hz[1:] - Hz[:-1]) / op.dz
-    rhs[..., RHO_W] -= c.g * up[..., RHO]
-    return rhs
+        Hx[..., 1:] -= gx
+        Hz[..., 1:] -= gz
+    Q = op.padded_primitives(full)
+    for faces, want in ((op.xfaces, Hx), (op.zfaces, Hz)):
+        assert np.array_equal(op.face_flux(faces, Q, Q), want), faces
 
 
 def dg_reference(op, case, Up):
-    """The DG operator with the face fluxes of reference_fluxes; the
+    """The DG operator with the face fluxes of references.axis_fluxes; the
     inviscid volume terms and the lifting repeat the operator's arithmetic
     in per-node-axis form, the viscous terms are the references' forms.
     The faces take their boundary kinds from case."""
@@ -303,13 +255,13 @@ class TestAgainstReference:
         case, nx, nz = setup
         h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
         op = FVOperator(h, 0, case)
-        up = data.draw(perturbations(op.bg.shape))
-        assert np.array_equal(op(up), fv_reference(op, case, up))
+        assert_fv_face_fluxes(op, case, data.draw(perturbations(op.bg.shape)) + op.bg)
 
     @pytest.mark.parametrize("name", ["inertia-gravity", "rising-bubble", "density-current"])
     def test_stratified_cases(self, name):
         # gravity and a stratified background; the DG reference is
-        # inviscid, so the density current's DG operator runs with mu = 0
+        # inviscid, so the density current's DG operator runs with mu = 0,
+        # while its FV face fluxes stay viscous
         case = cases.by_name(name)
         h, sg = mesh.build_hierarchy(case.domain, 4, 3, 1, 3)
         op = DGOperator(h, sg, DGBasis(3), with_viscosity(case, 0.0))
@@ -319,8 +271,7 @@ class TestAgainstReference:
         assert np.array_equal(op(Up), dg_reference(op, case, Up))
         for lvl in range(h.n_levels):
             fv = FVOperator(h, lvl, case)
-            up = scale * rng.standard_normal(fv.bg.shape)
-            assert np.array_equal(fv(up), fv_reference(fv, case, up)), lvl
+            assert_fv_face_fluxes(fv, case, scale * rng.standard_normal(fv.bg.shape) + fv.bg)
 
 
 class TestWellBalance:
@@ -329,12 +280,10 @@ class TestWellBalance:
         [("inertia-gravity", 10, 1), ("rising-bubble", 5, 10), ("density-current", 16, 4)],
     )
     def test_zero_on_every_level(self, name, base_nx, base_nz):
-        # the hierarchies of the benchmark runs: DG level 2, five FV levels
+        # the DG grids of the benchmark runs, at DG level 2; the FV levels
+        # have no tendency to balance, only the linearization of one
         setup = make_setup(name, base_nx, base_nz, 2)
         assert np.all(setup.dg_op(setup.dg_op.zero_field()) == 0.0)
-        for lvl in range(setup.hierarchy.n_levels):
-            op = setup.fv_op(lvl)
-            assert np.all(op(np.zeros_like(op.bg)) == 0.0), lvl
 
 
 class TestHLLCHook:
@@ -345,8 +294,9 @@ class TestHLLCHook:
     def test_one_call_per_axis(self, monkeypatch, name, base_nx, base_nz):
         # every face flux goes through physics.hllc_flux_axis, the function
         # the benchmark's physics.hllc layer counts: one call per axis for
-        # the DG operator, two for an FV operator, which evaluates its
-        # background fluxes in the call
+        # the DG operator, nine for the stencil assembly of an FV level,
+        # which evaluates its face fluxes once at the frozen state and
+        # twice more for each of the four components
         calls = []
         kernel = physics.hllc_flux_axis
 
@@ -356,12 +306,12 @@ class TestHLLCHook:
 
         monkeypatch.setattr(physics, "hllc_flux_axis", counted)
         setup = make_setup(name, base_nx, base_nz, 2)
-        fv_ops = [setup.fv_op(l) for l in range(setup.hierarchy.n_levels)]
-        ops = [(setup.dg_op, setup.dg_op.zero_field())]
-        ops += [(op, np.zeros_like(op.bg)) for op in fv_ops]
-        for op, zero in ops:
+        evaluations = [(1, "dg", lambda: setup.dg_op(setup.dg_op.zero_field()))]
+        for lvl in range(setup.hierarchy.n_levels):
+            op = setup.fv_op(lvl)
+            evaluations.append((9, lvl, functools.partial(
+                FVLinearization, op, np.zeros_like(op.bg), 1.0)))
+        for per_axis, where, evaluate in evaluations:
             del calls[:]
-            op(zero)
-            per_axis = 1 if op is setup.dg_op else 2
-            assert sorted(calls) == [0] * per_axis + [1] * per_axis, (
-                type(op).__name__, getattr(op, "level", None))
+            evaluate()
+            assert sorted(calls) == [0] * per_axis + [1] * per_axis, where

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 import references
 from conftest import advection_case
 from dgmg import mesh
-from dgmg.fv import FVOperator
+from dgmg.fv import FVLinearization, FVOperator
 from dgmg.physics import (
+    RHO,
+    RHO_W,
     Atmosphere,
     InadmissibleStateError,
     PhysConstants,
@@ -112,16 +114,18 @@ class TestFluxes:
         assert np.allclose(Fz, [0.0, 0.0, p, 0.0], rtol=1e-14)
 
     def test_gravity_source(self):
-        # one periodic FV cell has no net face flux, so its tendency is the
-        # gravity source (0, 0, -g rho', 0) of the perturbation alone
+        # one periodic FV cell has no net face flux, so the Jacobian of its
+        # tendency is that of the gravity source (0, 0, -g rho', 0) alone:
+        # alpha_dt * J holds -alpha_dt * g in the (rho w, rho) entry of the
+        # self block and nothing else
         case = advection_case(u=1.0, w=1.0)
         case = dataclasses.replace(case, constants=dataclasses.replace(case.constants, g=DC.g))
         h, _ = mesh.build_hierarchy(case.domain, 1, 1, 0, 0)
         op = FVOperator(h, 0, case)
-        u = np.array([[[0.01, 0.002, -0.003, 0.004]]])
-        assert np.array_equal(op(u)[0, 0], [0.0, 0.0, -DC.g * 0.01, 0.0])
-        assert np.all(op(np.zeros_like(u)) == 0.0)
-        assert np.array_equal(op(2.0 * u), 2.0 * op(u))
+        lin = FVLinearization(op, np.array([[[0.01, 0.002, -0.003, 0.004]]]), alpha_dt=2.0)
+        expected = np.zeros_like(lin.blocks)
+        expected[RHO_W, RHO] = -2.0 * DC.g
+        assert np.array_equal(lin.blocks, expected)
 
 
 @settings(deadline=None)
