@@ -263,18 +263,18 @@ def write_snapshot(field: np.ndarray, bundle: SolverBundle, path: str) -> None:
             _write_vtk(fh, xc, zc, dx, dz, columns)
 
 
-_SNAPSHOT_ROW = "%.10g,%.10g" + ",%.12e" * (SNAPSHOT_HEADER.count(",") - 1) + "\n"
-
-
 def _write_csv(fh, xc, zc, columns):
-    """The snapshot CSV: a header, then one row per cell, x fastest. Rows
-    are formatted one z-row at a time, since a whole field's .tolist()
-    would raise the peak memory."""
+    """The snapshot CSV: a header, then one row per cell, x fastest. Each
+    z-row is one % call on a template that holds the text of its cells' x
+    and z, each formatted once, and a %.12e field per value; a whole
+    field's .tolist() would raise the peak memory."""
     fh.write(SNAPSHOT_HEADER + "\n")
-    xs = xc.tolist()
+    xs = ["%.10g," % x for x in xc.tolist()]
+    values = ",%.12e" * len(columns) + "\n"
     for j, z in enumerate(zc.tolist()):
-        values = zip(*(data[j].tolist() for data in columns.values()))
-        fh.writelines(_SNAPSHOT_ROW % (x, z, *row) for x, row in zip(xs, values))
+        cell = "%.10g" % z + values
+        row = np.stack([data[j] for data in columns.values()], axis=-1)
+        fh.write("".join(x + cell for x in xs) % tuple(row.ravel().tolist()))
 
 
 def _write_vtk(fh, xc, zc, dx, dz, columns):

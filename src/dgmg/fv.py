@@ -143,11 +143,12 @@ class FVLinearization:
     alpha_dt * J is stored as float32 blocks (4, 20, cells): output
     component, stencil slot x input component, cell. matvec takes and
     returns the multigrid cycle's float32 component-major vectors
-    (4, nz, nx). It copies w into a padded (4, nz + 2, nx + 2) buffer that
-    it keeps, whose ghosts are wrapped on periodic sides and stay zero
-    beyond slip walls, copies the five stencil slots, shifted views of
-    that buffer, into a (5, 4, nz, nx) buffer that it also keeps, and
-    contracts; no neighbour table is stored. alpha_dt = 0
+    (4, nz, nx). It copies w into the interior of a padded (4, nz + 2,
+    nx + 2) buffer that it keeps, whose ghosts are wrapped on periodic
+    sides and stay zero beyond slip walls, copies the five stencil slots,
+    shifted views of that buffer, into a (5, 4, nz, nx) buffer that it also
+    keeps, and contracts into out, a buffer of the caller's or a fresh
+    array; no neighbour table is stored. alpha_dt = 0
     gives w exactly. Assembly makes 1 + 4 primitive evaluations and
     2 + 16 face-flux evaluations per level; matvec none.
     """
@@ -202,14 +203,18 @@ class FVLinearization:
                 blocks[:, west_slot, m] = west
             blocks[:, 0, m] = diag
 
-    def matvec(self, w: np.ndarray) -> np.ndarray:
+    def matvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """g'(u0) w, written into out (contiguous float32 (4, nz, nx)) when
+        given and into a fresh array otherwise."""
         padded = self._padded
         padded[:, 1:-1, 1:-1] = w
         _wrap_ghosts(padded, self.periodic_x, self.periodic_z)
         for slot, view in zip(self._stencil, self._slots):
             slot[...] = view
-        out = np.einsum("ijc,jc->ic", self.blocks, self._stencil.reshape(20, -1))
-        out = out.reshape(w.shape)
+        if out is None:
+            out = np.empty(w.shape, dtype=np.float32)
+        np.einsum("ijc,jc->ic", self.blocks, self._stencil.reshape(20, -1),
+                  out=out.reshape(4, -1))
         return np.subtract(w, out, out=out)
 
 

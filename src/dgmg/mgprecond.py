@@ -53,13 +53,24 @@ Bernstein's inequality a degree-s polynomial with P(0) = 1 and |P| <= 1
 on that disc has |P'(0)| <= s, with equality only for (1 - z)^s: of all
 s-stage schemes stable on the whole disc it damps the slow modes near
 z = 0 fastest. The DG sweeps stay one Euler step each.
+
+The cycle runs in a workspace that each Level keeps as long as the stack:
+the iterate x, the right-hand side b, a work vector t and prolongation's
+buffers. A sub-step writes the stencil product and residual into t in
+place, in the order t = x - A x, t = b - t, t *= dtau, x += t, and makes no
+array. The restricted residual goes straight into the coarser level's b
+and the prolonged correction into t. A visit to a level starts from a
+zero iterate on the finest level of each application and on the first of
+a coarser level's visits per cycle of the level above. Its first sub-step
+then writes x = dtau * b without the operator call, so that no sub-step
+probes x for zeros.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -119,25 +130,80 @@ def parse_mg_config(text: str, pseudo_cfl: float = 1.0) -> MGConfig:
     return MGConfig(a, b, c, d, e, f, text[8], pseudo_cfl=pseudo_cfl)
 
 
-def restrict(u: np.ndarray) -> np.ndarray:
+def restrict(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Agglomeration restriction over the last two (z, x) axes: the
     volume-weighted average of the four children (arithmetic mean on
-    uniform grids)."""
+    uniform grids), written into out when given."""
     nz, nx = u.shape[-2:]
     if nz % 2 or nx % 2:
         raise ValueError(f"cannot coarsen a {nz}x{nx} grid")
     # children summed in the order ((a + b) + c) + d, the order numpy's
     # mean over the (2, 2) child axes of the (nz, nx, 4) layout uses
-    out = u[..., 0::2, 0::2] + u[..., 0::2, 1::2]
+    out = np.add(u[..., 0::2, 0::2], u[..., 0::2, 1::2], out=out)
     out += u[..., 1::2, 0::2]
     out += u[..., 1::2, 1::2]
     out /= 4
     return out
 
 
-def prolong(u: np.ndarray, periodic: tuple[bool, bool]) -> np.ndarray:
+class Prolongation:
+    """The buffers prolong keeps for coarse vectors of shape (c, nz, nx),
+    and the views of them it reads and writes, made once. The x pass reads
+    a copy of the coarse vector, written into parents, between one ghost
+    column per side, and writes the interior of the z pass's input, which
+    has one ghost row per side; the z pass writes out (c, 2 nz, 2 nx), a
+    fresh array when None. Each pass has its own centre buffer."""
+
+    def __init__(self, shape: tuple[int, int, int], dtype, out: np.ndarray | None = None):
+        c, nz, nx = shape
+        if out is None:
+            out = np.empty((c, 2 * nz, 2 * nx), dtype)
+        qx = np.empty((c, nz, nx + 2), dtype)
+        qz = np.empty((c, nz + 2, 2 * nx), dtype)
+        self.parents = qx[..., 1:-1]
+        self.passes = (_BilinearPass(qx, np.empty(shape, dtype), qz[:, 1:-1], -1, physics.RHO_U),
+                       _BilinearPass(qz, np.empty((c, nz, 2 * nx), dtype), out, -2,
+                                     physics.RHO_W))
+        self.out = out
+
+
+class _BilinearPass:
+    """One pass of prolong along axis (-1 for x, -2 for z): q holds the
+    input between one ghost per side, which a call fills; children 2I and
+    2I + 1 of out take 3/4 of parent I and 1/4 of its neighbour I - 1 and
+    I + 1, the scaled parents going through centre."""
+
+    def __init__(self, q, centre, out, axis, normal):
+        def at(index):
+            return (Ellipsis, index) + (slice(None),) * (-1 - axis)
+
+        self.q, self.centre = q, centre
+        self.ghosts = q[at(0)], q[at(-1)]
+        self.wrapped, self.mirrored = (q[at(-2)], q[at(1)]), (q[at(1)], q[at(-2)])
+        # both ghosts of the wall-normal momentum
+        self.normal_ghosts = (normal,) + at(slice(None, None, q.shape[axis] - 1))
+        self.parents, self.left, self.right = (q[at(s)] for s in (slice(1, -1), slice(None, -2),
+                                                                  slice(2, None)))
+        self.even, self.odd = out[at(slice(0, None, 2))], out[at(slice(1, None, 2))]
+
+    def __call__(self, wrap: bool) -> None:
+        for ghost, edge in zip(self.ghosts, self.wrapped if wrap else self.mirrored):
+            np.copyto(ghost, edge)
+        if not wrap:
+            # not np.negative(out=), which numpy 2.4 gets wrong on this
+            # in-place strided view
+            self.q[self.normal_ghosts] *= -1
+        self.q *= 0.25
+        np.multiply(self.parents, 3, out=self.centre)
+        np.add(self.centre, self.left, out=self.even)
+        np.add(self.centre, self.right, out=self.odd)
+
+
+def prolong(u: np.ndarray, periodic: tuple[bool, bool],
+            work: Prolongation | None = None) -> np.ndarray:
     """Cell-centred bilinear prolongation of component-major vectors (4,
-    nz, nx) on a level whose x and z axes are periodic or not.
+    nz, nx) on a level whose x and z axes are periodic or not, into the
+    output of work (a fresh Prolongation when None).
 
     Each child takes 9/16 of its parent, 3/16 of each of the parent's two
     neighbours on the child's side and 1/16 of the diagonal one: two
@@ -145,33 +211,30 @@ def prolong(u: np.ndarray, periodic: tuple[bool, bool]) -> np.ndarray:
     are wrapped on periodic sides and mirror the edge cell at slip walls,
     with the wall-normal momentum negated (physics.FaceAxis.fill_ghosts).
     """
-    for axis, normal, wrap in ((-1, physics.RHO_U, periodic[0]),
-                               (-2, physics.RHO_W, periodic[1])):
-        n = u.shape[axis]
-        tail = (slice(None),) * (-1 - axis)
-        # one ghost per side: take wraps the indices -1 and n around, or
-        # clips them to the edge cells
-        q = np.take(u, np.arange(-1, n + 1), axis=axis, mode="wrap" if wrap else "clip")
-        if not wrap:
-            q[(normal, Ellipsis, slice(None, None, n + 1)) + tail] *= -1
-        q *= 0.25
-        centre = 3 * q[(Ellipsis, slice(1, -1)) + tail]
-        shape = list(u.shape)
-        shape[axis] = 2 * n
-        u = np.empty(shape, dtype=u.dtype)
-        np.add(centre, q[(Ellipsis, slice(None, -2)) + tail],
-               out=u[(Ellipsis, slice(0, None, 2)) + tail])
-        np.add(centre, q[(Ellipsis, slice(2, None)) + tail],
-               out=u[(Ellipsis, slice(1, None, 2)) + tail])
-    return u
+    if work is None:
+        work = Prolongation(u.shape, u.dtype)
+    np.copyto(work.parents, u)
+    for bilinear, wrap in zip(work.passes, periodic):
+        bilinear(wrap)
+    return work.out
 
 
-def smooth(matvec, x: np.ndarray, b: np.ndarray, n_steps: int, dtau: np.ndarray) -> np.ndarray:
+def smooth(matvec, x: np.ndarray, b: np.ndarray, n_steps: int, dtau: np.ndarray,
+           t: np.ndarray, zero: bool = False) -> np.ndarray:
     """Explicit pseudo-time Euler steps x <- x + dtau * (b - g' x) for the
-    system g' x = b. Zero iterates skip the operator call."""
+    system g' x = b, in place on x. matvec(w, out) returns g' w written
+    into out, and t is that out, of x's shape. When zero, x is zero on
+    entry (its contents are not read), and the first step writes dtau * b
+    without the operator call."""
     for _ in range(n_steps):
-        r = b - matvec(x) if np.any(x) else b
-        x = x + dtau * r
+        if zero:
+            np.multiply(dtau, b, out=x)
+            zero = False
+            continue
+        r = matvec(x, t)
+        np.subtract(b, r, out=r)
+        r *= dtau
+        x += r
     return x
 
 
@@ -183,38 +246,65 @@ def _pseudo_dtau(lx, lz, hx, hz, mu, cfl, alpha_dt) -> np.ndarray:
     return cfl / (1.0 + alpha_dt * rate)
 
 
-class Level(NamedTuple):
-    """One level of the cycle's stack: the matvec of its frozen
-    linearization, its pseudo steps (nz, nx), and whether its x and z axes
-    are periodic, which prolongation onto it reads."""
+class Level:
+    """One level of the cycle's stack and the workspace the cycle runs in
+    there, kept as long as the stack.
 
-    matvec: Callable[[np.ndarray], np.ndarray]
-    dtau: np.ndarray
-    periodic: tuple[bool, bool]
-
-
-def mg_cycle(levels: list[Level], l: int, x: np.ndarray, b: np.ndarray,
-             cfg: MGConfig) -> np.ndarray:
-    """One V- or W-cycle on the level stack, coarsest first. x and b are
-    (components, nz, nx); dtau (nz, nx) broadcasts over the components.
-
-    Pre-smooth, restrict the residual, recurse (once for V, twice for W),
-    subtract the prolonged correction, post-smooth. Each smoothing step
-    is RK_STAGES Euler sub-steps; the coarsest level makes max(2,
-    pre+post) steps.
+    matvec(w, out) returns g' w of the level's frozen linearization written
+    into out; dtau (nz, nx) are its pseudo steps; periodic says whether its
+    x and z axes are periodic, which prolongation onto it reads. x is the
+    level's iterate and b its right-hand side; t takes a sub-step's
+    operator product and residual, the residual that is restricted and the
+    prolonged correction.
     """
-    matvec, dtau, periodic = levels[l]
+
+    def __init__(self, matvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 dtau: np.ndarray, periodic: tuple[bool, bool], x: np.ndarray):
+        self.matvec = matvec
+        self.dtau = dtau
+        self.periodic = periodic
+        self.x = x
+        self.b = np.empty(x.shape, x.dtype)
+        self.t = np.empty(x.shape, x.dtype)
+
+    @functools.cached_property
+    def prolongation(self) -> Prolongation:
+        """prolong's buffers onto this level, with t as their output; made
+        by the first prolongation, so that the coarsest level has none."""
+        c, nz, nx = self.x.shape
+        return Prolongation((c, nz // 2, nx // 2), self.x.dtype, out=self.t)
+
+
+def mg_cycle(levels: list[Level], l: int, cfg: MGConfig, zero: bool = False) -> np.ndarray:
+    """One V- or W-cycle on the level stack, coarsest first, in place on
+    the iterate x of level l for its right-hand side b, both (components,
+    nz, nx); dtau (nz, nx) broadcasts over the components. When zero, x is
+    zero on entry and its contents are not read. Returns x.
+
+    Pre-smooth, restrict the residual into the b of level l - 1, recurse
+    (once for V, twice for W, from a zero iterate the first time), subtract
+    the prolonged correction, post-smooth. Each smoothing step is RK_STAGES
+    Euler sub-steps; the coarsest level makes max(2, pre+post) steps.
+    """
+    level = levels[l]
+    x, b, t, dtau = level.x, level.b, level.t, level.dtau
     finest = len(levels) - 1
     pre, post = (cfg.fine_pre, cfg.fine_post) if l == finest else (cfg.mid_pre, cfg.mid_post)
     if l == 0:
-        return smooth(matvec, x, b, RK_STAGES * max(2, pre + post), dtau)
-    x = smooth(matvec, x, b, RK_STAGES * pre, dtau)
-    r = restrict(matvec(x) - b) if np.any(x) else restrict(-b)
-    v = np.zeros_like(r)
-    for _ in range(2 if cfg.cycle == "W" else 1):
-        v = mg_cycle(levels, l - 1, v, r, cfg)
-    x = x - prolong(v, periodic)
-    return smooth(matvec, x, b, RK_STAGES * post, dtau)
+        return smooth(level.matvec, x, b, RK_STAGES * max(2, pre + post), dtau, t, zero)
+    smooth(level.matvec, x, b, RK_STAGES * pre, dtau, t, zero)
+    zero = zero and pre == 0
+    if zero:
+        x.fill(0.0)
+        np.negative(b, out=t)
+    else:
+        np.subtract(level.matvec(x, t), b, out=t)
+    coarse = levels[l - 1]
+    restrict(t, out=coarse.b)
+    for visit in range(2 if cfg.cycle == "W" else 1):
+        mg_cycle(levels, l - 1, cfg, zero=visit == 0)
+    x -= prolong(coarse.x, level.periodic, level.prolongation)
+    return smooth(level.matvec, x, b, RK_STAGES * post, dtau, t)
 
 
 class MultigridPreconditioner:
@@ -257,14 +347,15 @@ class MultigridPreconditioner:
         for l in range(finest, 0, -1):
             # restrict acts on the last two axes; the FV states are (nz, nx, 4)
             states[l - 1] = restrict(states[l].transpose(2, 0, 1)).transpose(1, 2, 0)
-        return [
-            Level(FVLinearization(op, u, alpha_dt).matvec,
-                  _pseudo_dtau(*physics.wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
-                               op.constants.mu, self.cfg.pseudo_cfl,
-                               alpha_dt).astype(np.float32),
-                  (op.xfaces.periodic, op.zfaces.periodic))
-            for op, u in zip(self.fv_operators, states)
-        ]
+        levels = []
+        for op, u in zip(self.fv_operators, states):
+            lin = FVLinearization(op, u, alpha_dt)
+            dtau = _pseudo_dtau(*physics.wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
+                                op.constants.mu, self.cfg.pseudo_cfl, alpha_dt)
+            levels.append(Level(lin.matvec, dtau.astype(np.float32),
+                                (op.xfaces.periodic, op.zfaces.periodic),
+                                np.zeros((4, op.nz, op.nx), dtype=np.float32)))
+        return levels
 
     def factory(self, dg_lin, alpha_dt: float):
         cfg = self.cfg
@@ -283,19 +374,21 @@ class MultigridPreconditioner:
             dg_dtau = _pseudo_dtau(*op.max_wave_speeds(dg_lin.u0), op.dx / fac, op.dz / fac,
                                    op.constants.mu, 0.5 * cfg.pseudo_cfl,
                                    alpha_dt)[..., None, None, None]
+            dg_work = np.empty_like(dg_lin.u0)
+        top = levels[finest]
 
         def precondition(y: np.ndarray) -> np.ndarray:
             x = np.zeros_like(y)
             if cfg.dg_pre:
-                x = smooth(dg_lin.matvec, x, y, cfg.dg_pre, dg_dtau)
+                smooth(dg_lin.matvec, x, y, cfg.dg_pre, dg_dtau, dg_work, zero=True)
                 r = y - dg_lin.matvec(x)
             else:
                 r = y
-            b = np.ascontiguousarray(self.forward(r).transpose(2, 0, 1), dtype=np.float32)
-            v = mg_cycle(levels, finest, np.zeros_like(b), b, cfg)
+            np.copyto(top.b, self.forward(r).transpose(2, 0, 1))
+            v = mg_cycle(levels, finest, cfg, zero=True)
             x = x + self.transfer.fv_to_dg(v.transpose(1, 2, 0))
             if cfg.dg_post:
-                x = smooth(dg_lin.matvec, x, y, cfg.dg_post, dg_dtau)
+                smooth(dg_lin.matvec, x, y, cfg.dg_post, dg_dtau, dg_work)
             return x
 
         return precondition

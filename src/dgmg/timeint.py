@@ -88,12 +88,16 @@ class FDLinearization:
         self.r0 = r0
         self.weights = weights
 
-    def matvec(self, y: np.ndarray) -> np.ndarray:
+    def matvec(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """G'(u0) y, written into out when given."""
         norm = weighted_rms(y, self.weights)
         if norm == 0.0:
-            return np.zeros_like(y)
+            if out is None:
+                return np.zeros_like(y)
+            out.fill(0.0)
+            return out
         eps = EPS_FD / norm
-        return (self.residual(self.u0 + eps * y) - self.r0) / eps
+        return np.divide(self.residual(self.u0 + eps * y) - self.r0, eps, out=out)
 
 
 @dataclass

@@ -11,9 +11,12 @@ is computed from the already-evaluated subcell-center values with the
 cell-center quadrature weights, which are exact for tensor cubics, so
 T^mf = (I - 11^T/p^2 + 1 w^T)(T1 x T1) with w the tensor weights.
 
-Each map is one GEMM of the (cells, 4p^2) view against kron(M, I_4).T
-(dg.kron_eye_t) for its per-cell matrix M; the forward GEMM is batched over
-subcell rows so that it writes the FV layout directly.
+The forward maps are one GEMM of the (cells, 4p^2) view against
+kron(M, I_4).T (dg.kron_eye_t) for their per-cell matrix M, batched over
+subcell rows so that they write the FV layout directly. The inverse map
+reads its input a component at a time, as the multigrid cycle holds it,
+and is one GEMM of the (4 * cells, p^2) operand against
+kron(T1^-1, T1^-1).T.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class TransferOperators:
             kron_eye_t(M, 4).reshape(-1, p, 4 * p).transpose(1, 0, 2)
             for M in (T, massfix @ T)
         )
-        self._to_dg = kron_eye_t(kron_t(T1inv, T1inv).T, 4)
+        self._to_dg = kron_t(T1inv, T1inv)
 
     def _forward(self, U: np.ndarray, K: np.ndarray) -> np.ndarray:
         """(nz, nx, p, p, 4) -> (nz*p, nx*p, 4); batch (z, m) is FV row p*z + m."""
@@ -71,10 +74,12 @@ class TransferOperators:
 
         u is (nz*p, nx*p, 4) of any strides and float dtype, such as a
         transposed view of the multigrid cycle's float32 (4, nz*p, nx*p)
-        vector; one copy writes it into the float64 (cells, 4p^2) GEMM
-        operand."""
+        iterate; one copy writes it, a component at a time, into the
+        float64 (4 * cells, p^2) GEMM operand. The result is a (nz, nx, p,
+        p, 4) view of the component-major product."""
         p = self.p
         nz, nx = u.shape[0] // p, u.shape[1] // p
-        cells = np.empty((nz, nx, p, p, 4))
-        np.copyto(cells, u.reshape(nz, p, nx, p, 4).transpose(0, 2, 1, 3, 4))
-        return (cells.reshape(nz * nx, -1) @ self._to_dg).reshape(nz, nx, p, p, 4)
+        cells = np.empty((4, nz, nx, p, p))
+        np.copyto(cells, u.transpose(2, 0, 1).reshape(4, nz, p, nx, p).transpose(0, 1, 3, 2, 4))
+        out = cells.reshape(-1, p * p) @ self._to_dg
+        return out.reshape(4, nz, nx, p, p).transpose(1, 2, 3, 4, 0)

@@ -10,10 +10,11 @@ two-point FV viscous flux with its own periodic branch.
 reference_fluxes treats every face of a grid direction on its own:
 interior and periodic faces call the conserved-state HLLC on the two
 adjacent states, slip-wall faces call wall_flux_axis, which solves the
-mirrored-ghost Riemann problem. fv_reference is the first-order FV
-tendency built from these fluxes in perturbation form, with the background
-fluxes subtracted and the gravity source of the perturbation; the package
-evaluates no FV tendency, only the face fluxes it linearizes.
+mirrored-ghost Riemann problem. fv_reference makes the first-order FV
+tendency of a level from these fluxes in perturbation form, with the
+background fluxes, computed once per level, subtracted and the gravity
+source of the perturbation; the package evaluates no FV tendency, only the
+face fluxes it linearizes.
 
 The DG viscous terms and the DG <-> FV transfers are here in the form
 that contracts one node axis at a time (einsum and broadcasts), with the
@@ -211,24 +212,30 @@ def axis_fluxes(case, west, east, south, north, c):
     return np.moveaxis(Hx, 0, 1), reference_fluxes(south, north, 1, pz, c)
 
 
-def fv_reference(op, case, up):
-    """Tendency of the perturbation up (nz, nx, 4) on the FV level of op,
-    whose constants, spacings and background it reads; the faces take
-    their boundary kinds from case."""
+def fv_reference(op, case):
+    """The tendency up (nz, nx, 4) -> (nz, nx, 4) of perturbations on the
+    FV level of op, whose constants, spacings and background it reads; the
+    faces take their boundary kinds from case. The background fluxes are
+    computed once, here, for every call of the returned tendency."""
     c = op.constants
-    full = up + op.bg
-    Hx, Hz = axis_fluxes(case, full, full, full, full, c)
     bx, bz = axis_fluxes(case, op.bg, op.bg, op.bg, op.bg, c)
-    Hx -= bx
-    Hz -= bz
     if c.mu > 0.0:
-        gx, gz = fv_viscous_fluxes(full, op.dx, op.dz, *periodicity(case), c.mu)
         bgx, bgz = fv_viscous_fluxes(op.bg, op.dx, op.dz, *periodicity(case), c.mu)
-        Hx[..., 1:] -= gx - bgx
-        Hz[..., 1:] -= gz - bgz
-    rhs = -(Hx[:, 1:] - Hx[:, :-1]) / op.dx - (Hz[1:] - Hz[:-1]) / op.dz
-    rhs[..., RHO_W] -= c.g * up[..., RHO]
-    return rhs
+
+    def tendency(up):
+        full = up + op.bg
+        Hx, Hz = axis_fluxes(case, full, full, full, full, c)
+        Hx -= bx
+        Hz -= bz
+        if c.mu > 0.0:
+            gx, gz = fv_viscous_fluxes(full, op.dx, op.dz, *periodicity(case), c.mu)
+            Hx[..., 1:] -= gx - bgx
+            Hz[..., 1:] -= gz - bgz
+        rhs = -(Hx[:, 1:] - Hx[:, :-1]) / op.dx - (Hz[1:] - Hz[:-1]) / op.dz
+        rhs[..., RHO_W] -= c.g * up[..., RHO]
+        return rhs
+
+    return tendency
 
 
 def _scatter(vals):

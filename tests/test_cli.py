@@ -613,7 +613,8 @@ def run_configs(draw):
 
 # values whose formatting differs most: signed zeros, extremes, subnormals,
 # non-finite values and mixed signs
-FORMAT_VALUES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]) | st.floats()
+FORMAT_VALUES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324,
+                                 2.5e-310, -1.25e-315]) | st.floats()
 
 
 @st.composite
@@ -635,6 +636,22 @@ class TestWriters:
     @given(snapshot=snapshots())
     def test_snapshot_csv_matches_reference(self, snapshot):
         xc, zc, u, theta_p, columns = snapshot
+        expected, got = io.StringIO(), io.StringIO()
+        references.write_snapshot_csv(expected, xc, zc, u, theta_p)
+        cli._write_csv(got, xc, zc, columns)
+        assert got.getvalue() == expected.getvalue()
+
+    @settings(max_examples=50, deadline=None)
+    @given(nz=st.integers(1, 3), nx=st.integers(1, 64), data=st.data())
+    def test_wide_snapshot_rows_match_reference(self, nz, nx, data):
+        # a z-row of up to 64 cells is one template, its x and z text
+        # formatted once; signed zeros, subnormals and extremes in every
+        # column and coordinate
+        xc, zc = (data.draw(arrays(np.float64, n, elements=FORMAT_VALUES)) for n in (nx, nz))
+        u = data.draw(arrays(np.float64, (nz, nx, 4), elements=FORMAT_VALUES))
+        theta_p = data.draw(arrays(np.float64, (nz, nx), elements=FORMAT_VALUES))
+        columns = dict(zip(SNAPSHOT_HEADER.split(",")[2:],
+                           (u[..., 0], u[..., 1], u[..., 2], theta_p)))
         expected, got = io.StringIO(), io.StringIO()
         references.write_snapshot_csv(expected, xc, zc, u, theta_p)
         cli._write_csv(got, xc, zc, columns)

@@ -24,7 +24,7 @@ def stage_matrix(op, case, u0, alpha_dt):
     """I - alpha_dt * J(u0) with J from column-by-column FD of the
     reference tendency of op's level, whose faces take their boundary kinds
     from case."""
-    J = fv_jacobian(functools.partial(fv_reference, op, case), u0, fd_steps(op, u0))
+    J = fv_jacobian(fv_reference(op, case), u0, fd_steps(op, u0))
     return np.eye(J.shape[0]) - alpha_dt * J
 
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -196,18 +197,36 @@ class TestTransfersBetweenLevels:
             restrict(np.zeros((1, 3, 4)))
 
 
+def into(op):
+    """The matvec(w, out) of smooth and Level for a map op(w) -> g' w."""
+    def matvec(w, out):
+        out[...] = op(w)
+        return out
+    return matvec
+
+
+def cycle(levels, b, cfg):
+    """A copy of one cycle's result on the finest level of levels for the
+    right-hand side b, from a zero iterate."""
+    levels[-1].b[...] = b
+    return mg_cycle(levels, len(levels) - 1, cfg, zero=True).copy()
+
+
 class TestSmoother:
     # vectors (components, nz, nx), pseudo steps (nz, nx)
     def test_zero_steps_leave_input(self):
         x = np.ones((1, 2, 2))
-        out = smooth(lambda v: v, x, np.zeros_like(x), 0, np.full((2, 2), 0.5))
+        out = smooth(into(lambda v: v), x.copy(), np.zeros_like(x), 0, np.full((2, 2), 0.5),
+                     np.empty_like(x))
         assert np.array_equal(out, x)
 
     def test_scalar_closed_form(self):
-        # one Euler step on g' = d: x + dtau (b - d x)
+        # one Euler step on g' = d: x + dtau (b - d x), in place on x
         d, b, x0, dtau = 3.0, 2.0, 0.25, 0.1
-        out = smooth(lambda v: d * v, np.array([[[x0]]]), np.array([[[b]]]), 1,
-                     np.array([[dtau]]))
+        x = np.array([[[x0]]])
+        out = smooth(into(lambda v: d * v), x, np.array([[[b]]]), 1, np.array([[dtau]]),
+                     np.empty_like(x))
+        assert out is x
         assert out[0, 0, 0] == pytest.approx(x0 + dtau * (b - d * x0), rel=1e-14)
 
     def test_fixed_point_is_stationary(self):
@@ -219,8 +238,8 @@ class TestSmoother:
         def mv(v):
             return (A @ v.ravel()).reshape(v.shape)
 
-        out = smooth(mv, xs.reshape(1, 1, 4).copy(), b.reshape(1, 1, 4), 5,
-                     np.full((1, 4), 0.3))
+        out = smooth(into(mv), xs.reshape(1, 1, 4).copy(), b.reshape(1, 1, 4), 5,
+                     np.full((1, 4), 0.3), np.empty((1, 1, 4)))
         assert rms(out.ravel() - xs) <= 1e-12 * rms(xs)
 
     def test_zero_iterate_skips_matvec(self):
@@ -230,10 +249,14 @@ class TestSmoother:
             calls.append(1)
             return v
 
-        x = np.zeros((1, 2, 2))
+        # a zero iterate's contents are not read
+        x = np.full((1, 2, 2), np.nan)
         b = np.ones_like(x)
-        smooth(mv, x, b, 1, np.full((2, 2), 0.5))
+        smooth(into(mv), x, b, 1, np.full((2, 2), 0.5), np.empty_like(x), zero=True)
         assert len(calls) == 0  # first step sees x = 0
+        assert np.array_equal(x, np.full_like(x, 0.5))
+        smooth(into(mv), x, b, 1, np.full((2, 2), 0.5), np.empty_like(x))
+        assert len(calls) == 1
 
 
 # the benchmark grids of the three cases: (case, base_nx, base_nz, level,
@@ -258,13 +281,13 @@ class TestSmootherStability:
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
                                      parse_mg_config("mg111111V"), use_massfix=massfix)
         U0 = build_initial_state(setup.case, setup.dg_op)
-        for l, (matvec, dtau, _) in enumerate(mg.fv_levels(U0, SDIRK2_ALPHA * dt)[:2]):
+        for l, level in enumerate(mg.fv_levels(U0, SDIRK2_ALPHA * dt)[:2]):
             shape = (4, fv_ops[l].nz, fv_ops[l].nx)
             n = int(np.prod(shape))
             assert n <= 1024
-            G = np.column_stack([matvec(e.reshape(shape)).ravel()
+            G = np.column_stack([level.matvec(e.reshape(shape)).ravel()
                                  for e in np.eye(n, dtype=np.float32)]).astype(np.float64)
-            z = np.linalg.eigvals(np.broadcast_to(dtau, shape).reshape(-1, 1) * G)
+            z = np.linalg.eigvals(np.broadcast_to(level.dtau, shape).reshape(-1, 1) * G)
             assert np.abs(z - 1.0).max() <= 1.0, (l, np.abs(z - 1.0).max())
 
     def test_step_amplification_is_bounded_on_the_disc(self):
@@ -274,9 +297,9 @@ class TestSmootherStability:
         z = 1.0 + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * np.exp(1j * theta)
         dtau = np.full(z.shape, 0.5)
         lam = (z / dtau)[None]
-        x0 = np.ones_like(lam)
-        out = mg_cycle([Level(lambda v: lam * v, dtau, (True, True))], 0, x0, np.zeros_like(x0),
-                       parse_mg_config("mg001100V"))[0]
+        level = Level(into(lambda v: lam * v), dtau, (True, True), np.ones_like(lam))
+        level.b[...] = 0.0
+        out = mg_cycle([level], 0, parse_mg_config("mg001100V"))[0]
         step = (1.0 - z) ** RK_STAGES
         assert np.allclose(out, step**2, rtol=0.0, atol=1e-13)
         assert np.abs(out).max() <= 1.0 + 1e-13
@@ -323,34 +346,46 @@ class TestMGCycle:
             # spectral radius bound of the 2D upwind + 5-point operator
             rate = 2.0 / h + 8 * 0.05 / h**2
             dtau = np.full((m, m), 1.0 / (1.0 + alpha_dt * rate))
-            levels.append(Level(mv, dtau, (True, True)))
+            levels.append(Level(into(mv), dtau, (True, True), np.zeros((1, m, m))))
         return levels
 
     def test_single_level_reduces_to_smoothing(self):
         levels = self.build_levels(1)
         cfg = parse_mg_config("mg001100V")
         b = np.ones((1, 1, 1))
-        out = mg_cycle(levels, 0, np.zeros_like(b), b, cfg)
+        out = cycle(levels, b, cfg)
         # max(2, 1 + 1) RK steps of RK_STAGES Euler sub-steps each
-        matvec, dtau, _ = levels[0]
+        level = levels[0]
         x = np.zeros_like(b)
         for _ in range(2):
-            x = smooth(matvec, x, b, RK_STAGES, dtau)
+            x = smooth(level.matvec, x, b, RK_STAGES, level.dtau, np.empty_like(b))
         assert np.allclose(out, x, atol=1e-14)
 
     def test_zero_rhs_zero_guess_short_circuits(self):
+        # a visit that starts from a zero iterate skips the operator call
+        # of its first sub-step and of its residual when it has no
+        # pre-smoothing; the first coarse visit of a W-cycle starts from
+        # zero, the second does not
         calls = []
 
-        def mv(v):
+        def mv(v, out):
             calls.append(1)
-            return v
+            out[...] = v
+            return out
 
-        levels = [Level(mv, np.full((2, 2), 0.3), (True, True)),
-                  Level(mv, np.full((4, 4), 0.3), (True, True))]
-        cfg = parse_mg_config("mg001111V")
-        out = mg_cycle(levels, 1, np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), cfg)
-        assert np.all(out == 0.0)
-        assert len(calls) == 0
+        for key, coarse_visits in (("mg001111V", 1), ("mg000111V", 1), ("mg001111W", 2)):
+            cfg = parse_mg_config(key)
+            levels = [Level(mv, np.full((2, 2), 0.3), (True, True), np.zeros((1, 2, 2))),
+                      Level(mv, np.full((4, 4), 0.3), (True, True), np.zeros((1, 4, 4)))]
+            calls.clear()
+            out = cycle(levels, np.zeros((1, 4, 4)), cfg)
+            assert np.all(out == 0.0)
+            # one call per sub-step and one for the fine residual, less the
+            # first sub-step of the fine visit (its residual instead when it
+            # has no pre-smoothing) and of the first coarse visit
+            fine = RK_STAGES * (cfg.fine_pre + cfg.fine_post)
+            coarse = RK_STAGES * max(2, cfg.mid_pre + cfg.mid_post)
+            assert len(calls) == fine + coarse_visits * coarse - 1, key
 
     def test_v_cycle_contracts_on_advection_diffusion(self):
         levels = self.build_levels(16)
@@ -358,13 +393,13 @@ class TestMGCycle:
         G, mv = upwind_system(16)
         rng = np.random.default_rng(5)
         b = rng.standard_normal((1, 16, 16))
-        x = mg_cycle(levels, len(levels) - 1, np.zeros_like(b), b, cfg)
+        x = cycle(levels, b, cfg)
         r = b - mv(x)
         assert rms(r) < 0.5 * rms(b), rms(r) / rms(b)
-        # and repeated cycles approach the dense solve
+        # and repeated cycles from the last iterate approach the dense solve
         xs = np.linalg.solve(G, b.ravel()).reshape(b.shape)
         for _ in range(30):
-            x = mg_cycle(levels, len(levels) - 1, x, b, cfg)
+            x = mg_cycle(levels, len(levels) - 1, cfg)
         assert rms(x - xs) < 1e-4 * rms(xs)
 
     def test_w_cycle_not_worse_than_v(self):
@@ -375,8 +410,7 @@ class TestMGCycle:
         res = {}
         for key in ("mg001111V", "mg001111W"):
             cfg = parse_mg_config(key)
-            x = mg_cycle(levels, len(levels) - 1, np.zeros_like(b), b, cfg)
-            res[key] = rms(b - mv(x))
+            res[key] = rms(b - mv(cycle(levels, b, cfg)))
         assert res["mg001111W"] <= res["mg001111V"] * (1.0 + 1e-12)
 
 
@@ -406,12 +440,13 @@ class TestCycleAgainstReference:
             dtau = _pseudo_dtau(*wave_speeds(u0 + op.bg, op.constants), op.dx, op.dz,
                                 op.constants.mu, 1.0, alpha_dt)
             neighbours = references.stencil_neighbours(op.nz, op.nx, periodic_x, periodic_z)
-            levels.append(Level(lin.matvec, dtau.astype(np.float32), (periodic_x, periodic_z)))
+            levels.append(Level(lin.matvec, dtau.astype(np.float32), (periodic_x, periodic_z),
+                                np.zeros((4, op.nz, op.nx), dtype=np.float32)))
             ref_levels.append((functools.partial(references.stencil_matvec, lin, neighbours),
                                dtau, (periodic_x, periodic_z)))
         cfg = parse_mg_config(key)
         b = rng.standard_normal((4, h.nz[-1], h.nx[-1])).astype(np.float32)
-        got = mg_cycle(levels, n_levels - 1, np.zeros_like(b), b, cfg)
+        got = cycle(levels, b, cfg)
         want = references.mg_cycle(ref_levels, n_levels - 1, np.zeros_like(field(b)), field(b),
                                    cfg, RK_STAGES)
         assert got.dtype == np.float32
@@ -496,6 +531,20 @@ class TestPrecondition:
         assert counts["smooth"] == 2 * (n - 1) + 1
         assert counts["matvec"] > 0
 
+    @pytest.mark.parametrize("key", ["mg001111V", "mg001111W", "mg000112W", "mg110111W"])
+    def test_kept_buffers_carry_no_state_between_applies(self, ig_precond, key):
+        # the level stack's workspace outlives each application, so an
+        # application to another vector in between changes nothing; the
+        # keys cover a fine level without pre-smoothing and the DG sweeps
+        setup, fv_ops, tr, lin, alpha_dt = ig_precond
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config(key))
+        M = mg.factory(lin, alpha_dt)
+        rng = np.random.default_rng(12)
+        a, b = (rng.standard_normal(lin.u0.shape) * 1e-4 for _ in range(2))
+        first = M(a)
+        assert not np.array_equal(M(b), first)
+        assert np.array_equal(M(a), first)
+
     def test_linear_to_fd_accuracy(self, ig_precond):
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg111111V"))
@@ -537,12 +586,12 @@ class TestPrecondition:
         u = child_mean(child_mean(tr.dg_to_fv(U)))
         dtau = _pseudo_dtau(*wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
                             op.constants.mu, mg.cfg.pseudo_cfl, alpha_dt)
-        matvec, got, periodic = levels[l]
-        assert periodic == (True, False)  # inertia-gravity: periodic in x, slip walls in z
-        assert got.dtype == np.float32
-        assert np.array_equal(got, dtau.astype(np.float32))
+        level = levels[l]
+        assert level.periodic == (True, False)  # inertia-gravity: periodic in x, slip walls in z
+        assert level.dtau.dtype == np.float32
+        assert np.array_equal(level.dtau, dtau.astype(np.float32))
         w = np.random.default_rng(4).standard_normal((4, op.nz, op.nx)).astype(np.float32)
-        assert np.array_equal(matvec(w), FVLinearization(op, u, alpha_dt).matvec(w))
+        assert np.array_equal(level.matvec(w), FVLinearization(op, u, alpha_dt).matvec(w))
 
     def test_fv_stack_assembled_once_per_step(self, ig_precond, assemblies):
         # one stencil assembly per level per step, made by the first
@@ -585,6 +634,58 @@ class TestPrecondition:
         )
         assert (sum(s.gmres_iters for s in stats_mg)
                 < sum(s.gmres_iters for s in stats_plain))
+
+
+class TestWorkspace:
+    """A warm application on the bubble's benchmark grid (FV levels up to
+    80x160) makes no level-sized array in the smoother. Measured with
+    tracemalloc: the largest peak of one smooth call above its start is
+    26,832 B, the iterator buffers of a broadcast dtau product on the
+    40x80 level (819,760 B, four finest-level fields, before the
+    workspace), and the peak of a whole application is 1,295,968 B
+    (1,742,840 B before), most of it the float64 DG and transfer fields."""
+
+    FIELD = 4 * 80 * 160 * 4  # bytes of a float32 vector on the finest level
+    APPLY_PEAK = 1_400_000
+
+    def test_warm_bubble_apply_allocates_no_field_per_substep(self, monkeypatch):
+        setup = make_setup("rising-bubble", 5, 10, 2)
+        fv_ops = [setup.fv_op(l) for l in range(setup.hierarchy.n_levels)]
+        assert 16 * fv_ops[-1].nz * fv_ops[-1].nx == self.FIELD
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
+                                     parse_mg_config("mg001111V"))
+        U0 = build_initial_state(setup.case, setup.dg_op)
+        alpha_dt = SDIRK2_ALPHA * 10.0
+
+        def G(V):
+            return V - alpha_dt * setup.dg_op(V) - U0
+
+        M = mg.factory(FDLinearization(G, U0, G(U0), setup.dg_op.norm_weights), alpha_dt)
+        y = np.random.default_rng(13).standard_normal(U0.shape) * 1e-4
+        M(y)  # prolongation's buffers are made by the first application
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            M(y)
+            apply_peak = tracemalloc.get_traced_memory()[1] - start
+            peaks = []
+            plain = mgprecond.smooth
+
+            def traced(*args, **kwargs):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = plain(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                return out
+
+            monkeypatch.setattr(mgprecond, "smooth", traced)
+            M(y)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2 * (len(fv_ops) - 1) + 1
+        assert max(peaks) < self.FIELD / 4, peaks
+        assert apply_peak <= self.APPLY_PEAK, apply_peak
 
 
 class TestGridIndependence:
