@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import physics
-from .mesh import BoundaryKind, GridHierarchy, SubgridMap
+from .mesh import GridHierarchy, SubgridMap
 from .physics import FaceAxis, PhysConstants, check_admissible
 from .quadrature import gauss_legendre
 
@@ -153,13 +153,7 @@ class DGOperator:
         Zg = np.broadcast_to(z_edges[:, None, None], (self.nz + 1, self.nx, p))
         self.bg_zface = atm.state(Xg, Zg)
 
-        west, east, south, north = case.bc
-        if (west is BoundaryKind.PERIODIC) != (east is BoundaryKind.PERIODIC):
-            raise ValueError("periodic boundaries must be paired in x")
-        if (south is BoundaryKind.PERIODIC) != (north is BoundaryKind.PERIODIC):
-            raise ValueError("periodic boundaries must be paired in z")
-        self.xfaces = FaceAxis(0, west is BoundaryKind.PERIODIC)
-        self.zfaces = FaceAxis(1, south is BoundaryKind.PERIODIC)
+        self.xfaces, self.zfaces = physics.face_axes(case.bc)
 
         # GEMM operands of the x-node contractions and of the lifting
         self.dhat_x, self.traces_x = kron_eye_t(basis.dhat, 4), kron_eye_t(basis.traces, 4)

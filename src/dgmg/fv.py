@@ -12,11 +12,11 @@ float32 component-major vectors (4, nz, nx).
 
 The primitives (rho, u, w, rho*theta, p, c_s) of each cell of a state are
 computed once into one array, padded once for both axes with one ghost
-cell per side (wrapped for periodic sides, mirrored with the normal
-velocity negated for slip walls; see physics.FaceAxis). Per axis, one
-HLLC call on two overlapping views of it gives the fluxes of all faces,
-boundaries included, and the two-point viscous flux reads u, w and theta
-from the same views.
+cell per side. Every ghost of this module is filled by physics.FaceAxis,
+the DG operator's boundary rule. Per axis, one HLLC call on two
+overlapping views of it gives the fluxes of all faces, boundaries
+included, and the two-point viscous flux reads u, w and theta from the
+same views.
 
 Each cell's tendency is a sum of face fluxes over h, and each face flux
 depends on the two cells of the face, so the Jacobian of a level is a
@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import physics
-from .mesh import BoundaryKind, GridHierarchy
+from .mesh import GridHierarchy
 from .physics import FaceAxis, PhysConstants, check_admissible
 from .timeint import EPS_FD
 
@@ -51,9 +51,7 @@ class FVOperator:
 
         self.bg = fv_background(case, hierarchy, level)
 
-        west, east, south, north = case.bc
-        self.xfaces = FaceAxis(0, west is BoundaryKind.PERIODIC)
-        self.zfaces = FaceAxis(1, south is BoundaryKind.PERIODIC)
+        self.xfaces, self.zfaces = physics.face_axes(case.bc)
 
     def padded_primitives(self, full: np.ndarray) -> np.ndarray:
         """The primitives of the cell states full (nz, nx, 4), laid out
@@ -65,8 +63,7 @@ class FVOperator:
         Q = np.empty((6, self.nz + 2, self.nx + 2))
         Q[:, 1:-1, 1:-1] = physics.primitives(full, self.constants)
         for faces in (self.xfaces, self.zfaces):
-            L, R = _face_sides(faces, Q, Q)
-            faces.fill_ghosts(L.transpose(1, 2, 0), R.transpose(1, 2, 0))
+            faces.fill_ghosts(*_ghost_sides(faces, Q))
         return Q
 
     def face_flux(self, faces: FaceAxis, QL: np.ndarray, QR: np.ndarray) -> np.ndarray:
@@ -101,6 +98,12 @@ def _face_sides(faces: FaceAxis, QL: np.ndarray, QR: np.ndarray):
     if faces.normal == 0:
         return QL[:, 1:-1, :-1], QR[:, 1:-1, 1:]
     return QL[:, :-1, 1:-1], QR[:, 1:, 1:-1]
+
+
+def _ghost_sides(faces: FaceAxis, Q: np.ndarray):
+    """The face states of one axis in the padded array Q (rows, z-index,
+    x-index), laid out (z-index, x-index, row) for FaceAxis.fill_ghosts."""
+    return [side.transpose(1, 2, 0) for side in _face_sides(faces, Q, Q)]
 
 
 def fv_background(case, hierarchy: GridHierarchy, level: int) -> np.ndarray:
@@ -145,20 +148,21 @@ class FVLinearization:
     returns the multigrid cycle's float32 component-major vectors
     (4, nz, nx). It copies w into the interior of a padded (4, nz + 2,
     nx + 2) buffer that it keeps, whose ghosts are wrapped on periodic
-    sides and stay zero beyond slip walls, copies the five stencil slots,
-    shifted views of that buffer, into a (5, 4, nz, nx) buffer that it also
-    keeps, and contracts into out, a buffer of the caller's or a fresh
-    array; no neighbour table is stored. alpha_dt = 0
-    gives w exactly. Assembly makes 1 + 4 primitive evaluations and
+    sides and stay zero beyond slip walls (the self blocks hold the wall
+    faces), copies the five stencil slots, shifted views of that buffer,
+    into a (5, 4, nz, nx) buffer that it also keeps, and contracts into
+    out, a buffer of the caller's or a fresh array; no neighbour table is
+    stored. alpha_dt = 0 gives w exactly. Assembly makes 1 + 4 primitive evaluations and
     2 + 16 face-flux evaluations per level; matvec none.
     """
 
     def __init__(self, op: FVOperator, u0: np.ndarray, alpha_dt: float):
         nz, nx = op.nz, op.nx
-        self.periodic_x, self.periodic_z = op.xfaces.periodic, op.zfaces.periodic
         self.blocks = np.zeros((4, 20, nz * nx), dtype=np.float32)
         self._padded = np.zeros((4, nz + 2, nx + 2), dtype=np.float32)
         self._slots = _slot_views(self._padded)
+        self._wrapped = [(faces, _ghost_sides(faces, self._padded))
+                         for faces in (op.xfaces, op.zfaces) if faces.periodic]
         self._stencil = np.empty((5, 4, nz, nx), dtype=np.float32)
         full = u0 + op.bg
         check_admissible(full, op.level, "cell average")
@@ -206,9 +210,9 @@ class FVLinearization:
     def matvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """g'(u0) w, written into out (contiguous float32 (4, nz, nx)) when
         given and into a fresh array otherwise."""
-        padded = self._padded
-        padded[:, 1:-1, 1:-1] = w
-        _wrap_ghosts(padded, self.periodic_x, self.periodic_z)
+        self._padded[:, 1:-1, 1:-1] = w
+        for faces, sides in self._wrapped:
+            faces.fill_ghosts(*sides)
         for slot, view in zip(self._stencil, self._slots):
             slot[...] = view
         if out is None:
@@ -216,17 +220,6 @@ class FVLinearization:
         np.einsum("ijc,jc->ic", self.blocks, self._stencil.reshape(20, -1),
                   out=out.reshape(4, -1))
         return np.subtract(w, out, out=out)
-
-
-def _wrap_ghosts(padded: np.ndarray, periodic_x: bool, periodic_z: bool) -> None:
-    """Fill the ghosts of the periodic sides of a padded (..., nz + 2,
-    nx + 2) array from the opposite edge; slip-wall ghosts stay as they are."""
-    if periodic_x:
-        padded[..., 1:-1, 0] = padded[..., 1:-1, -2]
-        padded[..., 1:-1, -1] = padded[..., 1:-1, 1]
-    if periodic_z:
-        padded[..., 0, 1:-1] = padded[..., -2, 1:-1]
-        padded[..., -1, 1:-1] = padded[..., 1, 1:-1]
 
 
 def _slot_views(padded: np.ndarray) -> list[np.ndarray]:

@@ -28,10 +28,9 @@ average) and cell-centred bilinear prolongation (weights 9/16, 3/16, 3/16,
 1/16; Wesseling, An Introduction to Multigrid Methods, 1992), the usual
 pair of transfer orders 1 and 2 on cell-centred grids (Hemker, J. Comput.
 Appl. Math. 1990). Prolongation reads one ghost cell per side of the
-coarse level by the rule the FV operator applies to states: wrapped on
-periodic sides, mirrored at slip walls with the wall-normal momentum (rho u
-at x-walls, rho w at z-walls) negated. Each level of the stack records
-which of its axes are periodic. The smoother integrates the dual
+coarse level, filled by the two physics.FaceAxis objects each level keeps
+of its FV operator: wrapped on periodic sides, mirrored at slip walls with
+the wall-normal momentum negated. The smoother integrates the dual
 pseudo-time ODE dw/dtau = (b - g'(u) w)/(alpha dt) with explicit steps;
 the per-cell pseudo step
 
@@ -76,6 +75,7 @@ import numpy as np
 
 from . import physics
 from .fv import FVLinearization, FVOperator
+from .physics import FaceAxis
 from .transfer import TransferOperators
 
 # stages s of each FV smoothing step, whose stability polynomial is (1 - z)^s
@@ -103,14 +103,6 @@ class MGConfig:
     mid_post: int
     cycle: str
     pseudo_cfl: float = 1.0
-
-    def __post_init__(self):
-        counts = (self.dg_pre, self.dg_post, self.fine_pre, self.fine_post,
-                  self.mid_pre, self.mid_post)
-        if any(n < 0 for n in counts):
-            raise MGConfigError(f"smoothing counts must be nonnegative, got {counts}")
-        if self.cycle not in ("V", "W"):
-            raise MGConfigError(f"cycle must be 'V' or 'W', got {self.cycle!r}")
 
 
 def parse_mg_config(text: str, pseudo_cfl: float = 1.0) -> MGConfig:
@@ -147,75 +139,62 @@ def restrict(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class Prolongation:
-    """The buffers prolong keeps for coarse vectors of shape (c, nz, nx),
-    and the views of them it reads and writes, made once. The x pass reads
-    a copy of the coarse vector, written into parents, between one ghost
-    column per side, and writes the interior of the z pass's input, which
-    has one ghost row per side; the z pass writes out (c, 2 nz, 2 nx), a
-    fresh array when None. Each pass has its own centre buffer."""
+    """The buffers prolong keeps for coarse vectors of shape (c, nz, nx)
+    onto out (c, 2 nz, 2 nx) of a level with the face axes (xfaces,
+    zfaces), and the views of them it reads and writes, made once. The x
+    pass reads a copy of the coarse vector, written into parents, between
+    one ghost column per side, and writes the interior of the z pass's
+    input, which has one ghost row per side; the z pass writes out. Each
+    pass has its own centre buffer."""
 
-    def __init__(self, shape: tuple[int, int, int], dtype, out: np.ndarray | None = None):
-        c, nz, nx = shape
-        if out is None:
-            out = np.empty((c, 2 * nz, 2 * nx), dtype)
-        qx = np.empty((c, nz, nx + 2), dtype)
-        qz = np.empty((c, nz + 2, 2 * nx), dtype)
+    def __init__(self, out: np.ndarray, faces: tuple[FaceAxis, FaceAxis]):
+        c, nz, nx = out.shape[0], out.shape[1] // 2, out.shape[2] // 2
+        qx = np.empty((c, nz, nx + 2), out.dtype)
+        qz = np.empty((c, nz + 2, 2 * nx), out.dtype)
         self.parents = qx[..., 1:-1]
-        self.passes = (_BilinearPass(qx, np.empty(shape, dtype), qz[:, 1:-1], -1, physics.RHO_U),
-                       _BilinearPass(qz, np.empty((c, nz, 2 * nx), dtype), out, -2,
-                                     physics.RHO_W))
+        xfaces, zfaces = faces
+        self.passes = (_BilinearPass(xfaces, qx, np.empty((c, nz, nx), out.dtype), qz[:, 1:-1]),
+                       _BilinearPass(zfaces, qz, np.empty((c, nz, 2 * nx), out.dtype), out))
         self.out = out
 
 
 class _BilinearPass:
-    """One pass of prolong along axis (-1 for x, -2 for z): q holds the
-    input between one ghost per side, which a call fills; children 2I and
-    2I + 1 of out take 3/4 of parent I and 1/4 of its neighbour I - 1 and
-    I + 1, the scaled parents going through centre."""
+    """One pass of prolong across the faces of one axis: q holds the input
+    between one ghost per side, which a call fills (faces.fill_ghosts);
+    children 2I and 2I + 1 of out take 3/4 of parent I and 1/4 of its
+    neighbour I - 1 and I + 1, the scaled parents going through centre."""
 
-    def __init__(self, q, centre, out, axis, normal):
+    def __init__(self, faces: FaceAxis, q, centre, out):
         def at(index):
-            return (Ellipsis, index) + (slice(None),) * (-1 - axis)
+            return (Ellipsis, index) + (slice(None),) * faces.normal
 
-        self.q, self.centre = q, centre
-        self.ghosts = q[at(0)], q[at(-1)]
-        self.wrapped, self.mirrored = (q[at(-2)], q[at(1)]), (q[at(1)], q[at(-2)])
-        # both ghosts of the wall-normal momentum
-        self.normal_ghosts = (normal,) + at(slice(None, None, q.shape[axis] - 1))
+        self.faces, self.q, self.centre = faces, q, centre
+        # (z-index, x-index, component), the layout fill_ghosts reads
+        self.sides = [q[at(s)].transpose(1, 2, 0) for s in (slice(None, -1), slice(1, None))]
         self.parents, self.left, self.right = (q[at(s)] for s in (slice(1, -1), slice(None, -2),
                                                                   slice(2, None)))
         self.even, self.odd = out[at(slice(0, None, 2))], out[at(slice(1, None, 2))]
 
-    def __call__(self, wrap: bool) -> None:
-        for ghost, edge in zip(self.ghosts, self.wrapped if wrap else self.mirrored):
-            np.copyto(ghost, edge)
-        if not wrap:
-            # not np.negative(out=), which numpy 2.4 gets wrong on this
-            # in-place strided view
-            self.q[self.normal_ghosts] *= -1
-        self.q *= 0.25
+    def __call__(self) -> None:
+        self.faces.fill_ghosts(*self.sides)
+        np.multiply(self.q, 0.25, out=self.q)
         np.multiply(self.parents, 3, out=self.centre)
         np.add(self.centre, self.left, out=self.even)
         np.add(self.centre, self.right, out=self.odd)
 
 
-def prolong(u: np.ndarray, periodic: tuple[bool, bool],
-            work: Prolongation | None = None) -> np.ndarray:
+def prolong(u: np.ndarray, work: Prolongation) -> np.ndarray:
     """Cell-centred bilinear prolongation of component-major vectors (4,
-    nz, nx) on a level whose x and z axes are periodic or not, into the
-    output of work (a fresh Prolongation when None).
+    nz, nx) into the output of work, which holds the level's face axes.
 
     Each child takes 9/16 of its parent, 3/16 of each of the parent's two
     neighbours on the child's side and 1/16 of the diagonal one: two
-    separable passes of 3/4 parent + 1/4 neighbour, x first. The ghosts
-    are wrapped on periodic sides and mirror the edge cell at slip walls,
-    with the wall-normal momentum negated (physics.FaceAxis.fill_ghosts).
+    separable passes of 3/4 parent + 1/4 neighbour, x first, whose ghosts
+    physics.FaceAxis.fill_ghosts fills.
     """
-    if work is None:
-        work = Prolongation(u.shape, u.dtype)
     np.copyto(work.parents, u)
-    for bilinear, wrap in zip(work.passes, periodic):
-        bilinear(wrap)
+    for bilinear in work.passes:
+        bilinear()
     return work.out
 
 
@@ -251,18 +230,18 @@ class Level:
     there, kept as long as the stack.
 
     matvec(w, out) returns g' w of the level's frozen linearization written
-    into out; dtau (nz, nx) are its pseudo steps; periodic says whether its
-    x and z axes are periodic, which prolongation onto it reads. x is the
+    into out; dtau (nz, nx) are its pseudo steps; faces are the (xfaces,
+    zfaces) of its FV operator, which prolongation onto it reads. x is the
     level's iterate and b its right-hand side; t takes a sub-step's
     operator product and residual, the residual that is restricted and the
     prolonged correction.
     """
 
     def __init__(self, matvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 dtau: np.ndarray, periodic: tuple[bool, bool], x: np.ndarray):
+                 dtau: np.ndarray, faces: tuple[FaceAxis, FaceAxis], x: np.ndarray):
         self.matvec = matvec
         self.dtau = dtau
-        self.periodic = periodic
+        self.faces = faces
         self.x = x
         self.b = np.empty(x.shape, x.dtype)
         self.t = np.empty(x.shape, x.dtype)
@@ -271,8 +250,7 @@ class Level:
     def prolongation(self) -> Prolongation:
         """prolong's buffers onto this level, with t as their output; made
         by the first prolongation, so that the coarsest level has none."""
-        c, nz, nx = self.x.shape
-        return Prolongation((c, nz // 2, nx // 2), self.x.dtype, out=self.t)
+        return Prolongation(self.t, self.faces)
 
 
 def mg_cycle(levels: list[Level], l: int, cfg: MGConfig, zero: bool = False) -> np.ndarray:
@@ -303,7 +281,7 @@ def mg_cycle(levels: list[Level], l: int, cfg: MGConfig, zero: bool = False) -> 
     restrict(t, out=coarse.b)
     for visit in range(2 if cfg.cycle == "W" else 1):
         mg_cycle(levels, l - 1, cfg, zero=visit == 0)
-    x -= prolong(coarse.x, level.periodic, level.prolongation)
+    x -= prolong(coarse.x, level.prolongation)
     return smooth(level.matvec, x, b, RK_STAGES * post, dtau, t)
 
 
@@ -317,9 +295,9 @@ class MultigridPreconditioner:
     downward and assembles each level's stencil linearization
     (FVLinearization) and local pseudo-time steps. Later factory() calls
     of the step, for both stages and every Newton iteration, reuse the
-    stack; a new alpha_dt rebuilds it. The DG side (the outer
-    Jacobian-free linearization and its pseudo-time steps) follows the
-    current Newton iterate. The returned closure applies one cycle per
+    stack, alpha_dt included: a step's stages share one. The DG side (the
+    outer Jacobian-free linearization and its pseudo-time steps) follows
+    the current Newton iterate. The returned closure applies one cycle per
     call and returns float64 of its input's shape; it is linear to
     float32 round-off (exactly homogeneous under powers of two) and
     deterministic across calls.
@@ -332,7 +310,7 @@ class MultigridPreconditioner:
         self.transfer = transfer
         self.cfg = cfg
         self.forward = transfer.dg_to_fv_massfix if use_massfix else transfer.dg_to_fv
-        self._stack = None  # (alpha_dt, levels)
+        self._stack = None  # the lagged FV levels of the step
 
     def begin_step(self) -> None:
         """Start a time step: the next factory() call rebuilds the FV level
@@ -352,16 +330,15 @@ class MultigridPreconditioner:
             lin = FVLinearization(op, u, alpha_dt)
             dtau = _pseudo_dtau(*physics.wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
                                 op.constants.mu, self.cfg.pseudo_cfl, alpha_dt)
-            levels.append(Level(lin.matvec, dtau.astype(np.float32),
-                                (op.xfaces.periodic, op.zfaces.periodic),
+            levels.append(Level(lin.matvec, dtau.astype(np.float32), (op.xfaces, op.zfaces),
                                 np.zeros((4, op.nz, op.nx), dtype=np.float32)))
         return levels
 
     def factory(self, dg_lin, alpha_dt: float):
         cfg = self.cfg
-        if self._stack is None or self._stack[0] != alpha_dt:
-            self._stack = (alpha_dt, self.fv_levels(dg_lin.u0, alpha_dt))
-        levels = self._stack[1]
+        if self._stack is None:
+            self._stack = self.fv_levels(dg_lin.u0, alpha_dt)
+        levels = self._stack
         finest = len(levels) - 1
         if cfg.dg_pre or cfg.dg_post:
             # effective spacing h/(2k+1) accounts for the DG CFL restriction.

@@ -15,8 +15,8 @@ Riemann solve has two parts: primitives computes (rho, u, w, rho*theta,
 p, c_s) of a set of states, and hllc_flux_axis works from the primitives
 of the left and right states of all faces of a grid direction. The
 operators lay those states out in arrays padded with ghost states;
-FaceAxis fills the ghosts (periodic wrap or slip-wall mirror) and makes
-one HLLC call for all faces.
+FaceAxis fills every ghost of the package (periodic wrap or slip-wall
+mirror) and makes one HLLC call for all faces.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .mesh import BoundaryKind
 
 # component indices
 RHO, RHO_U, RHO_W, RHO_THETA = 0, 1, 2, 3
@@ -182,8 +184,8 @@ class FaceAxis:
     UL and UR are views of one padded array holding the left and right
     states of faces 0..n, laid out (z-index, x-index, ..., component);
     only UL[face 0] and UR[face n] are ghosts. Component 1 + normal is the
-    normal momentum of a conserved state and the normal velocity of a
-    primitive one, so both are mirrored by the same negation.
+    normal momentum of a conserved state or of a multigrid vector and the
+    normal velocity of a primitive one: one negation mirrors all three.
     """
 
     normal: int
@@ -232,6 +234,16 @@ class FaceAxis:
             F[first][..., passive] = 0.0
             F[last][..., passive] = 0.0
         return F
+
+
+def face_axes(bc) -> tuple[FaceAxis, FaceAxis]:
+    """The x and z face axes of the boundary kinds bc (west, east, south,
+    north), the one reader of a case's bc; periodic sides come in pairs."""
+    periodic = [kind is BoundaryKind.PERIODIC for kind in bc]
+    for normal, name in enumerate("xz"):
+        if periodic[2 * normal] != periodic[2 * normal + 1]:
+            raise ValueError(f"periodic boundaries must be paired in {name}")
+    return FaceAxis(0, periodic[0]), FaceAxis(1, periodic[2])
 
 
 def subtract_viscous(F, G, bg) -> None:

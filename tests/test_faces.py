@@ -315,3 +315,32 @@ class TestHLLCHook:
             del calls[:]
             evaluate()
             assert sorted(calls) == [0] * per_axis + [1] * per_axis, where
+
+
+class TestBoundaryPairing:
+    # a periodic side wraps onto the opposite one, so a periodic side
+    # facing a slip wall has no ghost rule; both operators read their face
+    # axes through physics.face_axes, which refuses it
+    @pytest.mark.parametrize("axis, bc", [
+        ("x", ("periodic", "slip", "slip", "slip")),
+        ("x", ("slip", "periodic", "periodic", "periodic")),
+        ("z", ("slip", "slip", "periodic", "slip")),
+        ("z", ("periodic", "periodic", "slip", "periodic")),
+    ])
+    @pytest.mark.parametrize("operator", ["dg", "fv"])
+    def test_unpaired_periodic_sides_raise(self, operator, axis, bc):
+        case = dataclasses.replace(advection_case(),
+                                   bc=tuple(mesh.BoundaryKind(kind) for kind in bc))
+        h, sg = mesh.build_hierarchy(case.domain, 2, 2, 0, 3)
+        with pytest.raises(ValueError, match=f"paired in {axis}"):
+            if operator == "dg":
+                DGOperator(h, sg, DGBasis(3), case)
+            else:
+                FVOperator(h, sg.fv_level, case)
+
+    def test_paired_sides_give_the_face_axes(self):
+        P, S = mesh.BoundaryKind.PERIODIC, mesh.BoundaryKind.SLIP
+        assert physics.face_axes((P, P, S, S)) == (physics.FaceAxis(0, True),
+                                                   physics.FaceAxis(1, False))
+        assert physics.face_axes((S, S, P, P)) == (physics.FaceAxis(0, False),
+                                                   physics.FaceAxis(1, True))

@@ -19,6 +19,7 @@ from dgmg.mgprecond import (
     MGConfig,
     MGConfigError,
     MultigridPreconditioner,
+    Prolongation,
     _pseudo_dtau,
     mg_cycle,
     parse_mg_config,
@@ -26,7 +27,7 @@ from dgmg.mgprecond import (
     restrict,
     smooth,
 )
-from dgmg.physics import wave_speeds
+from dgmg.physics import FaceAxis, wave_speeds
 from dgmg.timeint import (
     SDIRK2_ALPHA,
     FDLinearization,
@@ -35,6 +36,21 @@ from dgmg.timeint import (
 )
 from test_faces import with_viscosity
 from test_fv import field, random_state
+
+
+def faces_of(periodic):
+    """The (xfaces, zfaces) of a level whose x and z axes are periodic or
+    not."""
+    return FaceAxis(0, periodic[0]), FaceAxis(1, periodic[1])
+
+
+PERIODIC = faces_of((True, True))
+
+
+def prolonged(u, periodic):
+    """prolong of u on a level whose x and z axes are periodic or not."""
+    c, nz, nx = u.shape
+    return prolong(u, Prolongation(np.empty((c, 2 * nz, 2 * nx), u.dtype), faces_of(periodic)))
 
 
 class TestConfigParsing:
@@ -67,12 +83,6 @@ class TestConfigParsing:
             parse_mg_config("xx111111V")
         with pytest.raises(MGConfigError, match="9"):
             parse_mg_config("mg11111V")
-
-    def test_invalid_fields_rejected(self):
-        with pytest.raises(MGConfigError):
-            MGConfig(0, 0, -1, 0, 0, 0, "V")
-        with pytest.raises(MGConfigError):
-            MGConfig(0, 0, 0, 0, 0, 0, "Q")
 
 
 class TestTransfersBetweenLevels:
@@ -119,7 +129,7 @@ class TestTransfersBetweenLevels:
         kz = kernel(nz, j, periodic[1], -1 if m == physics.RHO_W else 1)
         want = np.zeros((4, 2 * nz, 2 * nx))
         want[m] = np.outer(kz, kx)
-        got = prolong(u, periodic)
+        got = prolonged(u, periodic)
         assert got.dtype == dtype
         assert np.array_equal(got, want)
         if 0 < j < nz - 1 and 0 < i < nx - 1:
@@ -142,7 +152,7 @@ class TestTransfersBetweenLevels:
         shape = (4, other, n) if axis == -1 else (4, n, other)
         u = np.broadcast_to(np.expand_dims(line, -axis), shape).astype(dtype)
         periodic = (True, other_periodic) if axis == -1 else (other_periodic, True)
-        got = np.moveaxis(prolong(u, periodic), axis, -1)
+        got = np.moveaxis(prolonged(u, periodic), axis, -1)
         child = np.arange(2 * n)
         want = np.array(offset)[:, None] + np.array(slope)[:, None] * (child / 2 - 0.25)
         want[:, 0] = 0.75 * line[:, 0] + 0.25 * line[:, -1]
@@ -165,7 +175,7 @@ class TestTransfersBetweenLevels:
         # wall-normal momentum, so the children next to that wall keep
         # 3/4 - 1/4 = 1/2 of it; everything else is reproduced
         u = np.broadcast_to(np.array(state, dtype=dtype)[:, None, None], (4, nz, nx))
-        got = prolong(u, periodic)
+        got = prolonged(u, periodic)
         want = np.broadcast_to(np.array(state, dtype=float)[:, None, None],
                                (4, 2 * nz, 2 * nx)).copy()
         if not periodic[0]:
@@ -297,7 +307,7 @@ class TestSmootherStability:
         z = 1.0 + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * np.exp(1j * theta)
         dtau = np.full(z.shape, 0.5)
         lam = (z / dtau)[None]
-        level = Level(into(lambda v: lam * v), dtau, (True, True), np.ones_like(lam))
+        level = Level(into(lambda v: lam * v), dtau, PERIODIC, np.ones_like(lam))
         level.b[...] = 0.0
         out = mg_cycle([level], 0, parse_mg_config("mg001100V"))[0]
         step = (1.0 - z) ** RK_STAGES
@@ -346,7 +356,7 @@ class TestMGCycle:
             # spectral radius bound of the 2D upwind + 5-point operator
             rate = 2.0 / h + 8 * 0.05 / h**2
             dtau = np.full((m, m), 1.0 / (1.0 + alpha_dt * rate))
-            levels.append(Level(into(mv), dtau, (True, True), np.zeros((1, m, m))))
+            levels.append(Level(into(mv), dtau, PERIODIC, np.zeros((1, m, m))))
         return levels
 
     def test_single_level_reduces_to_smoothing(self):
@@ -375,8 +385,8 @@ class TestMGCycle:
 
         for key, coarse_visits in (("mg001111V", 1), ("mg000111V", 1), ("mg001111W", 2)):
             cfg = parse_mg_config(key)
-            levels = [Level(mv, np.full((2, 2), 0.3), (True, True), np.zeros((1, 2, 2))),
-                      Level(mv, np.full((4, 4), 0.3), (True, True), np.zeros((1, 4, 4)))]
+            levels = [Level(mv, np.full((2, 2), 0.3), PERIODIC, np.zeros((1, 2, 2))),
+                      Level(mv, np.full((4, 4), 0.3), PERIODIC, np.zeros((1, 4, 4)))]
             calls.clear()
             out = cycle(levels, np.zeros((1, 4, 4)), cfg)
             assert np.all(out == 0.0)
@@ -440,7 +450,7 @@ class TestCycleAgainstReference:
             dtau = _pseudo_dtau(*wave_speeds(u0 + op.bg, op.constants), op.dx, op.dz,
                                 op.constants.mu, 1.0, alpha_dt)
             neighbours = references.stencil_neighbours(op.nz, op.nx, periodic_x, periodic_z)
-            levels.append(Level(lin.matvec, dtau.astype(np.float32), (periodic_x, periodic_z),
+            levels.append(Level(lin.matvec, dtau.astype(np.float32), (op.xfaces, op.zfaces),
                                 np.zeros((4, op.nz, op.nx), dtype=np.float32)))
             ref_levels.append((functools.partial(references.stencil_matvec, lin, neighbours),
                                dtau, (periodic_x, periodic_z)))
@@ -587,7 +597,8 @@ class TestPrecondition:
         dtau = _pseudo_dtau(*wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
                             op.constants.mu, mg.cfg.pseudo_cfl, alpha_dt)
         level = levels[l]
-        assert level.periodic == (True, False)  # inertia-gravity: periodic in x, slip walls in z
+        # inertia-gravity: periodic in x, slip walls in z
+        assert level.faces == (op.xfaces, op.zfaces) == faces_of((True, False))
         assert level.dtau.dtype == np.float32
         assert np.array_equal(level.dtau, dtau.astype(np.float32))
         w = np.random.default_rng(4).standard_normal((4, op.nz, op.nx)).astype(np.float32)
@@ -607,16 +618,6 @@ class TestPrecondition:
             )
             assert assemblies == fv_ops
             assert all(st.newton_iters > 0 for st in stats)
-
-    def test_new_alpha_dt_rebuilds_fv_stack(self, ig_precond, assemblies):
-        setup, fv_ops, tr, lin, alpha_dt = ig_precond
-        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
-        mg.begin_step()
-        mg.factory(lin, alpha_dt)
-        mg.factory(lin, alpha_dt)
-        assert assemblies == fv_ops
-        mg.factory(lin, 0.5 * alpha_dt)
-        assert assemblies == 2 * fv_ops
 
     def test_reduces_gmres_iterations_on_newton_system(self, ig_precond):
         setup, fv_ops, tr, _, _ = ig_precond

@@ -1,0 +1,102 @@
+"""Check that the working tree's src/ writes the same output files as REV's.
+
+Usage: python tools/compare_outputs.py [REV]    (REV defaults to HEAD)
+
+The src/ tree of REV is extracted with `git archive REV src | tar -x` into
+a temporary directory. Each configuration of perfbench/workloads.py is run
+through dgmg.cli.run twice, once with that tree and once with the working
+tree's src/. Each run is a fresh child process with PYTHONPATH=<tree>/src,
+BLAS pinned to one thread and PYTHONDONTWRITEBYTECODE=1. The two output
+directories (stats.csv and every snapshot) are compared byte for byte.
+The files that differ are listed, and the exit code is 1 if any do.
+perfbench/ is only read.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BLAS_PIN = {
+    name: "1"
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+}
+# One cli.run of a workload config; refuses a dgmg imported from elsewhere.
+CHILD = """
+import json, os, sys
+from dgmg import cli
+src, config, outdir = sys.argv[1:]
+if os.path.realpath(cli.__file__) != os.path.realpath(os.path.join(src, "dgmg", "cli.py")):
+    sys.exit(f"dgmg was imported from {cli.__file__}, not from {src}")
+sys.exit(cli.run(cli.RunConfig(**json.loads(config), outdir=outdir)))
+"""
+
+
+def workloads() -> dict:
+    """name -> RunConfig fields of perfbench/workloads.py, imported without
+    writing bytecode next to it."""
+    sys.dont_write_bytecode = True
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return {name: w.config for name, w in module.WORKLOADS.items()}
+
+
+def run(src: str, config: dict, outdir: str) -> None:
+    env = dict(os.environ, **BLAS_PIN, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", CHILD, src, json.dumps(config), outdir],
+                          cwd=os.path.dirname(outdir), env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{outdir}: cli.run exited with code {proc.returncode}\n{proc.stderr}")
+
+
+def differing(a: str, b: str) -> list[str]:
+    """Paths, relative to a and b, of the files that are not byte-identical
+    in both trees (missing on one side included)."""
+    names = set()
+    for top in (a, b):
+        for dirpath, _, files in os.walk(top):
+            names.update(os.path.relpath(os.path.join(dirpath, f), top) for f in files)
+    return sorted(n for n in names
+                  if not (os.path.isfile(os.path.join(a, n)) and os.path.isfile(os.path.join(b, n))
+                          and filecmp.cmp(os.path.join(a, n), os.path.join(b, n), shallow=False)))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        raise SystemExit("usage: compare_outputs.py [REV]")
+    rev = argv[0] if argv else "HEAD"
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
+        base = os.path.join(tmp, "tree")
+        os.makedirs(base)
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        trees = {"rev": os.path.join(base, "src"), "work": os.path.join(ROOT, "src")}
+        bad = []
+        for name, config in workloads().items():
+            outs = {}
+            for side, src in trees.items():
+                outs[side] = os.path.join(tmp, side, name, "out")
+                os.makedirs(os.path.dirname(outs[side]))
+                run(src, config, outs[side])
+            diff = differing(outs["rev"], outs["work"])
+            files = len(os.listdir(outs["work"]))
+            print(f"{name}: {files} files, {len(diff)} differ" + "".join(
+                f"\n  {name}/{d}" for d in diff))
+            bad += diff
+    print(f"{'identical' if not bad else 'DIFFERENT'} to {rev}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
