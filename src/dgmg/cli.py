@@ -23,7 +23,7 @@ import numpy as np
 from . import cases
 from .cases import CaseSetup, build_initial_state
 from .dg import DGBasis, DGOperator
-from .fv import FVOperator, fv_background
+from .fv import FVLinearization, fv_background
 from .mesh import build_hierarchy
 from .mgprecond import MGConfig, MGConfigError, MultigridPreconditioner, parse_mg_config
 from .physics import InadmissibleStateError
@@ -225,15 +225,15 @@ def build_solver(cfg: RunConfig) -> SolverBundle:
     hierarchy, subgrid = build_hierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
     basis = DGBasis(cfg.k)
     mg_cfg = cfg.mg_config()
-    # the FV levels come first, so that their set-up temporaries are freed
-    # before the DG operator makes the work arrays it keeps
-    fv_operators: list[FVOperator] = []
+    # one FV level per hierarchy level for the run, made first so that their
+    # set-up temporaries are freed before the DG operator makes its arrays
+    fv_levels: list[FVLinearization] = []
     if mg_cfg is not None:
-        fv_operators = [FVOperator(hierarchy, l, case) for l in range(hierarchy.n_levels)]
+        fv_levels = [FVLinearization(hierarchy, l, case) for l in range(hierarchy.n_levels)]
     dg_op = DGOperator(hierarchy, subgrid, basis, case)
     transfer = TransferOperators(basis, subgrid)
     mg = None if mg_cfg is None else MultigridPreconditioner(
-        dg_op, fv_operators, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix")
+        dg_op, fv_levels, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix")
     params = NewtonParams(tol=cfg.newton_tol)
     U0 = build_initial_state(case, dg_op)
     return SolverBundle(cfg, case, dg_op, transfer, mg, params, U0)

@@ -6,9 +6,9 @@ run one multigrid cycle on the low-order linearization, and map the
 correction back, optionally wrapped in pseudo-time smoothing sweeps on
 the DG system itself. The outer DG system stays Jacobian-free: the DG
 sweeps use the Newton iteration's FD linearization. The FV levels use
-assembled stencils (fv.FVLinearization), lagged to one assembly per time
-step (Knoll & Keyes, J. Comput. Phys. 2004): each step's FV level stack
-is frozen at the DG state the step starts from.
+assembled stencils (fv.FVLinearization), made once per run and lagged to
+one in-place assembly per time step (Knoll & Keyes, J. Comput. Phys.
+2004), frozen at the DG state the step starts from.
 
 The FV cycle runs in float32 on component-major vectors (4, nz, nx):
 the residual is copied once into that form when it enters the cycle and
@@ -29,7 +29,7 @@ average) and cell-centred bilinear prolongation (weights 9/16, 3/16, 3/16,
 pair of transfer orders 1 and 2 on cell-centred grids (Hemker, J. Comput.
 Appl. Math. 1990). Prolongation reads one ghost cell per side of the
 coarse level, filled by the two physics.FaceAxis objects each level keeps
-of its FV operator: wrapped on periodic sides, mirrored at slip walls with
+of its FV level: wrapped on periodic sides, mirrored at slip walls with
 the wall-normal momentum negated. The smoother integrates the dual
 pseudo-time ODE dw/dtau = (b - g'(u) w)/(alpha dt) with explicit steps;
 the per-cell pseudo step
@@ -53,7 +53,7 @@ on that disc has |P'(0)| <= s, with equality only for (1 - z)^s: of all
 s-stage schemes stable on the whole disc it damps the slow modes near
 z = 0 fastest. The DG sweeps stay one Euler step each.
 
-The cycle runs in a workspace that each Level keeps as long as the stack:
+The cycle runs in a workspace that each Level keeps for the run:
 the iterate x, the right-hand side b, a work vector t and prolongation's
 buffers. A sub-step writes the stencil product and residual into t in
 place, in the order t = x - A x, t = b - t, t *= dtau, x += t, and makes no
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physics
-from .fv import FVLinearization, FVOperator
+from .fv import FVLinearization
 from .physics import FaceAxis
 from .transfer import TransferOperators
 
@@ -138,26 +138,6 @@ def restrict(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-class Prolongation:
-    """The buffers prolong keeps for coarse vectors of shape (c, nz, nx)
-    onto out (c, 2 nz, 2 nx) of a level with the face axes (xfaces,
-    zfaces), and the views of them it reads and writes, made once. The x
-    pass reads a copy of the coarse vector, written into parents, between
-    one ghost column per side, and writes the interior of the z pass's
-    input, which has one ghost row per side; the z pass writes out. Each
-    pass has its own centre buffer."""
-
-    def __init__(self, out: np.ndarray, faces: tuple[FaceAxis, FaceAxis]):
-        c, nz, nx = out.shape[0], out.shape[1] // 2, out.shape[2] // 2
-        qx = np.empty((c, nz, nx + 2), out.dtype)
-        qz = np.empty((c, nz + 2, 2 * nx), out.dtype)
-        self.parents = qx[..., 1:-1]
-        xfaces, zfaces = faces
-        self.passes = (_BilinearPass(xfaces, qx, np.empty((c, nz, nx), out.dtype), qz[:, 1:-1]),
-                       _BilinearPass(zfaces, qz, np.empty((c, nz, 2 * nx), out.dtype), out))
-        self.out = out
-
-
 class _BilinearPass:
     """One pass of prolong across the faces of one axis: q holds the input
     between one ghost per side, which a call fills (faces.fill_ghosts);
@@ -177,25 +157,27 @@ class _BilinearPass:
 
     def __call__(self) -> None:
         self.faces.fill_ghosts(*self.sides)
-        np.multiply(self.q, 0.25, out=self.q)
+        self.q *= 0.25
         np.multiply(self.parents, 3, out=self.centre)
         np.add(self.centre, self.left, out=self.even)
         np.add(self.centre, self.right, out=self.odd)
 
 
-def prolong(u: np.ndarray, work: Prolongation) -> np.ndarray:
+def prolong(u: np.ndarray, level: Level) -> np.ndarray:
     """Cell-centred bilinear prolongation of component-major vectors (4,
-    nz, nx) into the output of work, which holds the level's face axes.
+    nz, nx) into the work vector t of level, whose face axes fill the
+    ghosts.
 
     Each child takes 9/16 of its parent, 3/16 of each of the parent's two
     neighbours on the child's side and 1/16 of the diagonal one: two
     separable passes of 3/4 parent + 1/4 neighbour, x first, whose ghosts
     physics.FaceAxis.fill_ghosts fills.
     """
-    np.copyto(work.parents, u)
-    for bilinear in work.passes:
+    parents, passes = level.prolongation
+    np.copyto(parents, u)
+    for bilinear in passes:
         bilinear()
-    return work.out
+    return level.t
 
 
 def smooth(matvec, x: np.ndarray, b: np.ndarray, n_steps: int, dtau: np.ndarray,
@@ -227,11 +209,11 @@ def _pseudo_dtau(lx, lz, hx, hz, mu, cfl, alpha_dt) -> np.ndarray:
 
 class Level:
     """One level of the cycle's stack and the workspace the cycle runs in
-    there, kept as long as the stack.
+    there, made once and kept for the run.
 
     matvec(w, out) returns g' w of the level's frozen linearization written
     into out; dtau (nz, nx) are its pseudo steps; faces are the (xfaces,
-    zfaces) of its FV operator, which prolongation onto it reads. x is the
+    zfaces) of its FV level, which prolongation onto it reads. x is the
     level's iterate and b its right-hand side; t takes a sub-step's
     operator product and residual, the residual that is restricted and the
     prolonged correction.
@@ -247,10 +229,21 @@ class Level:
         self.t = np.empty(x.shape, x.dtype)
 
     @functools.cached_property
-    def prolongation(self) -> Prolongation:
-        """prolong's buffers onto this level, with t as their output; made
-        by the first prolongation, so that the coarsest level has none."""
-        return Prolongation(self.t, self.faces)
+    def prolongation(self) -> tuple[np.ndarray, tuple[_BilinearPass, _BilinearPass]]:
+        """prolong's input buffer and its two passes onto this level, made
+        by the first prolongation, so that the coarsest level has none. For
+        coarse vectors (c, nz, nx), the x pass reads the parents between
+        one ghost column per side and writes the interior of the z pass's
+        input, which has one ghost row per side; the z pass writes t. Each
+        pass has its own centre buffer."""
+        t = self.t
+        c, nz, nx = t.shape[0], t.shape[1] // 2, t.shape[2] // 2
+        qx = np.empty((c, nz, nx + 2), t.dtype)
+        qz = np.empty((c, nz + 2, 2 * nx), t.dtype)
+        xfaces, zfaces = self.faces
+        return qx[..., 1:-1], (
+            _BilinearPass(xfaces, qx, np.empty((c, nz, nx), t.dtype), qz[:, 1:-1]),
+            _BilinearPass(zfaces, qz, np.empty((c, nz, 2 * nx), t.dtype), t))
 
 
 def mg_cycle(levels: list[Level], l: int, cfg: MGConfig, zero: bool = False) -> np.ndarray:
@@ -281,64 +274,65 @@ def mg_cycle(levels: list[Level], l: int, cfg: MGConfig, zero: bool = False) -> 
     restrict(t, out=coarse.b)
     for visit in range(2 if cfg.cycle == "W" else 1):
         mg_cycle(levels, l - 1, cfg, zero=visit == 0)
-    x -= prolong(coarse.x, level.prolongation)
+    x -= prolong(coarse.x, level)
     return smooth(level.matvec, x, b, RK_STAGES * post, dtau, t)
 
 
 class MultigridPreconditioner:
     """Builds per-Newton-iterate preconditioner applications.
 
-    Holds the FV operators of every hierarchy level, the DG/FV transfer,
-    and the cycle configuration. The FV level stack is lagged: the first
-    factory() call after begin_step() transfers its Newton iterate, the
-    state the time step starts from, to the finest FV level, restricts it
-    downward and assembles each level's stencil linearization
-    (FVLinearization) and local pseudo-time steps. Later factory() calls
-    of the step, for both stages and every Newton iteration, reuse the
-    stack, alpha_dt included: a step's stages share one. The DG side (the
-    outer Jacobian-free linearization and its pseudo-time steps) follows
-    the current Newton iterate. The returned closure applies one cycle per
-    call and returns float64 of its input's shape; it is linear to
-    float32 round-off (exactly homogeneous under powers of two) and
-    deterministic across calls.
+    Holds the FV level of every hierarchy level (fv.FVLinearization), the
+    cycle's Level of each, made once, the DG/FV transfer, and the cycle
+    configuration. The FV level stack is lagged: the first factory() call
+    after begin_step() transfers its Newton iterate, the state the time
+    step starts from, to the finest FV level, restricts it downward and
+    re-assembles each level's stencil linearization and local pseudo-time
+    steps in place. Later factory() calls of the step, for both stages and
+    every Newton iteration, reuse the stack, alpha_dt included: a step's
+    stages share one. The DG side (the outer Jacobian-free linearization
+    and its pseudo-time steps) follows the current Newton iterate. The
+    returned closure applies one cycle per call and returns float64 of its
+    input's shape; it is linear to float32 round-off (exactly homogeneous
+    under powers of two) and deterministic across calls.
     """
 
-    def __init__(self, dg_op, fv_operators: list[FVOperator], transfer: TransferOperators,
-                 cfg: MGConfig, use_massfix: bool = False):
+    def __init__(self, dg_op, linearizations: list[FVLinearization],
+                 transfer: TransferOperators, cfg: MGConfig, use_massfix: bool = False):
         self.dg_op = dg_op
-        self.fv_operators = fv_operators
+        self.linearizations = linearizations
+        # a visit's iterate starts as zero without being read (mg_cycle)
+        self.levels = [Level(lin.matvec, np.empty((lin.nz, lin.nx), np.float32),
+                             (lin.xfaces, lin.zfaces), np.empty((4, lin.nz, lin.nx), np.float32))
+                       for lin in linearizations]
         self.transfer = transfer
         self.cfg = cfg
         self.forward = transfer.dg_to_fv_massfix if use_massfix else transfer.dg_to_fv
-        self._stack = None  # the lagged FV levels of the step
+        self._stale = True  # the levels are not yet assembled for the step
 
     def begin_step(self) -> None:
-        """Start a time step: the next factory() call rebuilds the FV level
-        stack."""
-        self._stack = None
+        """Start a time step: the next factory() re-assembles the FV levels."""
+        self._stale = True
 
     def fv_levels(self, U: np.ndarray, alpha_dt: float) -> list[Level]:
-        """The FV level stack of mg_cycle frozen at the DG state U."""
-        finest = len(self.fv_operators) - 1
-        states: list[np.ndarray | None] = [None] * (finest + 1)
-        states[finest] = self.forward(U)
-        for l in range(finest, 0, -1):
-            # restrict acts on the last two axes; the FV states are (nz, nx, 4)
-            states[l - 1] = restrict(states[l].transpose(2, 0, 1)).transpose(1, 2, 0)
-        levels = []
-        for op, u in zip(self.fv_operators, states):
-            lin = FVLinearization(op, u, alpha_dt)
-            dtau = _pseudo_dtau(*physics.wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
-                                op.constants.mu, self.cfg.pseudo_cfl, alpha_dt)
-            levels.append(Level(lin.matvec, dtau.astype(np.float32), (op.xfaces, op.zfaces),
-                                np.zeros((4, op.nz, op.nx), dtype=np.float32)))
-        return levels
+        """The FV level stack of mg_cycle, re-assembled in place at U."""
+        u = self.forward(U)
+        for l in reversed(range(len(self.levels))):
+            lin, level = self.linearizations[l], self.levels[l]
+            lin.assemble(u, alpha_dt)
+            level.dtau[...] = _pseudo_dtau(*physics.wave_speeds(u + lin.bg, lin.constants),
+                                           lin.dx, lin.dz, lin.constants.mu,
+                                           self.cfg.pseudo_cfl, alpha_dt)
+            if l:
+                # restrict acts on the last two axes; the FV states are (nz, nx, 4)
+                u = restrict(u.transpose(2, 0, 1)).transpose(1, 2, 0)
+        return self.levels
 
     def factory(self, dg_lin, alpha_dt: float):
         cfg = self.cfg
-        if self._stack is None:
-            self._stack = self.fv_levels(dg_lin.u0, alpha_dt)
-        levels = self._stack
+        if self._stale:
+            self.fv_levels(dg_lin.u0, alpha_dt)
+            self._stale = False
+        levels = self.levels
         finest = len(levels) - 1
         if cfg.dg_pre or cfg.dg_post:
             # effective spacing h/(2k+1) accounts for the DG CFL restriction.

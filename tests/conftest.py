@@ -10,7 +10,7 @@ import pytest
 from dgmg import cases, mesh
 from dgmg.cases import CaseSetup
 from dgmg.dg import DGBasis, DGOperator
-from dgmg.fv import FVOperator
+from dgmg.fv import FVLinearization
 from dgmg.mesh import BoundaryKind, Domain2D
 from dgmg.physics import Atmosphere, PhysConstants
 from dgmg.transfer import TransferOperators
@@ -24,9 +24,14 @@ class Setup:
     basis: DGBasis
     dg_op: DGOperator
 
-    def fv_op(self, level=None) -> FVOperator:
+    def fv_op(self, level=None) -> FVLinearization:
+        """The FV level `level`, by default the DG level's subgrid."""
         lvl = self.subgrid.fv_level if level is None else level
-        return FVOperator(self.hierarchy, lvl, self.case)
+        return FVLinearization(self.hierarchy, lvl, self.case)
+
+    def fv_levels(self) -> list[FVLinearization]:
+        """One FV level per hierarchy level, as a run makes them."""
+        return [self.fv_op(l) for l in range(self.hierarchy.n_levels)]
 
     def transfer(self) -> TransferOperators:
         return TransferOperators(self.basis, self.subgrid)

@@ -11,7 +11,8 @@ reader of every method of that name.
 Likewise every public `self.<name>` attribute that a package class's
 __init__ sets has a reader outside that __init__, in src/dgmg or in
 perfbench/; exception classes are exempt. An attribute that only the
-constructor reads is a local of it.
+constructor reads is a local of it. The target of an augmented
+assignment, as in `self.q *= 0.25`, is read as well as stored.
 
 And every public field of a package dataclass is read by an attribute
 load in src/dgmg, perfbench/ or tests/: being set in a constructor call
@@ -95,6 +96,13 @@ def unread_names(modules: dict, exempt: set) -> list[str]:
     ]
 
 
+def augmented_targets(trees: list) -> set:
+    """ids of the targets of the augmented assignments in trees, which read
+    their target before they store it."""
+    return {id(node.target) for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign)}
+
+
 def is_exception(cls: ast.ClassDef) -> bool:
     """A class deriving from a builtin exception (no package class derives
     from another)."""
@@ -108,6 +116,7 @@ def constructor_only_attributes(modules: dict, readers: list) -> list[str]:
     in the package (`self.` loads in the same class only) or in the reader
     trees."""
     owners = self_attributes(modules)
+    augmented = augmented_targets([*modules.values(), *readers])
     unread = []
     for module, tree in modules.items():
         for cls in tree.body:
@@ -125,7 +134,8 @@ def constructor_only_attributes(modules: dict, readers: list) -> list[str]:
                 loads = {
                     node.attr for other in [*modules.values(), *readers]
                     for node in ast.walk(other)
-                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    if isinstance(node, ast.Attribute)
+                    and (isinstance(node.ctx, ast.Load) or id(node) in augmented)
                     and id(node) not in own
                     and owners.get(id(node), (module, cls.name)) == (module, cls.name)}
                 unread += [f"{module}.{cls.name}.{name}" for name in stored if name not in loads]
@@ -241,8 +251,10 @@ def test_checker_flags_an_attribute_only_its_constructor_reads():
         "        self.local = n + 1\n"
         "        self.doubled = 2 * self.local\n"
         "        self.external = n\n"
+        "        self.scaled = n\n"
         "        self._private = n\n\n"
         "    def read(self):\n        return self.kept + self.doubled\n\n"
+        "    def scale(self):\n        self.scaled *= 2\n\n"
         "class Other:\n"
         "    def __init__(self):\n        self.other_only = 1\n\n"
         "    def read(self):\n        return self.local + self.other_only\n\n"

@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import advection_case, make_setup
 from dgmg import cases, mesh, physics
 from dgmg.dg import DGBasis, DGOperator
-from dgmg.fv import FVLinearization, FVOperator
+from dgmg.fv import FVLinearization
 from dgmg.physics import RHO, RHO_W, PhysConstants, flux_convective_xz, pressure
 from references import (
     axis_fluxes,
@@ -254,7 +254,7 @@ class TestAgainstReference:
     def test_fv_operator(self, setup, data):
         case, nx, nz = setup
         h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
-        op = FVOperator(h, 0, case)
+        op = FVLinearization(h, 0, case)
         assert_fv_face_fluxes(op, case, data.draw(perturbations(op.bg.shape)) + op.bg)
 
     @pytest.mark.parametrize("name", ["inertia-gravity", "rising-bubble", "density-current"])
@@ -270,7 +270,7 @@ class TestAgainstReference:
         Up = scale * rng.standard_normal(op.bg_vol.shape)
         assert np.array_equal(op(Up), dg_reference(op, case, Up))
         for lvl in range(h.n_levels):
-            fv = FVOperator(h, lvl, case)
+            fv = FVLinearization(h, lvl, case)
             assert_fv_face_fluxes(fv, case, scale * rng.standard_normal(fv.bg.shape) + fv.bg)
 
 
@@ -309,8 +309,7 @@ class TestHLLCHook:
         evaluations = [(1, "dg", lambda: setup.dg_op(setup.dg_op.zero_field()))]
         for lvl in range(setup.hierarchy.n_levels):
             op = setup.fv_op(lvl)
-            evaluations.append((9, lvl, functools.partial(
-                FVLinearization, op, np.zeros_like(op.bg), 1.0)))
+            evaluations.append((9, lvl, functools.partial(op.assemble, np.zeros_like(op.bg), 1.0)))
         for per_axis, where, evaluate in evaluations:
             del calls[:]
             evaluate()
@@ -336,7 +335,7 @@ class TestBoundaryPairing:
             if operator == "dg":
                 DGOperator(h, sg, DGBasis(3), case)
             else:
-                FVOperator(h, sg.fv_level, case)
+                FVLinearization(h, sg.fv_level, case)
 
     def test_paired_sides_give_the_face_axes(self):
         P, S = mesh.BoundaryKind.PERIODIC, mesh.BoundaryKind.SLIP

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import advection_case, entropy_wave, make_setup, rms
 from dgmg import cases, mesh, physics
-from dgmg.fv import FVLinearization, FVOperator, fv_background
+from dgmg.fv import FVLinearization, fv_background
 from dgmg.physics import InadmissibleStateError
 from references import fv_jacobian, fv_reference, stencil_neighbours
 from test_faces import with_viscosity
@@ -29,12 +29,13 @@ def stage_matrix(op, case, u0, alpha_dt):
 
 
 def random_state(op, rng, amplitude=0.05):
-    """An admissible perturbation of op's background: density and
-    rho*theta change by up to the amplitude (relative), the velocities by
-    up to 10 * amplitude times the background sound speed. A draw whose
-    stencil assembly fails is drawn again: flow leaving a slip wall at half
-    the sound speed can empty the HLLC star state of the mirrored Riemann
-    problem."""
+    """An admissible perturbation of the background of the FV level op:
+    density and rho*theta change by up to the amplitude (relative), the
+    velocities by up to 10 * amplitude times the background sound speed. A
+    draw whose stencil assembly fails is drawn again: flow leaving a slip
+    wall at half the sound speed can empty the HLLC star state of the
+    mirrored Riemann problem. Leaves op assembled at the state returned,
+    with alpha_dt = 1."""
     bg = op.bg
     cs = physics.primitives(bg, op.constants)[5]
     while True:
@@ -42,23 +43,34 @@ def random_state(op, rng, amplitude=0.05):
         u = amplitude * r * bg
         u[..., 1:3] = 10 * amplitude * r[..., 1:3] * (bg[..., 0] * cs)[..., None]
         try:
-            FVLinearization(op, u, 1.0)
+            op.assemble(u, 1.0)
         except InadmissibleStateError:
             continue
         return u
 
 
-def mass_change(op, lin, w):
-    """The sum over all cells of the RHO row of w - lin.matvec(w), lin a
-    linearization on op's level, and its float32 round-off: a few
-    roundings of each term summed, the cell's own value and every block
-    entry times the stencil value it multiplies."""
-    change = (w - lin.matvec(w))[physics.RHO].astype(np.float64)
+def assembled(lin, u0, alpha_dt):
+    """The FV level lin, assembled at u0 and alpha_dt."""
+    lin.assemble(u0, alpha_dt)
+    return lin
+
+
+def apply(lin, w):
+    """lin.matvec(w) written into a fresh buffer."""
+    return lin.matvec(w, np.empty(w.shape, np.float32))
+
+
+def mass_change(lin, w):
+    """The sum over all cells of the RHO row of w - lin.matvec(w), lin an
+    assembled FV level, and its float32 round-off: a few roundings of each
+    term summed, the cell's own value and every block entry times the
+    stencil value it multiplies."""
+    change = (w - apply(lin, w))[physics.RHO].astype(np.float64)
     v = np.abs(field(w))
     nz, nx = v.shape[:2]
     gather = np.zeros((nz * nx + 1, 4))
     gather[:-1] = v.reshape(-1, 4)
-    stencil = gather[stencil_neighbours(nz, nx, op.xfaces.periodic, op.zfaces.periodic)]
+    stencil = gather[stencil_neighbours(nz, nx, lin.xfaces.periodic, lin.zfaces.periodic)]
     terms = np.abs(lin.blocks[physics.RHO]).T * stencil.reshape(-1, 20)
     size = v[..., physics.RHO].sum() + terms.sum()
     return change.sum(), 8 * np.finfo(np.float32).eps * size
@@ -70,10 +82,10 @@ class TestOperator:
         # neighbour: every face flux enters it twice with opposite signs
         case = advection_case(u=1.0, w=1.0)
         h, _ = mesh.build_hierarchy(case.domain, 1, 1, 0, 0)
-        op = FVOperator(h, 0, case)
+        lin = FVLinearization(h, 0, case)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            lin = FVLinearization(op, 0.05 * rng.standard_normal((1, 1, 4)), alpha_dt=1.0)
+            lin.assemble(0.05 * rng.standard_normal((1, 1, 4)), alpha_dt=1.0)
             assert not lin.blocks.any()
 
     def test_first_order_truncation_on_smooth_advection(self):
@@ -83,12 +95,12 @@ class TestOperator:
         errs = []
         for N in (32, 64, 128):
             h, _ = mesh.build_hierarchy(case.domain, N, 4, 0, 0)
-            op = FVOperator(h, 0, case)
-            X = np.broadcast_to(op.dx * (np.arange(N) + 0.5), (4, N))
-            Z = np.broadcast_to(op.dz * (np.arange(4)[:, None] + 0.5), (4, N))
+            lin = FVLinearization(h, 0, case)
+            X = np.broadcast_to(lin.dx * (np.arange(N) + 0.5), (4, N))
+            Z = np.broadcast_to(lin.dz * (np.arange(4)[:, None] + 0.5), (4, N))
             w = cycle_vector(entropy_wave(X, Z, 0.0))
-            lin = FVLinearization(op, np.zeros_like(op.bg), alpha_dt=1.0)
-            out = field(w - lin.matvec(w))
+            lin.assemble(np.zeros_like(lin.bg), alpha_dt=1.0)
+            out = field(w - apply(lin, w))
             # exact tendency of the entropy wave: d/dt rho' = -u d/dx rho'
             drho = -2 * np.pi * 0.1 * np.cos(2 * np.pi * X)
             exact = np.zeros_like(out)
@@ -110,22 +122,22 @@ class TestOperator:
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
         h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
-        op = FVOperator(h, 0, case)
+        lin = FVLinearization(h, 0, case)
         rng = np.random.default_rng(seed)
-        lin = FVLinearization(op, random_state(op, rng), alpha_dt)
-        total, tol = mass_change(op, lin, cycle_vector(rng.standard_normal(op.bg.shape)))
+        lin.assemble(random_state(lin, rng), alpha_dt)
+        total, tol = mass_change(lin, cycle_vector(rng.standard_normal(lin.bg.shape)))
         assert abs(total) <= tol, (total, tol)
 
     def test_mass_conservation_slip(self):
         # the bubble's DG subgrid level at its transferred initial state:
         # gravity, a stratified background and slip walls on every side
         setup = make_setup("rising-bubble", 5, 10, 0)
-        op = setup.fv_op(setup.subgrid.fv_level)
+        lin = setup.fv_op(setup.subgrid.fv_level)
         u0 = setup.transfer().dg_to_fv(cases.build_initial_state(setup.case, setup.dg_op))
-        lin = FVLinearization(op, u0, alpha_dt=10.0)
+        lin.assemble(u0, alpha_dt=10.0)
         rng = np.random.default_rng(4)
-        w = cycle_vector(rng.standard_normal(u0.shape) * op.bg)
-        total, tol = mass_change(op, lin, w)
+        w = cycle_vector(rng.standard_normal(u0.shape) * lin.bg)
+        total, tol = mass_change(lin, w)
         assert abs(total) <= tol, (total, tol)
 
 
@@ -137,7 +149,7 @@ class TestErrors:
         u[3, 7, 0] = -2.0 * op.bg[3, 7, 0]
         # the stencil assembly at the frozen state
         with pytest.raises(InadmissibleStateError, match="cell average") as err:
-            FVLinearization(op, u, 1.0)
+            op.assemble(u, 1.0)
         assert err.value.location == (1, 7, 3)
 
 
@@ -196,30 +208,29 @@ class TestLinearization:
     def test_zero_vector_short_circuits(self, monkeypatch):
         case = advection_case()
         h, _ = mesh.build_hierarchy(case.domain, 4, 4, 0, 0)
-        op = FVOperator(h, 0, case)
-        lin = FVLinearization(op, np.zeros((4, 4, 4)), alpha_dt=1.0)
+        lin = assembled(FVLinearization(h, 0, case), np.zeros((4, 4, 4)), alpha_dt=1.0)
         # the matvec evaluates no face flux
-        monkeypatch.setattr(FVOperator, "face_flux", lambda *args: pytest.fail("face flux"))
-        out = lin.matvec(np.zeros((4, 4, 4), dtype=np.float32))
+        monkeypatch.setattr(FVLinearization, "face_flux", lambda *args: pytest.fail("face flux"))
+        out = apply(lin, np.zeros((4, 4, 4), dtype=np.float32))
         assert np.all(out == 0.0)
 
     def test_zero_alpha_dt_is_identity(self):
         case = advection_case()
         h, _ = mesh.build_hierarchy(case.domain, 4, 4, 0, 0)
-        op = FVOperator(h, 0, case)
-        lin = FVLinearization(op, np.zeros((4, 4, 4)), alpha_dt=0.0)
+        lin = assembled(FVLinearization(h, 0, case), np.zeros((4, 4, 4)), alpha_dt=0.0)
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 4, 4)).astype(np.float32)
-        assert np.allclose(lin.matvec(w), w, atol=1e-14)
+        assert np.allclose(apply(lin, w), w, atol=1e-14)
 
     def test_matvec_is_float32_component_major(self):
         setup = make_setup("rising-bubble", 2, 3, 0)
-        op = setup.fv_op(1)
-        lin = FVLinearization(op, random_state(op, np.random.default_rng(13)), 3.0)
-        w = np.random.default_rng(14).standard_normal((4, op.nz, op.nx)).astype(np.float32)
-        out = lin.matvec(w)
-        assert out.dtype == np.float32 and out.shape == (4, op.nz, op.nx)
-        assert lin.blocks.shape == (4, 20, op.nz * op.nx)
+        lin = setup.fv_op(1)
+        lin.assemble(random_state(lin, np.random.default_rng(13)), 3.0)
+        w = np.random.default_rng(14).standard_normal((4, lin.nz, lin.nx)).astype(np.float32)
+        out = np.empty_like(w)
+        assert lin.matvec(w, out) is out
+        assert out.dtype == np.float32 and out.shape == (4, lin.nz, lin.nx)
+        assert lin.blocks.shape == (4, 20, lin.nz * lin.nx)
 
     def test_fd_matches_assembled_matrix_linear_advection(self):
         # 1D periodic advection on an (n, 1) grid at the rest state; the
@@ -227,37 +238,37 @@ class TestLinearization:
         case = advection_case(u=1.0)
         n = 8
         h, _ = mesh.build_hierarchy(case.domain, n, 1, 0, 0)
-        op = FVOperator(h, 0, case)
+        lin = FVLinearization(h, 0, case)
         alpha_dt = 0.7
         u0 = np.zeros((1, n, 4))
-        lin = FVLinearization(op, u0, alpha_dt=alpha_dt)
-        G = stage_matrix(op, case, u0, alpha_dt)
+        lin.assemble(u0, alpha_dt=alpha_dt)
+        G = stage_matrix(lin, case, u0, alpha_dt)
         rng = np.random.default_rng(2)
         for _ in range(20):
             w = cycle_vector(rng.standard_normal(u0.shape))
-            got = field(lin.matvec(w))
+            got = field(apply(lin, w))
             want = (G @ field(w).ravel()).reshape(u0.shape)
             assert rms(got - want) <= 1e-6 * rms(want)
 
     def test_fd_matches_column_assembled_euler_jacobian(self):
         setup = make_setup("inertia-gravity", 4, 1, 0)
         lvl = 1
-        op = setup.fv_op(lvl)
         nz, nx = setup.hierarchy.nz[lvl], setup.hierarchy.nx[lvl]
         rng = np.random.default_rng(3)
         u0 = np.zeros((nz, nx, 4))
         u0[..., 0] = 1e-5 * rng.standard_normal((nz, nx))
-        lin = FVLinearization(op, u0, alpha_dt=2.0)
+        lin = assembled(setup.fv_op(lvl), u0, alpha_dt=2.0)
         n = u0.size
         J = np.zeros((n, n))
         scale = np.array([1e-5, 1e-4, 1e-4, 1e-3])
         for idx in range(n):
             e = np.zeros(n)
             e[idx] = scale[idx % 4]
-            J[:, idx] = field(lin.matvec(cycle_vector(e.reshape(u0.shape)))).ravel() / scale[idx % 4]
+            column = field(apply(lin, cycle_vector(e.reshape(u0.shape))))
+            J[:, idx] = column.ravel() / scale[idx % 4]
         for _ in range(10):
             w = cycle_vector(rng.standard_normal(u0.shape) * scale)
-            got = field(lin.matvec(w))
+            got = field(apply(lin, w))
             want = (J @ field(w).ravel()).reshape(u0.shape)
             assert rms(got - want) <= 2e-5 * rms(want), rms(got - want) / rms(want)
 
@@ -265,15 +276,14 @@ class TestLinearization:
         for name, tol in (("inertia-gravity", 1e-6), ("density-current", 5e-6)):
             setup = make_setup(name, 4, 2, 0)
             lvl = setup.subgrid.fv_level
-            op = setup.fv_op(lvl)
             tr = setup.transfer()
             u0 = tr.dg_to_fv(cases.build_initial_state(setup.case, setup.dg_op))
-            lin = FVLinearization(op, u0, alpha_dt=1.5)
+            lin = assembled(setup.fv_op(lvl), u0, alpha_dt=1.5)
             rng = np.random.default_rng(6)
             w = cycle_vector(rng.standard_normal(u0.shape) * np.array([1e-5, 1e-4, 1e-4, 1e-3]))
-            base = lin.matvec(w)
+            base = apply(lin, w)
             for a in (2.0, -1.0):
-                scaled = lin.matvec(a * w)
+                scaled = apply(lin, a * w)
                 assert rms(scaled - a * base) <= tol * rms(a * base), (name, a)
 
     @settings(max_examples=60, deadline=None)
@@ -289,25 +299,52 @@ class TestLinearization:
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
         h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
-        op = FVOperator(h, 0, case)
+        lin = FVLinearization(h, 0, case)
         rng = np.random.default_rng(seed)
-        u0 = random_state(op, rng)
-        lin = FVLinearization(op, u0, alpha_dt)
-        G = stage_matrix(op, case, u0, alpha_dt)
+        u0 = random_state(lin, rng)
+        lin.assemble(u0, alpha_dt)
+        G = stage_matrix(lin, case, u0, alpha_dt)
         w = cycle_vector(rng.standard_normal(u0.shape))
-        got = lin.matvec(w)
+        got = apply(lin, w)
         want = (G @ field(w).ravel()).reshape(u0.shape)
         # float32 blocks and vectors: a few float32 roundings of w - alpha_dt*J w
         assert rms(field(got) - want) <= 1e-6 * (rms(w) + rms(want - field(w)))
         # exactly linear: scaling by powers of two and negation commute with
         # every rounding; sums to float32 round-off
-        assert np.array_equal(lin.matvec(2.0 * w), 2.0 * got)
-        assert np.array_equal(lin.matvec(-w), -got)
+        assert np.array_equal(apply(lin, 2.0 * w), 2.0 * got)
+        assert np.array_equal(apply(lin, -w), -got)
         v = cycle_vector(rng.standard_normal(u0.shape))
-        gv = lin.matvec(v)
-        assert rms(lin.matvec(w + v) - got - gv) <= 1e-6 * (rms(got) + rms(gv))
-        assert not lin.matvec(np.zeros_like(w)).any()
-        assert np.array_equal(FVLinearization(op, u0, 0.0).matvec(w), w)
+        gv = apply(lin, v)
+        assert rms(apply(lin, w + v) - got - gv) <= 1e-6 * (rms(got) + rms(gv))
+        assert not apply(lin, np.zeros_like(w)).any()
+        assert np.array_equal(apply(assembled(lin, u0, 0.0), w), w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.sampled_from([1, 2, 3, 4]), nz=st.sampled_from([1, 2, 3, 4]),
+           periodic_x=st.booleans(), periodic_z=st.booleans(),
+           mu=st.sampled_from([0.0, 0.05]), alpha_dt=st.tuples(st.floats(0.01, 10.0),
+                                                              st.floats(0.01, 10.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reassembly_in_place_matches_a_fresh_level(self, nx, nz, periodic_x, periodic_z,
+                                                       mu, alpha_dt, seed):
+        # a level is assembled once per step for the whole run: assembled
+        # at state A, applied, then assembled at state B, its blocks and
+        # matvec equal those of a level made and assembled at B only, bit
+        # for bit, with periodic axes of one and two cells, whose slots
+        # are folded, and slip walls, whose ghosts the matvec never writes
+        case = with_viscosity(
+            advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
+        h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
+        rng = np.random.default_rng(seed)
+        probe = FVLinearization(h, 0, case)
+        state_a, state_b = random_state(probe, rng), random_state(probe, rng)
+        w = cycle_vector(rng.standard_normal(state_a.shape))
+        lin = assembled(FVLinearization(h, 0, case), state_a, alpha_dt[0])
+        apply(lin, cycle_vector(rng.standard_normal(state_a.shape)))
+        lin.assemble(state_b, alpha_dt[1])
+        fresh = assembled(FVLinearization(h, 0, case), state_b, alpha_dt[1])
+        assert np.array_equal(lin.blocks, fresh.blocks)
+        assert np.array_equal(apply(lin, w), apply(fresh, w))
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(["inertia-gravity", "rising-bubble", "density-current"]),
@@ -318,11 +355,11 @@ class TestLinearization:
         # acceptance cases: the gravity block is exact and the wall faces
         # fold into the self blocks, against the FD columns of the
         # reference tendency
-        op = real_case_level(name, level)
+        lin = real_case_level(name, level)
         rng = np.random.default_rng(seed)
-        u0 = random_state(op, rng)
-        lin = FVLinearization(op, u0, alpha_dt)
-        G = stage_matrix(op, cases.by_name(name), u0, alpha_dt)
-        w = cycle_vector(rng.standard_normal(u0.shape) * op.bg)
+        u0 = random_state(lin, rng)
+        lin.assemble(u0, alpha_dt)
+        G = stage_matrix(lin, cases.by_name(name), u0, alpha_dt)
+        w = cycle_vector(rng.standard_normal(u0.shape) * lin.bg)
         want = (G @ field(w).ravel()).reshape(u0.shape)
-        assert rms(field(lin.matvec(w)) - want) <= 1e-5 * rms(want), name
+        assert rms(field(apply(lin, w)) - want) <= 1e-5 * rms(want), name

@@ -16,14 +16,10 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # physics.wall_flux_axis left the package when the wall faces joined the
-# padded HLLC path, and FVOperator.__call__ when the FV levels came to be
-# seen only through their face-flux linearization; the benchmark reports
-# the metrics of both as 0
+# padded HLLC path, and FVOperator when the FV levels came to be seen only
+# through their face-flux linearization, fv.FVLinearization; the tracer
+# lists both as missing and the benchmark reports their metrics as 0
 KNOWN_MISSING = {"physics.wall", "fv.op"}
-# the tracer's getattr still finds a callable FVOperator.__call__, the
-# metaclass's type.__call__, so it wraps that and lists only physics.wall
-# as missing; instances are never called, so fv.op still reads 0
-TRACER_MISSING = KNOWN_MISSING - {"fv.op"}
 
 
 def load_tracing():
@@ -79,7 +75,7 @@ def test_tracer_sizes_read_real_return_values(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["rc"] == 0
-    assert {entry.split()[0] for entry in result["missing"]} == TRACER_MISSING
+    assert {entry.split()[0] for entry in result["missing"]} == KNOWN_MISSING
     layers = result["layers"]
     assert layers["timeint.newton.iters"] > 0
     assert layers["timeint.gmres.iters"] > 0

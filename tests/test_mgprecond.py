@@ -12,14 +12,13 @@ import references
 from conftest import advection_case, make_setup, rms
 from dgmg import cases, mesh, mgprecond, physics
 from dgmg.cases import build_initial_state
-from dgmg.fv import FVLinearization, FVOperator
+from dgmg.fv import FVLinearization
 from dgmg.mgprecond import (
     RK_STAGES,
     Level,
     MGConfig,
     MGConfigError,
     MultigridPreconditioner,
-    Prolongation,
     _pseudo_dtau,
     mg_cycle,
     parse_mg_config,
@@ -35,7 +34,7 @@ from dgmg.timeint import (
     sdirk2_step,
 )
 from test_faces import with_viscosity
-from test_fv import field, random_state
+from test_fv import apply, field, random_state
 
 
 def faces_of(periodic):
@@ -50,7 +49,8 @@ PERIODIC = faces_of((True, True))
 def prolonged(u, periodic):
     """prolong of u on a level whose x and z axes are periodic or not."""
     c, nz, nx = u.shape
-    return prolong(u, Prolongation(np.empty((c, 2 * nz, 2 * nx), u.dtype), faces_of(periodic)))
+    level = Level(None, None, faces_of(periodic), np.empty((c, 2 * nz, 2 * nx), u.dtype))
+    return prolong(u, level)
 
 
 class TestConfigParsing:
@@ -287,7 +287,7 @@ class TestSmootherStability:
     def test_coarse_level_spectra_lie_in_the_disc(self, name, base_nx, base_nz, level, dt,
                                                    massfix):
         setup = make_setup(name, base_nx, base_nz, level)
-        fv_ops = [setup.fv_op(l) for l in range(setup.hierarchy.n_levels)]
+        fv_ops = setup.fv_levels()
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
                                      parse_mg_config("mg111111V"), use_massfix=massfix)
         U0 = build_initial_state(setup.case, setup.dg_op)
@@ -295,7 +295,7 @@ class TestSmootherStability:
             shape = (4, fv_ops[l].nz, fv_ops[l].nx)
             n = int(np.prod(shape))
             assert n <= 1024
-            G = np.column_stack([level.matvec(e.reshape(shape)).ravel()
+            G = np.column_stack([level.matvec(e.reshape(shape), np.empty(shape, np.float32)).ravel()
                                  for e in np.eye(n, dtype=np.float32)]).astype(np.float64)
             z = np.linalg.eigvals(np.broadcast_to(level.dtau, shape).reshape(-1, 1) * G)
             assert np.abs(z - 1.0).max() <= 1.0, (l, np.abs(z - 1.0).max())
@@ -444,14 +444,14 @@ class TestCycleAgainstReference:
         rng = np.random.default_rng(seed)
         levels, ref_levels = [], []
         for l in range(n_levels):
-            op = FVOperator(h, l, case)
-            u0 = random_state(op, rng)
-            lin = FVLinearization(op, u0, alpha_dt)
-            dtau = _pseudo_dtau(*wave_speeds(u0 + op.bg, op.constants), op.dx, op.dz,
-                                op.constants.mu, 1.0, alpha_dt)
-            neighbours = references.stencil_neighbours(op.nz, op.nx, periodic_x, periodic_z)
-            levels.append(Level(lin.matvec, dtau.astype(np.float32), (op.xfaces, op.zfaces),
-                                np.zeros((4, op.nz, op.nx), dtype=np.float32)))
+            lin = FVLinearization(h, l, case)
+            u0 = random_state(lin, rng)
+            lin.assemble(u0, alpha_dt)
+            dtau = _pseudo_dtau(*wave_speeds(u0 + lin.bg, lin.constants), lin.dx, lin.dz,
+                                lin.constants.mu, 1.0, alpha_dt)
+            neighbours = references.stencil_neighbours(lin.nz, lin.nx, periodic_x, periodic_z)
+            levels.append(Level(lin.matvec, dtau.astype(np.float32), (lin.xfaces, lin.zfaces),
+                                np.zeros((4, lin.nz, lin.nx), dtype=np.float32)))
             ref_levels.append((functools.partial(references.stencil_matvec, lin, neighbours),
                                dtau, (periodic_x, periodic_z)))
         cfg = parse_mg_config(key)
@@ -466,7 +466,7 @@ class TestCycleAgainstReference:
 @pytest.fixture(scope="module")
 def ig_precond():
     setup = make_setup("inertia-gravity", 10, 1, 1)
-    fv_ops = [FVOperator(setup.hierarchy, l, setup.case) for l in range(setup.hierarchy.n_levels)]
+    fv_ops = setup.fv_levels()
     tr = setup.transfer()
     U0 = build_initial_state(setup.case, setup.dg_op)
     alpha_dt = SDIRK2_ALPHA * 25.0
@@ -479,18 +479,22 @@ def ig_precond():
 
 
 @pytest.fixture
-def assemblies(monkeypatch):
-    """The FV operators of the stencil assemblies the preconditioner makes,
-    in order."""
-    made = []
+def fv_calls(monkeypatch):
+    """The FV levels made and the FV levels assembled, in call order."""
+    calls = {"made": [], "assembled": []}
+    init, assemble = FVLinearization.__init__, FVLinearization.assemble
 
-    class Counting(FVLinearization):
-        def __init__(self, op, u0, alpha_dt):
-            made.append(op)
-            super().__init__(op, u0, alpha_dt)
+    def counting_init(self, *args):
+        calls["made"].append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(mgprecond, "FVLinearization", Counting)
-    return made
+    def counting_assemble(self, *args):
+        calls["assembled"].append(self)
+        assemble(self, *args)
+
+    monkeypatch.setattr(FVLinearization, "__init__", counting_init)
+    monkeypatch.setattr(FVLinearization, "assemble", counting_assemble)
+    return calls
 
 
 class TestPrecondition:
@@ -588,7 +592,7 @@ class TestPrecondition:
         levels = mg.fv_levels(U, alpha_dt)
         l = len(fv_ops) - 3
         op = fv_ops[l]
-        # the states stay float64 and (nz, nx, 4) for the FV operators, the
+        # the states stay float64 and (nz, nx, 4) for the FV levels, the
         # child means of that layout bit for bit
         def child_mean(v):
             return v.reshape(v.shape[0] // 2, 2, v.shape[1] // 2, 2, 4).mean(axis=(1, 3))
@@ -602,22 +606,41 @@ class TestPrecondition:
         assert level.dtau.dtype == np.float32
         assert np.array_equal(level.dtau, dtau.astype(np.float32))
         w = np.random.default_rng(4).standard_normal((4, op.nz, op.nx)).astype(np.float32)
-        assert np.array_equal(level.matvec(w), FVLinearization(op, u, alpha_dt).matvec(w))
+        fresh = FVLinearization(setup.hierarchy, l, setup.case)
+        fresh.assemble(u, alpha_dt)
+        assert np.array_equal(level.matvec(w, np.empty_like(w)), apply(fresh, w))
 
-    def test_fv_stack_assembled_once_per_step(self, ig_precond, assemblies):
-        # one stencil assembly per level per step, made by the first
-        # factory call; both stages and every Newton iteration reuse it
-        setup, fv_ops, tr, _, _ = ig_precond
-        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
+    def test_fv_stack_assembled_once_per_step(self, ig_precond, fv_calls):
+        # a run makes one FV level per hierarchy level; each step
+        # re-assembles each of them once, by the first factory call, and
+        # both stages and every Newton iteration reuse the stack. At step
+        # 2 the kept stack preconditions as a new one frozen at the state
+        # that step starts from.
+        setup, _, tr, _, _ = ig_precond
+        cfg = parse_mg_config("mg001111V")
+        fv_ops = setup.fv_levels()
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, cfg)
         U = build_initial_state(setup.case, setup.dg_op)
         for step in range(2):
-            assemblies.clear()
+            start = U
+            fv_calls["assembled"].clear()
             U, stats = sdirk2_step(
                 lambda u, t: setup.dg_op(u, t), U, 25.0 * step, 25.0,
                 weights=setup.dg_op.norm_weights, precond=mg,
             )
-            assert assemblies == fv_ops
+            assert sorted(map(id, fv_calls["assembled"])) == sorted(map(id, fv_ops))
             assert all(st.newton_iters > 0 for st in stats)
+        assert fv_calls["made"] == fv_ops
+        alpha_dt = SDIRK2_ALPHA * 25.0
+
+        def G(V):
+            return V - alpha_dt * setup.dg_op(V, 25.0) - start
+
+        lin = FDLinearization(G, start, G(start), setup.dg_op.norm_weights)
+        y = np.random.default_rng(15).standard_normal(U.shape) * 1e-4
+        kept = mg.factory(lin, alpha_dt)(y)
+        fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
+        assert np.array_equal(kept, fresh.factory(lin, alpha_dt)(y))
 
     def test_reduces_gmres_iterations_on_newton_system(self, ig_precond):
         setup, fv_ops, tr, _, _ = ig_precond
@@ -651,7 +674,7 @@ class TestWorkspace:
 
     def test_warm_bubble_apply_allocates_no_field_per_substep(self, monkeypatch):
         setup = make_setup("rising-bubble", 5, 10, 2)
-        fv_ops = [setup.fv_op(l) for l in range(setup.hierarchy.n_levels)]
+        fv_ops = setup.fv_levels()
         assert 16 * fv_ops[-1].nz * fv_ops[-1].nx == self.FIELD
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
                                      parse_mg_config("mg001111V"))
@@ -705,8 +728,7 @@ class TestGridIndependence:
         setup = make_setup(name, base_nx, base_nz, level)
         mg = None
         if mg_key is not None:
-            fv_ops = [setup.fv_op(l) for l in range(setup.hierarchy.n_levels)]
-            mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
+            mg = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), setup.transfer(),
                                          parse_mg_config(mg_key))
         U = build_initial_state(setup.case, setup.dg_op)
         newton = gmres = 0

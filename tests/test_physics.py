@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import references
 from conftest import advection_case
 from dgmg import mesh
-from dgmg.fv import FVLinearization, FVOperator
+from dgmg.fv import FVLinearization
 from dgmg.physics import (
     RHO,
     RHO_W,
@@ -121,8 +121,8 @@ class TestFluxes:
         case = advection_case(u=1.0, w=1.0)
         case = dataclasses.replace(case, constants=dataclasses.replace(case.constants, g=DC.g))
         h, _ = mesh.build_hierarchy(case.domain, 1, 1, 0, 0)
-        op = FVOperator(h, 0, case)
-        lin = FVLinearization(op, np.array([[[0.01, 0.002, -0.003, 0.004]]]), alpha_dt=2.0)
+        lin = FVLinearization(h, 0, case)
+        lin.assemble(np.array([[[0.01, 0.002, -0.003, 0.004]]]), alpha_dt=2.0)
         expected = np.zeros_like(lin.blocks)
         expected[RHO_W, RHO] = -2.0 * DC.g
         assert np.array_equal(lin.blocks, expected)
