@@ -23,7 +23,7 @@ import numpy as np
 from . import cases
 from .cases import CaseSetup, build_initial_state
 from .dg import DGBasis, DGOperator
-from .fv import FVLinearization, fv_background
+from .fv import FVLinearization, cell_centres, fv_background
 from .mesh import build_hierarchy
 from .mgprecond import MGConfig, MGConfigError, MultigridPreconditioner, parse_mg_config
 from .physics import InadmissibleStateError
@@ -252,15 +252,13 @@ def write_snapshot(field: np.ndarray, bundle: SolverBundle, path: str) -> None:
     bgc = fv_background(bundle.case, hierarchy, lvl)
     full = u + bgc
     theta_p = full[..., 3] / full[..., 0] - bgc[..., 3] / bgc[..., 0]
-    dx, dz = hierarchy.dx[lvl], hierarchy.dz[lvl]
-    xc = hierarchy.domain.x_min + dx * (np.arange(hierarchy.nx[lvl]) + 0.5)
-    zc = hierarchy.domain.z_min + dz * (np.arange(hierarchy.nz[lvl]) + 0.5)
+    xc, zc = cell_centres(hierarchy, lvl)
     columns = dict(zip(SNAPSHOT_HEADER.split(",")[2:], (u[..., 0], u[..., 1], u[..., 2], theta_p)))
     with open(path, "w") as fh:
         _write_csv(fh, xc, zc, columns)
     if bundle.cfg.vtk:
         with open(path[:-4] + ".vtk", "w") as fh:
-            _write_vtk(fh, xc, zc, dx, dz, columns)
+            _write_vtk(fh, xc, zc, hierarchy.dx[lvl], hierarchy.dz[lvl], columns)
 
 
 def _write_csv(fh, xc, zc, columns):

@@ -222,11 +222,14 @@ def _ghost_sides(faces: FaceAxis, Q: np.ndarray):
     return [side.transpose(1, 2, 0) for side in _face_sides(faces, Q, Q)]
 
 
+def cell_centres(hierarchy: GridHierarchy, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z coordinates of the cell centres of a level."""
+    xc = hierarchy.domain.x_min + hierarchy.dx[level] * (np.arange(hierarchy.nx[level]) + 0.5)
+    zc = hierarchy.domain.z_min + hierarchy.dz[level] * (np.arange(hierarchy.nz[level]) + 0.5)
+    return xc, zc
+
+
 def fv_background(case, hierarchy: GridHierarchy, level: int) -> np.ndarray:
     """Background conserved state at the cell centers of a level."""
-    dx, dz = hierarchy.dx[level], hierarchy.dz[level]
-    xc = hierarchy.domain.x_min + dx * (np.arange(hierarchy.nx[level]) + 0.5)
-    zc = hierarchy.domain.z_min + dz * (np.arange(hierarchy.nz[level]) + 0.5)
-    Xc = np.broadcast_to(xc[None, :], (hierarchy.nz[level], hierarchy.nx[level]))
-    Zc = np.broadcast_to(zc[:, None], (hierarchy.nz[level], hierarchy.nx[level]))
-    return case.atmosphere.state(Xc, Zc)
+    xc, zc = cell_centres(hierarchy, level)
+    return case.atmosphere.state(*np.broadcast_arrays(xc[None, :], zc[:, None]))

@@ -6,9 +6,9 @@ run one multigrid cycle on the low-order linearization, and map the
 correction back, optionally wrapped in pseudo-time smoothing sweeps on
 the DG system itself. The outer DG system stays Jacobian-free: the DG
 sweeps use the Newton iteration's FD linearization. The FV levels use
-assembled stencils (fv.FVLinearization), made once per run and lagged to
-one in-place assembly per time step (Knoll & Keyes, J. Comput. Phys.
-2004), frozen at the DG state the step starts from.
+assembled stencils (fv.FVLinearization), made once per run and
+re-assembled in place by begin_step at the state each time step starts
+from, then lagged over the step (Knoll & Keyes, J. Comput. Phys. 2004).
 
 The FV cycle runs in float32 on component-major vectors (4, nz, nx):
 the residual is copied once into that form when it enters the cycle and
@@ -283,17 +283,14 @@ class MultigridPreconditioner:
 
     Holds the FV level of every hierarchy level (fv.FVLinearization), the
     cycle's Level of each, made once, the DG/FV transfer, and the cycle
-    configuration. The FV level stack is lagged: the first factory() call
-    after begin_step() transfers its Newton iterate, the state the time
-    step starts from, to the finest FV level, restricts it downward and
-    re-assembles each level's stencil linearization and local pseudo-time
-    steps in place. Later factory() calls of the step, for both stages and
-    every Newton iteration, reuse the stack, alpha_dt included: a step's
-    stages share one. The DG side (the outer Jacobian-free linearization
-    and its pseudo-time steps) follows the current Newton iterate. The
-    returned closure applies one cycle per call and returns float64 of its
-    input's shape; it is linear to float32 round-off (exactly homogeneous
-    under powers of two) and deterministic across calls.
+    configuration. begin_step(U, alpha_dt) freezes the FV levels and
+    alpha_dt at the state U a time step starts from; every factory() call
+    of the step, for both stages and every Newton iteration, reuses them.
+    The DG side (the outer Jacobian-free linearization and its pseudo-time
+    steps) follows the current Newton iterate. The returned closure
+    applies one cycle per call and returns float64 of its input's shape;
+    it is linear to float32 round-off (exactly homogeneous under powers of
+    two) and deterministic across calls.
     """
 
     def __init__(self, dg_op, linearizations: list[FVLinearization],
@@ -307,14 +304,13 @@ class MultigridPreconditioner:
         self.transfer = transfer
         self.cfg = cfg
         self.forward = transfer.dg_to_fv_massfix if use_massfix else transfer.dg_to_fv
-        self._stale = True  # the levels are not yet assembled for the step
+        self.alpha_dt: float | None = None  # of the step begin_step froze
 
-    def begin_step(self) -> None:
-        """Start a time step: the next factory() re-assembles the FV levels."""
-        self._stale = True
-
-    def fv_levels(self, U: np.ndarray, alpha_dt: float) -> list[Level]:
-        """The FV level stack of mg_cycle, re-assembled in place at U."""
+    def begin_step(self, U: np.ndarray, alpha_dt: float) -> None:
+        """Start a time step at the DG state U: transfer U to the finest FV
+        level, restrict it down the levels, and re-assemble each level's
+        stencil and pseudo steps in place at alpha_dt."""
+        self.alpha_dt = alpha_dt
         u = self.forward(U)
         for l in reversed(range(len(self.levels))):
             lin, level = self.linearizations[l], self.levels[l]
@@ -325,14 +321,9 @@ class MultigridPreconditioner:
             if l:
                 # restrict acts on the last two axes; the FV states are (nz, nx, 4)
                 u = restrict(u.transpose(2, 0, 1)).transpose(1, 2, 0)
-        return self.levels
 
-    def factory(self, dg_lin, alpha_dt: float):
-        cfg = self.cfg
-        if self._stale:
-            self.fv_levels(dg_lin.u0, alpha_dt)
-            self._stale = False
-        levels = self.levels
+    def factory(self, dg_lin):
+        cfg, alpha_dt, levels = self.cfg, self.alpha_dt, self.levels
         finest = len(levels) - 1
         if cfg.dg_pre or cfg.dg_post:
             # effective spacing h/(2k+1) accounts for the DG CFL restriction.
@@ -357,7 +348,7 @@ class MultigridPreconditioner:
                 r = y
             np.copyto(top.b, self.forward(r).transpose(2, 0, 1))
             v = mg_cycle(levels, finest, cfg, zero=True)
-            x = x + self.transfer.fv_to_dg(v.transpose(1, 2, 0))
+            x += self.transfer.fv_to_dg(v.transpose(1, 2, 0))
             if cfg.dg_post:
                 smooth(dg_lin.matvec, x, y, cfg.dg_post, dg_dtau, dg_work)
             return x

@@ -345,11 +345,9 @@ def sdirk2_step(
     Stage right-hand sides follow the tableau; f(U1) is recovered from the
     solved first stage as (U1 - Ubar1)/(alpha*dt), avoiding an extra
     operator call. precond, if given, preconditions the stage solves:
-    precond.factory(lin, alpha*dt) builds the preconditioner of each
-    Newton iterate's linearization lin, and precond.begin_step() is called
-    once per step, so the parts it lags are rebuilt once per step, from
-    the first Newton iterate of the first stage (the step's initial
-    state). A stage's dg_ops counts its calls of f.
+    precond.begin_step(U, alpha*dt) freezes what it lags over the step,
+    and precond.factory(lin) builds the preconditioner of each Newton
+    iterate's linearization lin. A stage's dg_ops counts its calls of f.
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -359,10 +357,8 @@ def sdirk2_step(
     stats: list[StageStats] = []
     factory = None
     if precond is not None:
-        precond.begin_step()
-
-        def factory(lin):
-            return precond.factory(lin, a_dt)
+        precond.begin_step(U, a_dt)
+        factory = precond.factory
 
     def solve_stage(stage: int, Ubar: np.ndarray, ts: float) -> np.ndarray:
         calls = 0

@@ -201,7 +201,8 @@ def test_criterion_07_multigrid_contraction():
     alpha_dt = SDIRK2_ALPHA * dt
     U0 = build_initial_state(setup.case, setup.dg_op)
     tr = setup.transfer()
-    levels = mg.fv_levels(U0, alpha_dt)
+    mg.begin_step(U0, alpha_dt)
+    levels = mg.levels
     finest = len(levels) - 1
     # right-hand side: the transferred first Newton residual, as the
     # cycle's float32 component-major vector

@@ -291,7 +291,8 @@ class TestSmootherStability:
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
                                      parse_mg_config("mg111111V"), use_massfix=massfix)
         U0 = build_initial_state(setup.case, setup.dg_op)
-        for l, level in enumerate(mg.fv_levels(U0, SDIRK2_ALPHA * dt)[:2]):
+        mg.begin_step(U0, SDIRK2_ALPHA * dt)
+        for l, level in enumerate(mg.levels[:2]):
             shape = (4, fv_ops[l].nz, fv_ops[l].nx)
             n = int(np.prod(shape))
             assert n <= 1024
@@ -501,7 +502,8 @@ class TestPrecondition:
     def test_deterministic_across_calls(self, ig_precond):
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg111111V"))
-        M = mg.factory(lin, alpha_dt)
+        mg.begin_step(lin.u0, alpha_dt)
+        M = mg.factory(lin)
         rng = np.random.default_rng(7)
         y = rng.standard_normal(lin.u0.shape) * 1e-4
         out1 = M(y)
@@ -514,7 +516,8 @@ class TestPrecondition:
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"),
                                      use_massfix=massfix)
         y = np.random.default_rng(10).standard_normal(lin.u0.shape) * 1e-4
-        out = mg.factory(lin, alpha_dt)(y)
+        mg.begin_step(lin.u0, alpha_dt)
+        out = mg.factory(lin)(y)
         assert out.dtype == np.float64
         assert out.shape == y.shape
         assert np.all(np.isfinite(out)) and out.any()
@@ -537,7 +540,8 @@ class TestPrecondition:
         monkeypatch.setattr(FVLinearization, "matvec",
                             counting("matvec", FVLinearization.matvec))
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
-        M = mg.factory(lin, alpha_dt)
+        mg.begin_step(lin.u0, alpha_dt)
+        M = mg.factory(lin)
         counts.clear()
         M(np.random.default_rng(11).standard_normal(lin.u0.shape) * 1e-4)
         n = len(fv_ops)
@@ -552,7 +556,8 @@ class TestPrecondition:
         # keys cover a fine level without pre-smoothing and the DG sweeps
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config(key))
-        M = mg.factory(lin, alpha_dt)
+        mg.begin_step(lin.u0, alpha_dt)
+        M = mg.factory(lin)
         rng = np.random.default_rng(12)
         a, b = (rng.standard_normal(lin.u0.shape) * 1e-4 for _ in range(2))
         first = M(a)
@@ -562,7 +567,8 @@ class TestPrecondition:
     def test_linear_to_fd_accuracy(self, ig_precond):
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg111111V"))
-        M = mg.factory(lin, alpha_dt)
+        mg.begin_step(lin.u0, alpha_dt)
+        M = mg.factory(lin)
         rng = np.random.default_rng(8)
         scale = np.array([1e-5, 1e-4, 1e-4, 1e-3])
         u = rng.standard_normal(lin.u0.shape) * scale
@@ -575,13 +581,14 @@ class TestPrecondition:
     def test_degenerate_config_still_linear(self, ig_precond):
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg000000V"))
-        M = mg.factory(lin, alpha_dt)
+        mg.begin_step(lin.u0, alpha_dt)
+        M = mg.factory(lin)
         rng = np.random.default_rng(9)
         u = rng.standard_normal(lin.u0.shape) * 1e-4
         assert np.allclose(M(2.0 * u), 2.0 * M(u), rtol=1e-9, atol=1e-14)
 
     def test_frozen_states_restrict_down_the_hierarchy(self, ig_precond):
-        # fv_levels freezes level finest - 2 at the twice-restricted
+        # begin_step freezes level finest - 2 at the twice-restricted
         # transfer of the DG state: its pseudo steps come from that state's
         # wave speeds, and its matvec is the stencil linearization there
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
@@ -589,7 +596,8 @@ class TestPrecondition:
         # an anomaly 1,000 times the case's (density up to about 4%), so
         # that the float32 stack resolves where it was frozen
         U = 1e3 * lin.u0
-        levels = mg.fv_levels(U, alpha_dt)
+        mg.begin_step(U, alpha_dt)
+        levels = mg.levels
         l = len(fv_ops) - 3
         op = fv_ops[l]
         # the states stay float64 and (nz, nx, 4) for the FV levels, the
@@ -610,25 +618,37 @@ class TestPrecondition:
         fresh.assemble(u, alpha_dt)
         assert np.array_equal(level.matvec(w, np.empty_like(w)), apply(fresh, w))
 
-    def test_fv_stack_assembled_once_per_step(self, ig_precond, fv_calls):
-        # a run makes one FV level per hierarchy level; each step
-        # re-assembles each of them once, by the first factory call, and
-        # both stages and every Newton iteration reuse the stack. At step
-        # 2 the kept stack preconditions as a new one frozen at the state
-        # that step starts from.
+    def test_fv_stack_assembled_once_per_step(self, ig_precond, fv_calls, monkeypatch):
+        # a run makes one FV level per hierarchy level; each step's
+        # begin_step re-assembles each of them once, and nothing else
+        # assembles: no factory call, of either stage or any Newton
+        # iteration, and no application. At step 2 the kept stack
+        # preconditions as a new one frozen at the state that step starts
+        # from.
         setup, _, tr, _, _ = ig_precond
         cfg = parse_mg_config("mg001111V")
         fv_ops = setup.fv_levels()
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, cfg)
+        in_begin_step = []
+        begin_step = MultigridPreconditioner.begin_step
+
+        def counting_begin_step(self, *args):
+            before = len(fv_calls["assembled"])
+            begin_step(self, *args)
+            in_begin_step.extend(fv_calls["assembled"][before:])
+
+        monkeypatch.setattr(MultigridPreconditioner, "begin_step", counting_begin_step)
         U = build_initial_state(setup.case, setup.dg_op)
         for step in range(2):
             start = U
             fv_calls["assembled"].clear()
+            in_begin_step.clear()
             U, stats = sdirk2_step(
                 lambda u, t: setup.dg_op(u, t), U, 25.0 * step, 25.0,
                 weights=setup.dg_op.norm_weights, precond=mg,
             )
             assert sorted(map(id, fv_calls["assembled"])) == sorted(map(id, fv_ops))
+            assert in_begin_step == fv_calls["assembled"]
             assert all(st.newton_iters > 0 for st in stats)
         assert fv_calls["made"] == fv_ops
         alpha_dt = SDIRK2_ALPHA * 25.0
@@ -638,9 +658,47 @@ class TestPrecondition:
 
         lin = FDLinearization(G, start, G(start), setup.dg_op.norm_weights)
         y = np.random.default_rng(15).standard_normal(U.shape) * 1e-4
-        kept = mg.factory(lin, alpha_dt)(y)
+        kept = mg.factory(lin)(y)
         fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
-        assert np.array_equal(kept, fresh.factory(lin, alpha_dt)(y))
+        fresh.begin_step(start, alpha_dt)
+        assert np.array_equal(kept, fresh.factory(lin)(y))
+
+    @settings(max_examples=10, deadline=None)
+    @given(amplitude=st.floats(0.0, 2.0), steps=st.sampled_from([1.0, 10.0, 25.0]),
+           spread=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_application_reads_only_the_frozen_step(self, ig_precond, amplitude, steps, spread,
+                                                    seed):
+        # without DG sweeps (mg001111V) an application reads the stack that
+        # begin_step froze and nothing of the Newton iterate: linearizations
+        # at two iterates of a step give the same output bit for bit, and so
+        # does a new preconditioner frozen at the same state
+        setup, fv_ops, tr, lin, _ = ig_precond
+        cfg = parse_mg_config("mg001111V")
+        U, alpha_dt = amplitude * lin.u0, SDIRK2_ALPHA * steps
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, cfg)
+        mg.begin_step(U, alpha_dt)
+        rng = np.random.default_rng(seed)
+        other = U * (1.0 + spread * rng.standard_normal(U.shape))
+        iterates = [FDLinearization(lin.residual, u, lin.residual(u), lin.weights)
+                    for u in (U, other)]
+        y = rng.standard_normal(U.shape) * 1e-4
+        out = mg.factory(iterates[0])(y)
+        assert np.array_equal(mg.factory(iterates[1])(y), out)
+        fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
+        fresh.begin_step(U, alpha_dt)
+        assert np.array_equal(fresh.factory(iterates[1])(y), out)
+
+    def test_rest_state_step_still_assembles_the_stack(self, ig_precond, fv_calls):
+        # at rest (U = 0, the hydrostatic background) both stage residuals
+        # are zero, so the step stays at rest without a Newton iteration or
+        # a GMRES solve; begin_step still assembles each FV level once
+        setup, fv_ops, tr, lin, _ = ig_precond
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
+        U, stats = sdirk2_step(lambda u, t: setup.dg_op(u, t), np.zeros_like(lin.u0), 0.0, 25.0,
+                               weights=setup.dg_op.norm_weights, precond=mg)
+        assert not U.any()
+        assert [st.newton_iters for st in stats] == [0, 0]
+        assert sorted(map(id, fv_calls["assembled"])) == sorted(map(id, fv_ops))
 
     def test_reduces_gmres_iterations_on_newton_system(self, ig_precond):
         setup, fv_ops, tr, _, _ = ig_precond
@@ -666,11 +724,12 @@ class TestWorkspace:
     tracemalloc: the largest peak of one smooth call above its start is
     26,832 B, the iterator buffers of a broadcast dtau product on the
     40x80 level (819,760 B, four finest-level fields, before the
-    workspace), and the peak of a whole application is 1,295,968 B
-    (1,742,840 B before), most of it the float64 DG and transfer fields."""
+    workspace), and a whole application peaks at 1,229,920-1,230,760 B
+    (1,296,864 B when the correction was added out of place, 1,742,840 B
+    before the workspace), most of it the float64 DG and transfer fields."""
 
     FIELD = 4 * 80 * 160 * 4  # bytes of a float32 vector on the finest level
-    APPLY_PEAK = 1_400_000
+    APPLY_PEAK = 1_230_760
 
     def test_warm_bubble_apply_allocates_no_field_per_substep(self, monkeypatch):
         setup = make_setup("rising-bubble", 5, 10, 2)
@@ -684,7 +743,8 @@ class TestWorkspace:
         def G(V):
             return V - alpha_dt * setup.dg_op(V) - U0
 
-        M = mg.factory(FDLinearization(G, U0, G(U0), setup.dg_op.norm_weights), alpha_dt)
+        mg.begin_step(U0, alpha_dt)
+        M = mg.factory(FDLinearization(G, U0, G(U0), setup.dg_op.norm_weights))
         y = np.random.default_rng(13).standard_normal(U0.shape) * 1e-4
         M(y)  # prolongation's buffers are made by the first application
         tracemalloc.start()

@@ -6,9 +6,11 @@ The src/ tree of REV is extracted with `git archive REV src | tar -x` into
 a temporary directory. Each configuration of perfbench/workloads.py is run
 through dgmg.cli.run twice, once with that tree and once with the working
 tree's src/. Each run is a fresh child process with PYTHONPATH=<tree>/src,
-BLAS pinned to one thread and PYTHONDONTWRITEBYTECODE=1. The two output
-directories (stats.csv and every snapshot) are compared byte for byte.
-The files that differ are listed, and the exit code is 1 if any do.
+BLAS pinned to one thread and PYTHONDONTWRITEBYTECODE=1. A run's stderr,
+where the unconverged GMRES solves are reported, is written to stderr.txt
+in its output directory. The two output directories (stats.csv, every
+snapshot and stderr.txt) are compared byte for byte. The files that differ
+are listed, and the exit code is 1 if any do.
 perfbench/ is only read.
 """
 
@@ -57,6 +59,8 @@ def run(src: str, config: dict, outdir: str) -> None:
                           cwd=os.path.dirname(outdir), env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{outdir}: cli.run exited with code {proc.returncode}\n{proc.stderr}")
+    with open(os.path.join(outdir, "stderr.txt"), "w") as fh:
+        fh.write(proc.stderr)
 
 
 def differing(a: str, b: str) -> list[str]:
