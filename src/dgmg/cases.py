@@ -1,10 +1,12 @@
 """The three atmospheric test scenarios.
 
 Each case bundles its domain, gas constants, background atmosphere,
-initial potential-temperature perturbation, boundary kinds and final
-time. Backgrounds are hydrostatically balanced analytic profiles;
-perturbations are inserted pressure-preservingly, so the initial
-rho*theta perturbation vanishes and density adjusts as
+initial potential-temperature perturbation, face axes and final time.
+The face axes (physics.FaceAxis) are the case's boundary rule: each
+direction is either periodic, its two sides wrapping onto each other, or
+bounded by two slip walls. Backgrounds are hydrostatically balanced
+analytic profiles; perturbations are inserted pressure-preservingly, so
+the initial rho*theta perturbation vanishes and density adjusts as
 rho = p0^(R_d/c_p) p^(1/gamma) / (R_d (theta_bar + theta')).
 """
 
@@ -15,11 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import BoundaryKind, Domain2D
-from .physics import Atmosphere, PhysConstants
+from .mesh import Domain2D
+from .physics import Atmosphere, FaceAxis, PhysConstants
 
-_SLIP = BoundaryKind.SLIP
-_PERIODIC = BoundaryKind.PERIODIC
+_SLIP_WALLS = (FaceAxis(0, periodic=False), FaceAxis(1, periodic=False))
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class CaseSetup:
     constants: PhysConstants
     atmosphere: Atmosphere
     theta_pert: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bc: tuple[BoundaryKind, BoundaryKind, BoundaryKind, BoundaryKind]  # W, E, S, N
+    faces: tuple[FaceAxis, FaceAxis]  # the x faces, then the z faces
     t_final: float
 
 
@@ -85,7 +86,7 @@ def inertia_gravity() -> CaseSetup:
         constants=c,
         atmosphere=Atmosphere(constants=c, theta=theta_bar, pressure=pressure_bar, u=20.0),
         theta_pert=theta_pert,
-        bc=(_PERIODIC, _PERIODIC, _SLIP, _SLIP),
+        faces=(FaceAxis(0, periodic=True), FaceAxis(1, periodic=False)),
         t_final=3000.0,
     )
 
@@ -113,7 +114,7 @@ def rising_bubble() -> CaseSetup:
         constants=c,
         atmosphere=_neutral_atmosphere(c, theta0=303.15, T0=303.15),
         theta_pert=theta_pert,
-        bc=(_SLIP, _SLIP, _SLIP, _SLIP),
+        faces=_SLIP_WALLS,
         t_final=1200.0,
     )
 
@@ -138,7 +139,7 @@ def density_current() -> CaseSetup:
         constants=c,
         atmosphere=_neutral_atmosphere(c, theta0=300.0, T0=300.0),
         theta_pert=theta_pert,
-        bc=(_SLIP, _SLIP, _SLIP, _SLIP),
+        faces=_SLIP_WALLS,
         t_final=900.0,
     )
 

@@ -24,7 +24,7 @@ from . import cases
 from .cases import CaseSetup, build_initial_state
 from .dg import DGBasis, DGOperator
 from .fv import FVLinearization, cell_centres, fv_background
-from .mesh import build_hierarchy
+from .mesh import GridHierarchy
 from .mgprecond import MGConfig, MGConfigError, MultigridPreconditioner, parse_mg_config
 from .physics import InadmissibleStateError
 from .timeint import NewtonParams, SolverFailure, StageStats, sdirk2_step, ssprk34_step
@@ -221,17 +221,21 @@ def build_solver(cfg: RunConfig) -> SolverBundle:
     cfg.validate()
     case = cases.by_name(cfg.case)
     base_nx, base_nz = _base_grid(cfg, case)
-    # validate has refused every level, k and base grid build_hierarchy rejects
-    hierarchy, subgrid = build_hierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
+    # validate has refused every level, k and base grid GridHierarchy rejects
+    hierarchy = GridHierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
     basis = DGBasis(cfg.k)
+    # every run validates its mg key; only an implicit run has stage systems
+    # to precondition
     mg_cfg = cfg.mg_config()
+    if cfg.integrator != "implicit":
+        mg_cfg = None
     # one FV level per hierarchy level for the run, made first so that their
     # set-up temporaries are freed before the DG operator makes its arrays
     fv_levels: list[FVLinearization] = []
     if mg_cfg is not None:
         fv_levels = [FVLinearization(hierarchy, l, case) for l in range(hierarchy.n_levels)]
-    dg_op = DGOperator(hierarchy, subgrid, basis, case)
-    transfer = TransferOperators(basis, subgrid)
+    dg_op = DGOperator(hierarchy, basis, case)
+    transfer = TransferOperators(basis)
     mg = None if mg_cfg is None else MultigridPreconditioner(
         dg_op, fv_levels, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix")
     params = NewtonParams(tol=cfg.newton_tol)
@@ -245,10 +249,9 @@ def write_snapshot(field: np.ndarray, bundle: SolverBundle, path: str) -> None:
     theta_p is the perturbation of the intensive potential temperature,
     (rho theta)_total / rho_total - theta_bar.
     """
-    tr = bundle.transfer
-    u = tr.dg_to_fv(field)
+    u = bundle.transfer.dg_to_fv(field)
     hierarchy = bundle.dg_op.hierarchy
-    lvl = tr.subgrid.fv_level
+    lvl = hierarchy.fv_level
     bgc = fv_background(bundle.case, hierarchy, lvl)
     full = u + bgc
     theta_p = full[..., 3] / full[..., 0] - bgc[..., 3] / bgc[..., 0]

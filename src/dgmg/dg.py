@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import physics
-from .mesh import GridHierarchy, SubgridMap
+from .mesh import GridHierarchy
 from .physics import FaceAxis, PhysConstants, check_admissible
 from .quadrature import gauss_legendre
 
@@ -117,11 +117,11 @@ class DGOperator:
     invocations in ncalls.
     """
 
-    def __init__(self, hierarchy: GridHierarchy, subgrid: SubgridMap, basis: DGBasis, case):
+    def __init__(self, hierarchy: GridHierarchy, basis: DGBasis, case):
         self.hierarchy = hierarchy
         self.basis = basis
         self.constants: PhysConstants = case.constants
-        lvl = subgrid.dg_level
+        lvl = hierarchy.dg_level
         self.level = lvl
         self.nx = hierarchy.nx[lvl]
         self.nz = hierarchy.nz[lvl]
@@ -153,7 +153,7 @@ class DGOperator:
         Zg = np.broadcast_to(z_edges[:, None, None], (self.nz + 1, self.nx, p))
         self.bg_zface = atm.state(Xg, Zg)
 
-        self.xfaces, self.zfaces = physics.face_axes(case.bc)
+        self.xfaces, self.zfaces = case.faces
 
         # GEMM operands of the x-node contractions and of the lifting
         self.dhat_x, self.traces_x = kron_eye_t(basis.dhat, 4), kron_eye_t(basis.traces, 4)

@@ -92,7 +92,7 @@ class FVLinearization:
 
         self.bg = fv_background(case, hierarchy, level)
 
-        self.xfaces, self.zfaces = physics.face_axes(case.bc)
+        self.xfaces, self.zfaces = case.faces
         self._padded = np.zeros((4, nz + 2, nx + 2), dtype=np.float32)
         self._slots = [self._padded[:, 1 + dj:nz + 1 + dj, 1 + di:nx + 1 + di]
                        for dj, di in _SLOTS]
@@ -149,9 +149,11 @@ class FVLinearization:
             H[..., 1 + i] -= row
         return H
 
-    def assemble(self, u0: np.ndarray, alpha_dt: float) -> None:
+    def assemble(self, u0: np.ndarray, alpha_dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Rewrite the blocks as alpha_dt * J(u0), u0 (nz, nx, 4) the
-        perturbation of the frozen state from the background."""
+        perturbation of the frozen state from the background. Returns the
+        wave speeds (|u| + c_s, |w| + c_s) (nz, nx) of the frozen state,
+        read off the primitives the assembly computes."""
         nz, nx = self.nz, self.nx
         full = u0 + self.bg
         check_admissible(full, self.level, "cell average")
@@ -195,6 +197,8 @@ class FVLinearization:
                 blocks[:, east_slot, m] = east
                 blocks[:, west_slot, m] = west
             blocks[:, 0, m] = diag
+        _, u, w, _, _, cs = Q0[:, 1:-1, 1:-1]
+        return np.abs(u) + cs, np.abs(w) + cs
 
     def matvec(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """g'(u0) w, written into out (contiguous float32 (4, nz, nx))."""

@@ -73,7 +73,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import physics
 from .fv import FVLinearization
 from .physics import FaceAxis
 from .transfer import TransferOperators
@@ -314,10 +313,8 @@ class MultigridPreconditioner:
         u = self.forward(U)
         for l in reversed(range(len(self.levels))):
             lin, level = self.linearizations[l], self.levels[l]
-            lin.assemble(u, alpha_dt)
-            level.dtau[...] = _pseudo_dtau(*physics.wave_speeds(u + lin.bg, lin.constants),
-                                           lin.dx, lin.dz, lin.constants.mu,
-                                           self.cfg.pseudo_cfl, alpha_dt)
+            level.dtau[...] = _pseudo_dtau(*lin.assemble(u, alpha_dt), lin.dx, lin.dz,
+                                           lin.constants.mu, self.cfg.pseudo_cfl, alpha_dt)
             if l:
                 # restrict acts on the last two axes; the FV states are (nz, nx, 4)
                 u = restrict(u.transpose(2, 0, 1)).transpose(1, 2, 0)

@@ -16,7 +16,10 @@ p, c_s) of a set of states, and hllc_flux_axis works from the primitives
 of the left and right states of all faces of a grid direction. The
 operators lay those states out in arrays padded with ghost states;
 FaceAxis fills every ghost of the package (periodic wrap or slip-wall
-mirror) and makes one HLLC call for all faces.
+mirror) and makes one HLLC call for all faces. Each case holds its pair
+(x faces, z faces), the boundary rule that both operators unpack: a
+periodic direction wraps its two sides onto each other, and any other
+has a slip wall on both.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .mesh import BoundaryKind
 
 # component indices
 RHO, RHO_U, RHO_W, RHO_THETA = 0, 1, 2, 3
@@ -234,16 +235,6 @@ class FaceAxis:
             F[first][..., passive] = 0.0
             F[last][..., passive] = 0.0
         return F
-
-
-def face_axes(bc) -> tuple[FaceAxis, FaceAxis]:
-    """The x and z face axes of the boundary kinds bc (west, east, south,
-    north), the one reader of a case's bc; periodic sides come in pairs."""
-    periodic = [kind is BoundaryKind.PERIODIC for kind in bc]
-    for normal, name in enumerate("xz"):
-        if periodic[2 * normal] != periodic[2 * normal + 1]:
-            raise ValueError(f"periodic boundaries must be paired in {name}")
-    return FaceAxis(0, periodic[0]), FaceAxis(1, periodic[2])
 
 
 def subtract_viscous(F, G, bg) -> None:

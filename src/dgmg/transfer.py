@@ -24,19 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from .dg import DGBasis, kron_eye_t, kron_t
-from .mesh import SubgridMap
 from .quadrature import modified_newton_cotes
 
 
 class TransferOperators:
-    def __init__(self, basis: DGBasis, subgrid: SubgridMap):
-        p = basis.p
-        if subgrid.subcells_per_side != p:
-            raise ValueError(
-                f"subgrid has {subgrid.subcells_per_side} subcells per side, basis has p={p}"
-            )
-        self.subgrid = subgrid
-        self.p = p
+    def __init__(self, basis: DGBasis):
+        self.p = p = basis.p
         rule = modified_newton_cotes(basis.k)  # nodes at the subcell centers
         T1 = basis.eval_matrix(rule.nodes)     # (m, i) = l_i(center_m)
         T1inv = np.linalg.inv(T1)

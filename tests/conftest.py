@@ -11,8 +11,8 @@ from dgmg import cases, mesh
 from dgmg.cases import CaseSetup
 from dgmg.dg import DGBasis, DGOperator
 from dgmg.fv import FVLinearization
-from dgmg.mesh import BoundaryKind, Domain2D
-from dgmg.physics import Atmosphere, PhysConstants
+from dgmg.mesh import Domain2D
+from dgmg.physics import Atmosphere, FaceAxis, PhysConstants
 from dgmg.transfer import TransferOperators
 
 
@@ -20,13 +20,12 @@ from dgmg.transfer import TransferOperators
 class Setup:
     case: CaseSetup
     hierarchy: mesh.GridHierarchy
-    subgrid: mesh.SubgridMap
     basis: DGBasis
     dg_op: DGOperator
 
     def fv_op(self, level=None) -> FVLinearization:
         """The FV level `level`, by default the DG level's subgrid."""
-        lvl = self.subgrid.fv_level if level is None else level
+        lvl = self.hierarchy.fv_level if level is None else level
         return FVLinearization(self.hierarchy, lvl, self.case)
 
     def fv_levels(self) -> list[FVLinearization]:
@@ -34,14 +33,14 @@ class Setup:
         return [self.fv_op(l) for l in range(self.hierarchy.n_levels)]
 
     def transfer(self) -> TransferOperators:
-        return TransferOperators(self.basis, self.subgrid)
+        return TransferOperators(self.basis)
 
 
 def make_setup(case_name: str, base_nx: int, base_nz: int, level: int = 0, k: int = 3) -> Setup:
     case = cases.by_name(case_name)
-    hierarchy, subgrid = mesh.build_hierarchy(case.domain, base_nx, base_nz, level, k)
+    hierarchy = mesh.GridHierarchy(case.domain, base_nx, base_nz, level, k)
     basis = DGBasis(k)
-    return Setup(case, hierarchy, subgrid, basis, DGOperator(hierarchy, subgrid, basis, case))
+    return Setup(case, hierarchy, basis, DGOperator(hierarchy, basis, case))
 
 
 def unit_sound_speed_constants() -> PhysConstants:
@@ -62,15 +61,13 @@ def advection_case(u: float = 1.0, w: float = 0.0, domain: Domain2D | None = Non
         u=u,
         w=w,
     )
-    bx = BoundaryKind.PERIODIC if periodic_x else BoundaryKind.SLIP
-    bz = BoundaryKind.PERIODIC if periodic_z else BoundaryKind.SLIP
     return CaseSetup(
         name="advection",
         domain=domain or Domain2D(0.0, 1.0, 0.0, 1.0),
         constants=c,
         atmosphere=atm,
         theta_pert=lambda x, z: np.zeros(np.broadcast(x, z).shape),
-        bc=(bx, bx, bz, bz),
+        faces=(FaceAxis(0, periodic_x), FaceAxis(1, periodic_z)),
         t_final=1.0,
     )
 

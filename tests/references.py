@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from dgmg.dg import DGBasis
-from dgmg.mesh import BoundaryKind
 from dgmg.physics import RHO, RHO_THETA, RHO_U, RHO_W, InadmissibleStateError, pressure
 from dgmg.quadrature import modified_newton_cotes
 
@@ -201,8 +200,8 @@ def reference_fluxes(lo, hi, normal, periodic, c):
 
 
 def periodicity(case):
-    west, _, south, _ = case.bc
-    return west is BoundaryKind.PERIODIC, south is BoundaryKind.PERIODIC
+    xfaces, zfaces = case.faces
+    return xfaces.periodic, zfaces.periodic
 
 
 def axis_fluxes(case, west, east, south, north, c):

@@ -4,7 +4,16 @@ import pytest
 from conftest import make_setup
 from dgmg import cases
 from dgmg.cases import build_initial_state, by_name
-from dgmg.mesh import BoundaryKind
+from dgmg.physics import FaceAxis
+
+
+@pytest.mark.parametrize("name, periodic_x", [
+    ("inertia-gravity", True), ("rising-bubble", False), ("density-current", False),
+])
+def test_faces_are_x_then_z_with_slip_walls_in_z(name, periodic_x):
+    # the x-face axis first, then the z one: the operators unpack them in
+    # that order
+    assert by_name(name).faces == (FaceAxis(0, periodic_x), FaceAxis(1, False))
 
 
 class TestInertiaGravity:
@@ -18,8 +27,6 @@ class TestInertiaGravity:
         assert self.case.domain.x_max == 300_000.0
         assert self.case.domain.z_max == 10_000.0
         assert self.case.t_final == 3000.0
-        assert self.case.bc[0] is BoundaryKind.PERIODIC
-        assert self.case.bc[2] is BoundaryKind.SLIP
 
     def test_scale_height(self):
         # H = g / N^2 with N = 1e-2 1/s

@@ -114,9 +114,9 @@ class TestParseConfig:
     def test_target_dx_derives_base_dims(self):
         cfg = RunConfig(case="rising-bubble", dx=100.0, level=1, dt=5.0)
         bundle = build_solver(cfg)
-        sg = bundle.transfer.subgrid
-        assert bundle.dg_op.hierarchy.nx[sg.dg_level] == 10
-        assert bundle.dg_op.hierarchy.nz[sg.dg_level] == 20
+        h = bundle.dg_op.hierarchy
+        assert h.nx[h.dg_level] == 10
+        assert h.nz[h.dg_level] == 20
 
     def test_indivisible_dx_rejected(self):
         cfg = RunConfig(case="rising-bubble", dx=90.9, level=3, dt=5.0)
@@ -227,6 +227,21 @@ class TestRuns:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert len(outputs[0]) == 4  # stats.csv and snapshots at t = 0, 10, 20
         assert outputs[0] == outputs[1]
+
+    def test_explicit_run_builds_no_multigrid_stack(self, tmp_path):
+        # an explicit run solves no stage system: its mg key is validated,
+        # but no FV level is built, and it writes what an mg = none run does
+        outputs = {}
+        for key in ("mg111111V", "none"):
+            out = tmp_path / key
+            cfg = RunConfig(case="rising-bubble", base_nx=2, base_nz=4, level=1,
+                            integrator="explicit", t_final=1.0, mg=key, outdir=str(out))
+            assert build_solver(cfg).mg is None
+            assert run(cfg) == 0
+            outputs[key] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert outputs["mg111111V"] == outputs["none"]
+        with pytest.raises(ConfigError, match="mg11111X"):
+            build_solver(dataclasses.replace(cfg, mg="mg11111X"))
 
     def test_cut_extraction_workflow(self, tmp_path):
         # a fixed-height cut is a row filter on the snapshot file
@@ -437,7 +452,7 @@ class TestMain:
         def allocate(*args):
             raise AssertionError("grid or operator built for a config that cannot be allocated")
 
-        for name in ("build_hierarchy", "DGBasis", "DGOperator"):
+        for name in ("GridHierarchy", "DGBasis", "DGOperator"):
             monkeypatch.setattr(cli, name, allocate)
         out = str(tmp_path / "out")
         rc = main([
@@ -457,7 +472,7 @@ class TestMain:
         def allocate(*args):
             raise AssertionError("grid built for a level beyond the memory")
 
-        for name in ("build_hierarchy", "DGBasis", "DGOperator"):
+        for name in ("GridHierarchy", "DGBasis", "DGOperator"):
             monkeypatch.setattr(cli, name, allocate)
         out = str(tmp_path / "out")
         start = time.perf_counter()
@@ -473,7 +488,7 @@ class TestMain:
         assert not os.path.exists(out)
 
     def test_negative_level_names_the_key(self, tmp_path, capsys):
-        # reported as build_hierarchy's dg_refine_level before
+        # reported as the hierarchy's dg_refine_level before
         out = str(tmp_path / "out")
         assert main(["--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",
                      "--dt", "25", "--level", "-1", "--outdir", out]) == 2
@@ -482,12 +497,12 @@ class TestMain:
 
     @pytest.mark.parametrize("k", ["-1", "2", "4"])
     def test_invalid_k_exit_code(self, tmp_path, monkeypatch, capsys, k):
-        # build_hierarchy caught these before, after the size check had
+        # the hierarchy caught these before, after the size check had
         # sized the grid
         def allocate(*args):
             raise AssertionError("grid built for an invalid k")
 
-        for name in ("_base_grid", "build_hierarchy"):
+        for name in ("_base_grid", "GridHierarchy"):
             monkeypatch.setattr(cli, name, allocate)
         out = str(tmp_path / "out")
         assert main(["--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",

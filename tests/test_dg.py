@@ -59,9 +59,9 @@ def test_kron_t_is_numpy_kron_transposed(M, q, B):
 class TestProjectionAndEvaluate:
     def setup_method(self):
         case = advection_case()
-        h, sg = mesh.build_hierarchy(case.domain, 3, 2, 0, 3)
+        h = mesh.GridHierarchy(case.domain, 3, 2, 0, 3)
         self.basis = DGBasis(3)
-        self.op = DGOperator(h, sg, self.basis, case)
+        self.op = DGOperator(h, self.basis, case)
 
     def test_constant_field(self):
         U = project(self.op, lambda x, z: np.broadcast_to([2.5, 0, 0, 1.0], x.shape + (4,)))
@@ -125,8 +125,8 @@ class TestProjectionAndEvaluate:
 class TestTotalMass:
     def setup_method(self):
         case = advection_case()
-        h, sg = mesh.build_hierarchy(case.domain, 4, 4, 0, 3)
-        self.op = DGOperator(h, sg, DGBasis(3), case)
+        h = mesh.GridHierarchy(case.domain, 4, 4, 0, 3)
+        self.op = DGOperator(h, DGBasis(3), case)
 
     def test_constant_on_unit_domain(self):
         U = np.ones((4, 4, 4, 4, 4))
@@ -221,10 +221,10 @@ class TestWorkArrays:
         c = dataclasses.replace(case.constants, mu=mu)
         case = dataclasses.replace(case, constants=c,
                                    atmosphere=dataclasses.replace(case.atmosphere, constants=c))
-        h, sg = mesh.build_hierarchy(case.domain, nx, nz, 0, 3)
+        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 3)
 
         def build():
-            return DGOperator(h, sg, DGBasis(3), case)
+            return DGOperator(h, DGBasis(3), case)
 
         op = build()
         shape = op.bg_vol.shape
@@ -272,7 +272,7 @@ class TestWorkArrays:
         c = dataclasses.replace(setup.case.constants, mu=0.0)
         case = dataclasses.replace(setup.case, constants=c,
                                    atmosphere=dataclasses.replace(setup.case.atmosphere, constants=c))
-        inviscid = DGOperator(setup.hierarchy, setup.subgrid, setup.basis, case)
+        inviscid = DGOperator(setup.hierarchy, setup.basis, case)
         (U,) = self.states(setup, 1)
         assert "_V" in vars(viscous) and "_V" not in vars(inviscid)
         peaks = []
@@ -299,8 +299,8 @@ class TestWorkArrays:
 class TestFreeStream:
     def test_constant_state_is_steady_without_gravity(self):
         case = advection_case(u=1.0, w=0.5)
-        h, sg = mesh.build_hierarchy(case.domain, 3, 3, 0, 3)
-        op = DGOperator(h, sg, DGBasis(3), case)
+        h = mesh.GridHierarchy(case.domain, 3, 3, 0, 3)
+        op = DGOperator(h, DGBasis(3), case)
         Up = np.zeros((3, 3, 4, 4, 4))
         Up[..., 0] = 0.05
         Up[..., 1] = 0.05 * 1.0
@@ -313,8 +313,8 @@ class TestFreeStream:
 class TestConservation:
     def test_periodic_mass_production_is_zero(self):
         case = advection_case(u=1.0, w=0.3)
-        h, sg = mesh.build_hierarchy(case.domain, 4, 4, 0, 3)
-        op = DGOperator(h, sg, DGBasis(3), case)
+        h = mesh.GridHierarchy(case.domain, 4, 4, 0, 3)
+        op = DGOperator(h, DGBasis(3), case)
         U = project(op, lambda x, z: entropy_wave(x, z, 0.0, u=1.0, w=0.3))
         out = op(U)
         scale = np.abs(total_mass(op, U, 0)) + 1.0
@@ -333,8 +333,8 @@ class TestManufacturedConvergence:
         case = advection_case(u=1.0)
         errs = []
         for N in (4, 8, 16):
-            h, sg = mesh.build_hierarchy(case.domain, N, 2, 0, 3)
-            op = DGOperator(h, sg, DGBasis(3), case)
+            h = mesh.GridHierarchy(case.domain, N, 2, 0, 3)
+            op = DGOperator(h, DGBasis(3), case)
             U = project(op, lambda x, z: entropy_wave(x, z, 0.0))
             t, t_end = 0.0, 0.25
             dt = t_end / np.ceil(t_end / (0.25 / (N * 7 * 2.0)))
@@ -380,10 +380,10 @@ class TestViscousOperator:
         )
         errs = []
         for N in (4, 8, 16):
-            h, sg = mesh.build_hierarchy(case.domain, N, N // 2, 0, 3)
+            h = mesh.GridHierarchy(case.domain, N, N // 2, 0, 3)
             basis = DGBasis(3)
-            op = DGOperator(h, sg, basis, case)
-            op0 = DGOperator(h, sg, basis, case0)
+            op = DGOperator(h, basis, case)
+            op0 = DGOperator(h, basis, case0)
             bg = op.bg_vol
             U = np.zeros_like(bg)
             U[..., 1] = bg[..., 0] * fns[0](op.X, op.Z)
@@ -407,7 +407,7 @@ class TestErrors:
         U[3, 2, 1, 1, 3] = -1e6  # drives rho*theta negative
         with pytest.raises(InadmissibleStateError) as err:
             setup.dg_op(U)
-        assert err.value.location == (setup.subgrid.dg_level, 2, 3)
+        assert err.value.location == (setup.hierarchy.dg_level, 2, 3)
 
     @pytest.mark.parametrize(
         "name, base_nx, base_nz, axis, side, i, j",
@@ -434,4 +434,4 @@ class TestErrors:
         assert np.all((U + op.bg_vol)[..., 3] > 0.0)
         with pytest.raises(InadmissibleStateError, match="face trace") as err:
             op(U)
-        assert err.value.location == (setup.subgrid.dg_level, i, j)
+        assert err.value.location == (setup.hierarchy.dg_level, i, j)

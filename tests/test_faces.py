@@ -193,8 +193,8 @@ class TestAgainstReference:
     @given(setup=advection_cases(), k=st.sampled_from([1, 3]), data=st.data())
     def test_dg_operator(self, setup, k, data):
         case, nx, nz = setup
-        h, sg = mesh.build_hierarchy(case.domain, nx, nz, 0, k)
-        op = DGOperator(h, sg, DGBasis(k), case)
+        h = mesh.GridHierarchy(case.domain, nx, nz, 0, k)
+        op = DGOperator(h, DGBasis(k), case)
         Up = data.draw(perturbations(op.bg_vol.shape))
         assert np.array_equal(op(Up), dg_reference(op, case, Up))
 
@@ -205,8 +205,8 @@ class TestAgainstReference:
         # the GEMM traces sum in another order than the reference's
         # per-node form: round-off of a few p-term sums
         case, nx, nz = setup
-        h, sg = mesh.build_hierarchy(case.domain, nx, nz, 0, k)
-        op = DGOperator(h, sg, DGBasis(k), with_viscosity(case, mu))
+        h = mesh.GridHierarchy(case.domain, nx, nz, 0, k)
+        op = DGOperator(h, DGBasis(k), with_viscosity(case, mu))
         Up = data.draw(perturbations(op.bg_vol.shape))
         rhs = op(Up)
         tol = 1e-12 * (np.abs(rhs).max() + viscous_scale(op, Up))
@@ -219,8 +219,8 @@ class TestAgainstReference:
         # one padded evaluation per axis does the per-face arithmetic of
         # the branchy reference, fed the operator's own traces
         case, nx, nz = setup
-        h, sg = mesh.build_hierarchy(case.domain, nx, nz, 0, k)
-        op = DGOperator(h, sg, DGBasis(k), with_viscosity(case, mu))
+        h = mesh.GridHierarchy(case.domain, nx, nz, 0, k)
+        op = DGOperator(h, DGBasis(k), with_viscosity(case, mu))
         Up = data.draw(perturbations(op.bg_vol.shape))
         V, _ = op._viscous_volume_fluxes(Up + op.bg_vol)
         Bx, Bz = op._face_states(Up)
@@ -240,8 +240,8 @@ class TestAgainstReference:
 
     def test_viscous_density_current(self):
         case = cases.by_name("density-current")
-        h, sg = mesh.build_hierarchy(case.domain, 4, 3, 1, 3)
-        op = DGOperator(h, sg, DGBasis(3), case)
+        h = mesh.GridHierarchy(case.domain, 4, 3, 1, 3)
+        op = DGOperator(h, DGBasis(3), case)
         assert op.constants.mu > 0.0
         rng = np.random.default_rng(6)
         Up = 1e-3 * np.abs(op.bg_vol).max(axis=(0, 1, 2, 3)) * rng.standard_normal(op.bg_vol.shape)
@@ -253,7 +253,7 @@ class TestAgainstReference:
     @given(setup=advection_cases(viscous=True), data=st.data())
     def test_fv_operator(self, setup, data):
         case, nx, nz = setup
-        h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
+        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 0)
         op = FVLinearization(h, 0, case)
         assert_fv_face_fluxes(op, case, data.draw(perturbations(op.bg.shape)) + op.bg)
 
@@ -263,8 +263,8 @@ class TestAgainstReference:
         # inviscid, so the density current's DG operator runs with mu = 0,
         # while its FV face fluxes stay viscous
         case = cases.by_name(name)
-        h, sg = mesh.build_hierarchy(case.domain, 4, 3, 1, 3)
-        op = DGOperator(h, sg, DGBasis(3), with_viscosity(case, 0.0))
+        h = mesh.GridHierarchy(case.domain, 4, 3, 1, 3)
+        op = DGOperator(h, DGBasis(3), with_viscosity(case, 0.0))
         rng = np.random.default_rng(5)
         scale = 1e-3 * np.abs(op.bg_vol).max(axis=(0, 1, 2, 3))
         Up = scale * rng.standard_normal(op.bg_vol.shape)
@@ -314,32 +314,3 @@ class TestHLLCHook:
             del calls[:]
             evaluate()
             assert sorted(calls) == [0] * per_axis + [1] * per_axis, where
-
-
-class TestBoundaryPairing:
-    # a periodic side wraps onto the opposite one, so a periodic side
-    # facing a slip wall has no ghost rule; both operators read their face
-    # axes through physics.face_axes, which refuses it
-    @pytest.mark.parametrize("axis, bc", [
-        ("x", ("periodic", "slip", "slip", "slip")),
-        ("x", ("slip", "periodic", "periodic", "periodic")),
-        ("z", ("slip", "slip", "periodic", "slip")),
-        ("z", ("periodic", "periodic", "slip", "periodic")),
-    ])
-    @pytest.mark.parametrize("operator", ["dg", "fv"])
-    def test_unpaired_periodic_sides_raise(self, operator, axis, bc):
-        case = dataclasses.replace(advection_case(),
-                                   bc=tuple(mesh.BoundaryKind(kind) for kind in bc))
-        h, sg = mesh.build_hierarchy(case.domain, 2, 2, 0, 3)
-        with pytest.raises(ValueError, match=f"paired in {axis}"):
-            if operator == "dg":
-                DGOperator(h, sg, DGBasis(3), case)
-            else:
-                FVLinearization(h, sg.fv_level, case)
-
-    def test_paired_sides_give_the_face_axes(self):
-        P, S = mesh.BoundaryKind.PERIODIC, mesh.BoundaryKind.SLIP
-        assert physics.face_axes((P, P, S, S)) == (physics.FaceAxis(0, True),
-                                                   physics.FaceAxis(1, False))
-        assert physics.face_axes((S, S, P, P)) == (physics.FaceAxis(0, False),
-                                                   physics.FaceAxis(1, True))

@@ -81,7 +81,7 @@ class TestOperator:
         # one periodic cell is its own east, west, north and south
         # neighbour: every face flux enters it twice with opposite signs
         case = advection_case(u=1.0, w=1.0)
-        h, _ = mesh.build_hierarchy(case.domain, 1, 1, 0, 0)
+        h = mesh.GridHierarchy(case.domain, 1, 1, 0, 0)
         lin = FVLinearization(h, 0, case)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -94,7 +94,7 @@ class TestOperator:
         case = advection_case(u=1.0)
         errs = []
         for N in (32, 64, 128):
-            h, _ = mesh.build_hierarchy(case.domain, N, 4, 0, 0)
+            h = mesh.GridHierarchy(case.domain, N, 4, 0, 0)
             lin = FVLinearization(h, 0, case)
             X = np.broadcast_to(lin.dx * (np.arange(N) + 0.5), (4, N))
             Z = np.broadcast_to(lin.dz * (np.arange(4)[:, None] + 0.5), (4, N))
@@ -121,7 +121,7 @@ class TestOperator:
         # and the mass flux through a slip wall is exactly zero
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
-        h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
+        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 0)
         lin = FVLinearization(h, 0, case)
         rng = np.random.default_rng(seed)
         lin.assemble(random_state(lin, rng), alpha_dt)
@@ -132,7 +132,7 @@ class TestOperator:
         # the bubble's DG subgrid level at its transferred initial state:
         # gravity, a stratified background and slip walls on every side
         setup = make_setup("rising-bubble", 5, 10, 0)
-        lin = setup.fv_op(setup.subgrid.fv_level)
+        lin = setup.fv_op(setup.hierarchy.fv_level)
         u0 = setup.transfer().dg_to_fv(cases.build_initial_state(setup.case, setup.dg_op))
         lin.assemble(u0, alpha_dt=10.0)
         rng = np.random.default_rng(4)
@@ -207,7 +207,7 @@ def field(v):
 class TestLinearization:
     def test_zero_vector_short_circuits(self, monkeypatch):
         case = advection_case()
-        h, _ = mesh.build_hierarchy(case.domain, 4, 4, 0, 0)
+        h = mesh.GridHierarchy(case.domain, 4, 4, 0, 0)
         lin = assembled(FVLinearization(h, 0, case), np.zeros((4, 4, 4)), alpha_dt=1.0)
         # the matvec evaluates no face flux
         monkeypatch.setattr(FVLinearization, "face_flux", lambda *args: pytest.fail("face flux"))
@@ -216,7 +216,7 @@ class TestLinearization:
 
     def test_zero_alpha_dt_is_identity(self):
         case = advection_case()
-        h, _ = mesh.build_hierarchy(case.domain, 4, 4, 0, 0)
+        h = mesh.GridHierarchy(case.domain, 4, 4, 0, 0)
         lin = assembled(FVLinearization(h, 0, case), np.zeros((4, 4, 4)), alpha_dt=0.0)
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 4, 4)).astype(np.float32)
@@ -237,7 +237,7 @@ class TestLinearization:
         # stencil holds the same difference quotients as the columns
         case = advection_case(u=1.0)
         n = 8
-        h, _ = mesh.build_hierarchy(case.domain, n, 1, 0, 0)
+        h = mesh.GridHierarchy(case.domain, n, 1, 0, 0)
         lin = FVLinearization(h, 0, case)
         alpha_dt = 0.7
         u0 = np.zeros((1, n, 4))
@@ -275,7 +275,7 @@ class TestLinearization:
     def test_linearity_to_fd_accuracy(self):
         for name, tol in (("inertia-gravity", 1e-6), ("density-current", 5e-6)):
             setup = make_setup(name, 4, 2, 0)
-            lvl = setup.subgrid.fv_level
+            lvl = setup.hierarchy.fv_level
             tr = setup.transfer()
             u0 = tr.dg_to_fv(cases.build_initial_state(setup.case, setup.dg_op))
             lin = assembled(setup.fv_op(lvl), u0, alpha_dt=1.5)
@@ -298,7 +298,7 @@ class TestLinearization:
         # one cell apart
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
-        h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
+        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 0)
         lin = FVLinearization(h, 0, case)
         rng = np.random.default_rng(seed)
         u0 = random_state(lin, rng)
@@ -334,7 +334,7 @@ class TestLinearization:
         # are folded, and slip walls, whose ghosts the matvec never writes
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
-        h, _ = mesh.build_hierarchy(case.domain, nx, nz, 0, 0)
+        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 0)
         rng = np.random.default_rng(seed)
         probe = FVLinearization(h, 0, case)
         state_a, state_b = random_state(probe, rng), random_state(probe, rng)

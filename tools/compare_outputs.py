@@ -10,13 +10,15 @@ BLAS pinned to one thread and PYTHONDONTWRITEBYTECODE=1. A run's stderr,
 where the unconverged GMRES solves are reported, is written to stderr.txt
 in its output directory. The two output directories (stats.csv, every
 snapshot and stderr.txt) are compared byte for byte. The files that differ
-are listed, and the exit code is 1 if any do.
-perfbench/ is only read.
+are listed, and the exit code is 1 if any do. The line totals of
+src/dgmg/*.py in both trees are printed too, the count a design change
+reports next to its byte-identity check. perfbench/ is only read.
 """
 
 from __future__ import annotations
 
 import filecmp
+import glob
 import importlib.util
 import json
 import os
@@ -75,6 +77,15 @@ def differing(a: str, b: str) -> list[str]:
                           and filecmp.cmp(os.path.join(a, n), os.path.join(b, n), shallow=False)))
 
 
+def line_total(src: str) -> int:
+    """Lines of the package's modules, as `wc -l src/dgmg/*.py` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "dgmg", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         raise SystemExit("usage: compare_outputs.py [REV]")
@@ -86,6 +97,8 @@ def main(argv: list[str]) -> int:
                                  check=True).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
         trees = {"rev": os.path.join(base, "src"), "work": os.path.join(ROOT, "src")}
+        print(f"src/dgmg/*.py: {line_total(trees['rev'])} lines at {rev}, "
+              f"{line_total(trees['work'])} in the working tree")
         bad = []
         for name, config in workloads().items():
             outs = {}
