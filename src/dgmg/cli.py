@@ -350,16 +350,14 @@ def run(cfg: RunConfig) -> int:
                 if cfg.integrator == "implicit":
                     U, stages = sdirk2_step(bundle.dg_op, U, t, step_dt, params=bundle.params,
                                             weights=bundle.dg_op.norm_weights, precond=bundle.mg)
-                    for st in stages:
-                        log(st)
-                        if st.gmres_unconverged:
-                            print(f"warning at t = {st.time:.6f}, stage {st.stage}: "
-                                  f"{st.gmres_unconverged} GMRES solve(s) stopped above their "
-                                  "tolerance", file=sys.stderr)
                 else:
-                    before = bundle.dg_op.ncalls
-                    U = ssprk34_step(bundle.dg_op, U, t, step_dt)
-                    log(StageStats(t + step_dt, dg_ops=bundle.dg_op.ncalls - before))
+                    U, stages = ssprk34_step(bundle.dg_op, U, t, step_dt)
+                for st in stages:
+                    log(st)
+                    if st.gmres_unconverged:
+                        print(f"warning at t = {st.time:.6f}, stage {st.stage}: "
+                              f"{st.gmres_unconverged} GMRES solve(s) stopped above their "
+                              "tolerance", file=sys.stderr)
                 t += step_dt
                 snapped = t >= next_output - tol
                 if snapped:

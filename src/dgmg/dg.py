@@ -19,8 +19,8 @@ and right states, with rho and rho*theta as views of the buffer, and one
 HLLC call covers interior and boundary faces alike.
 
 Contractions along the x-node axis are single GEMMs of (rows, p*q) views
-against kron(M, I_q).T (kron_eye_t), the z-node ones batched matmuls on
-(nz*nx, p, p*q) views.
+against kron(M, I_q).T (kron_t(M, np.eye(q))), the z-node ones batched
+matmuls on (nz*nx, p, p*q) views.
 
 The viscous terms are component-major: the primitives (u, w, theta) and
 their gradients are (3, nz, nx, p, p) arrays, the gradients one GEMM each
@@ -45,19 +45,9 @@ from .quadrature import gauss_legendre
 
 def kron_t(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """np.kron(A, B).T as one broadcast product: the same bits at a fraction
-    of np.kron's cost."""
+    of np.kron's cost. A (rows, s*q) view of (node, component) columns times
+    kron_t(M, np.eye(q)) applies the (r, s) matrix M along the node axis."""
     return (A.T[:, None, :, None] * B.T[None, :, None, :]).reshape(A.shape[1] * B.shape[1], -1)
-
-
-def kron_eye_t(M: np.ndarray, q: int) -> np.ndarray:
-    """kron_t(M, I_q), its q diagonal blocks filled by strided assignment
-    at a fraction of the broadcast's cost. A (rows, s*q) view of (node,
-    component) columns times kron_eye_t(M, q) applies the (r, s) matrix M
-    along the node axis."""
-    out = np.zeros((M.shape[1] * q, M.shape[0] * q))
-    for a in range(q):
-        out[a::q, a::q] = M.T
-    return out
 
 
 class DGBasis:
@@ -113,8 +103,7 @@ class DGOperator:
 
     Precomputes node coordinates and all background data (volume states,
     face states, background numerical fluxes) at construction; the
-    per-call work is pure vectorized arithmetic. Instances count their
-    invocations in ncalls.
+    per-call work is pure vectorized arithmetic.
     """
 
     def __init__(self, hierarchy: GridHierarchy, basis: DGBasis, case):
@@ -127,7 +116,6 @@ class DGOperator:
         self.nz = hierarchy.nz[lvl]
         self.dx = hierarchy.dx[lvl]
         self.dz = hierarchy.dz[lvl]
-        self.ncalls = 0
 
         p = basis.p
         dom = hierarchy.domain
@@ -156,10 +144,10 @@ class DGOperator:
         self.xfaces, self.zfaces = case.faces
 
         # GEMM operands of the x-node contractions and of the lifting
-        self.dhat_x, self.traces_x = kron_eye_t(basis.dhat, 4), kron_eye_t(basis.traces, 4)
+        self.dhat_x, self.traces_x = (kron_t(M, np.eye(4)) for M in (basis.dhat, basis.traces))
         lifts = np.stack([basis.lift0, basis.lift1], axis=1)
-        self.lift_x = kron_eye_t(lifts, 4).reshape(2, 4, -1)
-        self.lift_z = kron_eye_t(lifts, 4 * p).reshape(2, 4 * p, -1)
+        self.lift_x = kron_t(lifts, np.eye(4)).reshape(2, 4, -1)
+        self.lift_z = kron_t(lifts, np.eye(4 * p)).reshape(2, 4 * p, -1)
 
         # work arrays every call overwrites: the total state (then the z
         # contraction), the two volume fluxes, the face buffer with its
@@ -191,9 +179,9 @@ class DGOperator:
             # gradient) x (west or east), applied along the x-node axis as
             # they are and along the z-node axis as a (p*p, 4p) operator
             eye, D = np.eye(p), basis.diff
-            self.vgrad_x, self.vgrad_z = kron_t(eye, D / self.dx), kron_eye_t(D / self.dz, p)
+            self.vgrad_x, self.vgrad_z = kron_t(eye, D / self.dx), kron_t(D / self.dz, eye)
             self.vtrace_x = np.vstack([basis.traces, basis.traces @ D / self.dx])
-            self.vtrace_z = kron_eye_t(np.vstack([basis.traces, basis.traces @ D / self.dz]), p)
+            self.vtrace_z = kron_t(np.vstack([basis.traces, basis.traces @ D / self.dz]), eye)
             # viscous work arrays, component-major: the primitives V (3, nz,
             # nx, p, p), their x and z gradients G, the rows mu*rho, the
             # trace-GEMM output, and per axis the padded traces T (value or
@@ -236,29 +224,25 @@ class DGOperator:
         for traces in (Bx[1, :, :-1], Bx[0, :, 1:], Bz[1, :-1], Bz[0, 1:]):
             check_admissible(traces, self.level, "face trace")
 
-    def max_wave_speeds(self, Up: np.ndarray):
-        """Per-cell directional max wave speeds (|u|+c, |w|+c) of U'+Ubar."""
-        lx, lz = physics.wave_speeds(Up + self.bg_vol, self.constants)
-        return lx.max(axis=(2, 3)), lz.max(axis=(2, 3))
+    def rate(self, Up: np.ndarray) -> np.ndarray:
+        """Per-cell stiffness rate (physics.stiffness_rate) of U' + Ubar from
+        the node maxima of the wave speeds at the effective spacing h/(2k+1)."""
+        speeds = physics.wave_speeds(physics.primitives(Up + self.bg_vol, self.constants))
+        fac = 2 * self.basis.k + 1
+        return physics.stiffness_rate(*(s.max(axis=(2, 3)) for s in speeds), self.dx / fac,
+                                      self.dz / fac, self.constants.mu)
 
     def stable_dt(self, Up: np.ndarray, cfl: float = 0.8) -> float:
-        """CFL-based explicit step from the current maximum wave speeds;
-        the stability limit of the SSP(4,3) scheme sits near cfl = 1 in
-        this normalization."""
-        lx, lz = self.max_wave_speeds(Up)
-        fac = 2 * self.basis.k + 1
-        rate = fac * (lx / self.dx + lz / self.dz)
-        mu = self.constants.mu
-        if mu > 0.0:
-            rate = rate + 2.0 * mu * fac * fac * (1.0 / self.dx**2 + 1.0 / self.dz**2)
-        return cfl / float(rate.max())
+        """CFL-based explicit step from the current stiffness rates; the
+        stability limit of the SSP(4,3) scheme sits near cfl = 1 in this
+        normalization."""
+        return cfl / float(self.rate(Up).max())
 
     # -- the operator --------------------------------------------------
 
     def __call__(self, Up: np.ndarray, t: float = 0.0) -> np.ndarray:
         """f(U'), a new array; the intermediates go to the operator's work
         arrays, so calls must not overlap."""
-        self.ncalls += 1
         c = self.constants
         b = self.basis
         nz, nx, p = self.nz, self.nx, b.p

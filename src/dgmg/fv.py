@@ -149,11 +149,11 @@ class FVLinearization:
             H[..., 1 + i] -= row
         return H
 
-    def assemble(self, u0: np.ndarray, alpha_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    def assemble(self, u0: np.ndarray, alpha_dt: float) -> np.ndarray:
         """Rewrite the blocks as alpha_dt * J(u0), u0 (nz, nx, 4) the
         perturbation of the frozen state from the background. Returns the
-        wave speeds (|u| + c_s, |w| + c_s) (nz, nx) of the frozen state,
-        read off the primitives the assembly computes."""
+        stiffness rate (nz, nx) of the frozen state (physics.stiffness_rate),
+        from the wave speeds of the primitives the assembly computes."""
         nz, nx = self.nz, self.nx
         full = u0 + self.bg
         check_admissible(full, self.level, "cell average")
@@ -197,8 +197,8 @@ class FVLinearization:
                 blocks[:, east_slot, m] = east
                 blocks[:, west_slot, m] = west
             blocks[:, 0, m] = diag
-        _, u, w, _, _, cs = Q0[:, 1:-1, 1:-1]
-        return np.abs(u) + cs, np.abs(w) + cs
+        return physics.stiffness_rate(*physics.wave_speeds(Q0[:, 1:-1, 1:-1]), self.dx, self.dz,
+                                      self.constants.mu)
 
     def matvec(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """g'(u0) w, written into out (contiguous float32 (4, nz, nx))."""

@@ -34,9 +34,11 @@ the wall-normal momentum negated. The smoother integrates the dual
 pseudo-time ODE dw/dtau = (b - g'(u) w)/(alpha dt) with explicit steps;
 the per-cell pseudo step
 
-    dtau = pseudo_cfl / (1 + alpha dt * ((|u|+c)/dx + (|w|+c)/dz
-                                          + 2 mu (1/dx^2 + 1/dz^2)))
+    dtau = pseudo_cfl / (1 + alpha dt * rate)
 
+takes the stiffness rate (|u|+c)/dx + (|w|+c)/dz + 2 mu (1/dx^2 + 1/dz^2)
+of physics.stiffness_rate that each operator supplies of its cells
+(FVLinearization.assemble; DGOperator.rate, at the spacing h/(2k+1)). It
 is the local stability bound of that scaled system (the "+1" is the
 identity shift of the implicit stage residual): with pseudo_cfl <= 1 it
 keeps z = dtau * lambda of the FV levels in the disc |z - 1| <= 1
@@ -198,14 +200,6 @@ def smooth(matvec, x: np.ndarray, b: np.ndarray, n_steps: int, dtau: np.ndarray,
     return x
 
 
-def _pseudo_dtau(lx, lz, hx, hz, mu, cfl, alpha_dt) -> np.ndarray:
-    """The module docstring's pseudo step from wave speeds and spacings."""
-    rate = lx / hx + lz / hz
-    if mu > 0.0:
-        rate = rate + 2.0 * mu * (1.0 / hx**2 + 1.0 / hz**2)
-    return cfl / (1.0 + alpha_dt * rate)
-
-
 class Level:
     """One level of the cycle's stack and the workspace the cycle runs in
     there, made once and kept for the run.
@@ -313,8 +307,7 @@ class MultigridPreconditioner:
         u = self.forward(U)
         for l in reversed(range(len(self.levels))):
             lin, level = self.linearizations[l], self.levels[l]
-            level.dtau[...] = _pseudo_dtau(*lin.assemble(u, alpha_dt), lin.dx, lin.dz,
-                                           lin.constants.mu, self.cfg.pseudo_cfl, alpha_dt)
+            level.dtau[...] = self.cfg.pseudo_cfl / (1.0 + alpha_dt * lin.assemble(u, alpha_dt))
             if l:
                 # restrict acts on the last two axes; the FV states are (nz, nx, 4)
                 u = restrict(u.transpose(2, 0, 1)).transpose(1, 2, 0)
@@ -323,16 +316,12 @@ class MultigridPreconditioner:
         cfg, alpha_dt, levels = self.cfg, self.alpha_dt, self.levels
         finest = len(levels) - 1
         if cfg.dg_pre or cfg.dg_post:
-            # effective spacing h/(2k+1) accounts for the DG CFL restriction.
             # The extra 0.5 keeps dtau * eig well below 1: a one-stage Euler
             # sweep at the stability limit nearly annihilates the modes with
             # dtau * eig ~ 1, which makes the preconditioner ill-conditioned
             # and stalls restarted GMRES at tight forcing tolerances.
-            op = self.dg_op
-            fac = 2 * op.basis.k + 1
-            dg_dtau = _pseudo_dtau(*op.max_wave_speeds(dg_lin.u0), op.dx / fac, op.dz / fac,
-                                   op.constants.mu, 0.5 * cfg.pseudo_cfl,
-                                   alpha_dt)[..., None, None, None]
+            rate = self.dg_op.rate(dg_lin.u0)[..., None, None, None]
+            dg_dtau = 0.5 * cfg.pseudo_cfl / (1.0 + alpha_dt * rate)
             dg_work = np.empty_like(dg_lin.u0)
         top = levels[finest]
 

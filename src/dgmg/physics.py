@@ -128,11 +128,21 @@ def primitives(U: np.ndarray, c: PhysConstants) -> tuple:
     return rho, U[..., RHO_U] / rho, U[..., RHO_W] / rho, rt, p, np.sqrt(c.gamma * p / rho)
 
 
-def wave_speeds(U: np.ndarray, c: PhysConstants) -> tuple[np.ndarray, np.ndarray]:
-    """Directional max wave speeds (|u| + c_s, |w| + c_s) of the states U,
-    for CFL estimates and pseudo-time steps."""
-    _, u, w, _, _, cs = primitives(U, c)
+def wave_speeds(P) -> tuple[np.ndarray, np.ndarray]:
+    """Directional max wave speeds (|u| + c_s, |w| + c_s) of the states whose
+    primitives are P (see primitives)."""
+    _, u, w, _, _, cs = P
     return np.abs(u) + cs, np.abs(w) + cs
+
+
+def stiffness_rate(lx, lz, hx: float, hz: float, mu: float):
+    """The stiffness rate lx/hx + lz/hz + 2 mu (1/hx^2 + 1/hz^2) of cells
+    with wave speeds lx, lz and spacings hx, hz: an explicit step, physical
+    or pseudo, is stable up to about one over it."""
+    rate = lx / hx + lz / hz
+    if mu > 0.0:
+        rate = rate + 2.0 * mu * (1.0 / hx**2 + 1.0 / hz**2)
+    return rate
 
 
 def hllc_flux_axis(PL, PR, axis: int, c: PhysConstants) -> np.ndarray:

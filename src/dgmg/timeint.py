@@ -383,9 +383,11 @@ def sdirk2_step(
     return U2, stats
 
 
-def ssprk34_step(f, U: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """4-stage, 3rd-order strong-stability-preserving step."""
+def ssprk34_step(f, U: np.ndarray, t: float, dt: float) -> tuple[np.ndarray, list[StageStats]]:
+    """One 4-stage, 3rd-order strong-stability-preserving step: the new
+    solution value and the StageStats of the step, one row at t + dt whose
+    dg_ops counts its four calls of f."""
     u1 = U + 0.5 * dt * f(U, t)
     u2 = u1 + 0.5 * dt * f(u1, t + 0.5 * dt)
     u3 = (2.0 / 3.0) * U + (1.0 / 3.0) * u2 + (dt / 6.0) * f(u2, t + dt)
-    return u3 + 0.5 * dt * f(u3, t + 0.5 * dt)
+    return u3 + 0.5 * dt * f(u3, t + 0.5 * dt), [StageStats(t + dt, dg_ops=4)]

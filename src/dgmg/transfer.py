@@ -12,8 +12,8 @@ cell-center quadrature weights, which are exact for tensor cubics, so
 T^mf = (I - 11^T/p^2 + 1 w^T)(T1 x T1) with w the tensor weights.
 
 The forward maps are one GEMM of the (cells, 4p^2) view against
-kron(M, I_4).T (dg.kron_eye_t) for their per-cell matrix M, batched over
-subcell rows so that they write the FV layout directly. The inverse map
+kron(M, I_4).T (dg.kron_t(M, np.eye(4))) for their per-cell matrix M,
+batched over subcell rows so that they write the FV layout directly. The inverse map
 reads its input a component at a time, as the multigrid cycle holds it,
 and is one GEMM of the (4 * cells, p^2) operand against
 kron(T1^-1, T1^-1).T.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dg import DGBasis, kron_eye_t, kron_t
+from .dg import DGBasis, kron_t
 from .quadrature import modified_newton_cotes
 
 
@@ -39,7 +39,7 @@ class TransferOperators:
         massfix = np.eye(p * p) - 1.0 / (p * p) + w
         # forward operands with their columns (m, n, c) split by subcell row m
         self._to_fv, self._to_fv_massfix = (
-            kron_eye_t(M, 4).reshape(-1, p, 4 * p).transpose(1, 0, 2)
+            kron_t(M, np.eye(4)).reshape(-1, p, 4 * p).transpose(1, 0, 2)
             for M in (T, massfix @ T)
         )
         self._to_dg = kron_t(T1inv, T1inv)

@@ -25,6 +25,12 @@ transfer matrices come from subcell_matrices, and
 transfer_cell_matrices reads a cell's matrices of both transfer
 directions off the production maps.
 
+stiffness_rate is the per-cell rate of the explicit and pseudo-time step
+bounds from conserved states, with the velocities, pressure and sound
+speed recomputed from the components in the order of the package's
+primitives, so that the rates of the DG and FV operators and the FV
+pseudo steps match it bit for bit; pseudo_dtau is that pseudo step.
+
 fv_jacobian is the dense Jacobian of a tendency such as fv_reference, one
 FD column per unknown, that the face-flux stencil assembly of
 fv.FVLinearization must reproduce. stencil_matvec applies an assembled linearization in
@@ -413,6 +419,26 @@ def tensorize(rule):
     points = np.column_stack([x.ravel(), y.ravel()])
     weights = (wx * wy).ravel()
     return QuadRule2D(points, weights, degree=rule.degree)
+
+
+def stiffness_rate(full, hx, hz, c, node_axes=()):
+    """(|u| + c_s)/hx + (|w| + c_s)/hz + 2 mu (1/hx^2 + 1/hz^2) of the total
+    states full (..., 4), each directional speed first maximized over
+    node_axes (the nodes of a DG cell) when given."""
+    rho = full[..., RHO]
+    p = c.p0 * (c.R_d * full[..., RHO_THETA] / c.p0) ** c.gamma
+    cs = np.sqrt(c.gamma * p / rho)
+    lx, lz = (np.max(np.abs(full[..., m] / rho) + cs, axis=node_axes) for m in (RHO_U, RHO_W))
+    rate = lx / hx + lz / hz
+    if c.mu > 0.0:
+        rate = rate + 2.0 * c.mu * (1.0 / hx**2 + 1.0 / hz**2)
+    return rate
+
+
+def pseudo_dtau(full, hx, hz, c, cfl, alpha_dt):
+    """The pseudo step cfl / (1 + alpha_dt * rate) of cells with the total
+    states full (nz, nx, 4) and spacings hx, hz."""
+    return cfl / (1.0 + alpha_dt * stiffness_rate(full, hx, hz, c))
 
 
 def fv_jacobian(tendency, u0, steps):

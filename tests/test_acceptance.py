@@ -181,7 +181,7 @@ def test_criterion_06_integrator_orders():
     for dt in (0.05, 0.025):
         u, t = np.array([1.0]), 0.0
         for _ in range(int(round(1.0 / dt))):
-            u = ssprk34_step(f, u, t, dt)
+            u, _ = ssprk34_step(f, u, t, dt)
             t += dt
         errs.append(abs(u[0] - exact))
     order_explicit = np.log2(errs[0] / errs[1])
@@ -261,7 +261,7 @@ def test_criterion_10_explicit_conservation_and_symmetry():
     nsteps = int(np.ceil(t_end / dt))
     dt = t_end / nsteps
     for _ in range(nsteps):
-        U = ssprk34_step(lambda u, tt: op(u, tt), U, t, dt)
+        U, _ = ssprk34_step(lambda u, tt: op(u, tt), U, t, dt)
         t += dt
     mass = total_mass(op, U, 0)
     mass_drift = abs(mass - mass0) / abs(mass0)

@@ -28,20 +28,25 @@ def stage_matrix(op, case, u0, alpha_dt):
     return np.eye(J.shape[0]) - alpha_dt * J
 
 
+def perturbation(bg, c, rng, amplitude=0.05):
+    """A random perturbation of the background states bg (..., 4): density
+    and rho*theta change by up to the amplitude (relative), the velocities
+    by up to 10 * amplitude times the background sound speed."""
+    cs = physics.primitives(bg, c)[5]
+    r = rng.uniform(-1.0, 1.0, bg.shape)
+    u = amplitude * r * bg
+    u[..., 1:3] = 10 * amplitude * r[..., 1:3] * (bg[..., 0] * cs)[..., None]
+    return u
+
+
 def random_state(op, rng, amplitude=0.05):
-    """An admissible perturbation of the background of the FV level op:
-    density and rho*theta change by up to the amplitude (relative), the
-    velocities by up to 10 * amplitude times the background sound speed. A
-    draw whose stencil assembly fails is drawn again: flow leaving a slip
-    wall at half the sound speed can empty the HLLC star state of the
-    mirrored Riemann problem. Leaves op assembled at the state returned,
-    with alpha_dt = 1."""
-    bg = op.bg
-    cs = physics.primitives(bg, op.constants)[5]
+    """An admissible perturbation of the background of the FV level op, as
+    perturbation draws it. A draw whose stencil assembly fails is drawn
+    again: flow leaving a slip wall at half the sound speed can empty the
+    HLLC star state of the mirrored Riemann problem. Leaves op assembled at
+    the state returned, with alpha_dt = 1."""
     while True:
-        r = rng.uniform(-1.0, 1.0, bg.shape)
-        u = amplitude * r * bg
-        u[..., 1:3] = 10 * amplitude * r[..., 1:3] * (bg[..., 0] * cs)[..., None]
+        u = perturbation(op.bg, op.constants, rng, amplitude)
         try:
             op.assemble(u, 1.0)
         except InadmissibleStateError:

@@ -19,14 +19,13 @@ from dgmg.mgprecond import (
     MGConfig,
     MGConfigError,
     MultigridPreconditioner,
-    _pseudo_dtau,
     mg_cycle,
     parse_mg_config,
     prolong,
     restrict,
     smooth,
 )
-from dgmg.physics import FaceAxis, wave_speeds
+from dgmg.physics import FaceAxis
 from dgmg.timeint import (
     SDIRK2_ALPHA,
     FDLinearization,
@@ -34,7 +33,7 @@ from dgmg.timeint import (
     sdirk2_step,
 )
 from test_faces import with_viscosity
-from test_fv import apply, field, random_state
+from test_fv import apply, field, perturbation, random_state
 
 
 def faces_of(periodic):
@@ -278,6 +277,37 @@ BENCHMARK_GRIDS = [
 ]
 
 
+@functools.cache
+def small_stack(name):
+    """A 2x2-cell k = 3 setup of a case and its FV levels."""
+    setup = make_setup(name, 2, 2, 0)
+    return setup, setup.fv_levels()
+
+
+class TestStiffnessRate:
+    """The rate each operator supplies to its step bounds is the reference
+    rate of its states, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(cases.CASES)), level=st.integers(0, 2),
+           amplitude=st.floats(0.0, 0.05), cfl=st.floats(0.1, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_operators_supply_the_reference_rate(self, name, level, amplitude, cfl, seed):
+        # the density current has mu = 75
+        setup, fv_ops = small_stack(name)
+        op, rng = setup.dg_op, np.random.default_rng(seed)
+        Up = perturbation(op.bg_vol, op.constants, rng, amplitude)
+        fac = 2 * op.basis.k + 1
+        rate = op.rate(Up)
+        assert np.array_equal(rate, references.stiffness_rate(
+            Up + op.bg_vol, op.dx / fac, op.dz / fac, op.constants, node_axes=(2, 3)))
+        assert op.stable_dt(Up, cfl) == cfl / rate.max()
+        lin = fv_ops[level]
+        u0 = random_state(lin, rng, amplitude)
+        assert np.array_equal(lin.assemble(u0, 1.0), references.stiffness_rate(
+            u0 + lin.bg, lin.dx, lin.dz, lin.constants))
+
+
 class TestSmootherStability:
     """The pseudo steps keep z = dtau * lambda in the disc |z - 1| <= 1,
     and an FV smoothing step, whose stability polynomial is (1 - z)^s,
@@ -448,8 +478,8 @@ class TestCycleAgainstReference:
             lin = FVLinearization(h, l, case)
             u0 = random_state(lin, rng)
             lin.assemble(u0, alpha_dt)
-            dtau = _pseudo_dtau(*wave_speeds(u0 + lin.bg, lin.constants), lin.dx, lin.dz,
-                                lin.constants.mu, 1.0, alpha_dt)
+            dtau = references.pseudo_dtau(u0 + lin.bg, lin.dx, lin.dz, lin.constants, 1.0,
+                                          alpha_dt)
             neighbours = references.stencil_neighbours(lin.nz, lin.nx, periodic_x, periodic_z)
             levels.append(Level(lin.matvec, dtau.astype(np.float32), (lin.xfaces, lin.zfaces),
                                 np.zeros((4, lin.nz, lin.nx), dtype=np.float32)))
@@ -606,8 +636,8 @@ class TestPrecondition:
             return v.reshape(v.shape[0] // 2, 2, v.shape[1] // 2, 2, 4).mean(axis=(1, 3))
 
         u = child_mean(child_mean(tr.dg_to_fv(U)))
-        dtau = _pseudo_dtau(*wave_speeds(u + op.bg, op.constants), op.dx, op.dz,
-                            op.constants.mu, mg.cfg.pseudo_cfl, alpha_dt)
+        dtau = references.pseudo_dtau(u + op.bg, op.dx, op.dz, op.constants,
+                                      mg.cfg.pseudo_cfl, alpha_dt)
         level = levels[l]
         # inertia-gravity: periodic in x, slip walls in z
         assert level.faces == (op.xfaces, op.zfaces) == faces_of((True, False))

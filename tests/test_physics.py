@@ -323,16 +323,16 @@ class TestMaxWaveSpeed:
         U = rest_state(DC, T=300.0)
         expected = np.sqrt(DC.gamma * DC.R_d * 300.0)
         assert expected == pytest.approx(347.2, abs=0.1)
-        for speed in wave_speeds(U, DC):
+        for speed in wave_speeds(primitives(U, DC)):
             assert speed == pytest.approx(expected, rel=1e-12)
 
     def test_velocity_adds_along_normal(self):
         U = rest_state(DC)
-        base_x, base_z = wave_speeds(U, DC)
+        base_x, base_z = wave_speeds(primitives(U, DC))
         U2 = U.copy()
         U2[1] = U2[0] * 17.0
         U2[2] = -U2[0] * 5.0
-        lx, lz = wave_speeds(U2, DC)
+        lx, lz = wave_speeds(primitives(U2, DC))
         assert lx == pytest.approx(base_x + 17.0, rel=1e-12)
         assert lz == pytest.approx(base_z + 5.0, rel=1e-12)
 
@@ -341,4 +341,4 @@ class TestMaxWaveSpeed:
         for _ in range(10):
             U = state(0.1 + rng.random(), rng.standard_normal(), rng.standard_normal(),
                       200.0 + 200.0 * rng.random())
-            assert all(speed > 0.0 for speed in wave_speeds(U, DC))
+            assert all(speed > 0.0 for speed in wave_speeds(primitives(U, DC)))

@@ -450,19 +450,19 @@ class TestFDLinearization:
 class TestSSPRK34:
     def test_zero_rhs_identity(self):
         U = np.array([2.0, -1.0])
-        out = ssprk34_step(lambda u, t: np.zeros_like(u), U, 0.0, 0.3)
+        out, _ = ssprk34_step(lambda u, t: np.zeros_like(u), U, 0.0, 0.3)
         assert np.array_equal(out, U)
 
     def test_linear_amplification_closed_form(self):
         # stage algebra gives R(z) = (1 + z/2) * (2/3 + (1/3)(1 + z/2)^3)
         for z in (0.1, -0.4, 0.25):
-            out = ssprk34_step(lambda u, t: z * u, np.array([1.0]), 0.0, 1.0)
+            out, _ = ssprk34_step(lambda u, t: z * u, np.array([1.0]), 0.0, 1.0)
             expected = (1 + z / 2) * (2.0 / 3.0 + (1.0 / 3.0) * (1 + z / 2) ** 3)
             assert out[0] == pytest.approx(expected, rel=1e-14)
 
     def test_third_order_taylor_match(self):
         z = 0.1
-        out = ssprk34_step(lambda u, t: z * u, np.array([1.0]), 0.0, 1.0)
+        out, _ = ssprk34_step(lambda u, t: z * u, np.array([1.0]), 0.0, 1.0)
         taylor3 = 1 + z + z**2 / 2 + z**3 / 6
         assert abs(out[0] - taylor3) < z**4
         # the z^4 coefficient of this scheme is 1/48
@@ -476,8 +476,20 @@ class TestSSPRK34:
         for dt in (0.05, 0.025):
             u, t = np.array([1.0]), 0.0
             for _ in range(int(round(1.0 / dt))):
-                u = ssprk34_step(f, u, t, dt)
+                u, _ = ssprk34_step(f, u, t, dt)
                 t += dt
             errs.append(abs(u[0] - 0.5))
         ratio = errs[0] / errs[1]
         assert 6.8 <= ratio <= 9.5, (errs, ratio)
+
+    def test_dg_ops_count_the_calls_of_the_step(self):
+        calls = []
+
+        def f(u, t):
+            calls.append(t)
+            return -u * u
+
+        t, dt = 0.3, 0.1
+        _, stats = ssprk34_step(f, np.array([1.0, 0.5]), t, dt)
+        assert len(stats) == 1
+        assert (stats[0].time, stats[0].stage, stats[0].dg_ops) == (t + dt, 0, len(calls))

@@ -12,7 +12,10 @@ in its output directory. The two output directories (stats.csv, every
 snapshot and stderr.txt) are compared byte for byte. The files that differ
 are listed, and the exit code is 1 if any do. The line totals of
 src/dgmg/*.py in both trees are printed too, the count a design change
-reports next to its byte-identity check. perfbench/ is only read.
+reports next to its byte-identity check, followed by the line counts of
+each module that differs between the trees (such as `mgprecond.py: 353 ->
+340`; a module missing from one tree counts 0 lines there), which show
+where the lines went. perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -77,13 +80,15 @@ def differing(a: str, b: str) -> list[str]:
                           and filecmp.cmp(os.path.join(a, n), os.path.join(b, n), shallow=False)))
 
 
-def line_total(src: str) -> int:
-    """Lines of the package's modules, as `wc -l src/dgmg/*.py` counts them."""
-    total = 0
+def module_lines(src: str) -> dict[str, tuple[int, bytes]]:
+    """name -> (lines, contents) of the package's modules, the lines as
+    `wc -l src/dgmg/*.py` counts them."""
+    modules = {}
     for path in glob.glob(os.path.join(src, "dgmg", "*.py")):
         with open(path, "rb") as fh:
-            total += fh.read().count(b"\n")
-    return total
+            text = fh.read()
+        modules[os.path.basename(path)] = (text.count(b"\n"), text)
+    return modules
 
 
 def main(argv: list[str]) -> int:
@@ -97,8 +102,13 @@ def main(argv: list[str]) -> int:
                                  check=True).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
         trees = {"rev": os.path.join(base, "src"), "work": os.path.join(ROOT, "src")}
-        print(f"src/dgmg/*.py: {line_total(trees['rev'])} lines at {rev}, "
-              f"{line_total(trees['work'])} in the working tree")
+        old, new = (module_lines(trees[side]) for side in ("rev", "work"))
+        print(f"src/dgmg/*.py: {sum(n for n, _ in old.values())} lines at {rev}, "
+              f"{sum(n for n, _ in new.values())} in the working tree")
+        for module in sorted(old.keys() | new.keys()):
+            before, after = old.get(module, (0, None)), new.get(module, (0, None))
+            if before[1] != after[1]:
+                print(f"  {module}: {before[0]} -> {after[0]}")
         bad = []
         for name, config in workloads().items():
             outs = {}
