@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgmg.dg import DGBasis
@@ -22,11 +22,6 @@ class TestBuildHierarchy:
     @given(base_nx=st.integers(1, 8), base_nz=st.integers(1, 8), dg_level=st.integers(0, 3),
            k=st.sampled_from([0, 1, 3, 7]), width=st.floats(1e-3, 1e6),
            height=st.floats(1e-3, 1e6))
-    # every order k + 1 = 2^n of the search, on a 2x2 base at dg_level 1
-    @example(base_nx=2, base_nz=2, dg_level=1, k=0, width=1.0, height=1.0)
-    @example(base_nx=2, base_nz=2, dg_level=1, k=1, width=1.0, height=1.0)
-    @example(base_nx=2, base_nz=2, dg_level=1, k=3, width=1.0, height=1.0)
-    @example(base_nx=2, base_nz=2, dg_level=1, k=7, width=1.0, height=1.0)
     def test_levels_nest_from_the_base_to_the_fv_subgrid(self, base_nx, base_nz, dg_level, k,
                                                          width, height):
         dom = Domain2D(-0.5 * width, 0.5 * width, 0.0, height)
@@ -46,10 +41,6 @@ class TestBuildHierarchy:
 
     @given(base_nx=st.integers(0, 8), base_nz=st.integers(0, 8), dg_level=st.integers(-3, 3),
            k=st.integers(0, 7))
-    # orders whose k + 1 is not a power of two, on a 1x1 base at dg_level 0
-    @example(base_nx=1, base_nz=1, dg_level=0, k=2)
-    @example(base_nx=1, base_nz=1, dg_level=0, k=4)
-    @example(base_nx=1, base_nz=1, dg_level=0, k=6)
     def test_rejects_what_does_not_nest(self, base_nx, base_nz, dg_level, k):
         # a zero base dim, a negative dg_level, or k in {2, 4, 5, 6}, whose
         # k + 1 subcells per side no binary coarsening reaches
@@ -80,6 +71,17 @@ class TestBuildHierarchy:
         h = GridHierarchy(dom, 160, 5, 1, 3)
         assert (h.nx[h.dg_level], h.nz[h.dg_level]) == (320, 10)
         assert h.dx[h.dg_level] == pytest.approx(937.5)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_rejects_k_plus_one_not_power_of_two(self, k):
+        with pytest.raises(ValueError):
+            GridHierarchy(Domain2D(0, 1, 0, 1), 1, 1, 0, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 7])
+    def test_accepts_power_of_two_orders(self, k):
+        h = GridHierarchy(Domain2D(0, 1, 0, 1), 2, 2, 1, k)
+        assert h.n_levels == 1 + int(np.log2(k + 1)) + 1
+        assert h.fv_level == h.n_levels - 1
 
 
 class TestChildrenParent:
