@@ -7,8 +7,14 @@ correction back, optionally wrapped in pseudo-time smoothing sweeps on
 the DG system itself. The outer DG system stays Jacobian-free: the DG
 sweeps use the Newton iteration's FD linearization. The FV levels use
 assembled stencils (fv.FVLinearization), made once per run and
-re-assembled in place by begin_step at the state each time step starts
-from, then lagged over the step (Knoll & Keyes, J. Comput. Phys. 2004).
+assembled in place by begin_step at the state a time step starts from.
+The stack is then lagged over that step and the steps after it (Knoll &
+Keyes, J. Comput. Phys. 2004). begin_step rebuilds it only when alpha*dt
+changes, since the blocks hold alpha*dt*J and the pseudo steps depend on
+it, or when the last step's GMRES iterations per Newton iteration exceed
+REBUILD_GROWTH times those of the first step that used the stack. In
+these low-Mach flows the stage Jacobian is dominated by the sound speed
+and the hydrostatic background, which barely move from step to step.
 
 The FV cycle runs in float32 on component-major vectors (4, nz, nx):
 the residual is copied once into that form when it enters the cycle and
@@ -81,6 +87,11 @@ from .transfer import TransferOperators
 
 # stages s of each FV smoothing step, whose stability polynomial is (1 - z)^s
 RK_STAGES = 3
+
+# begin_step rebuilds a kept FV stack when a step's preconditioner
+# applications per factory call (GMRES iterations per Newton iteration)
+# exceed this multiple of those of the first step that used the stack
+REBUILD_GROWTH = 1.5
 
 
 class MGConfigError(ValueError):
@@ -277,8 +288,10 @@ class MultigridPreconditioner:
     Holds the FV level of every hierarchy level (fv.FVLinearization), the
     cycle's Level of each, made once, the DG/FV transfer, and the cycle
     configuration. begin_step(U, alpha_dt) freezes the FV levels and
-    alpha_dt at the state U a time step starts from; every factory() call
-    of the step, for both stages and every Newton iteration, reuses them.
+    alpha_dt at the state U of the step that builds the stack; every
+    factory() call of that step and of the steps that keep the stack, for
+    both stages and every Newton iteration, reuses them. factory and the
+    closures it returns count their calls for begin_step's rebuild rule.
     The DG side (the outer Jacobian-free linearization and its pseudo-time
     steps) follows the current Newton iterate. The returned closure
     applies one cycle per call and returns float64 of its input's shape;
@@ -297,13 +310,31 @@ class MultigridPreconditioner:
         self.transfer = transfer
         self.cfg = cfg
         self.forward = transfer.dg_to_fv_massfix if use_massfix else transfer.dg_to_fv
-        self.alpha_dt: float | None = None  # of the step begin_step froze
+        self.alpha_dt: float | None = None  # of the step that built the stack
+        # factory calls and applications since the last begin_step
+        self.factories = 0
+        self.applies = 0
+        # applications per factory call of the first step on the stack
+        self.baseline: float | None = None
 
     def begin_step(self, U: np.ndarray, alpha_dt: float) -> None:
-        """Start a time step at the DG state U: transfer U to the finest FV
-        level, restrict it down the levels, and re-assemble each level's
-        stencil and pseudo steps in place at alpha_dt."""
-        self.alpha_dt = alpha_dt
+        """Start a time step at the DG state U. Keep the stack unless there
+        is none yet, alpha_dt differs from the one it was built at, or the
+        last step's applications per factory call exceed REBUILD_GROWTH
+        times the baseline; a step without factory calls sets no baseline.
+        To rebuild, transfer U to the finest FV level, restrict it down
+        the levels, and re-assemble each level's stencil and pseudo steps in
+        place at alpha_dt."""
+        stale = False
+        if self.factories:
+            per_factory = self.applies / self.factories
+            if self.baseline is None:
+                self.baseline = per_factory
+            stale = per_factory > REBUILD_GROWTH * self.baseline
+        self.factories = self.applies = 0
+        if alpha_dt == self.alpha_dt and not stale:
+            return
+        self.alpha_dt, self.baseline = alpha_dt, None
         u = self.forward(U)
         for l in reversed(range(len(self.levels))):
             lin, level = self.linearizations[l], self.levels[l]
@@ -313,6 +344,7 @@ class MultigridPreconditioner:
                 u = restrict(u.transpose(2, 0, 1)).transpose(1, 2, 0)
 
     def factory(self, dg_lin):
+        self.factories += 1
         cfg, alpha_dt, levels = self.cfg, self.alpha_dt, self.levels
         finest = len(levels) - 1
         if cfg.dg_pre or cfg.dg_post:
@@ -326,6 +358,7 @@ class MultigridPreconditioner:
         top = levels[finest]
 
         def precondition(y: np.ndarray) -> np.ndarray:
+            self.applies += 1
             x = np.zeros_like(y)
             if cfg.dg_pre:
                 smooth(dg_lin.matvec, x, y, cfg.dg_pre, dg_dtau, dg_work, zero=True)

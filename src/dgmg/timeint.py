@@ -345,9 +345,11 @@ def sdirk2_step(
     Stage right-hand sides follow the tableau; f(U1) is recovered from the
     solved first stage as (U1 - Ubar1)/(alpha*dt), avoiding an extra
     operator call. precond, if given, preconditions the stage solves:
-    precond.begin_step(U, alpha*dt) freezes what it lags over the step,
-    and precond.factory(lin) builds the preconditioner of each Newton
-    iterate's linearization lin. A stage's dg_ops counts its calls of f.
+    precond.begin_step(U, alpha*dt) starts the step and decides whether
+    what the preconditioner lags is kept from the steps before or frozen
+    anew at U, and precond.factory(lin) builds the preconditioner of each
+    Newton iterate's linearization lin. A stage's dg_ops counts its calls
+    of f.
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")

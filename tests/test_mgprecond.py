@@ -1,3 +1,4 @@
+import csv
 import functools
 import tracemalloc
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import references
 from conftest import advection_case, make_setup, rms
-from dgmg import cases, mesh, mgprecond, physics
+from dgmg import cases, cli, mesh, mgprecond, physics
 from dgmg.cases import build_initial_state
 from dgmg.fv import FVLinearization
 from dgmg.mgprecond import (
@@ -648,13 +649,13 @@ class TestPrecondition:
         fresh.assemble(u, alpha_dt)
         assert np.array_equal(level.matvec(w, np.empty_like(w)), apply(fresh, w))
 
-    def test_fv_stack_assembled_once_per_step(self, ig_precond, fv_calls, monkeypatch):
-        # a run makes one FV level per hierarchy level; each step's
-        # begin_step re-assembles each of them once, and nothing else
-        # assembles: no factory call, of either stage or any Newton
-        # iteration, and no application. At step 2 the kept stack
-        # preconditions as a new one frozen at the state that step starts
-        # from.
+    def test_fv_stack_assembled_once_per_run(self, ig_precond, fv_calls, monkeypatch):
+        # a run makes one FV level per hierarchy level; over two steps at a
+        # fixed dt only the first step's begin_step assembles them, once
+        # each, and nothing else assembles: no factory call, of either stage
+        # or any Newton iteration, and no application. After step 2 the kept
+        # stack preconditions as a new one frozen at the state step 1
+        # started from.
         setup, _, tr, _, _ = ig_precond
         cfg = parse_mg_config("mg001111V")
         fv_ops = setup.fv_levels()
@@ -668,25 +669,24 @@ class TestPrecondition:
             in_begin_step.extend(fv_calls["assembled"][before:])
 
         monkeypatch.setattr(MultigridPreconditioner, "begin_step", counting_begin_step)
-        U = build_initial_state(setup.case, setup.dg_op)
-        for step in range(2):
-            start = U
+        start = U = build_initial_state(setup.case, setup.dg_op)
+        for step, built in enumerate([fv_ops, []]):
             fv_calls["assembled"].clear()
             in_begin_step.clear()
             U, stats = sdirk2_step(
                 lambda u, t: setup.dg_op(u, t), U, 25.0 * step, 25.0,
                 weights=setup.dg_op.norm_weights, precond=mg,
             )
-            assert sorted(map(id, fv_calls["assembled"])) == sorted(map(id, fv_ops))
+            assert sorted(map(id, fv_calls["assembled"])) == sorted(map(id, built))
             assert in_begin_step == fv_calls["assembled"]
             assert all(st.newton_iters > 0 for st in stats)
         assert fv_calls["made"] == fv_ops
         alpha_dt = SDIRK2_ALPHA * 25.0
 
         def G(V):
-            return V - alpha_dt * setup.dg_op(V, 25.0) - start
+            return V - alpha_dt * setup.dg_op(V, 25.0) - U
 
-        lin = FDLinearization(G, start, G(start), setup.dg_op.norm_weights)
+        lin = FDLinearization(G, U, G(U), setup.dg_op.norm_weights)
         y = np.random.default_rng(15).standard_normal(U.shape) * 1e-4
         kept = mg.factory(lin)(y)
         fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
@@ -746,6 +746,152 @@ class TestPrecondition:
         )
         assert (sum(s.gmres_iters for s in stats_mg)
                 < sum(s.gmres_iters for s in stats_plain))
+
+
+class TestRebuildRule:
+    """begin_step keeps the FV stack while alpha_dt holds and a step's
+    applications per factory call stay within REBUILD_GROWTH times those
+    of the first step on the stack. The tests make a step's factory calls
+    and applications by hand, without a solver, and count the assemblies."""
+
+    @staticmethod
+    def step(mg, lin, factories, applies):
+        """One step's factory calls and applications, the applications made
+        with the closure of the last factory call."""
+        M = None
+        for _ in range(factories):
+            M = mg.factory(lin)
+        for _ in range(applies):
+            M(np.zeros_like(lin.u0))
+
+    @staticmethod
+    def built(fv_calls, fv_ops):
+        """Whether the assemblies since the last check were one per FV
+        level (True) or none (False); clears the record."""
+        assembled = sorted(map(id, fv_calls["assembled"]))
+        fv_calls["assembled"].clear()
+        assert assembled in ([], sorted(map(id, fv_ops)))
+        return bool(assembled)
+
+    def test_keeps_the_stack_within_the_growth_bound(self, ig_precond, fv_calls):
+        setup, fv_ops, tr, lin, alpha_dt = ig_precond
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
+        mg.begin_step(lin.u0, alpha_dt)
+        assert self.built(fv_calls, fv_ops)
+        # the baseline is 5 applications per factory call; 7.5 is at the bound
+        for factories, applies in [(2, 10), (2, 15), (4, 30), (1, 2)]:
+            self.step(mg, lin, factories, applies)
+            mg.begin_step(2.0 * lin.u0, alpha_dt)
+            assert not self.built(fv_calls, fv_ops)
+
+    def test_rebuilds_when_applications_per_factory_call_grow(self, ig_precond, fv_calls):
+        # past the bound the stack is rebuilt at the state the step starts
+        # from, and the first step on the new stack sets the new baseline
+        setup, fv_ops, tr, lin, alpha_dt = ig_precond
+        cfg = parse_mg_config("mg001111V")
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, cfg)
+        mg.begin_step(lin.u0, alpha_dt)
+        self.built(fv_calls, fv_ops)
+        self.step(mg, lin, 2, 10)
+        mg.begin_step(lin.u0, alpha_dt)
+        self.step(mg, lin, 2, 16)
+        U = 2.0 * lin.u0
+        mg.begin_step(U, alpha_dt)
+        assert self.built(fv_calls, fv_ops)
+        y = np.random.default_rng(16).standard_normal(U.shape) * 1e-4
+        fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
+        fresh.begin_step(U, alpha_dt)
+        assert np.array_equal(mg.factory(lin)(y), fresh.factory(lin)(y))
+        fv_calls["assembled"].clear()
+        # with that application the step makes 2 factory calls and 8
+        # applications: 4 is the new baseline, 6 its bound
+        self.step(mg, lin, 1, 7)
+        mg.begin_step(U, alpha_dt)
+        self.step(mg, lin, 2, 12)
+        mg.begin_step(U, alpha_dt)
+        assert not self.built(fv_calls, fv_ops)
+        self.step(mg, lin, 2, 13)
+        mg.begin_step(U, alpha_dt)
+        assert self.built(fv_calls, fv_ops)
+
+    def test_rebuilds_at_a_new_alpha_dt(self, ig_precond, fv_calls):
+        # a shortened last step, min(dt, t_final - t), has a new alpha_dt
+        setup, fv_ops, tr, lin, alpha_dt = ig_precond
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
+        mg.begin_step(lin.u0, alpha_dt)
+        self.built(fv_calls, fv_ops)
+        self.step(mg, lin, 2, 10)
+        mg.begin_step(lin.u0, 0.4 * alpha_dt)
+        assert self.built(fv_calls, fv_ops)
+        y = np.random.default_rng(17).standard_normal(lin.u0.shape) * 1e-4
+        fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, mg.cfg)
+        fresh.begin_step(lin.u0, 0.4 * alpha_dt)
+        assert np.array_equal(mg.factory(lin)(y), fresh.factory(lin)(y))
+        fv_calls["assembled"].clear()
+        self.step(mg, lin, 2, 10)
+        mg.begin_step(lin.u0, 0.4 * alpha_dt)
+        assert not self.built(fv_calls, fv_ops)
+        mg.begin_step(lin.u0, alpha_dt)
+        assert self.built(fv_calls, fv_ops)
+
+    def test_step_without_factory_calls_sets_no_baseline(self, ig_precond, fv_calls):
+        # a step from rest makes no Newton iteration; the first step that
+        # makes one (4 applications per factory call) sets the baseline, so
+        # 6 stays within its bound and 7 rebuilds
+        setup, fv_ops, tr, lin, alpha_dt = ig_precond
+        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
+        mg.begin_step(lin.u0, alpha_dt)
+        self.built(fv_calls, fv_ops)
+        for factories, applies in [(0, 0), (0, 0), (1, 4), (1, 6)]:
+            self.step(mg, lin, factories, applies)
+            mg.begin_step(lin.u0, alpha_dt)
+            assert not self.built(fv_calls, fv_ops)
+        self.step(mg, lin, 1, 7)
+        mg.begin_step(lin.u0, alpha_dt)
+        assert self.built(fv_calls, fv_ops)
+
+
+class TestLaggedStackRuns:
+    """cli.run on the ig-mg-coarse benchmark configuration keeps the stack
+    of its first step, with the Newton and GMRES counts of a stack rebuilt
+    every step (32 and 173 over 8 steps)."""
+
+    CONFIG = dict(case="inertia-gravity", level=2, base_nx=10, base_nz=1, dt=25.0,
+                  mg="mg001111V", transfer="interp")
+
+    def run(self, tmp_path, monkeypatch, fv_calls, t_final):
+        """The stats rows of a run to t_final, and the alpha_dt of each
+        begin_step that assembled."""
+        builds = []
+        begin_step = MultigridPreconditioner.begin_step
+
+        def recording_begin_step(self, U, alpha_dt):
+            before = len(fv_calls["assembled"])
+            begin_step(self, U, alpha_dt)
+            if len(fv_calls["assembled"]) > before:
+                builds.append(alpha_dt)
+
+        monkeypatch.setattr(MultigridPreconditioner, "begin_step", recording_begin_step)
+        assert cli.run(cli.RunConfig(**self.CONFIG, t_final=t_final, outdir=str(tmp_path))) == 0
+        with open(tmp_path / "stats.csv") as fh:
+            return list(csv.DictReader(fh)), builds
+
+    def test_eight_steps_assemble_each_level_once(self, tmp_path, monkeypatch, fv_calls):
+        rows, builds = self.run(tmp_path, monkeypatch, fv_calls, 200.0)
+        assert len(rows) == 16
+        assert sum(int(r["newton_iters"]) for r in rows) == 32
+        assert sum(int(r["gmres_iters"]) for r in rows) <= 173
+        assert builds == [SDIRK2_ALPHA * 25.0]
+        assert len(fv_calls["made"]) == 5
+        assert sorted(map(id, fv_calls["assembled"])) == sorted(map(id, fv_calls["made"]))
+
+    def test_shortened_last_step_assembles_again(self, tmp_path, monkeypatch, fv_calls):
+        # 110 s is four 25 s steps and a 10 s one
+        rows, builds = self.run(tmp_path, monkeypatch, fv_calls, 110.0)
+        assert [float(r["time"]) for r in rows[1::2]] == pytest.approx([25, 50, 75, 100, 110])
+        assert builds == [SDIRK2_ALPHA * 25.0, SDIRK2_ALPHA * 10.0]
+        assert Counter(map(id, fv_calls["assembled"])) == Counter(
+            {id(lin): 2 for lin in fv_calls["made"]})
 
 
 class TestWorkspace:

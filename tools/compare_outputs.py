@@ -10,7 +10,12 @@ BLAS pinned to one thread and PYTHONDONTWRITEBYTECODE=1. A run's stderr,
 where the unconverged GMRES solves are reported, is written to stderr.txt
 in its output directory. The two output directories (stats.csv, every
 snapshot and stderr.txt) are compared byte for byte. The files that differ
-are listed, and the exit code is 1 if any do. The line totals of
+are listed, and the exit code is 1 if any do. When a stats.csv differs,
+the line under it says whether its newton_iters, gmres_iters and dg_ops
+columns are equal in both runs, and gives the largest relative L2
+difference over the fields of the final snapshots, ||a - b|| / ||a|| with
+a the REV run's field: a change that moves outputs only within the Newton
+tolerance keeps the counts and shows a difference of that order. The line totals of
 src/dgmg/*.py in both trees are printed too, the count a design change
 reports next to its byte-identity check, followed by the line counts of
 each module that differs between the trees (such as `mgprecond.py: 353 ->
@@ -20,6 +25,7 @@ where the lines went. perfbench/ is only read.
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import glob
 import importlib.util
@@ -29,12 +35,16 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BLAS_PIN = {
     name: "1"
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 }
+# stats.csv columns that count work, equal in two runs that did the same
+STATS_COUNTS = ("newton_iters", "gmres_iters", "dg_ops")
 # One cli.run of a workload config; refuses a dgmg imported from elsewhere.
 CHILD = """
 import json, os, sys
@@ -80,6 +90,27 @@ def differing(a: str, b: str) -> list[str]:
                           and filecmp.cmp(os.path.join(a, n), os.path.join(b, n), shallow=False)))
 
 
+def stats_report(a: str, b: str) -> str:
+    """Whether the count columns of the stats.csv files in a and b are
+    equal, and the largest relative L2 difference over the fields of the
+    final snapshots (the last snapshot file of a, read in both)."""
+    columns = []
+    for top in (a, b):
+        with open(os.path.join(top, "stats.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        columns.append({name: [row[name] for row in rows] for name in STATS_COUNTS})
+    counts = ", ".join(f"{name} {'equal' if columns[0][name] == columns[1][name] else 'DIFFER'}"
+                       for name in STATS_COUNTS)
+    name = os.path.basename(sorted(glob.glob(os.path.join(a, "snapshot_t*.csv")))[-1])
+    if not os.path.isfile(os.path.join(b, name)):
+        return f"{counts}; final snapshot {name} missing"
+    want, got = (np.loadtxt(os.path.join(top, name), delimiter=",", skiprows=1, ndmin=2)[:, 2:]
+                 for top in (a, b))
+    diff, scale = np.linalg.norm(got - want, axis=0), np.linalg.norm(want, axis=0)
+    rel = np.divide(diff, scale, out=np.where(diff > 0, np.inf, 0.0), where=scale > 0)
+    return f"{counts}; final snapshot {name} differs by {rel.max():.3e} (relative L2)"
+
+
 def module_lines(src: str) -> dict[str, tuple[int, bytes]]:
     """name -> (lines, contents) of the package's modules, the lines as
     `wc -l src/dgmg/*.py` counts them."""
@@ -120,6 +151,8 @@ def main(argv: list[str]) -> int:
             files = len(os.listdir(outs["work"]))
             print(f"{name}: {files} files, {len(diff)} differ" + "".join(
                 f"\n  {name}/{d}" for d in diff))
+            if "stats.csv" in diff:
+                print("    " + stats_report(outs["rev"], outs["work"]))
             bad += diff
     print(f"{'identical' if not bad else 'DIFFERENT'} to {rev}")
     return 1 if bad else 0
