@@ -201,7 +201,9 @@ class FVLinearization:
                                       self.constants.mu)
 
     def matvec(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """g'(u0) w, written into out (contiguous float32 (4, nz, nx))."""
+        """g'(u0) w of a float32 (4, nz, nx) w, written into out (contiguous
+        (4, nz, nx)): in float32 for a float32 out, as the cycle applies it,
+        and in float64 for a float64 out, as Level.factor probes it."""
         self._padded[:, 1:-1, 1:-1] = w
         for faces, sides in self._wrapped:
             faces.fill_ghosts(*sides)

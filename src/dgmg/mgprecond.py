@@ -71,6 +71,16 @@ zero iterate on the finest level of each application and on the first of
 a coarser level's visits per cycle of the level above. Its first sub-step
 then writes x = dtau * b without the operator call, so that no sub-step
 probes x for zeros.
+
+The coarsest level is solved exactly, the textbook bottom of a multigrid
+cycle (Trottenberg, Oosterlee & Schueller, Multigrid, 2001): begin_step
+factors it right after assembling it (Level.factor), probing its matvec on
+the level's 4 * cells unit vectors and inverting that matrix in float64,
+so the inverse is made once per stack build, and a visit is one float32
+GEMV into x. The benchmark stacks bottom out at 40, 200 and 256 unknowns.
+A dense inverse does not scale, so a coarsest level of more than
+COARSE_SOLVE_MAX unknowns gets no inverse and is smoothed with
+max(2, pre+post) RK steps instead.
 """
 
 from __future__ import annotations
@@ -83,6 +93,7 @@ import numpy as np
 
 from .fv import FVLinearization
 from .physics import FaceAxis
+from .timeint import SolverFailure
 from .transfer import TransferOperators
 
 # stages s of each FV smoothing step, whose stability polynomial is (1 - z)^s
@@ -92,6 +103,12 @@ RK_STAGES = 3
 # applications per factory call (GMRES iterations per Newton iteration)
 # exceed this multiple of those of the first step that used the stack
 REBUILD_GROWTH = 1.5
+
+# the coarsest FV level is solved exactly, with a dense inverse made when
+# the stack is built, when it has at most this many unknowns (4 * cells);
+# above it, the inverse's set-up and product outgrow the smoothing it
+# replaces, and the level is smoothed
+COARSE_SOLVE_MAX = 512
 
 
 class MGConfigError(ValueError):
@@ -220,7 +237,8 @@ class Level:
     zfaces) of its FV level, which prolongation onto it reads. x is the
     level's iterate and b its right-hand side; t takes a sub-step's
     operator product and residual, the residual that is restricted and the
-    prolonged correction.
+    prolonged correction. inverse is the dense inverse of g' that factor
+    makes for the coarsest level, or None, where the cycle smooths.
     """
 
     def __init__(self, matvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -231,6 +249,37 @@ class Level:
         self.x = x
         self.b = np.empty(x.shape, x.dtype)
         self.t = np.empty(x.shape, x.dtype)
+        self.inverse: np.ndarray | None = None
+
+    def factor(self) -> None:
+        """Make the dense inverse of g' that the cycle solves this level
+        with, when the level has at most COARSE_SOLVE_MAX unknowns; above
+        that, set none, so that the level is smoothed. The matrix is probed
+        from matvec on the level's unit vectors, each column written into a
+        float64 row, so that it is the operator the cycle applies without
+        the rounding of a float32 product; it is inverted in float64 and
+        stored in the level's dtype. Raises SolverFailure, naming the level
+        and its nz x nx, when g' is singular or its inverse is not finite."""
+        self.inverse = None
+        n = self.x.size
+        if n > COARSE_SOLVE_MAX:
+            return
+        unit = np.zeros(self.x.shape, self.x.dtype)
+        flat = unit.reshape(-1)
+        columns = np.empty((n, n))  # row j is column j of g'
+        for j in range(n):
+            flat[j] = 1.0
+            self.matvec(unit, columns[j].reshape(self.x.shape))
+            flat[j] = 0.0
+        _, nz, nx = self.x.shape
+        try:
+            inverse = np.linalg.inv(columns.T).astype(self.x.dtype)
+        except np.linalg.LinAlgError as err:
+            raise SolverFailure(f"coarsest FV level 0 ({nz} x {nx} cells): {err}") from err
+        if not np.isfinite(inverse).all():
+            raise SolverFailure(f"coarsest FV level 0 ({nz} x {nx} cells): "
+                                "the inverse of its operator is not finite")
+        self.inverse = inverse
 
     @functools.cached_property
     def prolongation(self) -> tuple[np.ndarray, tuple[_BilinearPass, _BilinearPass]]:
@@ -259,13 +308,19 @@ def mg_cycle(levels: list[Level], l: int, cfg: MGConfig, zero: bool = False) -> 
     Pre-smooth, restrict the residual into the b of level l - 1, recurse
     (once for V, twice for W, from a zero iterate the first time), subtract
     the prolonged correction, post-smooth. Each smoothing step is RK_STAGES
-    Euler sub-steps; the coarsest level makes max(2, pre+post) steps.
+    Euler sub-steps. On the coarsest level, x = inverse @ b when the level
+    has an inverse (Level.factor), whatever zero and x hold on entry, so a
+    W-cycle's second visit repeats the first; otherwise that level makes
+    max(2, pre+post) smoothing steps.
     """
     level = levels[l]
     x, b, t, dtau = level.x, level.b, level.t, level.dtau
     finest = len(levels) - 1
     pre, post = (cfg.fine_pre, cfg.fine_post) if l == finest else (cfg.mid_pre, cfg.mid_post)
     if l == 0:
+        if level.inverse is not None:
+            np.matmul(level.inverse, b.reshape(-1), out=x.reshape(-1))
+            return x
         return smooth(level.matvec, x, b, RK_STAGES * max(2, pre + post), dtau, t, zero)
     smooth(level.matvec, x, b, RK_STAGES * pre, dtau, t, zero)
     zero = zero and pre == 0
@@ -287,13 +342,14 @@ class MultigridPreconditioner:
 
     Holds the FV level of every hierarchy level (fv.FVLinearization), the
     cycle's Level of each, made once, the DG/FV transfer, and the cycle
-    configuration. begin_step(U, alpha_dt) freezes the FV levels and
-    alpha_dt at the state U of the step that builds the stack; every
-    factory() call of that step and of the steps that keep the stack, for
-    both stages and every Newton iteration, reuses them. factory and the
-    closures it returns count their calls for begin_step's rebuild rule.
-    The DG side (the outer Jacobian-free linearization and its pseudo-time
-    steps) follows the current Newton iterate. The returned closure
+    configuration. begin_step(U, alpha_dt) freezes the FV levels, the
+    coarsest level's inverse and alpha_dt at the state U of the step that
+    builds the stack; every factory() call of that step and of the steps
+    that keep the stack, for both stages and every Newton iteration,
+    reuses them. factory and the closures it returns count their calls
+    for begin_step's rebuild rule. The DG side (the outer Jacobian-free
+    linearization and its pseudo-time steps) follows the current Newton
+    iterate. The returned closure
     applies one cycle per call and returns float64 of its input's shape;
     it is linear to float32 round-off (exactly homogeneous under powers of
     two) and deterministic across calls.
@@ -323,8 +379,8 @@ class MultigridPreconditioner:
         last step's applications per factory call exceed REBUILD_GROWTH
         times the baseline; a step without factory calls sets no baseline.
         To rebuild, transfer U to the finest FV level, restrict it down
-        the levels, and re-assemble each level's stencil and pseudo steps in
-        place at alpha_dt."""
+        the levels, re-assemble each level's stencil and pseudo steps in
+        place at alpha_dt, and factor the coarsest level (Level.factor)."""
         stale = False
         if self.factories:
             per_factory = self.applies / self.factories
@@ -342,6 +398,8 @@ class MultigridPreconditioner:
             if l:
                 # restrict acts on the last two axes; the FV states are (nz, nx, 4)
                 u = restrict(u.transpose(2, 0, 1)).transpose(1, 2, 0)
+            else:
+                level.factor()
 
     def factory(self, dg_lin):
         self.factories += 1
@@ -359,15 +417,18 @@ class MultigridPreconditioner:
 
         def precondition(y: np.ndarray) -> np.ndarray:
             self.applies += 1
-            x = np.zeros_like(y)
             if cfg.dg_pre:
-                smooth(dg_lin.matvec, x, y, cfg.dg_pre, dg_dtau, dg_work, zero=True)
+                x = smooth(dg_lin.matvec, np.empty_like(y), y, cfg.dg_pre, dg_dtau, dg_work,
+                           zero=True)
                 r = y - dg_lin.matvec(x)
             else:
                 r = y
             np.copyto(top.b, self.forward(r).transpose(2, 0, 1))
             v = mg_cycle(levels, finest, cfg, zero=True)
-            x += self.transfer.fv_to_dg(v.transpose(1, 2, 0))
+            if cfg.dg_pre:
+                x += self.transfer.fv_to_dg(v.transpose(1, 2, 0))
+            else:
+                x = self.transfer.fv_to_dg(v.transpose(1, 2, 0))
             if cfg.dg_post:
                 smooth(dg_lin.matvec, x, y, cfg.dg_post, dg_dtau, dg_work)
             return x

@@ -202,7 +202,7 @@ def gmres_solve(
                     np.divide(V[j], scale, out=Z[j])
                 else:
                     np.divide(V[j], scale, out=work)
-                    Z[j] = M(work.reshape(shape)).reshape(n)
+                    Z[j].reshape(shape)[...] = M(work.reshape(shape))
                 w = V[j + 1]
                 np.multiply(matvec(Z[j].reshape(shape)).reshape(n), scale, out=w)
                 total += 1

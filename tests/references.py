@@ -512,8 +512,9 @@ def prolong(v, periodic):
 def mg_cycle(levels, l, x, b, cfg, stages):
     """mgprecond.mg_cycle in float64 on fields (nz, nx, 4): per level the
     (matvec, dtau, periodic) record of that layout, RK steps of `stages`
-    Euler sub-steps, restriction as numpy's mean of the four children and
-    prolongation by the 2D pass of prolong above."""
+    Euler sub-steps, restriction as numpy's mean of the four children,
+    prolongation by the 2D pass of prolong above, and on the coarsest level
+    np.linalg.solve with the dense matrix of its matvec."""
     matvec, dtau, periodic = levels[l]
 
     def smooth(x, n):
@@ -521,10 +522,12 @@ def mg_cycle(levels, l, x, b, cfg, stages):
             x = x + dtau[..., None] * (b - matvec(x))
         return x
 
+    if l == 0:
+        n = b.size
+        A = np.column_stack([matvec(e.reshape(b.shape)).ravel() for e in np.eye(n)])
+        return np.linalg.solve(A, b.ravel()).reshape(b.shape)
     finest = len(levels) - 1
     pre, post = (cfg.fine_pre, cfg.fine_post) if l == finest else (cfg.mid_pre, cfg.mid_post)
-    if l == 0:
-        return smooth(x, stages * max(2, pre + post))
     x = smooth(x, stages * pre)
     nz, nx = b.shape[0] // 2, b.shape[1] // 2
     r = (matvec(x) - b).reshape(nz, 2, nx, 2, 4).mean(axis=(1, 3))

@@ -15,6 +15,7 @@ from dgmg import cases, cli, mesh, mgprecond, physics
 from dgmg.cases import build_initial_state
 from dgmg.fv import FVLinearization
 from dgmg.mgprecond import (
+    COARSE_SOLVE_MAX,
     RK_STAGES,
     Level,
     MGConfig,
@@ -31,6 +32,7 @@ from dgmg.timeint import (
     SDIRK2_ALPHA,
     FDLinearization,
     NewtonParams,
+    SolverFailure,
     sdirk2_step,
 )
 from test_faces import with_viscosity
@@ -334,12 +336,17 @@ class TestSmootherStability:
 
     def test_step_amplification_is_bounded_on_the_disc(self):
         # a diagonal operator with eigenvalues z / dtau on circles about 1;
-        # the single-level cycle makes max(2, 1 + 1) smoothing steps
+        # its 2,884 unknowns are above COARSE_SOLVE_MAX, so factor makes no
+        # inverse and the single-level cycle makes max(2, 1 + 1) smoothing
+        # steps
         theta = np.linspace(0.0, 2.0 * np.pi, 721)
         z = 1.0 + np.array([0.25, 0.5, 0.75, 1.0])[:, None] * np.exp(1j * theta)
         dtau = np.full(z.shape, 0.5)
         lam = (z / dtau)[None]
         level = Level(into(lambda v: lam * v), dtau, PERIODIC, np.ones_like(lam))
+        assert lam.size > COARSE_SOLVE_MAX
+        level.factor()
+        assert level.inverse is None
         level.b[...] = 0.0
         out = mg_cycle([level], 0, parse_mg_config("mg001100V"))[0]
         step = (1.0 - z) ** RK_STAGES
@@ -389,19 +396,37 @@ class TestMGCycle:
             rate = 2.0 / h + 8 * 0.05 / h**2
             dtau = np.full((m, m), 1.0 / (1.0 + alpha_dt * rate))
             levels.append(Level(into(mv), dtau, PERIODIC, np.zeros((1, m, m))))
+        # as begin_step does after assembling the coarsest level
+        levels[0].factor()
         return levels
 
     def test_single_level_reduces_to_smoothing(self):
-        levels = self.build_levels(1)
+        # 23 x 23 = 529 unknowns, above COARSE_SOLVE_MAX: no inverse
+        levels = self.build_levels(23)
+        assert len(levels) == 1 and levels[0].inverse is None
         cfg = parse_mg_config("mg001100V")
-        b = np.ones((1, 1, 1))
+        b = np.random.default_rng(4).standard_normal((1, 23, 23))
         out = cycle(levels, b, cfg)
         # max(2, 1 + 1) RK steps of RK_STAGES Euler sub-steps each
         level = levels[0]
         x = np.zeros_like(b)
         for _ in range(2):
             x = smooth(level.matvec, x, b, RK_STAGES, level.dtau, np.empty_like(b))
-        assert np.allclose(out, x, atol=1e-14)
+        assert np.allclose(out, x, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("key", ["mg001100V", "mg003300W"])
+    def test_single_level_below_the_cap_is_solved_exactly(self, key):
+        # 11 x 11 = 121 unknowns: one product with the inverse, whatever
+        # the smoothing counts and the iterate the visit starts from
+        levels = self.build_levels(11)
+        assert len(levels) == 1 and levels[0].inverse is not None
+        G, _ = upwind_system(11)
+        b = np.random.default_rng(5).standard_normal((1, 11, 11))
+        xs = np.linalg.solve(G, b.ravel()).reshape(b.shape)
+        out = cycle(levels, b, parse_mg_config(key))
+        assert rms(out - xs) <= 1e-12 * rms(xs)
+        levels[0].x[...] = np.nan
+        assert np.array_equal(mg_cycle(levels, 0, parse_mg_config(key)), out)
 
     def test_zero_rhs_zero_guess_short_circuits(self):
         # a visit that starts from a zero iterate skips the operator call
@@ -416,18 +441,26 @@ class TestMGCycle:
             return out
 
         for key, coarse_visits in (("mg001111V", 1), ("mg000111V", 1), ("mg001111W", 2)):
-            cfg = parse_mg_config(key)
-            levels = [Level(mv, np.full((2, 2), 0.3), PERIODIC, np.zeros((1, 2, 2))),
-                      Level(mv, np.full((4, 4), 0.3), PERIODIC, np.zeros((1, 4, 4)))]
-            calls.clear()
-            out = cycle(levels, np.zeros((1, 4, 4)), cfg)
-            assert np.all(out == 0.0)
-            # one call per sub-step and one for the fine residual, less the
-            # first sub-step of the fine visit (its residual instead when it
-            # has no pre-smoothing) and of the first coarse visit
-            fine = RK_STAGES * (cfg.fine_pre + cfg.fine_post)
-            coarse = RK_STAGES * max(2, cfg.mid_pre + cfg.mid_post)
-            assert len(calls) == fine + coarse_visits * coarse - 1, key
+            for exact in (False, True):
+                cfg = parse_mg_config(key)
+                levels = [Level(mv, np.full((2, 2), 0.3), PERIODIC, np.zeros((1, 2, 2))),
+                          Level(mv, np.full((4, 4), 0.3), PERIODIC, np.zeros((1, 4, 4)))]
+                if exact:
+                    levels[0].factor()
+                calls.clear()
+                out = cycle(levels, np.zeros((1, 4, 4)), cfg)
+                assert np.all(out == 0.0)
+                # one call per sub-step and one for the fine residual, less
+                # the first sub-step of the fine visit (its residual instead
+                # when it has no pre-smoothing) and, when the coarse level
+                # is smoothed, of its first visit; an exact coarse visit
+                # makes no call
+                fine = RK_STAGES * (cfg.fine_pre + cfg.fine_post)
+                if exact:
+                    assert len(calls) == fine, key
+                else:
+                    coarse = RK_STAGES * max(2, cfg.mid_pre + cfg.mid_post)
+                    assert len(calls) == fine + coarse_visits * coarse - 1, key
 
     def test_v_cycle_contracts_on_advection_diffusion(self):
         levels = self.build_levels(16)
@@ -469,7 +502,9 @@ class TestCycleAgainstReference:
         # a stack of stencil linearizations at random states, each level
         # with its own pseudo steps; the reference runs the same cycle in
         # float64 on (nz, nx, 4) fields with the neighbour-table gather and
-        # its own np.pad bilinear prolongation
+        # its own np.pad bilinear prolongation; both solve the coarsest
+        # level exactly, the package with its float32 inverse and the
+        # reference with np.linalg.solve
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
         h = mesh.GridHierarchy(case.domain, base_nx, base_nz, n_levels - 1, 0)
@@ -486,6 +521,7 @@ class TestCycleAgainstReference:
                                 np.zeros((4, lin.nz, lin.nx), dtype=np.float32)))
             ref_levels.append((functools.partial(references.stencil_matvec, lin, neighbours),
                                dtau, (periodic_x, periodic_z)))
+        levels[0].factor()
         cfg = parse_mg_config(key)
         b = rng.standard_normal((4, h.nz[-1], h.nx[-1])).astype(np.float32)
         got = cycle(levels, b, cfg)
@@ -577,7 +613,8 @@ class TestPrecondition:
         M(np.random.default_rng(11).standard_normal(lin.u0.shape) * 1e-4)
         n = len(fv_ops)
         assert counts["restrict"] == counts["prolong"] == n - 1
-        assert counts["smooth"] == 2 * (n - 1) + 1
+        # the coarsest level (1 x 10 cells) is solved, not smoothed
+        assert counts["smooth"] == 2 * (n - 1)
         assert counts["matvec"] > 0
 
     @pytest.mark.parametrize("key", ["mg001111V", "mg001111W", "mg000112W", "mg110111W"])
@@ -900,9 +937,10 @@ class TestWorkspace:
     tracemalloc: the largest peak of one smooth call above its start is
     26,832 B, the iterator buffers of a broadcast dtau product on the
     40x80 level (819,760 B, four finest-level fields, before the
-    workspace), and a whole application peaks at 1,229,920-1,230,760 B
-    (1,296,864 B when the correction was added out of place, 1,742,840 B
-    before the workspace), most of it the float64 DG and transfer fields."""
+    workspace), and a whole application peaks at 820,224 B (1,229,920-
+    1,230,760 B when the result was zero-filled, 1,296,864 B when the
+    correction was added out of place, 1,742,840 B before the workspace),
+    most of it the float64 DG and transfer fields."""
 
     FIELD = 4 * 80 * 160 * 4  # bytes of a float32 vector on the finest level
     APPLY_PEAK = 1_230_760
@@ -943,9 +981,95 @@ class TestWorkspace:
             M(y)
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 2 * (len(fv_ops) - 1) + 1
+        # the coarsest level (10 x 5 cells) is solved, not smoothed
+        assert len(peaks) == 2 * (len(fv_ops) - 1)
         assert max(peaks) < self.FIELD / 4, peaks
         assert apply_peak <= self.APPLY_PEAK, apply_peak
+
+
+class TestCoarseSolve:
+    """begin_step factors the coarsest FV level of a stack of at most
+    COARSE_SOLVE_MAX unknowns, and a visit there is one product with the
+    inverse; a larger coarsest level is smoothed as before."""
+
+    @pytest.mark.parametrize("name, base_nx, base_nz, level, dt, massfix", BENCHMARK_GRIDS)
+    def test_one_visit_solves_the_coarsest_level(self, name, base_nx, base_nz, level, dt,
+                                                 massfix):
+        # 40, 200 and 256 unknowns
+        setup = make_setup(name, base_nx, base_nz, level)
+        mg = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), setup.transfer(),
+                                     parse_mg_config("mg111111W"), use_massfix=massfix)
+        mg.begin_step(build_initial_state(setup.case, setup.dg_op), SDIRK2_ALPHA * dt)
+        coarse = mg.levels[0]
+        assert coarse.x.size == 4 * base_nx * base_nz <= COARSE_SOLVE_MAX
+        assert coarse.inverse.dtype == np.float32
+        rng = np.random.default_rng(22)
+        coarse.b[...] = rng.standard_normal(coarse.b.shape)
+        x = mg_cycle(mg.levels, 0, mg.cfg, zero=True).copy()
+        r = coarse.b - coarse.matvec(x, np.empty_like(x))
+        assert rms(r.astype(np.float64)) <= 1e-5 * rms(coarse.b.astype(np.float64))
+        # a W-cycle's second visit starts from the first one's iterate
+        coarse.x[...] = rng.standard_normal(coarse.x.shape)
+        assert np.array_equal(mg_cycle(mg.levels, 0, mg.cfg), x)
+
+    def test_coarsest_level_above_the_cap_is_smoothed(self, monkeypatch):
+        # the rising bubble at dx = 50 and level 0: its coarsest level is
+        # the 20 x 40 DG mesh, 3,200 unknowns; begin_step makes nothing of
+        # the size of one float32 dense matrix, and the cycle smooths there
+        setup = make_setup("rising-bubble", 20, 40, 0)
+        mg = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), setup.transfer(),
+                                     parse_mg_config("mg001111V"))
+        U0 = build_initial_state(setup.case, setup.dg_op)
+        tracemalloc.start()
+        try:
+            mg.begin_step(U0, SDIRK2_ALPHA * 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coarse = mg.levels[0]
+        n = coarse.x.size
+        assert n == 3200 and coarse.inverse is None
+        assert peak < 4 * n * n, peak
+        calls = []
+        plain = mgprecond.smooth
+
+        def counting(matvec, *args, **kwargs):
+            calls.append(matvec)
+            return plain(matvec, *args, **kwargs)
+
+        monkeypatch.setattr(mgprecond, "smooth", counting)
+        mg.levels[-1].b[...] = np.random.default_rng(23).standard_normal(mg.levels[-1].b.shape)
+        mg_cycle(mg.levels, len(mg.levels) - 1, mg.cfg, zero=True)
+        assert len(calls) == 2 * (len(mg.levels) - 1) + 1
+        assert calls.count(coarse.matvec) == 1
+
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_singular_or_non_finite_operator_raises(self, value):
+        level = Level(into(lambda v: np.full_like(v, value)), np.ones((2, 5), np.float32),
+                      PERIODIC, np.zeros((4, 2, 5), np.float32))
+        with pytest.raises(SolverFailure, match=r"coarsest FV level 0 \(2 x 5 cells\)"):
+            level.factor()
+        assert level.inverse is None
+
+    def test_singular_coarsest_level_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # a coarsest level whose operator is zero fails the first step's
+        # begin_step: exit code 3, a message naming the level, and no cycle
+        matvec = FVLinearization.matvec
+
+        def zero_on_level_0(self, w, out):
+            if self.level == 0:
+                out[...] = 0.0
+                return out
+            return matvec(self, w, out)
+
+        monkeypatch.setattr(FVLinearization, "matvec", zero_on_level_0)
+        cycles = []
+        monkeypatch.setattr(mgprecond, "mg_cycle", lambda *args, **kw: cycles.append(args))
+        config = cli.RunConfig(**TestLaggedStackRuns.CONFIG, t_final=25.0, outdir=str(tmp_path))
+        assert cli.run(config) == 3
+        err = capsys.readouterr().err
+        assert "solver failure at t = 0.000000: coarsest FV level 0 (1 x 10 cells)" in err, err
+        assert cycles == []
 
 
 class TestGridIndependence:
@@ -955,7 +1079,8 @@ class TestGridIndependence:
     25 s each. Measured: 4.8 / 5.3 / 5.3 with mg001111V, and 17.9 / 35.8
     on levels 1 and 2 without a preconditioner, where every level doubles
     the count. Rising bubble over DG levels 1-2 (10x20 and 20x40 cells),
-    one step of 10 s with mg111111V: 12.2 / 12.5."""
+    one step of 10 s with mg111111V: 12.2 / 11.0 with the exact coarsest
+    solve, 12.2 / 12.5 when the coarsest level is smoothed."""
 
     GROWTH = 1.5  # largest ratio allowed from one level to the next
 
@@ -987,7 +1112,15 @@ class TestGridIndependence:
         coarse, fine = (self.ig_per_newton(level, None) for level in (1, 2))
         assert fine > self.GROWTH * coarse, (coarse, fine)
 
+    def bubble_per_newton(self, level):
+        return self.gmres_per_newton("rising-bubble", 5, 10, level, "mg111111V", 10.0, 1)
+
     def test_bubble_iterations_grow_slowly_with_the_grid(self):
-        coarse, fine = (self.gmres_per_newton("rising-bubble", 5, 10, level, "mg111111V", 10.0, 1)
-                        for level in (1, 2))
+        coarse, fine = (self.bubble_per_newton(level) for level in (1, 2))
         assert fine <= self.GROWTH * coarse, (coarse, fine)
+
+    def test_bubble_coarse_solve_needs_no_more_iterations_than_smoothing(self, monkeypatch):
+        exact = [self.bubble_per_newton(level) for level in (1, 2)]
+        monkeypatch.setattr(mgprecond, "COARSE_SOLVE_MAX", 0)
+        smoothed = [self.bubble_per_newton(level) for level in (1, 2)]
+        assert all(e <= s for e, s in zip(exact, smoothed)), (exact, smoothed)
