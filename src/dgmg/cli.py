@@ -23,8 +23,8 @@ import numpy as np
 from . import cases
 from .cases import CaseSetup, build_initial_state
 from .dg import DGBasis, DGOperator
-from .fv import FVLinearization, cell_centres, fv_background
-from .mesh import GridHierarchy
+from .fv import FVLinearization, fv_background
+from .mesh import Grid
 from .mgprecond import MGConfig, MGConfigError, MultigridPreconditioner, parse_mg_config
 from .physics import InadmissibleStateError
 from .timeint import NewtonParams, SolverFailure, StageStats, sdirk2_step, ssprk34_step
@@ -84,7 +84,7 @@ class RunConfig:
             raise ConfigError("base_nx and base_nz must be given together")
         if self.level < 0:
             raise ConfigError(f"level must be nonnegative, got {self.level}")
-        # the FV subgrid nests into the hierarchy only if k + 1 is a power of two
+        # the FV subgrid nests into the cycle's grids only if k + 1 is a power of two
         if self.k < 0 or (self.k + 1) & self.k:
             raise ConfigError(f"k must be nonnegative with k + 1 a power of two, got {self.k}")
         # `not x > 0` also rejects NaN; a step or interval that is not
@@ -167,6 +167,7 @@ class SolverBundle:
     mg: MultigridPreconditioner | None
     params: NewtonParams
     U0: np.ndarray
+    fv_grid: Grid  # the FV subgrid of the DG mesh, where snapshots are written
 
 
 def _physical_memory() -> int | None:
@@ -221,26 +222,29 @@ def build_solver(cfg: RunConfig) -> SolverBundle:
     cfg.validate()
     case = cases.by_name(cfg.case)
     base_nx, base_nz = _base_grid(cfg, case)
-    # validate has refused every level, k and base grid GridHierarchy rejects
-    hierarchy = GridHierarchy(case.domain, base_nx, base_nz, cfg.level, cfg.k)
+    # the cycle's grids, coarsest first, each splitting every cell of the one
+    # before into four: the DG mesh at the configured level, and its FV
+    # subgrid of (k+1) x (k+1) cells per DG cell, log2(k+1) levels finer
+    grids = [Grid(case.domain, base_nx << l, base_nz << l)
+             for l in range(cfg.level + cfg.k.bit_length() + 1)]
     basis = DGBasis(cfg.k)
     # every run validates its mg key; only an implicit run has stage systems
     # to precondition
     mg_cfg = cfg.mg_config()
     if cfg.integrator != "implicit":
         mg_cfg = None
-    # one FV level per hierarchy level for the run, made first so that their
-    # set-up temporaries are freed before the DG operator makes its arrays
-    fv_levels: list[FVLinearization] = []
+    # one FV level per grid, made first so that their set-up temporaries are
+    # freed before the DG operator makes its arrays
+    linearizations: list[FVLinearization] = []
     if mg_cfg is not None:
-        fv_levels = [FVLinearization(hierarchy, l, case) for l in range(hierarchy.n_levels)]
-    dg_op = DGOperator(hierarchy, basis, case)
+        linearizations = [FVLinearization(grid, case) for grid in grids]
+    dg_op = DGOperator(grids[cfg.level], basis, case)
     transfer = TransferOperators(basis)
     mg = None if mg_cfg is None else MultigridPreconditioner(
-        dg_op, fv_levels, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix")
+        dg_op, linearizations, transfer, mg_cfg, use_massfix=cfg.transfer == "massfix")
     params = NewtonParams(tol=cfg.newton_tol)
     U0 = build_initial_state(case, dg_op)
-    return SolverBundle(cfg, case, dg_op, transfer, mg, params, U0)
+    return SolverBundle(cfg, case, dg_op, transfer, mg, params, U0, grids[-1])
 
 
 def write_snapshot(field: np.ndarray, bundle: SolverBundle, path: str) -> None:
@@ -250,18 +254,17 @@ def write_snapshot(field: np.ndarray, bundle: SolverBundle, path: str) -> None:
     (rho theta)_total / rho_total - theta_bar.
     """
     u = bundle.transfer.dg_to_fv(field)
-    hierarchy = bundle.dg_op.hierarchy
-    lvl = hierarchy.fv_level
-    bgc = fv_background(bundle.case, hierarchy, lvl)
+    grid = bundle.fv_grid
+    bgc = fv_background(bundle.case, grid)
     full = u + bgc
     theta_p = full[..., 3] / full[..., 0] - bgc[..., 3] / bgc[..., 0]
-    xc, zc = cell_centres(hierarchy, lvl)
+    xc, zc = grid.centres()
     columns = dict(zip(SNAPSHOT_HEADER.split(",")[2:], (u[..., 0], u[..., 1], u[..., 2], theta_p)))
     with open(path, "w") as fh:
         _write_csv(fh, xc, zc, columns)
     if bundle.cfg.vtk:
         with open(path[:-4] + ".vtk", "w") as fh:
-            _write_vtk(fh, xc, zc, hierarchy.dx[lvl], hierarchy.dz[lvl], columns)
+            _write_vtk(fh, xc, zc, grid.dx, grid.dz, columns)
 
 
 def _write_csv(fh, xc, zc, columns):

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import physics
-from .mesh import GridHierarchy
+from .mesh import Grid
 from .physics import FaceAxis, PhysConstants, check_admissible
 from .quadrature import gauss_legendre
 
@@ -99,26 +99,21 @@ class DGBasis:
 
 
 class DGOperator:
-    """Spatial operator for one case on the DG level of a hierarchy.
+    """Spatial operator for one case on a DG mesh, the grid of its cells.
 
     Precomputes node coordinates and all background data (volume states,
     face states, background numerical fluxes) at construction; the
     per-call work is pure vectorized arithmetic.
     """
 
-    def __init__(self, hierarchy: GridHierarchy, basis: DGBasis, case):
-        self.hierarchy = hierarchy
+    def __init__(self, grid: Grid, basis: DGBasis, case):
+        self.grid = grid
         self.basis = basis
         self.constants: PhysConstants = case.constants
-        lvl = hierarchy.dg_level
-        self.level = lvl
-        self.nx = hierarchy.nx[lvl]
-        self.nz = hierarchy.nz[lvl]
-        self.dx = hierarchy.dx[lvl]
-        self.dz = hierarchy.dz[lvl]
+        self.nx, self.nz, self.dx, self.dz = grid.nx, grid.nz, grid.dx, grid.dz
 
         p = basis.p
-        dom = hierarchy.domain
+        dom = grid.domain
         x_edges = dom.x_min + self.dx * np.arange(self.nx + 1)
         z_edges = dom.z_min + self.dz * np.arange(self.nz + 1)
         # node coordinates per cell: xn[cell, node]
@@ -222,7 +217,7 @@ class DGOperator:
         if np.all(np.minimum(buf[physics.RHO::4], buf[physics.RHO_THETA::4]) > 0.0):
             return
         for traces in (Bx[1, :, :-1], Bx[0, :, 1:], Bz[1, :-1], Bz[0, 1:]):
-            check_admissible(traces, self.level, "face trace")
+            check_admissible(traces, self.grid, "face trace")
 
     def rate(self, Up: np.ndarray) -> np.ndarray:
         """Per-cell stiffness rate (physics.stiffness_rate) of U' + Ubar from
@@ -248,7 +243,7 @@ class DGOperator:
         nz, nx, p = self.nz, self.nx, b.p
 
         full = np.add(Up, self.bg_vol, out=self._full)
-        check_admissible(full, self.level, "volume node")
+        check_admissible(full, self.grid, "volume node")
 
         # volume flux difference against the background
         Fx, Fz = physics.flux_convective_xz(full, c, out=self._flux)

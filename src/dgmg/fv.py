@@ -1,13 +1,13 @@
-"""First-order finite-volume discretization on any hierarchy level.
+"""First-order finite-volume discretization on any grid of the domain.
 
 This is the degree-0 variant of the DG scheme: piecewise-constant cell
 values, HLLC face fluxes, two-point viscous fluxes, and the same
 slip/periodic boundary treatment. It exists to drive the multigrid
 preconditioner, which sees a level only through its linearization, so no
-run evaluates an FV tendency. A run makes one FVLinearization per level:
-its constants and geometry, the background state at its cell centers,
-its two face axes, the face flux, and the stencil that each assembly
-rewrites in place. The states are laid out (nz, nx, 4); the
+run evaluates an FV tendency. A run makes one FVLinearization per grid of
+the cycle: its constants and geometry, the background state at its cell
+centers, its two face axes, the face flux, and the stencil that each
+assembly rewrites in place. The states are laid out (nz, nx, 4); the
 linearization applies to the multigrid cycle's float32 component-major
 vectors (4, nz, nx).
 
@@ -26,8 +26,10 @@ one-sided finite differences of the face fluxes, the usual implicit-FV
 assembly (Blazek, Computational Fluid Dynamics, ch. 6), and matvec
 applies it as one contraction over five shifted views of a ghost-padded
 copy of the vector, with no neighbour table; the multigrid preconditioner
-re-assembles each level once per time step. Only these FV levels are
-assembled: the outer DG stage system stays Jacobian-free
+re-assembles every level when it rebuilds its stack, which it keeps
+across time steps until alpha_dt changes or its GMRES iterations per
+Newton iteration grow (MultigridPreconditioner.begin_step). Only these
+FV levels are assembled: the outer DG stage system stays Jacobian-free
 (timeint.FDLinearization).
 """
 
@@ -38,7 +40,7 @@ import functools
 import numpy as np
 
 from . import physics
-from .mesh import GridHierarchy
+from .mesh import Grid
 from .physics import FaceAxis, PhysConstants, check_admissible
 from .timeint import EPS_FD
 
@@ -82,15 +84,13 @@ class FVLinearization:
     primitive evaluations and 2 + 16 face-flux evaluations; matvec none.
     """
 
-    def __init__(self, hierarchy: GridHierarchy, level: int, case):
-        self.level = level
+    def __init__(self, grid: Grid, case):
+        self.grid = grid
         self.constants: PhysConstants = case.constants
-        self.nx = nx = hierarchy.nx[level]
-        self.nz = nz = hierarchy.nz[level]
-        self.dx = hierarchy.dx[level]
-        self.dz = hierarchy.dz[level]
-
-        self.bg = fv_background(case, hierarchy, level)
+        self.nx = nx = grid.nx
+        self.nz = nz = grid.nz
+        self.dx, self.dz = grid.dx, grid.dz
+        self.bg = fv_background(case, grid)
 
         self.xfaces, self.zfaces = case.faces
         self._padded = np.zeros((4, nz + 2, nx + 2), dtype=np.float32)
@@ -156,7 +156,7 @@ class FVLinearization:
         from the wave speeds of the primitives the assembly computes."""
         nz, nx = self.nz, self.nx
         full = u0 + self.bg
-        check_admissible(full, self.level, "cell average")
+        check_admissible(full, self.grid, "cell average")
         steps = EPS_FD * np.maximum(np.sqrt(np.mean(full ** 2, axis=(0, 1))), 1.0)
         Q0 = self.padded_primitives(full)
         # per axis: faces, spacing, cells along it, and the slots of the
@@ -228,14 +228,7 @@ def _ghost_sides(faces: FaceAxis, Q: np.ndarray):
     return [side.transpose(1, 2, 0) for side in _face_sides(faces, Q, Q)]
 
 
-def cell_centres(hierarchy: GridHierarchy, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x and z coordinates of the cell centres of a level."""
-    xc = hierarchy.domain.x_min + hierarchy.dx[level] * (np.arange(hierarchy.nx[level]) + 0.5)
-    zc = hierarchy.domain.z_min + hierarchy.dz[level] * (np.arange(hierarchy.nz[level]) + 0.5)
-    return xc, zc
-
-
-def fv_background(case, hierarchy: GridHierarchy, level: int) -> np.ndarray:
-    """Background conserved state at the cell centers of a level."""
-    xc, zc = cell_centres(hierarchy, level)
+def fv_background(case, grid: Grid) -> np.ndarray:
+    """Background conserved state at the cell centres of a grid."""
+    xc, zc = grid.centres()
     return case.atmosphere.state(*np.broadcast_arrays(xc[None, :], zc[:, None]))

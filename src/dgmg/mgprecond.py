@@ -340,7 +340,7 @@ def mg_cycle(levels: list[Level], l: int, cfg: MGConfig, zero: bool = False) -> 
 class MultigridPreconditioner:
     """Builds per-Newton-iterate preconditioner applications.
 
-    Holds the FV level of every hierarchy level (fv.FVLinearization), the
+    Holds the FV level of every grid of the cycle (fv.FVLinearization), the
     cycle's Level of each, made once, the DG/FV transfer, and the cycle
     configuration. begin_step(U, alpha_dt) freezes the FV levels, the
     coarsest level's inverse and alpha_dt at the state U of the step that

@@ -29,6 +29,8 @@ from typing import Callable
 
 import numpy as np
 
+from .mesh import Grid
+
 # component indices
 RHO, RHO_U, RHO_W, RHO_THETA = 0, 1, 2, 3
 
@@ -257,16 +259,18 @@ def subtract_viscous(F, G, bg) -> None:
             f[..., 1 + i] -= row
 
 
-def check_admissible(full: np.ndarray, level: int, where: str) -> None:
-    """Raise InadmissibleStateError, located at the worst cell, if a state
-    laid out (z-index, x-index, ...) has rho <= 0 or rho*theta <= 0."""
+def check_admissible(full: np.ndarray, grid: Grid, where: str) -> None:
+    """Raise InadmissibleStateError, located at the worst cell (i, j) of
+    the grid, if a state laid out (z-index, x-index, ...) has
+    rho <= 0 or rho*theta <= 0."""
     bad = np.minimum(full[..., RHO], full[..., RHO_THETA])
     if np.all(bad > 0.0):
         return
     j, i = (int(n) for n in np.unravel_index(np.argmin(bad), bad.shape)[:2])
     raise InadmissibleStateError(
-        f"inadmissible total state at {where} of cell (level={level}, i={i}, j={j})",
-        location=(level, i, j),
+        f"inadmissible total state at {where} of cell (i={i}, j={j}) of the "
+        f"{grid.nx} x {grid.nz} grid",
+        location=(i, j),
     )
 
 

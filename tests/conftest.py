@@ -19,28 +19,34 @@ from dgmg.transfer import TransferOperators
 @dataclass
 class Setup:
     case: CaseSetup
-    hierarchy: mesh.GridHierarchy
+    grids: list[mesh.Grid]  # the cycle's grids, coarsest first, as cli.build_solver makes them
     basis: DGBasis
     dg_op: DGOperator
 
-    def fv_op(self, level=None) -> FVLinearization:
-        """The FV level `level`, by default the DG level's subgrid."""
-        lvl = self.hierarchy.fv_level if level is None else level
-        return FVLinearization(self.hierarchy, lvl, self.case)
+    def fv_op(self, l=-1) -> FVLinearization:
+        """The FV level on grids[l], by default the DG mesh's subgrid."""
+        return FVLinearization(self.grids[l], self.case)
 
     def fv_levels(self) -> list[FVLinearization]:
-        """One FV level per hierarchy level, as a run makes them."""
-        return [self.fv_op(l) for l in range(self.hierarchy.n_levels)]
+        """One FV level per grid, as a run makes them."""
+        return [self.fv_op(l) for l in range(len(self.grids))]
 
     def transfer(self) -> TransferOperators:
         return TransferOperators(self.basis)
 
 
+def make_grids(domain: Domain2D, base_nx: int, base_nz: int, level: int, k: int) -> list[mesh.Grid]:
+    """The grids of a cycle whose DG mesh is grids[level] and whose FV
+    subgrid, of (k+1) x (k+1) cells per DG cell, is grids[-1]."""
+    return [mesh.Grid(domain, base_nx << l, base_nz << l)
+            for l in range(level + k.bit_length() + 1)]
+
+
 def make_setup(case_name: str, base_nx: int, base_nz: int, level: int = 0, k: int = 3) -> Setup:
     case = cases.by_name(case_name)
-    hierarchy = mesh.GridHierarchy(case.domain, base_nx, base_nz, level, k)
+    grids = make_grids(case.domain, base_nx, base_nz, level, k)
     basis = DGBasis(k)
-    return Setup(case, hierarchy, basis, DGOperator(hierarchy, basis, case))
+    return Setup(case, grids, basis, DGOperator(grids[level], basis, case))
 
 
 def unit_sound_speed_constants() -> PhysConstants:

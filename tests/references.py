@@ -538,8 +538,8 @@ def mg_cycle(levels, l, x, b, cfg, stages):
     return smooth(x, stages * post)
 
 
-def cell_area(hierarchy, level):
-    return hierarchy.dx[level] * hierarchy.dz[level]
+def cell_area(grid):
+    return grid.dx * grid.dz
 
 
 def project(op, fn):

@@ -61,8 +61,7 @@ def test_criterion_01_well_balance_exact():
     t0 = time.time()
     for name in ("inertia-gravity", "rising-bubble", "density-current"):
         setup = make_setup(name, 10, 5, 1)  # 20 x 10 DG cells
-        assert (setup.hierarchy.nx[setup.hierarchy.dg_level],
-                setup.hierarchy.nz[setup.hierarchy.dg_level]) == (20, 10)
+        assert (setup.dg_op.grid.nx, setup.dg_op.grid.nz) == (20, 10)
         U = setup.dg_op.zero_field()
         newton_total = 0
         for i in range(10):
@@ -90,10 +89,11 @@ def test_criterion_02_appendix_quadrature():
     report(2, "cell-center quadrature", f"(worst monomial defect {worst:.1e})")
 
 
-def _cell_masses(op, u_fv):
+def _cell_masses(setup, u_fv):
+    op = setup.dg_op
     p = op.basis.p
     nz, nx = op.nz, op.nx
-    area = cell_area(op.hierarchy, op.hierarchy.fv_level)
+    area = cell_area(setup.grids[-1])
     return area * u_fv.reshape(nz, p, nx, p, 4).sum(axis=(1, 3))
 
 
@@ -108,10 +108,10 @@ def test_criterion_03_massfix_transfer():
     for _ in range(5):
         U = rng.standard_normal((op.nz, op.nx, 4, 4, 4))
         dg_mass = op.dx * op.dz * np.einsum("ab,zxabc->zxc", w2, U)
-        fixed = _cell_masses(op, tr.dg_to_fv_massfix(U))
+        fixed = _cell_masses(setup, tr.dg_to_fv_massfix(U))
         rel = np.abs(fixed - dg_mass) / (np.abs(dg_mass) + 1e-30)
         worst = max(worst, rel.max())
-        plain = _cell_masses(op, tr.dg_to_fv(U))
+        plain = _cell_masses(setup, tr.dg_to_fv(U))
         plain_best = min(plain_best,
                          (np.abs(plain - dg_mass) / (np.abs(dg_mass) + 1e-30)).max())
     assert worst <= 1e-12
@@ -194,8 +194,7 @@ def test_criterion_06_integrator_orders():
 
 def test_criterion_07_multigrid_contraction():
     setup, mg = ig_solver(10, 1, 2, "mg111111V")
-    assert (setup.hierarchy.nx[setup.hierarchy.dg_level],
-            setup.hierarchy.nz[setup.hierarchy.dg_level]) == (40, 4)
+    assert (setup.dg_op.grid.nx, setup.dg_op.grid.nz) == (40, 4)
     dt = 25.0
     alpha_dt = SDIRK2_ALPHA * dt
     U0 = build_initial_state(setup.case, setup.dg_op)
@@ -272,7 +271,7 @@ def test_criterion_10_explicit_conservation_and_symmetry():
     u_fv = tr.dg_to_fv(U)
     from dgmg.fv import fv_background
 
-    bg = fv_background(setup.case, setup.hierarchy, setup.hierarchy.fv_level)
+    bg = fv_background(setup.case, setup.grids[-1])
     full = u_fv + bg
     theta_p = full[..., 3] / full[..., 0] - bg[..., 3] / bg[..., 0]
     asym = np.abs(theta_p - theta_p[:, ::-1]).max()
@@ -307,8 +306,8 @@ def test_criterion_11_implicit_bubble_rises():
         for j in range(op.nz):
             v = evaluate(field, op.basis, i, j, pts)
             bg = setup.case.atmosphere.state(
-                np.full_like(zs, op.hierarchy.domain.x_min + i * op.dx),
-                op.hierarchy.domain.z_min + (j + zs) * op.dz,
+                np.full_like(zs, op.grid.domain.x_min + i * op.dx),
+                op.grid.domain.z_min + (j + zs) * op.dz,
             )
             full = v + bg
             theta_p = full[..., 3] / full[..., 0] - bg[..., 3] / bg[..., 0]

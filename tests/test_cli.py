@@ -114,9 +114,7 @@ class TestParseConfig:
     def test_target_dx_derives_base_dims(self):
         cfg = RunConfig(case="rising-bubble", dx=100.0, level=1, dt=5.0)
         bundle = build_solver(cfg)
-        h = bundle.dg_op.hierarchy
-        assert h.nx[h.dg_level] == 10
-        assert h.nz[h.dg_level] == 20
+        assert (bundle.dg_op.grid.nx, bundle.dg_op.grid.nz) == (10, 20)
 
     def test_indivisible_dx_rejected(self):
         cfg = RunConfig(case="rising-bubble", dx=90.9, level=3, dt=5.0)
@@ -447,12 +445,12 @@ class TestMain:
     def test_grid_too_large_for_a_float_or_lift_operand_exit_code(
         self, tmp_path, monkeypatch, capsys, flag, value
     ):
-        # level 2000 overflowed a float in GridHierarchy; k = 1023 passed the
+        # level 2000 overflowed a float in the grid sizes; k = 1023 passed the
         # field count and died allocating DGOperator's 256 GiB lift_z operand
         def allocate(*args):
             raise AssertionError("grid or operator built for a config that cannot be allocated")
 
-        for name in ("GridHierarchy", "DGBasis", "DGOperator"):
+        for name in ("Grid", "DGBasis", "DGOperator"):
             monkeypatch.setattr(cli, name, allocate)
         out = str(tmp_path / "out")
         rc = main([
@@ -472,7 +470,7 @@ class TestMain:
         def allocate(*args):
             raise AssertionError("grid built for a level beyond the memory")
 
-        for name in ("GridHierarchy", "DGBasis", "DGOperator"):
+        for name in ("Grid", "DGBasis", "DGOperator"):
             monkeypatch.setattr(cli, name, allocate)
         out = str(tmp_path / "out")
         start = time.perf_counter()
@@ -502,7 +500,7 @@ class TestMain:
         def allocate(*args):
             raise AssertionError("grid built for an invalid k")
 
-        for name in ("_base_grid", "GridHierarchy"):
+        for name in ("_base_grid", "Grid"):
             monkeypatch.setattr(cli, name, allocate)
         out = str(tmp_path / "out")
         assert main(["--case", "inertia-gravity", "--base-nx", "10", "--base-nz", "1",

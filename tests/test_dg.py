@@ -58,9 +58,9 @@ def test_kron_t_is_numpy_kron_transposed(M, q, B):
 class TestProjectionAndEvaluate:
     def setup_method(self):
         case = advection_case()
-        h = mesh.GridHierarchy(case.domain, 3, 2, 0, 3)
+        grid = mesh.Grid(case.domain, 3, 2)
         self.basis = DGBasis(3)
-        self.op = DGOperator(h, self.basis, case)
+        self.op = DGOperator(grid, self.basis, case)
 
     def test_constant_field(self):
         U = project(self.op, lambda x, z: np.broadcast_to([2.5, 0, 0, 1.0], x.shape + (4,)))
@@ -78,10 +78,10 @@ class TestProjectionAndEvaluate:
         # compare at off-node points against the polynomial oracle
         rng = np.random.default_rng(1)
         pts = rng.random((40, 2))
-        h = self.op.hierarchy
+        dom = self.op.grid.domain
         for i, j in [(0, 0), (2, 1)]:
-            x = h.domain.x_min + (i + pts[:, 0]) * self.op.dx
-            z = h.domain.z_min + (j + pts[:, 1]) * self.op.dz
+            x = dom.x_min + (i + pts[:, 0]) * self.op.dx
+            z = dom.z_min + (j + pts[:, 1]) * self.op.dz
             vals = evaluate(U, self.basis, i, j, pts)
             assert np.allclose(vals[:, 0], x**3 - 2 * x * z + z**2, atol=1e-13)
 
@@ -108,8 +108,8 @@ class TestProjectionAndEvaluate:
 
         U = project(self.op, f)
         v = evaluate(U, self.basis, 0, 0, np.array([1 / 8, 3 / 8]))
-        x = self.op.hierarchy.domain.x_min + self.op.dx / 8
-        z = self.op.hierarchy.domain.z_min + 3 * self.op.dz / 8
+        x = self.op.grid.domain.x_min + self.op.dx / 8
+        z = self.op.grid.domain.z_min + 3 * self.op.dz / 8
         assert v[2] == pytest.approx(poly(x, z), abs=1e-12)
 
     def test_inertia_gravity_profile_at_nodes(self):
@@ -124,8 +124,8 @@ class TestProjectionAndEvaluate:
 class TestTotalMass:
     def setup_method(self):
         case = advection_case()
-        h = mesh.GridHierarchy(case.domain, 4, 4, 0, 3)
-        self.op = DGOperator(h, DGBasis(3), case)
+        grid = mesh.Grid(case.domain, 4, 4)
+        self.op = DGOperator(grid, DGBasis(3), case)
 
     def test_constant_on_unit_domain(self):
         U = np.ones((4, 4, 4, 4, 4))
@@ -147,11 +147,11 @@ class TestTotalMass:
         U[..., 3] = poly(self.op.X, self.op.Z)
         rule = tensorize(gauss_legendre(3))
         oracle = 0.0
-        h = self.op.hierarchy
+        dom = self.op.grid.domain
         for i in range(4):
             for j in range(4):
-                x = h.domain.x_min + (i + rule.points[:, 0]) * self.op.dx
-                z = h.domain.z_min + (j + rule.points[:, 1]) * self.op.dz
+                x = dom.x_min + (i + rule.points[:, 0]) * self.op.dx
+                z = dom.z_min + (j + rule.points[:, 1]) * self.op.dz
                 oracle += self.op.dx * self.op.dz * np.sum(rule.weights * poly(x, z))
         assert total_mass(self.op, U, 3) == pytest.approx(oracle, rel=1e-12)
 
@@ -220,10 +220,10 @@ class TestWorkArrays:
         c = dataclasses.replace(case.constants, mu=mu)
         case = dataclasses.replace(case, constants=c,
                                    atmosphere=dataclasses.replace(case.atmosphere, constants=c))
-        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 3)
+        grid = mesh.Grid(case.domain, nx, nz)
 
         def build():
-            return DGOperator(h, DGBasis(3), case)
+            return DGOperator(grid, DGBasis(3), case)
 
         op = build()
         shape = op.bg_vol.shape
@@ -271,7 +271,7 @@ class TestWorkArrays:
         c = dataclasses.replace(setup.case.constants, mu=0.0)
         case = dataclasses.replace(setup.case, constants=c,
                                    atmosphere=dataclasses.replace(setup.case.atmosphere, constants=c))
-        inviscid = DGOperator(setup.hierarchy, setup.basis, case)
+        inviscid = DGOperator(setup.dg_op.grid, setup.basis, case)
         (U,) = self.states(setup, 1)
         assert "_V" in vars(viscous) and "_V" not in vars(inviscid)
         peaks = []
@@ -298,8 +298,8 @@ class TestWorkArrays:
 class TestFreeStream:
     def test_constant_state_is_steady_without_gravity(self):
         case = advection_case(u=1.0, w=0.5)
-        h = mesh.GridHierarchy(case.domain, 3, 3, 0, 3)
-        op = DGOperator(h, DGBasis(3), case)
+        grid = mesh.Grid(case.domain, 3, 3)
+        op = DGOperator(grid, DGBasis(3), case)
         Up = np.zeros((3, 3, 4, 4, 4))
         Up[..., 0] = 0.05
         Up[..., 1] = 0.05 * 1.0
@@ -312,8 +312,8 @@ class TestFreeStream:
 class TestConservation:
     def test_periodic_mass_production_is_zero(self):
         case = advection_case(u=1.0, w=0.3)
-        h = mesh.GridHierarchy(case.domain, 4, 4, 0, 3)
-        op = DGOperator(h, DGBasis(3), case)
+        grid = mesh.Grid(case.domain, 4, 4)
+        op = DGOperator(grid, DGBasis(3), case)
         U = project(op, lambda x, z: entropy_wave(x, z, 0.0, u=1.0, w=0.3))
         out = op(U)
         scale = np.abs(total_mass(op, U, 0)) + 1.0
@@ -332,8 +332,8 @@ class TestManufacturedConvergence:
         case = advection_case(u=1.0)
         errs = []
         for N in (4, 8, 16):
-            h = mesh.GridHierarchy(case.domain, N, 2, 0, 3)
-            op = DGOperator(h, DGBasis(3), case)
+            grid = mesh.Grid(case.domain, N, 2)
+            op = DGOperator(grid, DGBasis(3), case)
             U = project(op, lambda x, z: entropy_wave(x, z, 0.0))
             t, t_end = 0.0, 0.25
             dt = t_end / np.ceil(t_end / (0.25 / (N * 7 * 2.0)))
@@ -379,10 +379,10 @@ class TestViscousOperator:
         )
         errs = []
         for N in (4, 8, 16):
-            h = mesh.GridHierarchy(case.domain, N, N // 2, 0, 3)
+            grid = mesh.Grid(case.domain, N, N // 2)
             basis = DGBasis(3)
-            op = DGOperator(h, basis, case)
-            op0 = DGOperator(h, basis, case0)
+            op = DGOperator(grid, basis, case)
+            op0 = DGOperator(grid, basis, case0)
             bg = op.bg_vol
             U = np.zeros_like(bg)
             U[..., 1] = bg[..., 0] * fns[0](op.X, op.Z)
@@ -406,7 +406,8 @@ class TestErrors:
         U[3, 2, 1, 1, 3] = -1e6  # drives rho*theta negative
         with pytest.raises(InadmissibleStateError) as err:
             setup.dg_op(U)
-        assert err.value.location == (setup.hierarchy.dg_level, 2, 3)
+        assert err.value.location == (2, 3)
+        assert "of cell (i=2, j=3) of the 5 x 10 grid" in str(err.value)
 
     @pytest.mark.parametrize(
         "name, base_nx, base_nz, axis, side, i, j",
@@ -433,4 +434,5 @@ class TestErrors:
         assert np.all((U + op.bg_vol)[..., 3] > 0.0)
         with pytest.raises(InadmissibleStateError, match="face trace") as err:
             op(U)
-        assert err.value.location == (setup.hierarchy.dg_level, i, j)
+        assert err.value.location == (i, j)
+        assert f"of cell (i={i}, j={j}) of the {base_nx} x {base_nz} grid" in str(err.value)

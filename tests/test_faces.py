@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import advection_case, make_setup
+from conftest import advection_case, make_grids, make_setup
 from dgmg import cases, mesh, physics
 from dgmg.dg import DGBasis, DGOperator
 from dgmg.fv import FVLinearization
@@ -193,8 +193,8 @@ class TestAgainstReference:
     @given(setup=advection_cases(), k=st.sampled_from([1, 3]), data=st.data())
     def test_dg_operator(self, setup, k, data):
         case, nx, nz = setup
-        h = mesh.GridHierarchy(case.domain, nx, nz, 0, k)
-        op = DGOperator(h, DGBasis(k), case)
+        grid = mesh.Grid(case.domain, nx, nz)
+        op = DGOperator(grid, DGBasis(k), case)
         Up = data.draw(perturbations(op.bg_vol.shape))
         assert np.array_equal(op(Up), dg_reference(op, case, Up))
 
@@ -205,8 +205,8 @@ class TestAgainstReference:
         # the GEMM traces sum in another order than the reference's
         # per-node form: round-off of a few p-term sums
         case, nx, nz = setup
-        h = mesh.GridHierarchy(case.domain, nx, nz, 0, k)
-        op = DGOperator(h, DGBasis(k), with_viscosity(case, mu))
+        grid = mesh.Grid(case.domain, nx, nz)
+        op = DGOperator(grid, DGBasis(k), with_viscosity(case, mu))
         Up = data.draw(perturbations(op.bg_vol.shape))
         rhs = op(Up)
         tol = 1e-12 * (np.abs(rhs).max() + viscous_scale(op, Up))
@@ -219,8 +219,8 @@ class TestAgainstReference:
         # one padded evaluation per axis does the per-face arithmetic of
         # the branchy reference, fed the operator's own traces
         case, nx, nz = setup
-        h = mesh.GridHierarchy(case.domain, nx, nz, 0, k)
-        op = DGOperator(h, DGBasis(k), with_viscosity(case, mu))
+        grid = mesh.Grid(case.domain, nx, nz)
+        op = DGOperator(grid, DGBasis(k), with_viscosity(case, mu))
         Up = data.draw(perturbations(op.bg_vol.shape))
         V, _ = op._viscous_volume_fluxes(Up + op.bg_vol)
         Bx, Bz = op._face_states(Up)
@@ -240,8 +240,7 @@ class TestAgainstReference:
 
     def test_viscous_density_current(self):
         case = cases.by_name("density-current")
-        h = mesh.GridHierarchy(case.domain, 4, 3, 1, 3)
-        op = DGOperator(h, DGBasis(3), case)
+        op = DGOperator(mesh.Grid(case.domain, 8, 6), DGBasis(3), case)
         assert op.constants.mu > 0.0
         rng = np.random.default_rng(6)
         Up = 1e-3 * np.abs(op.bg_vol).max(axis=(0, 1, 2, 3)) * rng.standard_normal(op.bg_vol.shape)
@@ -253,8 +252,7 @@ class TestAgainstReference:
     @given(setup=advection_cases(viscous=True), data=st.data())
     def test_fv_operator(self, setup, data):
         case, nx, nz = setup
-        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 0)
-        op = FVLinearization(h, 0, case)
+        op = FVLinearization(mesh.Grid(case.domain, nx, nz), case)
         assert_fv_face_fluxes(op, case, data.draw(perturbations(op.bg.shape)) + op.bg)
 
     @pytest.mark.parametrize("name", ["inertia-gravity", "rising-bubble", "density-current"])
@@ -263,14 +261,14 @@ class TestAgainstReference:
         # inviscid, so the density current's DG operator runs with mu = 0,
         # while its FV face fluxes stay viscous
         case = cases.by_name(name)
-        h = mesh.GridHierarchy(case.domain, 4, 3, 1, 3)
-        op = DGOperator(h, DGBasis(3), with_viscosity(case, 0.0))
+        grids = make_grids(case.domain, 4, 3, 1, 3)
+        op = DGOperator(grids[1], DGBasis(3), with_viscosity(case, 0.0))
         rng = np.random.default_rng(5)
         scale = 1e-3 * np.abs(op.bg_vol).max(axis=(0, 1, 2, 3))
         Up = scale * rng.standard_normal(op.bg_vol.shape)
         assert np.array_equal(op(Up), dg_reference(op, case, Up))
-        for lvl in range(h.n_levels):
-            fv = FVLinearization(h, lvl, case)
+        for grid in grids:
+            fv = FVLinearization(grid, case)
             assert_fv_face_fluxes(fv, case, scale * rng.standard_normal(fv.bg.shape) + fv.bg)
 
 
@@ -307,7 +305,7 @@ class TestHLLCHook:
         monkeypatch.setattr(physics, "hllc_flux_axis", counted)
         setup = make_setup(name, base_nx, base_nz, 2)
         evaluations = [(1, "dg", lambda: setup.dg_op(setup.dg_op.zero_field()))]
-        for lvl in range(setup.hierarchy.n_levels):
+        for lvl in range(len(setup.grids)):
             op = setup.fv_op(lvl)
             evaluations.append((9, lvl, functools.partial(op.assemble, np.zeros_like(op.bg), 1.0)))
         for per_axis, where, evaluate in evaluations:

@@ -86,8 +86,8 @@ class TestOperator:
         # one periodic cell is its own east, west, north and south
         # neighbour: every face flux enters it twice with opposite signs
         case = advection_case(u=1.0, w=1.0)
-        h = mesh.GridHierarchy(case.domain, 1, 1, 0, 0)
-        lin = FVLinearization(h, 0, case)
+        grid = mesh.Grid(case.domain, 1, 1)
+        lin = FVLinearization(grid, case)
         rng = np.random.default_rng(0)
         for _ in range(5):
             lin.assemble(0.05 * rng.standard_normal((1, 1, 4)), alpha_dt=1.0)
@@ -99,8 +99,8 @@ class TestOperator:
         case = advection_case(u=1.0)
         errs = []
         for N in (32, 64, 128):
-            h = mesh.GridHierarchy(case.domain, N, 4, 0, 0)
-            lin = FVLinearization(h, 0, case)
+            grid = mesh.Grid(case.domain, N, 4)
+            lin = FVLinearization(grid, case)
             X = np.broadcast_to(lin.dx * (np.arange(N) + 0.5), (4, N))
             Z = np.broadcast_to(lin.dz * (np.arange(4)[:, None] + 0.5), (4, N))
             w = cycle_vector(entropy_wave(X, Z, 0.0))
@@ -126,8 +126,8 @@ class TestOperator:
         # and the mass flux through a slip wall is exactly zero
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
-        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 0)
-        lin = FVLinearization(h, 0, case)
+        grid = mesh.Grid(case.domain, nx, nz)
+        lin = FVLinearization(grid, case)
         rng = np.random.default_rng(seed)
         lin.assemble(random_state(lin, rng), alpha_dt)
         total, tol = mass_change(lin, cycle_vector(rng.standard_normal(lin.bg.shape)))
@@ -137,7 +137,7 @@ class TestOperator:
         # the bubble's DG subgrid level at its transferred initial state:
         # gravity, a stratified background and slip walls on every side
         setup = make_setup("rising-bubble", 5, 10, 0)
-        lin = setup.fv_op(setup.hierarchy.fv_level)
+        lin = setup.fv_op()
         u0 = setup.transfer().dg_to_fv(cases.build_initial_state(setup.case, setup.dg_op))
         lin.assemble(u0, alpha_dt=10.0)
         rng = np.random.default_rng(4)
@@ -147,7 +147,7 @@ class TestOperator:
 
 
 class TestErrors:
-    def test_inadmissible_cell_reports_level_and_cell(self):
+    def test_inadmissible_cell_reports_grid_and_cell(self):
         setup = make_setup("inertia-gravity", 5, 2, 2)
         op = setup.fv_op(1)
         u = np.zeros_like(op.bg)
@@ -155,13 +155,14 @@ class TestErrors:
         # the stencil assembly at the frozen state
         with pytest.raises(InadmissibleStateError, match="cell average") as err:
             op.assemble(u, 1.0)
-        assert err.value.location == (1, 7, 3)
+        assert err.value.location == (7, 3)
+        assert "of cell (i=7, j=3) of the 10 x 4 grid" in str(err.value)
 
 
 class TestBackground:
     def test_rising_bubble_theta_constant(self):
         setup = make_setup("rising-bubble", 5, 10, 0)
-        bg = fv_background(setup.case, setup.hierarchy, 2)
+        bg = fv_background(setup.case, setup.grids[2])
         theta = bg[..., 3] / bg[..., 0]
         assert np.allclose(theta, 303.15, rtol=1e-12)
 
@@ -178,8 +179,8 @@ class TestBackground:
         defects = []
         for nz in (8, 16):
             setup = make_setup(name, 4, nz, 0)
-            bg = fv_background(case, setup.hierarchy, 0)
-            lvl_dz = setup.hierarchy.dz[0]
+            bg = fv_background(case, setup.grids[0])
+            lvl_dz = setup.grids[0].dz
             zc = case.domain.z_min + lvl_dz * (np.arange(nz) + 0.5)
             p = case.atmosphere.pressure(np.zeros_like(zc), zc)
             dp = np.diff(p)
@@ -212,8 +213,8 @@ def field(v):
 class TestLinearization:
     def test_zero_vector_short_circuits(self, monkeypatch):
         case = advection_case()
-        h = mesh.GridHierarchy(case.domain, 4, 4, 0, 0)
-        lin = assembled(FVLinearization(h, 0, case), np.zeros((4, 4, 4)), alpha_dt=1.0)
+        grid = mesh.Grid(case.domain, 4, 4)
+        lin = assembled(FVLinearization(grid, case), np.zeros((4, 4, 4)), alpha_dt=1.0)
         # the matvec evaluates no face flux
         monkeypatch.setattr(FVLinearization, "face_flux", lambda *args: pytest.fail("face flux"))
         out = apply(lin, np.zeros((4, 4, 4), dtype=np.float32))
@@ -221,8 +222,8 @@ class TestLinearization:
 
     def test_zero_alpha_dt_is_identity(self):
         case = advection_case()
-        h = mesh.GridHierarchy(case.domain, 4, 4, 0, 0)
-        lin = assembled(FVLinearization(h, 0, case), np.zeros((4, 4, 4)), alpha_dt=0.0)
+        grid = mesh.Grid(case.domain, 4, 4)
+        lin = assembled(FVLinearization(grid, case), np.zeros((4, 4, 4)), alpha_dt=0.0)
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 4, 4)).astype(np.float32)
         assert np.allclose(apply(lin, w), w, atol=1e-14)
@@ -242,8 +243,8 @@ class TestLinearization:
         # stencil holds the same difference quotients as the columns
         case = advection_case(u=1.0)
         n = 8
-        h = mesh.GridHierarchy(case.domain, n, 1, 0, 0)
-        lin = FVLinearization(h, 0, case)
+        grid = mesh.Grid(case.domain, n, 1)
+        lin = FVLinearization(grid, case)
         alpha_dt = 0.7
         u0 = np.zeros((1, n, 4))
         lin.assemble(u0, alpha_dt=alpha_dt)
@@ -258,7 +259,7 @@ class TestLinearization:
     def test_fd_matches_column_assembled_euler_jacobian(self):
         setup = make_setup("inertia-gravity", 4, 1, 0)
         lvl = 1
-        nz, nx = setup.hierarchy.nz[lvl], setup.hierarchy.nx[lvl]
+        nz, nx = setup.grids[lvl].nz, setup.grids[lvl].nx
         rng = np.random.default_rng(3)
         u0 = np.zeros((nz, nx, 4))
         u0[..., 0] = 1e-5 * rng.standard_normal((nz, nx))
@@ -280,10 +281,9 @@ class TestLinearization:
     def test_linearity_to_fd_accuracy(self):
         for name, tol in (("inertia-gravity", 1e-6), ("density-current", 5e-6)):
             setup = make_setup(name, 4, 2, 0)
-            lvl = setup.hierarchy.fv_level
             tr = setup.transfer()
             u0 = tr.dg_to_fv(cases.build_initial_state(setup.case, setup.dg_op))
-            lin = assembled(setup.fv_op(lvl), u0, alpha_dt=1.5)
+            lin = assembled(setup.fv_op(), u0, alpha_dt=1.5)
             rng = np.random.default_rng(6)
             w = cycle_vector(rng.standard_normal(u0.shape) * np.array([1e-5, 1e-4, 1e-4, 1e-3]))
             base = apply(lin, w)
@@ -303,8 +303,8 @@ class TestLinearization:
         # one cell apart
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
-        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 0)
-        lin = FVLinearization(h, 0, case)
+        grid = mesh.Grid(case.domain, nx, nz)
+        lin = FVLinearization(grid, case)
         rng = np.random.default_rng(seed)
         u0 = random_state(lin, rng)
         lin.assemble(u0, alpha_dt)
@@ -339,15 +339,15 @@ class TestLinearization:
         # are folded, and slip walls, whose ghosts the matvec never writes
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
-        h = mesh.GridHierarchy(case.domain, nx, nz, 0, 0)
+        grid = mesh.Grid(case.domain, nx, nz)
         rng = np.random.default_rng(seed)
-        probe = FVLinearization(h, 0, case)
+        probe = FVLinearization(grid, case)
         state_a, state_b = random_state(probe, rng), random_state(probe, rng)
         w = cycle_vector(rng.standard_normal(state_a.shape))
-        lin = assembled(FVLinearization(h, 0, case), state_a, alpha_dt[0])
+        lin = assembled(FVLinearization(grid, case), state_a, alpha_dt[0])
         apply(lin, cycle_vector(rng.standard_normal(state_a.shape)))
         lin.assemble(state_b, alpha_dt[1])
-        fresh = assembled(FVLinearization(h, 0, case), state_b, alpha_dt[1])
+        fresh = assembled(FVLinearization(grid, case), state_b, alpha_dt[1])
         assert np.array_equal(lin.blocks, fresh.blocks)
         assert np.array_equal(apply(lin, w), apply(fresh, w))
 

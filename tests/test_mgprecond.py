@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import references
-from conftest import advection_case, make_setup, rms
-from dgmg import cases, cli, mesh, mgprecond, physics
+from conftest import advection_case, make_grids, make_setup, rms
+from dgmg import cases, cli, mgprecond, physics
 from dgmg.cases import build_initial_state
 from dgmg.fv import FVLinearization
 from dgmg.mgprecond import (
@@ -507,11 +507,11 @@ class TestCycleAgainstReference:
         # reference with np.linalg.solve
         case = with_viscosity(
             advection_case(u=0.2, w=-0.1, periodic_x=periodic_x, periodic_z=periodic_z), mu)
-        h = mesh.GridHierarchy(case.domain, base_nx, base_nz, n_levels - 1, 0)
+        grids = make_grids(case.domain, base_nx, base_nz, n_levels - 1, 0)
         rng = np.random.default_rng(seed)
         levels, ref_levels = [], []
-        for l in range(n_levels):
-            lin = FVLinearization(h, l, case)
+        for grid in grids:
+            lin = FVLinearization(grid, case)
             u0 = random_state(lin, rng)
             lin.assemble(u0, alpha_dt)
             dtau = references.pseudo_dtau(u0 + lin.bg, lin.dx, lin.dz, lin.constants, 1.0,
@@ -523,7 +523,7 @@ class TestCycleAgainstReference:
                                dtau, (periodic_x, periodic_z)))
         levels[0].factor()
         cfg = parse_mg_config(key)
-        b = rng.standard_normal((4, h.nz[-1], h.nx[-1])).astype(np.float32)
+        b = rng.standard_normal((4, grids[-1].nz, grids[-1].nx)).astype(np.float32)
         got = cycle(levels, b, cfg)
         want = references.mg_cycle(ref_levels, n_levels - 1, np.zeros_like(field(b)), field(b),
                                    cfg, RK_STAGES)
@@ -682,12 +682,12 @@ class TestPrecondition:
         assert level.dtau.dtype == np.float32
         assert np.array_equal(level.dtau, dtau.astype(np.float32))
         w = np.random.default_rng(4).standard_normal((4, op.nz, op.nx)).astype(np.float32)
-        fresh = FVLinearization(setup.hierarchy, l, setup.case)
+        fresh = setup.fv_op(l)
         fresh.assemble(u, alpha_dt)
         assert np.array_equal(level.matvec(w, np.empty_like(w)), apply(fresh, w))
 
     def test_fv_stack_assembled_once_per_run(self, ig_precond, fv_calls, monkeypatch):
-        # a run makes one FV level per hierarchy level; over two steps at a
+        # a run makes one FV level per grid of the cycle; over two steps at a
         # fixed dt only the first step's begin_step assembles them, once
         # each, and nothing else assembles: no factory call, of either stage
         # or any Newton iteration, and no application. After step 2 the kept
@@ -1055,14 +1055,15 @@ class TestCoarseSolve:
         # a coarsest level whose operator is zero fails the first step's
         # begin_step: exit code 3, a message naming the level, and no cycle
         matvec = FVLinearization.matvec
+        base = (TestLaggedStackRuns.CONFIG["base_nx"], TestLaggedStackRuns.CONFIG["base_nz"])
 
-        def zero_on_level_0(self, w, out):
-            if self.level == 0:
+        def zero_on_the_base_grid(self, w, out):
+            if (self.grid.nx, self.grid.nz) == base:
                 out[...] = 0.0
                 return out
             return matvec(self, w, out)
 
-        monkeypatch.setattr(FVLinearization, "matvec", zero_on_level_0)
+        monkeypatch.setattr(FVLinearization, "matvec", zero_on_the_base_grid)
         cycles = []
         monkeypatch.setattr(mgprecond, "mg_cycle", lambda *args, **kw: cycles.append(args))
         config = cli.RunConfig(**TestLaggedStackRuns.CONFIG, t_final=25.0, outdir=str(tmp_path))

@@ -120,8 +120,7 @@ class TestFluxes:
         # self block and nothing else
         case = advection_case(u=1.0, w=1.0)
         case = dataclasses.replace(case, constants=dataclasses.replace(case.constants, g=DC.g))
-        h = mesh.GridHierarchy(case.domain, 1, 1, 0, 0)
-        lin = FVLinearization(h, 0, case)
+        lin = FVLinearization(mesh.Grid(case.domain, 1, 1), case)
         lin.assemble(np.array([[[0.01, 0.002, -0.003, 0.004]]]), alpha_dt=2.0)
         expected = np.zeros_like(lin.blocks)
         expected[RHO_W, RHO] = -2.0 * DC.g

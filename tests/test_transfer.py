@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import references
-from conftest import advection_case
-from dgmg import mesh
+from conftest import advection_case, make_grids
 from dgmg.dg import DGBasis, DGOperator
 from dgmg.quadrature import modified_newton_cotes
 from dgmg.transfer import TransferOperators
@@ -15,10 +14,10 @@ from dgmg.transfer import TransferOperators
 @pytest.fixture(scope="module")
 def setup():
     case = advection_case()
-    h = mesh.GridHierarchy(case.domain, 3, 2, 0, 3)
+    grids = make_grids(case.domain, 3, 2, 0, 3)
     basis = DGBasis(3)
-    op = DGOperator(h, basis, case)
-    return case, h, basis, op, TransferOperators(basis)
+    op = DGOperator(grids[0], basis, case)
+    return case, grids, basis, op, TransferOperators(basis)
 
 
 def dg_cell_masses(op, U):
@@ -32,14 +31,14 @@ def dg_fields(draw):
     """A transfer pair on a drawn grid and k, and a DG field for it."""
     k = draw(st.sampled_from([1, 3]))
     case = advection_case()
-    h = mesh.GridHierarchy(case.domain, draw(st.integers(1, 5)), draw(st.integers(1, 5)), 0, k)
-    op = DGOperator(h, DGBasis(k), case)
+    grids = make_grids(case.domain, draw(st.integers(1, 5)), draw(st.integers(1, 5)), 0, k)
+    op = DGOperator(grids[0], DGBasis(k), case)
     U = draw(arrays(np.float64, op.bg_vol.shape,
                     elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
     # products near the underflow threshold lose their relative precision
     # in any summation order, so such inputs are flushed to zero
     U[np.abs(U) < 1e-150] = 0.0
-    return h, op, TransferOperators(op.basis), U
+    return grids, op, TransferOperators(op.basis), U
 
 
 class TestAgainstEinsumReference:
@@ -49,7 +48,7 @@ class TestAgainstEinsumReference:
     @settings(max_examples=60, deadline=None)
     @given(dg_fields())
     def test_forward_maps(self, fields):
-        h, op, tr, U = fields
+        _, op, tr, U = fields
         tol = 1e-13 * np.abs(U).max()
         assert np.abs(tr.dg_to_fv(U) - references.dg_to_fv(tr, U)).max() <= tol
         assert np.abs(tr.dg_to_fv_massfix(U) - references.dg_to_fv_massfix(tr, U)).max() <= tol
@@ -57,7 +56,7 @@ class TestAgainstEinsumReference:
     @settings(max_examples=60, deadline=None)
     @given(dg_fields())
     def test_inverse_map(self, fields):
-        h, op, tr, U = fields
+        _, op, tr, U = fields
         u = U.transpose(0, 2, 1, 3, 4).reshape(op.nz * tr.p, op.nx * tr.p, 4)
         assert np.abs(tr.fv_to_dg(u) - references.fv_to_dg(tr, u)).max() <= 1e-13 * np.abs(u).max()
 
@@ -72,7 +71,7 @@ class TestInterpolationTransfer:
         assert np.allclose(tr.fv_to_dg(u), 3.25, atol=1e-13)
 
     def test_cubic_sampled_at_subcell_centers(self, setup):
-        case, h, basis, op, tr = setup
+        case, grids, basis, op, tr = setup
         # reference-coordinate cubic on each cell: values at centers are
         # (1/8)^3, (3/8)^3, (5/8)^3, (7/8)^3 along a node row
         xi = np.broadcast_to(basis.nodes[None, :], (4, 4))
@@ -97,7 +96,7 @@ class TestInterpolationTransfer:
         assert np.linalg.norm(dev, 2) < 1e-12
 
     def test_fv_to_dg_recovers_cubic_nodal_values(self, setup):
-        case, h, basis, op, tr = setup
+        case, grids, basis, op, tr = setup
         rng = np.random.default_rng(5)
         coef = rng.standard_normal((4, 4))
 
@@ -120,31 +119,31 @@ class TestMassFix:
     @settings(max_examples=60, deadline=None)
     @given(dg_fields())
     def test_per_cell_mass_matches_dg_mass(self, fields):
-        h, op, tr, U = fields
+        grids, op, tr, U = fields
         u = tr.dg_to_fv_massfix(U)
         dg_mass = dg_cell_masses(op, U)
-        area_sub = references.cell_area(h, h.fv_level)
+        area_sub = references.cell_area(grids[-1])
         p = op.basis.p
         fv_mass = area_sub * u.reshape(op.nz, p, op.nx, p, 4).sum(axis=(1, 3))
         # a cell whose mass cancels to about zero is held to the round-off
         # of its largest value
-        atol = 1e-13 * references.cell_area(h, h.dg_level) * np.abs(U).max()
+        atol = 1e-13 * references.cell_area(op.grid) * np.abs(U).max()
         assert np.allclose(fv_mass, dg_mass, rtol=1e-12, atol=atol)
 
     def test_appendix_rule_equals_gl_mass_for_cubics(self, setup):
         # the subcell-center quadrature evaluates the DG cell mass exactly
-        case, h, basis, op, tr = setup
+        case, grids, basis, op, tr = setup
         rng = np.random.default_rng(2)
         U = rng.standard_normal((2, 3, 4, 4, 4))
         T1, _, _ = references.subcell_matrices(3)
         vals = np.einsum("ma,zxabc->zxmbc", T1, U)
         vals = np.einsum("nb,zxmbc->zxmnc", T1, vals)
         w = modified_newton_cotes(3).weights
-        nc_mass = references.cell_area(h, h.dg_level) * np.einsum("m,n,zxmnc->zxc", w, w, vals)
+        nc_mass = references.cell_area(op.grid) * np.einsum("m,n,zxmnc->zxc", w, w, vals)
         assert np.allclose(nc_mass, dg_cell_masses(op, U), rtol=1e-12)
 
     def test_fix_is_uniform_shift_per_cell(self, setup):
-        case, h, basis, op, tr = setup
+        case, grids, basis, op, tr = setup
         rng = np.random.default_rng(3)
         U = rng.standard_normal((2, 3, 4, 4, 4))
         diff = tr.dg_to_fv_massfix(U) - tr.dg_to_fv(U)
@@ -154,13 +153,13 @@ class TestMassFix:
         assert np.abs(spread).max() < 1e-13
 
     def test_plain_interpolation_violates_mass_on_cubics(self, setup):
-        case, h, basis, op, tr = setup
+        case, grids, basis, op, tr = setup
         xi = np.broadcast_to(basis.nodes[None, :], (4, 4))
         U = np.zeros((2, 3, 4, 4, 4))
         U[..., 0] = xi**3
         u = tr.dg_to_fv(U)
         p = basis.p
-        area_sub = references.cell_area(h, h.fv_level)
+        area_sub = references.cell_area(grids[-1])
         fv_mass = area_sub * u.reshape(2, p, 3, p, 4).sum(axis=(1, 3))
         dg_mass = dg_cell_masses(op, U)
         rel = np.abs(fv_mass[..., 0] - dg_mass[..., 0]) / np.abs(dg_mass[..., 0])
