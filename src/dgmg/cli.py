@@ -347,7 +347,9 @@ def run(cfg: RunConfig) -> int:
         tol = 1e-9 * max(t_final, 1.0)
         try:
             while t < t_final - tol:
-                step_dt = min(dt, t_final - t)
+                # a remainder within tol of dt is a whole step, so that a
+                # rounding error does not change alpha*dt and the FV stack
+                step_dt = dt if t_final - t > dt - tol else t_final - t
                 if t + step_dt == t:
                     raise SolverFailure(f"time step {step_dt:.3g} no longer advances t")
                 if cfg.integrator == "implicit":

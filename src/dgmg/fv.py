@@ -26,9 +26,9 @@ one-sided finite differences of the face fluxes, the usual implicit-FV
 assembly (Blazek, Computational Fluid Dynamics, ch. 6), and matvec
 applies it as one contraction over five shifted views of a ghost-padded
 copy of the vector, with no neighbour table; the multigrid preconditioner
-re-assembles every level when it rebuilds its stack, which it keeps
-across time steps until alpha_dt changes or its GMRES iterations per
-Newton iteration grow (MultigridPreconditioner.begin_step). Only these
+assembles every level at its background (a zero perturbation) and keeps
+that stack for the run, re-assembling it only when alpha_dt changes
+(MultigridPreconditioner.begin_step). Only these
 FV levels are assembled: the outer DG stage system stays Jacobian-free
 (timeint.FDLinearization).
 """

@@ -7,14 +7,13 @@ correction back, optionally wrapped in pseudo-time smoothing sweeps on
 the DG system itself. The outer DG system stays Jacobian-free: the DG
 sweeps use the Newton iteration's FD linearization. The FV levels use
 assembled stencils (fv.FVLinearization), made once per run and
-assembled in place by begin_step at the state a time step starts from.
-The stack is then lagged over that step and the steps after it (Knoll &
-Keyes, J. Comput. Phys. 2004). begin_step rebuilds it only when alpha*dt
-changes, since the blocks hold alpha*dt*J and the pseudo steps depend on
-it, or when the last step's GMRES iterations per Newton iteration exceed
-REBUILD_GROWTH times those of the first step that used the stack. In
-these low-Mach flows the stage Jacobian is dominated by the sound speed
-and the hydrostatic background, which barely move from step to step.
+assembled in place by begin_step at each level's hydrostatic background
+(a zero perturbation). The solvers evolve perturbations of that
+background, and in these low-Mach flows the stiff part of the stage
+Jacobian is the background's sound speed and gravity, so one stack
+serves the whole run. begin_step re-assembles it only when alpha*dt
+changes, since the blocks hold alpha*dt*J and the pseudo steps depend
+on it.
 
 The FV cycle runs in float32 on component-major vectors (4, nz, nx):
 the residual is copied once into that form when it enters the cycle and
@@ -98,11 +97,6 @@ from .transfer import TransferOperators
 
 # stages s of each FV smoothing step, whose stability polynomial is (1 - z)^s
 RK_STAGES = 3
-
-# begin_step rebuilds a kept FV stack when a step's preconditioner
-# applications per factory call (GMRES iterations per Newton iteration)
-# exceed this multiple of those of the first step that used the stack
-REBUILD_GROWTH = 1.5
 
 # the coarsest FV level is solved exactly, with a dense inverse made when
 # the stack is built, when it has at most this many unknowns (4 * cells);
@@ -342,14 +336,12 @@ class MultigridPreconditioner:
 
     Holds the FV level of every grid of the cycle (fv.FVLinearization), the
     cycle's Level of each, made once, the DG/FV transfer, and the cycle
-    configuration. begin_step(U, alpha_dt) freezes the FV levels, the
-    coarsest level's inverse and alpha_dt at the state U of the step that
-    builds the stack; every factory() call of that step and of the steps
-    that keep the stack, for both stages and every Newton iteration,
-    reuses them. factory and the closures it returns count their calls
-    for begin_step's rebuild rule. The DG side (the outer Jacobian-free
-    linearization and its pseudo-time steps) follows the current Newton
-    iterate. The returned closure
+    configuration. begin_step(alpha_dt) freezes the FV levels at their
+    backgrounds and the coarsest level's inverse at alpha_dt; every
+    factory() call of the steps at that alpha_dt, for both stages and
+    every Newton iteration, reuses them. The DG side (the outer
+    Jacobian-free linearization and its pseudo-time steps) follows the
+    current Newton iterate. The returned closure
     applies one cycle per call and returns float64 of its input's shape;
     it is linear to float32 round-off (exactly homogeneous under powers of
     two) and deterministic across calls.
@@ -366,43 +358,23 @@ class MultigridPreconditioner:
         self.transfer = transfer
         self.cfg = cfg
         self.forward = transfer.dg_to_fv_massfix if use_massfix else transfer.dg_to_fv
-        self.alpha_dt: float | None = None  # of the step that built the stack
-        # factory calls and applications since the last begin_step
-        self.factories = 0
-        self.applies = 0
-        # applications per factory call of the first step on the stack
-        self.baseline: float | None = None
+        self.alpha_dt: float | None = None  # of the stack's last assembly
 
-    def begin_step(self, U: np.ndarray, alpha_dt: float) -> None:
-        """Start a time step at the DG state U. Keep the stack unless there
-        is none yet, alpha_dt differs from the one it was built at, or the
-        last step's applications per factory call exceed REBUILD_GROWTH
-        times the baseline; a step without factory calls sets no baseline.
-        To rebuild, transfer U to the finest FV level, restrict it down
-        the levels, re-assemble each level's stencil and pseudo steps in
-        place at alpha_dt, and factor the coarsest level (Level.factor)."""
-        stale = False
-        if self.factories:
-            per_factory = self.applies / self.factories
-            if self.baseline is None:
-                self.baseline = per_factory
-            stale = per_factory > REBUILD_GROWTH * self.baseline
-        self.factories = self.applies = 0
-        if alpha_dt == self.alpha_dt and not stale:
+    def begin_step(self, alpha_dt: float) -> None:
+        """Start a time step at alpha_dt. Keep the stack unless there is
+        none yet or alpha_dt differs from the one it was built at; then
+        re-assemble each level's stencil and pseudo steps in place at its
+        background and alpha_dt, and factor the coarsest level
+        (Level.factor)."""
+        if alpha_dt == self.alpha_dt:
             return
-        self.alpha_dt, self.baseline = alpha_dt, None
-        u = self.forward(U)
-        for l in reversed(range(len(self.levels))):
-            lin, level = self.linearizations[l], self.levels[l]
-            level.dtau[...] = self.cfg.pseudo_cfl / (1.0 + alpha_dt * lin.assemble(u, alpha_dt))
-            if l:
-                # restrict acts on the last two axes; the FV states are (nz, nx, 4)
-                u = restrict(u.transpose(2, 0, 1)).transpose(1, 2, 0)
-            else:
-                level.factor()
+        self.alpha_dt = alpha_dt
+        for lin, level in zip(self.linearizations, self.levels):
+            rate = lin.assemble(np.zeros_like(lin.bg), alpha_dt)
+            level.dtau[...] = self.cfg.pseudo_cfl / (1.0 + alpha_dt * rate)
+        self.levels[0].factor()
 
     def factory(self, dg_lin):
-        self.factories += 1
         cfg, alpha_dt, levels = self.cfg, self.alpha_dt, self.levels
         finest = len(levels) - 1
         if cfg.dg_pre or cfg.dg_post:
@@ -416,7 +388,6 @@ class MultigridPreconditioner:
         top = levels[finest]
 
         def precondition(y: np.ndarray) -> np.ndarray:
-            self.applies += 1
             if cfg.dg_pre:
                 x = smooth(dg_lin.matvec, np.empty_like(y), y, cfg.dg_pre, dg_dtau, dg_work,
                            zero=True)

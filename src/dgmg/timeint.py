@@ -345,11 +345,10 @@ def sdirk2_step(
     Stage right-hand sides follow the tableau; f(U1) is recovered from the
     solved first stage as (U1 - Ubar1)/(alpha*dt), avoiding an extra
     operator call. precond, if given, preconditions the stage solves:
-    precond.begin_step(U, alpha*dt) starts the step and decides whether
-    what the preconditioner lags is kept from the steps before or frozen
-    anew at U, and precond.factory(lin) builds the preconditioner of each
-    Newton iterate's linearization lin. A stage's dg_ops counts its calls
-    of f.
+    precond.begin_step(alpha*dt) starts the step, keeping what the
+    preconditioner froze at the steps before unless alpha*dt changed, and
+    precond.factory(lin) builds the preconditioner of each Newton
+    iterate's linearization lin. A stage's dg_ops counts its calls of f.
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
@@ -359,7 +358,7 @@ def sdirk2_step(
     stats: list[StageStats] = []
     factory = None
     if precond is not None:
-        precond.begin_step(U, a_dt)
+        precond.begin_step(a_dt)
         factory = precond.factory
 
     def solve_stage(stage: int, Ubar: np.ndarray, ts: float) -> np.ndarray:

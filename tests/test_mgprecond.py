@@ -323,8 +323,7 @@ class TestSmootherStability:
         fv_ops = setup.fv_levels()
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, setup.transfer(),
                                      parse_mg_config("mg111111V"), use_massfix=massfix)
-        U0 = build_initial_state(setup.case, setup.dg_op)
-        mg.begin_step(U0, SDIRK2_ALPHA * dt)
+        mg.begin_step(SDIRK2_ALPHA * dt)
         for l, level in enumerate(mg.levels[:2]):
             shape = (4, fv_ops[l].nz, fv_ops[l].nx)
             n = int(np.prod(shape))
@@ -569,7 +568,7 @@ class TestPrecondition:
     def test_deterministic_across_calls(self, ig_precond):
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg111111V"))
-        mg.begin_step(lin.u0, alpha_dt)
+        mg.begin_step(alpha_dt)
         M = mg.factory(lin)
         rng = np.random.default_rng(7)
         y = rng.standard_normal(lin.u0.shape) * 1e-4
@@ -583,7 +582,7 @@ class TestPrecondition:
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"),
                                      use_massfix=massfix)
         y = np.random.default_rng(10).standard_normal(lin.u0.shape) * 1e-4
-        mg.begin_step(lin.u0, alpha_dt)
+        mg.begin_step(alpha_dt)
         out = mg.factory(lin)(y)
         assert out.dtype == np.float64
         assert out.shape == y.shape
@@ -607,7 +606,7 @@ class TestPrecondition:
         monkeypatch.setattr(FVLinearization, "matvec",
                             counting("matvec", FVLinearization.matvec))
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
-        mg.begin_step(lin.u0, alpha_dt)
+        mg.begin_step(alpha_dt)
         M = mg.factory(lin)
         counts.clear()
         M(np.random.default_rng(11).standard_normal(lin.u0.shape) * 1e-4)
@@ -624,7 +623,7 @@ class TestPrecondition:
         # keys cover a fine level without pre-smoothing and the DG sweeps
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config(key))
-        mg.begin_step(lin.u0, alpha_dt)
+        mg.begin_step(alpha_dt)
         M = mg.factory(lin)
         rng = np.random.default_rng(12)
         a, b = (rng.standard_normal(lin.u0.shape) * 1e-4 for _ in range(2))
@@ -635,7 +634,7 @@ class TestPrecondition:
     def test_linear_to_fd_accuracy(self, ig_precond):
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg111111V"))
-        mg.begin_step(lin.u0, alpha_dt)
+        mg.begin_step(alpha_dt)
         M = mg.factory(lin)
         rng = np.random.default_rng(8)
         scale = np.array([1e-5, 1e-4, 1e-4, 1e-3])
@@ -649,50 +648,38 @@ class TestPrecondition:
     def test_degenerate_config_still_linear(self, ig_precond):
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg000000V"))
-        mg.begin_step(lin.u0, alpha_dt)
+        mg.begin_step(alpha_dt)
         M = mg.factory(lin)
         rng = np.random.default_rng(9)
         u = rng.standard_normal(lin.u0.shape) * 1e-4
         assert np.allclose(M(2.0 * u), 2.0 * M(u), rtol=1e-9, atol=1e-14)
 
-    def test_frozen_states_restrict_down_the_hierarchy(self, ig_precond):
-        # begin_step freezes level finest - 2 at the twice-restricted
-        # transfer of the DG state: its pseudo steps come from that state's
+    def test_each_level_is_frozen_at_its_background(self, ig_precond):
+        # begin_step freezes every level at its own hydrostatic background
+        # (a zero perturbation): its pseudo steps come from the background's
         # wave speeds, and its matvec is the stencil linearization there
         setup, fv_ops, tr, lin, alpha_dt = ig_precond
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
-        # an anomaly 1,000 times the case's (density up to about 4%), so
-        # that the float32 stack resolves where it was frozen
-        U = 1e3 * lin.u0
-        mg.begin_step(U, alpha_dt)
-        levels = mg.levels
-        l = len(fv_ops) - 3
-        op = fv_ops[l]
-        # the states stay float64 and (nz, nx, 4) for the FV levels, the
-        # child means of that layout bit for bit
-        def child_mean(v):
-            return v.reshape(v.shape[0] // 2, 2, v.shape[1] // 2, 2, 4).mean(axis=(1, 3))
-
-        u = child_mean(child_mean(tr.dg_to_fv(U)))
-        dtau = references.pseudo_dtau(u + op.bg, op.dx, op.dz, op.constants,
-                                      mg.cfg.pseudo_cfl, alpha_dt)
-        level = levels[l]
-        # inertia-gravity: periodic in x, slip walls in z
-        assert level.faces == (op.xfaces, op.zfaces) == faces_of((True, False))
-        assert level.dtau.dtype == np.float32
-        assert np.array_equal(level.dtau, dtau.astype(np.float32))
-        w = np.random.default_rng(4).standard_normal((4, op.nz, op.nx)).astype(np.float32)
-        fresh = setup.fv_op(l)
-        fresh.assemble(u, alpha_dt)
-        assert np.array_equal(level.matvec(w, np.empty_like(w)), apply(fresh, w))
+        mg.begin_step(alpha_dt)
+        rng = np.random.default_rng(4)
+        for l, (op, level) in enumerate(zip(fv_ops, mg.levels)):
+            dtau = references.pseudo_dtau(op.bg, op.dx, op.dz, op.constants, mg.cfg.pseudo_cfl,
+                                          alpha_dt)
+            # inertia-gravity: periodic in x, slip walls in z
+            assert level.faces == (op.xfaces, op.zfaces) == faces_of((True, False))
+            assert level.dtau.dtype == np.float32
+            assert np.array_equal(level.dtau, dtau.astype(np.float32))
+            w = rng.standard_normal((4, op.nz, op.nx)).astype(np.float32)
+            fresh = setup.fv_op(l)
+            fresh.assemble(np.zeros_like(fresh.bg), alpha_dt)
+            assert np.array_equal(level.matvec(w, np.empty_like(w)), apply(fresh, w))
 
     def test_fv_stack_assembled_once_per_run(self, ig_precond, fv_calls, monkeypatch):
         # a run makes one FV level per grid of the cycle; over two steps at a
         # fixed dt only the first step's begin_step assembles them, once
         # each, and nothing else assembles: no factory call, of either stage
         # or any Newton iteration, and no application. After step 2 the kept
-        # stack preconditions as a new one frozen at the state step 1
-        # started from.
+        # stack preconditions as a new one at the same alpha_dt.
         setup, _, tr, _, _ = ig_precond
         cfg = parse_mg_config("mg001111V")
         fv_ops = setup.fv_levels()
@@ -706,7 +693,7 @@ class TestPrecondition:
             in_begin_step.extend(fv_calls["assembled"][before:])
 
         monkeypatch.setattr(MultigridPreconditioner, "begin_step", counting_begin_step)
-        start = U = build_initial_state(setup.case, setup.dg_op)
+        U = build_initial_state(setup.case, setup.dg_op)
         for step, built in enumerate([fv_ops, []]):
             fv_calls["assembled"].clear()
             in_begin_step.clear()
@@ -727,7 +714,7 @@ class TestPrecondition:
         y = np.random.default_rng(15).standard_normal(U.shape) * 1e-4
         kept = mg.factory(lin)(y)
         fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
-        fresh.begin_step(start, alpha_dt)
+        fresh.begin_step(alpha_dt)
         assert np.array_equal(kept, fresh.factory(lin)(y))
 
     @settings(max_examples=10, deadline=None)
@@ -737,13 +724,13 @@ class TestPrecondition:
                                                     seed):
         # without DG sweeps (mg001111V) an application reads the stack that
         # begin_step froze and nothing of the Newton iterate: linearizations
-        # at two iterates of a step give the same output bit for bit, and so
-        # does a new preconditioner frozen at the same state
+        # at two iterates, of any amplitude, give the same output bit for
+        # bit, and so does a new preconditioner at the same alpha_dt
         setup, fv_ops, tr, lin, _ = ig_precond
         cfg = parse_mg_config("mg001111V")
         U, alpha_dt = amplitude * lin.u0, SDIRK2_ALPHA * steps
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, cfg)
-        mg.begin_step(U, alpha_dt)
+        mg.begin_step(alpha_dt)
         rng = np.random.default_rng(seed)
         other = U * (1.0 + spread * rng.standard_normal(U.shape))
         iterates = [FDLinearization(lin.residual, u, lin.residual(u), lin.weights)
@@ -752,7 +739,7 @@ class TestPrecondition:
         out = mg.factory(iterates[0])(y)
         assert np.array_equal(mg.factory(iterates[1])(y), out)
         fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
-        fresh.begin_step(U, alpha_dt)
+        fresh.begin_step(alpha_dt)
         assert np.array_equal(fresh.factory(iterates[1])(y), out)
 
     def test_rest_state_step_still_assembles_the_stack(self, ig_precond, fv_calls):
@@ -786,135 +773,96 @@ class TestPrecondition:
 
 
 class TestRebuildRule:
-    """begin_step keeps the FV stack while alpha_dt holds and a step's
-    applications per factory call stay within REBUILD_GROWTH times those
-    of the first step on the stack. The tests make a step's factory calls
-    and applications by hand, without a solver, and count the assemblies."""
+    """begin_step keeps the FV stack while alpha_dt holds and re-assembles
+    every level at its background when alpha_dt is new, whatever the
+    factory calls and applications of the steps before."""
 
-    @staticmethod
-    def step(mg, lin, factories, applies):
-        """One step's factory calls and applications, the applications made
-        with the closure of the last factory call."""
-        M = None
-        for _ in range(factories):
-            M = mg.factory(lin)
-        for _ in range(applies):
-            M(np.zeros_like(lin.u0))
-
-    @staticmethod
-    def built(fv_calls, fv_ops):
-        """Whether the assemblies since the last check were one per FV
-        level (True) or none (False); clears the record."""
-        assembled = sorted(map(id, fv_calls["assembled"]))
-        fv_calls["assembled"].clear()
-        assert assembled in ([], sorted(map(id, fv_ops)))
-        return bool(assembled)
-
-    def test_keeps_the_stack_within_the_growth_bound(self, ig_precond, fv_calls):
-        setup, fv_ops, tr, lin, alpha_dt = ig_precond
-        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
-        mg.begin_step(lin.u0, alpha_dt)
-        assert self.built(fv_calls, fv_ops)
-        # the baseline is 5 applications per factory call; 7.5 is at the bound
-        for factories, applies in [(2, 10), (2, 15), (4, 30), (1, 2)]:
-            self.step(mg, lin, factories, applies)
-            mg.begin_step(2.0 * lin.u0, alpha_dt)
-            assert not self.built(fv_calls, fv_ops)
-
-    def test_rebuilds_when_applications_per_factory_call_grow(self, ig_precond, fv_calls):
-        # past the bound the stack is rebuilt at the state the step starts
-        # from, and the first step on the new stack sets the new baseline
-        setup, fv_ops, tr, lin, alpha_dt = ig_precond
+    @settings(max_examples=20, deadline=None)
+    @given(steps=st.lists(st.tuples(st.sampled_from([1.0, 0.4]), st.integers(0, 2),
+                                    st.integers(0, 3)), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rebuilds_at_a_new_alpha_dt(self, ig_precond, steps, seed):
+        # steps of (alpha_dt as a multiple of the case's, factory calls,
+        # applications of the last factory call's closure); a shortened last
+        # step, min(dt, t_final - t), has a new alpha_dt. Each level is
+        # assembled once on a step whose alpha_dt differs from the last
+        # step's and never otherwise, and an application equals, bit for
+        # bit, that of a new preconditioner at the step's alpha_dt.
+        setup, _, tr, lin, alpha_dt = ig_precond
         cfg = parse_mg_config("mg001111V")
+        fv_ops = setup.fv_levels()
+        assembled = []
+
+        def counting(op):
+            assemble = op.assemble
+
+            def wrapper(*args):
+                assembled.append(op)
+                return assemble(*args)
+            return wrapper
+
+        for op in fv_ops:
+            op.assemble = counting(op)
         mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, cfg)
-        mg.begin_step(lin.u0, alpha_dt)
-        self.built(fv_calls, fv_ops)
-        self.step(mg, lin, 2, 10)
-        mg.begin_step(lin.u0, alpha_dt)
-        self.step(mg, lin, 2, 16)
-        U = 2.0 * lin.u0
-        mg.begin_step(U, alpha_dt)
-        assert self.built(fv_calls, fv_ops)
-        y = np.random.default_rng(16).standard_normal(U.shape) * 1e-4
-        fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
-        fresh.begin_step(U, alpha_dt)
-        assert np.array_equal(mg.factory(lin)(y), fresh.factory(lin)(y))
-        fv_calls["assembled"].clear()
-        # with that application the step makes 2 factory calls and 8
-        # applications: 4 is the new baseline, 6 its bound
-        self.step(mg, lin, 1, 7)
-        mg.begin_step(U, alpha_dt)
-        self.step(mg, lin, 2, 12)
-        mg.begin_step(U, alpha_dt)
-        assert not self.built(fv_calls, fv_ops)
-        self.step(mg, lin, 2, 13)
-        mg.begin_step(U, alpha_dt)
-        assert self.built(fv_calls, fv_ops)
-
-    def test_rebuilds_at_a_new_alpha_dt(self, ig_precond, fv_calls):
-        # a shortened last step, min(dt, t_final - t), has a new alpha_dt
-        setup, fv_ops, tr, lin, alpha_dt = ig_precond
-        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
-        mg.begin_step(lin.u0, alpha_dt)
-        self.built(fv_calls, fv_ops)
-        self.step(mg, lin, 2, 10)
-        mg.begin_step(lin.u0, 0.4 * alpha_dt)
-        assert self.built(fv_calls, fv_ops)
-        y = np.random.default_rng(17).standard_normal(lin.u0.shape) * 1e-4
-        fresh = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, mg.cfg)
-        fresh.begin_step(lin.u0, 0.4 * alpha_dt)
-        assert np.array_equal(mg.factory(lin)(y), fresh.factory(lin)(y))
-        fv_calls["assembled"].clear()
-        self.step(mg, lin, 2, 10)
-        mg.begin_step(lin.u0, 0.4 * alpha_dt)
-        assert not self.built(fv_calls, fv_ops)
-        mg.begin_step(lin.u0, alpha_dt)
-        assert self.built(fv_calls, fv_ops)
-
-    def test_step_without_factory_calls_sets_no_baseline(self, ig_precond, fv_calls):
-        # a step from rest makes no Newton iteration; the first step that
-        # makes one (4 applications per factory call) sets the baseline, so
-        # 6 stays within its bound and 7 rebuilds
-        setup, fv_ops, tr, lin, alpha_dt = ig_precond
-        mg = MultigridPreconditioner(setup.dg_op, fv_ops, tr, parse_mg_config("mg001111V"))
-        mg.begin_step(lin.u0, alpha_dt)
-        self.built(fv_calls, fv_ops)
-        for factories, applies in [(0, 0), (0, 0), (1, 4), (1, 6)]:
-            self.step(mg, lin, factories, applies)
-            mg.begin_step(lin.u0, alpha_dt)
-            assert not self.built(fv_calls, fv_ops)
-        self.step(mg, lin, 1, 7)
-        mg.begin_step(lin.u0, alpha_dt)
-        assert self.built(fv_calls, fv_ops)
+        fresh = {}
+        rng = np.random.default_rng(seed)
+        last = None
+        for scale, factories, applies in steps:
+            a_dt = scale * alpha_dt
+            assembled.clear()
+            mg.begin_step(a_dt)
+            want = fv_ops if a_dt != last else []
+            assert sorted(map(id, assembled)) == sorted(map(id, want))
+            last = a_dt
+            if not factories:
+                continue
+            for _ in range(factories):
+                M = mg.factory(lin)
+            if a_dt not in fresh:
+                fresh[a_dt] = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), tr, cfg)
+                fresh[a_dt].begin_step(a_dt)
+            for _ in range(applies):
+                y = rng.standard_normal(lin.u0.shape) * 1e-4
+                assert np.array_equal(M(y), fresh[a_dt].factory(lin)(y))
 
 
 class TestLaggedStackRuns:
-    """cli.run on the ig-mg-coarse benchmark configuration keeps the stack
-    of its first step, with the Newton and GMRES counts of a stack rebuilt
-    every step (32 and 173 over 8 steps)."""
+    """cli.run keeps the stack its first step assembles for the whole run
+    at one dt, and the benchmark's multigrid configurations keep their
+    Newton and GMRES counts."""
 
     CONFIG = dict(case="inertia-gravity", level=2, base_nx=10, base_nz=1, dt=25.0,
                   mg="mg001111V", transfer="interp")
+    # the multigrid workloads of perfbench/workloads.py, with the Newton
+    # iterations and the most GMRES iterations of one run
+    BENCHMARKS = {
+        "ig-mg-coarse": (dict(CONFIG, t_final=100.0), 16, 85),
+        "bubble-mg": (dict(case="rising-bubble", level=2, dx=50.0, dt=10.0, t_final=10.0,
+                           mg="mg111111V", transfer="interp"), 4, 44),
+        "dc-mg-viscous": (dict(case="density-current", level=2, dx=400.0, dt=10.0,
+                               t_final=20.0, mg="mg111111V", transfer="massfix"), 8, 27),
+    }
 
-    def run(self, tmp_path, monkeypatch, fv_calls, t_final):
-        """The stats rows of a run to t_final, and the alpha_dt of each
+    @staticmethod
+    def run(tmp_path, monkeypatch, fv_calls, config):
+        """The stats rows of a run of config, and the alpha_dt of each
         begin_step that assembled."""
         builds = []
         begin_step = MultigridPreconditioner.begin_step
 
-        def recording_begin_step(self, U, alpha_dt):
+        def recording_begin_step(self, alpha_dt):
             before = len(fv_calls["assembled"])
-            begin_step(self, U, alpha_dt)
+            begin_step(self, alpha_dt)
             if len(fv_calls["assembled"]) > before:
                 builds.append(alpha_dt)
 
         monkeypatch.setattr(MultigridPreconditioner, "begin_step", recording_begin_step)
-        assert cli.run(cli.RunConfig(**self.CONFIG, t_final=t_final, outdir=str(tmp_path))) == 0
+        assert cli.run(cli.RunConfig(**config, outdir=str(tmp_path))) == 0
         with open(tmp_path / "stats.csv") as fh:
             return list(csv.DictReader(fh)), builds
 
     def test_eight_steps_assemble_each_level_once(self, tmp_path, monkeypatch, fv_calls):
-        rows, builds = self.run(tmp_path, monkeypatch, fv_calls, 200.0)
+        rows, builds = self.run(tmp_path, monkeypatch, fv_calls, dict(self.CONFIG, t_final=200.0))
         assert len(rows) == 16
         assert sum(int(r["newton_iters"]) for r in rows) == 32
         assert sum(int(r["gmres_iters"]) for r in rows) <= 173
@@ -922,13 +870,30 @@ class TestLaggedStackRuns:
         assert len(fv_calls["made"]) == 5
         assert sorted(map(id, fv_calls["assembled"])) == sorted(map(id, fv_calls["made"]))
 
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_benchmark_counts(self, tmp_path, monkeypatch, fv_calls, name):
+        config, newton, gmres = self.BENCHMARKS[name]
+        rows, builds = self.run(tmp_path, monkeypatch, fv_calls, config)
+        assert sum(int(r["newton_iters"]) for r in rows) == newton
+        assert sum(int(r["gmres_iters"]) for r in rows) <= gmres
+        assert builds == [SDIRK2_ALPHA * config["dt"]]
+
     def test_shortened_last_step_assembles_again(self, tmp_path, monkeypatch, fv_calls):
         # 110 s is four 25 s steps and a 10 s one
-        rows, builds = self.run(tmp_path, monkeypatch, fv_calls, 110.0)
+        rows, builds = self.run(tmp_path, monkeypatch, fv_calls, dict(self.CONFIG, t_final=110.0))
         assert [float(r["time"]) for r in rows[1::2]] == pytest.approx([25, 50, 75, 100, 110])
         assert builds == [SDIRK2_ALPHA * 25.0, SDIRK2_ALPHA * 10.0]
         assert Counter(map(id, fv_calls["assembled"])) == Counter(
             {id(lin): 2 for lin in fv_calls["made"]})
+
+    def test_last_step_off_by_rounding_keeps_the_stack(self, tmp_path, monkeypatch, fv_calls):
+        # after two 0.1 s steps, t_final - t is 0.1 less one ulp; the run
+        # takes a whole step there, so its alpha_dt, and the stack, stay
+        assert 0.3 - (0.1 + 0.1) != 0.1
+        rows, builds = self.run(tmp_path, monkeypatch, fv_calls,
+                                dict(self.CONFIG, dt=0.1, t_final=0.3))
+        assert [r["time"] for r in rows[1::2]] == ["0.100000", "0.200000", "0.300000"]
+        assert builds == [SDIRK2_ALPHA * 0.1]
 
 
 class TestWorkspace:
@@ -937,13 +902,14 @@ class TestWorkspace:
     tracemalloc: the largest peak of one smooth call above its start is
     26,832 B, the iterator buffers of a broadcast dtau product on the
     40x80 level (819,760 B, four finest-level fields, before the
-    workspace), and a whole application peaks at 820,224 B (1,229,920-
-    1,230,760 B when the result was zero-filled, 1,296,864 B when the
-    correction was added out of place, 1,742,840 B before the workspace),
-    most of it the float64 DG and transfer fields."""
+    workspace), and a whole application peaks at 820,224 B, the same on
+    every run (1,229,920-1,230,760 B when the result was zero-filled,
+    1,296,864 B when the correction was added out of place, 1,742,840 B
+    before the workspace), most of it the float64 DG and transfer fields.
+    APPLY_PEAK is that peak plus 1 KiB."""
 
     FIELD = 4 * 80 * 160 * 4  # bytes of a float32 vector on the finest level
-    APPLY_PEAK = 1_230_760
+    APPLY_PEAK = 820_224 + 1_024
 
     def test_warm_bubble_apply_allocates_no_field_per_substep(self, monkeypatch):
         setup = make_setup("rising-bubble", 5, 10, 2)
@@ -957,7 +923,7 @@ class TestWorkspace:
         def G(V):
             return V - alpha_dt * setup.dg_op(V) - U0
 
-        mg.begin_step(U0, alpha_dt)
+        mg.begin_step(alpha_dt)
         M = mg.factory(FDLinearization(G, U0, G(U0), setup.dg_op.norm_weights))
         y = np.random.default_rng(13).standard_normal(U0.shape) * 1e-4
         M(y)  # prolongation's buffers are made by the first application
@@ -999,7 +965,7 @@ class TestCoarseSolve:
         setup = make_setup(name, base_nx, base_nz, level)
         mg = MultigridPreconditioner(setup.dg_op, setup.fv_levels(), setup.transfer(),
                                      parse_mg_config("mg111111W"), use_massfix=massfix)
-        mg.begin_step(build_initial_state(setup.case, setup.dg_op), SDIRK2_ALPHA * dt)
+        mg.begin_step(SDIRK2_ALPHA * dt)
         coarse = mg.levels[0]
         assert coarse.x.size == 4 * base_nx * base_nz <= COARSE_SOLVE_MAX
         assert coarse.inverse.dtype == np.float32
@@ -1022,7 +988,7 @@ class TestCoarseSolve:
         U0 = build_initial_state(setup.case, setup.dg_op)
         tracemalloc.start()
         try:
-            mg.begin_step(U0, SDIRK2_ALPHA * 10.0)
+            mg.begin_step(SDIRK2_ALPHA * 10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
